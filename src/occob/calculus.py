@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from occob.errors import ClosedComponentError, CompositionError, InfeasibleObjectError
-from occob.objects import Circle, GeneralObject, Interval, Permutation
+from occob.objects import Circle, GeneralObject, Permutation
 from occob.surfaces import (
     IN,
     OUT,

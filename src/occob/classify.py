@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from occob.calculus import realize
-from occob.objects import Circle, GeneralObject, Interval
+from occob.objects import Circle, GeneralObject
 from occob.surfaces import (
     IN,
-    Arc,
     BoundaryCircle,
     Cobordism,
     Component,

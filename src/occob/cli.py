@@ -271,6 +271,12 @@ def _cmd_classify(args) -> int:
 # argument wiring
 
 
+def _count_arg(value: str) -> int:
+    if not value.isdecimal():
+        raise argparse.ArgumentTypeError(f"{value!r} is not a non-negative integer")
+    return int(value)
+
+
 def _name_arg(value: str) -> str:
     if not value.isidentifier():
         raise argparse.ArgumentTypeError(f"{value!r} is not a usable name")
@@ -326,7 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = cmd("stabilize", _cmd_stabilize, "compose with the stabilizer k times")
     p.add_argument("a", metavar="A")
-    p.add_argument("-k", type=int, default=1)
+    p.add_argument("-k", type=_count_arg, default=1, help="how many times (k >= 0)")
 
     for p in sub.choices.values():
         p.add_argument("--json", action="store_true", help="emit JSON output")

@@ -22,18 +22,22 @@ toggles an interval reference away from its side's default traversal
 direction (incoming references are reversed by default, outgoing are
 not).
 
-Failures raise ``DslSyntaxError`` (tokens, grammar, unresolved or
-duplicate names, undeclared branes) or ``DslValidationError`` (parsed
-but structurally invalid), both carrying a 1-based line and column.
+Both front ends hand their values to one document builder, so they
+fail the same way.  Failures raise ``DslSyntaxError`` (tokens, grammar,
+JSON field types, unresolved or duplicate names, undeclared branes) or
+``DslValidationError`` (parsed but structurally invalid).  Text errors
+carry a 1-based line and column; JSON errors name the offending field by
+a message prefix such as ``at $.cobordisms.T.components[0].genus: ``.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 from occob.classify import canonicalize
-from occob.errors import DslSyntaxError, DslValidationError
+from occob.errors import DslError, DslSyntaxError, DslValidationError
 from occob.objects import STAR, Circle, GeneralObject, Interval, Permutation
 from occob.surfaces import (
     IN,
@@ -137,9 +141,9 @@ def _tokenize(text: str) -> list[_Tok]:
             toks.append(_Tok("STAR", STAR, line, col))
             i += 1
             col += 1
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":  # not isdigit(), which accepts digits int() rejects
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             toks.append(_Tok("INT", text[i:j], line, col))
             col += j - i
@@ -155,6 +159,81 @@ def _tokenize(text: str) -> list[_Tok]:
             raise DslSyntaxError(f"unexpected character {ch!r}", line, col)
     toks.append(_Tok("EOF", "", line, col))
     return toks
+
+
+# ---------------------------------------------------------------------------
+# document builder
+#
+# The only code that turns front-end values into a Document.  Each check
+# takes the location ``where`` of the value: a token for text, or for JSON
+# the tuple of keys and indices leading to it, which is formatted into a
+# path only when an error is raised.
+
+
+def _fail(where, message: str, cls: type[DslError] = DslSyntaxError, **kwargs):
+    if isinstance(where, _Tok):
+        raise cls(message, where.line, where.col, **kwargs)
+    path = "".join(
+        f".{k}"
+        if isinstance(k, str) and k.isidentifier()
+        else f"[{json.dumps(k, default=repr)}]"
+        for k in where
+    )
+    raise cls(f"at ${path}: {message}", **kwargs)
+
+
+class _Builder:
+    """Checks front-end values while assembling them into ``doc``."""
+
+    def __init__(self, branes: list[str], where):
+        if not branes:
+            _fail(where, "the brane list is empty")
+        dup = sorted(b for b, n in Counter(branes).items() if n > 1)
+        if dup:
+            _fail(where, f"brane {dup[0]!r} declared twice")
+        self.doc = Document(branes=frozenset(branes))
+
+    def brane(self, label: str, where) -> str:
+        if label not in self.doc.branes:
+            _fail(where, f"brane {label!r} is not declared")
+        return label
+
+    def new_name(self, what: str, name: str, where) -> None:
+        """Reject a second ``what`` ("object" or "cobordism") called ``name``."""
+        if name in (self.doc.objects if what == "object" else self.doc.cobordisms):
+            _fail(where, f"{what} {name!r} already defined")
+
+    def object_ref(self, name: str, where) -> str:
+        if name not in self.doc.objects:
+            _fail(where, f"unknown object {name!r}")
+        return name
+
+    def add_object(self, name: str, entries: list, cycles, where) -> None:
+        """Define ``name``; ``cycles`` None means the identity sigma."""
+        sigma = None
+        if cycles is not None:
+            positions = tuple(
+                i for i, e in enumerate(entries, start=1) if isinstance(e, Interval)
+            )
+            try:
+                sigma = Permutation.from_cycles(cycles, positions)
+            except ValueError as exc:
+                _fail(where, f"object {name!r}: {exc}", DslValidationError)
+        self.doc.objects[name] = GeneralObject(self.doc.branes, entries, sigma)
+
+    def add_cobordism(
+        self, name: str, where, source: str, target: str, components: list
+    ) -> None:
+        """Define ``name`` between the already resolved objects, if valid."""
+        objects = self.doc.objects
+        cob = Cobordism(objects[source], objects[target], components)
+        violations = validate(cob)
+        if violations:
+            listing = "; ".join(str(v) for v in violations[:4])
+            more = "" if len(violations) <= 4 else f" (+{len(violations) - 4} more)"
+            message = f"cobordism {name!r} is invalid: {listing}{more}"
+            _fail(where, message, DslValidationError, violations=violations)
+        self.doc.cobordisms[name] = CobordismDef(source, target, cob)
 
 
 # ---------------------------------------------------------------------------
@@ -215,17 +294,15 @@ class _Parser:
     # document -------------------------------------------------------------
 
     def document(self) -> Document:
-        branes, declared = self.branes_decl()
-        doc = Document(branes=branes)
-        self.single_brane = not declared
+        self.build = self.branes_decl()
         while True:
             t = self.peek()
             if t.kind == "EOF":
                 break
             if t.kind == "WORD" and t.value == "object":
-                self.objectdef(doc)
+                self.objectdef()
             elif t.kind == "WORD" and t.value == "cobordism":
-                self.cobdef(doc)
+                self.cobdef()
             elif t.kind == "WORD" and t.value == "branes":
                 self.fail("a branes declaration must come first", t)
             else:
@@ -233,45 +310,38 @@ class _Parser:
                     f"expected 'object' or 'cobordism', got {t.value or 'end of input'!r}",
                     t,
                 )
-        return doc
+        return self.build.doc
 
-    def branes_decl(self) -> tuple[frozenset[str], bool]:
+    def branes_decl(self) -> _Builder:
         t = self.peek()
-        if not (t.kind == "WORD" and t.value == "branes"):
-            return frozenset({STAR}), False
+        self.single_brane = not (t.kind == "WORD" and t.value == "branes")
+        if self.single_brane:
+            return _Builder([STAR], t)
         self.advance()
         labels = [self.brane_name().value]
         while self.peek().kind == ",":
             self.advance()
             labels.append(self.brane_name().value)
         self.expect(";")
-        dup = {b for b in labels if labels.count(b) > 1}
-        if dup:
-            self.fail(f"brane {sorted(dup)[0]!r} declared twice", t)
-        return frozenset(labels), True
+        return _Builder(labels, t)
 
-    def check_brane(self, tok: _Tok, branes: frozenset[str]) -> str:
-        if tok.value not in branes:
-            raise DslSyntaxError(
-                f"brane {tok.value!r} is not declared", tok.line, tok.col
-            )
-        return tok.value
+    def check_brane(self, tok: _Tok) -> str:
+        return self.build.brane(tok.value, tok)
 
     # objects --------------------------------------------------------------
 
-    def objectdef(self, doc: Document) -> None:
+    def objectdef(self) -> None:
         self.expect_word("object")
         name_tok = self.name("an object name")
-        if name_tok.value in doc.objects:
-            self.fail(f"object {name_tok.value!r} already defined", name_tok)
+        self.build.new_name("object", name_tok.value, name_tok)
         self.expect("=")
         self.expect("[")
         entries = []
         if self.peek().kind != "]":
-            entries.append(self.entry(doc.branes))
+            entries.append(self.entry())
             while self.peek().kind == ",":
                 self.advance()
-                entries.append(self.entry(doc.branes))
+                entries.append(self.entry())
         self.expect("]")
         cycles = None
         sigma_tok = self.peek()
@@ -279,22 +349,9 @@ class _Parser:
             self.advance()
             cycles = self.cycles()
         self.expect(";")
-        interval_positions = tuple(
-            i for i, e in enumerate(entries, start=1) if isinstance(e, Interval)
-        )
-        sigma = None
-        if cycles is not None:
-            try:
-                sigma = Permutation.from_cycles(cycles, interval_positions)
-            except ValueError as exc:
-                raise DslValidationError(
-                    f"object {name_tok.value!r}: {exc}",
-                    sigma_tok.line,
-                    sigma_tok.col,
-                ) from exc
-        doc.objects[name_tok.value] = GeneralObject(doc.branes, entries, sigma)
+        self.build.add_object(name_tok.value, entries, cycles, sigma_tok)
 
-    def entry(self, branes: frozenset[str]):
+    def entry(self):
         t = self.peek()
         if t.kind == "WORD" and t.value == "O":
             self.advance()
@@ -302,9 +359,9 @@ class _Parser:
         if t.kind == "WORD" and t.value == "I":
             self.advance()
             self.expect("(")
-            left = self.check_brane(self.brane_name(), branes)
+            left = self.check_brane(self.brane_name())
             self.expect(",")
-            right = self.check_brane(self.brane_name(), branes)
+            right = self.check_brane(self.brane_name())
             self.expect(")")
             return Interval(left, right)
         self.fail(f"expected 'O' or 'I(..)', got {t.value or 'end of input'!r}", t)
@@ -331,60 +388,39 @@ class _Parser:
 
     # cobordisms -----------------------------------------------------------
 
-    def resolve_object(self, doc: Document, tok: _Tok) -> GeneralObject:
-        if tok.value not in doc.objects:
-            raise DslSyntaxError(
-                f"unknown object {tok.value!r}", tok.line, tok.col
-            )
-        return doc.objects[tok.value]
+    def resolve_object(self, tok: _Tok) -> str:
+        return self.build.object_ref(tok.value, tok)
 
-    def cobdef(self, doc: Document) -> None:
+    def cobdef(self) -> None:
         self.expect_word("cobordism")
         name_tok = self.name("a cobordism name")
-        if name_tok.value in doc.cobordisms:
-            self.fail(f"cobordism {name_tok.value!r} already defined", name_tok)
+        self.build.new_name("cobordism", name_tok.value, name_tok)
         self.expect(":")
         src_tok = self.name("a source object name")
         self.expect("ARROW", "'->'")
         tgt_tok = self.name("a target object name")
-        source = self.resolve_object(doc, src_tok)
-        target = self.resolve_object(doc, tgt_tok)
+        source = self.resolve_object(src_tok)
+        target = self.resolve_object(tgt_tok)
         self.expect("{")
         comps = []
         while self.peek().kind == "WORD" and self.peek().value == "component":
-            comps.append(self.component(doc))
+            comps.append(self.component())
         self.expect("}")
-        cob = Cobordism(source, target, comps)
-        violations = validate(cob)
-        if violations:
-            listing = "; ".join(str(v) for v in violations[:4])
-            more = "" if len(violations) <= 4 else f" (+{len(violations) - 4} more)"
-            raise DslValidationError(
-                f"cobordism {name_tok.value!r} is invalid: {listing}{more}",
-                name_tok.line,
-                name_tok.col,
-                violations=violations,
-            )
-        doc.cobordisms[name_tok.value] = CobordismDef(
-            src_tok.value, tgt_tok.value, cob
-        )
+        self.build.add_cobordism(name_tok.value, name_tok, source, target, comps)
 
-    def component(self, doc: Document) -> Component:
+    def component(self) -> Component:
         self.expect_word("component")
         self.expect("{")
         self.expect_word("genus")
-        genus_tok = self.peek()
         genus = self.expect_int()
-        if genus < 0:  # pragma: no cover - INT token is unsigned
-            self.fail("genus must be nonnegative", genus_tok)
         self.expect(";")
         boundary = []
         while not (self.peek().kind == "}"):
-            boundary.append(self.bline(doc))
+            boundary.append(self.bline())
         self.expect("}")
         return Component(genus, boundary)
 
-    def bline(self, doc: Document):
+    def bline(self):
         t = self.peek()
         if t.kind != "WORD":
             self.fail(
@@ -397,16 +433,16 @@ class _Parser:
             return InClosed(index) if t.value == "in" else OutClosed(index)
         if t.value == "window":
             self.advance()
-            brane = self.optional_brane(doc, context="window")
+            brane = self.optional_brane(context="window")
             self.expect(";")
             return Window(brane)
         if t.value == "mixed":
             self.advance()
             self.expect("[")
-            entries = [self.mentry(doc)]
+            entries = [self.mentry()]
             while self.peek().kind == ",":
                 self.advance()
-                entries.append(self.mentry(doc))
+                entries.append(self.mentry())
             self.expect("]")
             self.expect(";")
             return Mixed(entries)
@@ -414,15 +450,15 @@ class _Parser:
             f"expected 'in', 'out', 'window', or 'mixed', got {t.value!r}", t
         )
 
-    def optional_brane(self, doc: Document, context: str) -> str:
+    def optional_brane(self, context: str) -> str:
         t = self.peek()
         if t.kind in (";", ",", "]"):
             if self.single_brane:
                 return STAR
             self.fail(f"{context} needs a brane label", t)
-        return self.check_brane(self.brane_name(), doc.branes)
+        return self.check_brane(self.brane_name())
 
-    def mentry(self, doc: Document):
+    def mentry(self):
         t = self.peek()
         if t.kind == "WORD" and t.value in (IN, OUT):
             self.advance()
@@ -435,7 +471,7 @@ class _Parser:
             return IntervalRef(t.value, index, rev)
         if t.kind == "WORD" and t.value == "arc":
             self.advance()
-            return Arc(self.optional_brane(doc, context="arc"))
+            return Arc(self.optional_brane(context="arc"))
         self.fail(
             f"expected 'in', 'out', or 'arc', got {t.value or 'end of input'!r}", t
         )
@@ -586,87 +622,165 @@ def to_json(doc: Document) -> str:
     return json.dumps(document_to_dict(doc), indent=2, sort_keys=True) + "\n"
 
 
-def _entry_from_json(data: dict):
-    if data["type"] == "circle":
+_JSON_KINDS = {
+    int: "a non-negative integer",
+    bool: "true or false",
+    str: "a string",
+    list: "an array",
+    dict: "an object",
+}
+_REQUIRED = object()
+
+
+def _shown(value) -> str:
+    if type(value) in (dict, list):
+        return _JSON_KINDS[type(value)]
+    return json.dumps(value, default=repr)
+
+
+def _field(data, key, kind: type, where: tuple, default=_REQUIRED):
+    """``data[key]``, checked to be of JSON type ``kind``; ``data`` is at ``where``.
+
+    Integers must be non-negative and not bool.  A missing key gives
+    ``default`` or, when there is none, an error.
+    """
+    try:
+        value = data[key]
+    except KeyError:
+        if default is _REQUIRED:
+            _fail(where, f"missing field {key!r}")
+        return default
+    if kind is int:
+        ok = type(value) is int and value >= 0
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        _fail(where + (key,), f"expected {_JSON_KINDS[kind]}, got {_shown(value)}")
+    return value
+
+
+def _items(data, key, kind: type, where: tuple, default=()) -> list:
+    """``(where, item)`` for each item of the array ``data[key]``."""
+    items = _field(data, key, list, where, default)
+    where += (key,)
+    return [(where + (i,), _field(items, i, kind, where)) for i in range(len(items))]
+
+
+def _json_name(value, where: tuple, what: str, brane: bool = False) -> str:
+    """``value`` if the text grammar reads it as one name token.
+
+    That is a WORD that is not a keyword, or ``*`` for a brane label, so
+    the text written by ``serialize`` parses back to the same name.
+    """
+    if isinstance(value, str):
+        try:
+            p = _Parser(value)
+            tok = p.brane_name() if brane else p.name(what)
+        except DslSyntaxError:
+            pass
+        else:
+            if tok.value == value:
+                return value
+    _fail(where, f"{_shown(value)} cannot be used as {what}")
+
+
+def _json_brane(build: _Builder, data, where: tuple, key: str = "brane") -> str:
+    return build.brane(_field(data, key, str, where), where + (key,))
+
+
+def _entry_from_json(build: _Builder, where: tuple, data: dict):
+    kind = _field(data, "type", str, where)
+    if kind == "circle":
         return Circle()
-    if data["type"] == "interval":
-        return Interval(data["left"], data["right"])
-    raise DslSyntaxError(f"unknown entry type {data['type']!r}")
+    if kind == "interval":
+        return Interval(
+            _json_brane(build, data, where, "left"),
+            _json_brane(build, data, where, "right"),
+        )
+    _fail(where + ("type",), f"unknown entry type {kind!r}")
 
 
-def _mixed_entry_from_json(data: dict):
-    if data["type"] == "arc":
-        return Arc(data["brane"])
-    if data["type"] in (IN, OUT):
-        rev = data.get("rev", default_rev(data["type"]))
-        return IntervalRef(data["type"], data["index"], rev)
-    raise DslSyntaxError(f"unknown mixed entry type {data['type']!r}")
+def _mixed_entry_from_json(build: _Builder, where: tuple, data: dict):
+    kind = _field(data, "type", str, where)
+    if kind == "arc":
+        return Arc(_json_brane(build, data, where))
+    if kind in (IN, OUT):
+        rev = _field(data, "rev", bool, where, default_rev(kind))
+        return IntervalRef(kind, _field(data, "index", int, where), rev)
+    _fail(where + ("type",), f"unknown mixed entry type {kind!r}")
 
 
-def _circle_from_json(data: dict):
-    kind = data["type"]
+def _circle_from_json(build: _Builder, where: tuple, data: dict):
+    kind = _field(data, "type", str, where)
     if kind == "in":
-        return InClosed(data["index"])
+        return InClosed(_field(data, "index", int, where))
     if kind == "out":
-        return OutClosed(data["index"])
+        return OutClosed(_field(data, "index", int, where))
     if kind == "window":
-        return Window(data["brane"])
+        return Window(_json_brane(build, data, where))
     if kind == "mixed":
-        return Mixed(_mixed_entry_from_json(e) for e in data["entries"])
-    raise DslSyntaxError(f"unknown boundary circle type {kind!r}")
+        return Mixed(
+            _mixed_entry_from_json(build, w, e)
+            for w, e in _items(data, "entries", dict, where, _REQUIRED)
+        )
+    _fail(where + ("type",), f"unknown boundary circle type {kind!r}")
 
 
 def from_json(source: str | dict) -> Document:
-    """Inverse of ``to_json``; applies the same validation as ``parse``."""
+    """Inverse of ``to_json``; applies the same checks as ``parse``.
+
+    Errors name the offending field by its JSON path, for example
+    ``at $.objects.a.entries[0].left: brane 'z' is not declared``.
+    """
     if isinstance(source, str):
         try:
             data = json.loads(source)
         except json.JSONDecodeError as exc:
             raise DslSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
+        except (ValueError, RecursionError) as exc:  # too many digits, too deep
+            raise DslSyntaxError(f"unreadable JSON: {exc}") from exc
     else:
         data = source
     if not isinstance(data, dict):
-        raise DslSyntaxError("document must be a JSON object")
-    try:
-        if data.get("format") != 1:
-            raise DslSyntaxError(f"unsupported format {data.get('format')!r}")
-        branes = frozenset(data.get("branes", [STAR]))
-        doc = Document(branes=branes)
-        for name in sorted(data.get("objects", {})):
-            spec = data["objects"][name]
-            entries = [_entry_from_json(e) for e in spec.get("entries", [])]
-            interval_positions = tuple(
-                i for i, e in enumerate(entries, start=1) if isinstance(e, Interval)
+        _fail((), f"expected an object, got {_shown(data)}")
+    fmt = _field(data, "format", int, ())
+    if fmt != 1:
+        _fail(("format",), f"unsupported format {fmt}")
+    labels = _items(data, "branes", str, (), [STAR])
+    branes = [_json_name(b, w, "a brane label", brane=True) for w, b in labels]
+    build = _Builder(branes, ("branes",))
+    objects = _field(data, "objects", dict, (), {})
+    for name in objects:
+        where = ("objects", name)
+        name = _json_name(name, where, "an object name")
+        spec = _field(objects, name, dict, ("objects",))
+        entries = [
+            _entry_from_json(build, w, e)
+            for w, e in _items(spec, "entries", dict, where)
+        ]
+        cycles = [
+            tuple(_field(cycle, i, int, w) for i in range(len(cycle)))
+            for w, cycle in _items(spec, "sigma", list, where)
+        ]
+        build.add_object(name, entries, cycles, where + ("sigma",))
+    cobordisms = _field(data, "cobordisms", dict, (), {})
+    for name in cobordisms:
+        where = ("cobordisms", name)
+        name = _json_name(name, where, "a cobordism name")
+        spec = _field(cobordisms, name, dict, ("cobordisms",))
+        source, target = (
+            build.object_ref(_field(spec, key, str, where), where + (key,))
+            for key in ("source", "target")
+        )
+        components = [
+            Component(
+                _field(comp, "genus", int, w),
+                [
+                    _circle_from_json(build, cw, circ)
+                    for cw, circ in _items(comp, "boundary", dict, w)
+                ],
             )
-            sigma = Permutation.from_cycles(
-                [tuple(c) for c in spec.get("sigma", [])], interval_positions
-            )
-            doc.objects[name] = GeneralObject(branes, entries, sigma)
-        for name in sorted(data.get("cobordisms", {})):
-            spec = data["cobordisms"][name]
-            for ref in (spec["source"], spec["target"]):
-                if ref not in doc.objects:
-                    raise DslSyntaxError(f"unknown object {ref!r}")
-            comps = [
-                Component(
-                    comp["genus"],
-                    [_circle_from_json(c) for c in comp.get("boundary", [])],
-                )
-                for comp in spec.get("components", [])
-            ]
-            cob = Cobordism(
-                doc.objects[spec["source"]], doc.objects[spec["target"]], comps
-            )
-            violations = validate(cob)
-            if violations:
-                raise DslValidationError(
-                    f"cobordism {name!r} is invalid: "
-                    + "; ".join(str(v) for v in violations[:4]),
-                    violations=violations,
-                )
-            doc.cobordisms[name] = CobordismDef(
-                spec["source"], spec["target"], cob
-            )
-        return doc
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise DslSyntaxError(f"malformed JSON document: {exc!r}") from exc
+            for w, comp in _items(spec, "components", dict, where)
+        ]
+        build.add_cobordism(name, where, source, target, components)
+    return build.doc

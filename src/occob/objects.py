@@ -161,16 +161,6 @@ class Permutation:
     def inverse(self) -> "Permutation":
         return Permutation({v: k for k, v in self.pairs})
 
-    def relabeled(self, bijection: Mapping[int, int]) -> "Permutation":
-        """Conjugate by a relabeling of the domain.
-
-        ``bijection`` must be defined on the whole domain and injective.
-        """
-        image = {bijection[k] for k in self.domain}
-        if len(image) != len(self.pairs):
-            raise ValueError("relabeling is not injective on the domain")
-        return Permutation({bijection[k]: bijection[v] for k, v in self.pairs})
-
     def shifted(self, offset: int) -> "Permutation":
         return Permutation({k + offset: v + offset for k, v in self.pairs})
 

@@ -169,6 +169,18 @@ class TestStabilize:
         cob = doc.cobordisms["result"].cobordism
         assert cob.components[0].genus == 3
 
+    def test_zero_is_the_identity(self, doc_path, capsys):
+        assert main(["stabilize", doc_path, "T", "-k", "0"]) == 0
+        doc = parse(capsys.readouterr().out)
+        assert doc.cobordisms["result"].cobordism.components[0].genus == 1
+
+    @pytest.mark.parametrize("k", ["-3", "two"])
+    def test_bad_count_exits_2(self, doc_path, capsys, k):
+        with pytest.raises(SystemExit) as exit_:
+            main(["stabilize", doc_path, "T", "-k", k])
+        assert exit_.value.code == 2
+        assert "non-negative integer" in capsys.readouterr().err
+
 
 class TestSwapTensor:
     def test_swap(self, doc_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 
@@ -135,6 +136,11 @@ class TestDiagnostics:
             parse("object x@ = [O];")
         self.assert_position(err.value)
 
+    def test_non_ascii_digit(self):
+        with pytest.raises(DslSyntaxError) as err:
+            parse("object a = [I(*,*)] sigma (\N{SUPERSCRIPT TWO});")
+        assert (err.value.line, err.value.column) == (1, 28)
+
 
 class TestSerialize:
     def test_byte_stable_round_trip(self, rng):
@@ -186,6 +192,133 @@ class TestJson:
     def test_wrong_format_tag(self):
         with pytest.raises(DslSyntaxError):
             from_json(json.dumps({"format": 99}))
+
+    def test_omitted_rev_takes_the_default(self):
+        data = document_to_dict(parse(JSON_BASE))
+        for entry in _node(data, _S_REF[:-1]):
+            entry.pop("rev", None)
+        assert serialize(from_json(data)) == serialize(parse(JSON_BASE))
+
+
+JSON_BASE = """\
+object c = [O];
+object p = [I(*,*)] sigma (1);
+cobordism S : p -> p { component { genus 0; mixed [in 1, arc, out 1, arc]; } }
+cobordism T : c -> c { component { genus 1; in 1; out 1; window; } }
+"""
+
+
+def _rename(table: dict, old: str, new: str) -> None:
+    table[new] = table.pop(old)
+
+
+def _node(data, path: tuple):
+    for key in path:
+        data = data[key]
+    return data
+
+
+def _set(path: tuple, value):
+    def mutate(data):
+        _node(data, path[:-1])[path[-1]] = value
+
+    return mutate
+
+
+_S_REF = ("cobordisms", "S", "components", 0, "boundary", 0, "entries", 0)
+_T_COMP = ("cobordisms", "T", "components", 0)
+
+
+@pytest.mark.parametrize(
+    "mutate, path",
+    [
+        (_set(_T_COMP + ("genus",), -1), "$.cobordisms.T.components[0].genus"),
+        (_set(("branes",), []), "$.branes"),
+        (
+            _set(("objects", "p", "entries", 0, "left"), "z"),
+            "$.objects.p.entries[0].left",
+        ),
+        (_set(("objects", "p", "sigma"), [[1, 1]]), "$.objects.p.sigma"),
+        (lambda d: _rename(d["objects"], "c", "object"), "$.objects.object"),
+        (lambda d: _rename(d["objects"], "c", "a b"), '$.objects["a b"]'),
+        (_set(_T_COMP + ("genus",), True), "$.cobordisms.T.components[0].genus"),
+        (
+            _set(_T_COMP + ("boundary", 0, "index"), 1.0),
+            "$.cobordisms.T.components[0].boundary[0].index",
+        ),
+        (_set(("branes",), ["a,b"]), "$.branes[0]"),
+        (_set(("branes",), "ab"), "$.branes"),
+        (
+            _set(_S_REF + ("rev",), "*"),
+            "$.cobordisms.S.components[0].boundary[0].entries[0].rev",
+        ),
+        (_set(_T_COMP + ("boundary",), []), "$.cobordisms.T"),
+    ],
+    ids=[
+        "negative-genus",
+        "empty-branes",
+        "undeclared-interval-brane",
+        "bad-sigma-cycle",
+        "keyword-name",
+        "name-with-space",
+        "bool-genus",
+        "float-index",
+        "brane-with-comma",
+        "branes-string",
+        "rev-string",
+        "invalid-cobordism",
+    ],
+)
+def test_from_json_faults_name_their_path(mutate, path):
+    data = document_to_dict(parse(JSON_BASE))
+    mutate(data)
+    with pytest.raises((DslSyntaxError, DslValidationError)) as err:
+        from_json(data)
+    assert str(err.value).startswith(f"at {path}: "), str(err.value)
+
+
+def _mutation_sites(node, path=()):
+    """("key", path) for each dict key and ("leaf", path) for each leaf."""
+    if isinstance(node, dict) and node:
+        for key, child in node.items():
+            yield "key", path + (key,)
+            yield from _mutation_sites(child, path + (key,))
+    elif isinstance(node, list) and node:
+        for i, child in enumerate(node):
+            yield from _mutation_sites(child, path + (i,))
+    else:
+        yield "leaf", path
+
+
+_NAMES = ["", "*", "a", "b", "l", "z", "a b", "a,b", "x#", "object", "in", "arc",
+          "\N{SUPERSCRIPT TWO}", "src1", "tgt1", "cob1", "type", "index", "rev"]
+_LEAVES = st.one_of(
+    st.integers(-2, 6),
+    st.booleans(),
+    st.sampled_from([1.0, None, [], {}, [1], ["a"], [[1]], {"type": "circle"}]),
+    st.sampled_from(_NAMES),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**16), st.data())
+def test_from_json_is_total_and_faithful_under_mutation(seed, data):
+    original = document_to_dict(sample_document(random.Random(seed)))
+    kind, path = data.draw(st.sampled_from(list(_mutation_sites(original))))
+    mutated = copy.deepcopy(original)
+    if kind == "key":
+        new = data.draw(st.sampled_from(_NAMES + ["format", "branes", "genus"]))
+        _rename(_node(mutated, path[:-1]), path[-1], new)
+    else:
+        _set(path, data.draw(_LEAVES))(mutated)
+    try:
+        doc = from_json(mutated)
+    except DslError:
+        return
+    text = serialize(doc)
+    again = parse(text)
+    assert serialize(again) == text
+    assert again.objects == doc.objects and again.branes == doc.branes
 
 
 class TestParseCycles:
