@@ -325,8 +325,7 @@ def realize(obj: GeneralObject) -> Cobordism:
     boundary: list[BoundaryCircle] = [InClosed(i) for i in obj.circle_indices]
     for cyc in obj.sigma.cycles():
         entries: list[MixedEntry] = []
-        for x in cyc:
-            nxt = obj.sigma(x)
+        for x, nxt in zip(cyc, cyc[1:] + cyc[:1]):
             left = obj.interval(x).left
             if left != obj.interval(nxt).right:
                 raise InfeasibleObjectError(

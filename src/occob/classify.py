@@ -52,10 +52,9 @@ def _entry_key(e) -> tuple:
 
 
 def _min_rotation(cycle: tuple) -> tuple:
-    keys = [_entry_key(e) for e in cycle]
-    n = len(cycle)
-    best = min(range(n), key=lambda s: [keys[(s + k) % n] for k in range(n)])
-    return tuple(cycle[(best + k) % n] for k in range(n))
+    # A valid cycle holds each reference once, so its least entry is unique.
+    best = min(range(len(cycle)), key=lambda s: _entry_key(cycle[s]))
+    return cycle[best:] + cycle[:best]
 
 
 def _circle_key(circ: BoundaryCircle) -> tuple:
@@ -87,32 +86,29 @@ class CanonicalForm:
 def canonicalize(c: Cobordism) -> CanonicalForm:
     """Sort components and circles, rotate mixed cycles minimally.
 
-    Idempotent, and invariant under any reordering of components or
-    boundary circles and any rotation of mixed cycles.
+    Requires ``c`` to be valid (``surfaces.validate`` returns no
+    violations): each mixed cycle then starts at its least interval
+    reference.  On valid input the result is idempotent, and invariant
+    under any reordering of components or boundary circles and any
+    rotation of mixed cycles.
     """
-    comps = []
+    keyed = []
     for comp in c.components:
-        boundary = tuple(
+        boundary = [
             Mixed(_min_rotation(circ.cycle)) if isinstance(circ, Mixed) else circ
             for circ in comp.boundary
-        )
-        boundary = tuple(sorted(boundary, key=_circle_key))
-        comps.append(Component(comp.genus, boundary))
-    comps.sort(key=lambda comp: (comp.genus, tuple(map(_circle_key, comp.boundary))))
-    canonical = Cobordism(c.source, c.target, tuple(comps))
-    key = (
-        _object_key(c.source),
-        _object_key(c.target),
-        tuple(
-            (comp.genus, tuple(map(_circle_key, comp.boundary)))
-            for comp in canonical.components
-        ),
-    )
+        ]
+        boundary.sort(key=_circle_key)
+        comp_key = (comp.genus, tuple(map(_circle_key, boundary)))
+        keyed.append((comp_key, Component(comp.genus, boundary)))
+    keyed.sort(key=lambda kc: kc[0])
+    canonical = Cobordism(c.source, c.target, (comp for _, comp in keyed))
+    key = (_object_key(c.source), _object_key(c.target), tuple(k for k, _ in keyed))
     return CanonicalForm(key, canonical)
 
 
 def is_isomorphic(a: Cobordism, b: Cobordism) -> bool:
-    """Equality of canonical forms.  Requires matching source and target."""
+    """Equality of canonical forms of two valid cobordisms between the same objects."""
     if a.source != b.source or a.target != b.target:
         raise ValueError("cobordisms with different source or target objects")
     return canonicalize(a).key == canonicalize(b).key

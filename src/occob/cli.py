@@ -15,6 +15,7 @@ from occob import calculus, classify
 from occob.dsl import (
     CobordismDef,
     Document,
+    is_name,
     parse,
     parse_cycles,
     serialize,
@@ -278,7 +279,7 @@ def _count_arg(value: str) -> int:
 
 
 def _name_arg(value: str) -> str:
-    if not value.isidentifier():
+    if not is_name(value):
         raise argparse.ArgumentTypeError(f"{value!r} is not a usable name")
     return value
 
@@ -326,8 +327,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = cmd("classify", _cmd_classify, "enumerate classes over an object")
     p.add_argument("object", metavar="OBJ")
-    p.add_argument("-G", type=int, required=True, help="largest genus")
-    p.add_argument("-W", type=int, required=True, help="largest window count per brane")
+    p.add_argument("-G", type=_count_arg, required=True, help="largest genus (>= 0)")
+    p.add_argument("-W", type=_count_arg, required=True, help="most windows per brane")
     p.add_argument("--csv", metavar="PATH", help="also write the table as CSV")
 
     p = cmd("stabilize", _cmd_stabilize, "compose with the stabilizer k times")

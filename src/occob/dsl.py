@@ -60,6 +60,7 @@ __all__ = [
     "parse",
     "serialize",
     "parse_cycles",
+    "is_name",
     "to_json",
     "from_json",
 ]
@@ -505,11 +506,7 @@ def _fmt_entry(e) -> str:
 
 
 def _fmt_sigma(sigma: Permutation) -> str:
-    if sigma.is_identity:
-        return ""
-    return " sigma " + "".join(
-        "(" + " ".join(str(x) for x in cyc) + ")" for cyc in sigma.cycles()
-    )
+    return "" if sigma.is_identity else " sigma " + sigma.cycle_string()
 
 
 def _fmt_mixed_entry(e, single: bool) -> str:
@@ -666,22 +663,26 @@ def _items(data, key, kind: type, where: tuple, default=()) -> list:
     return [(where + (i,), _field(items, i, kind, where)) for i in range(len(items))]
 
 
-def _json_name(value, where: tuple, what: str, brane: bool = False) -> str:
-    """``value`` if the text grammar reads it as one name token.
+def is_name(value, brane: bool = False) -> bool:
+    """Whether the text grammar reads ``value`` as one name token.
 
     That is a WORD that is not a keyword, or ``*`` for a brane label, so
     the text written by ``serialize`` parses back to the same name.
     """
-    if isinstance(value, str):
-        try:
-            p = _Parser(value)
-            tok = p.brane_name() if brane else p.name(what)
-        except DslSyntaxError:
-            pass
-        else:
-            if tok.value == value:
-                return value
-    _fail(where, f"{_shown(value)} cannot be used as {what}")
+    if not isinstance(value, str):
+        return False
+    try:
+        p = _Parser(value)
+        tok = p.brane_name() if brane else p.name("a name")
+    except DslSyntaxError:
+        return False
+    return tok.value == value
+
+
+def _json_name(value, where: tuple, what: str, brane: bool = False) -> str:
+    if not is_name(value, brane):
+        _fail(where, f"{_shown(value)} cannot be used as {what}")
+    return value
 
 
 def _json_brane(build: _Builder, data, where: tuple, key: str = "brane") -> str:

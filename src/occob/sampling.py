@@ -64,7 +64,7 @@ def sample_object(
     rng.shuffle(images)
     sigma = Permutation(dict(zip(positions, images)))
     lefts = {i: rng.choice(branes) for i in positions}
-    rights = {sigma(i): lefts[i] for i in positions}
+    rights = {image: lefts[i] for i, image in zip(positions, images)}
     entries = [
         Circle() if kind == "O" else Interval(lefts[i], rights[i])
         for i, kind in enumerate(kinds, start=1)

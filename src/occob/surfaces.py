@@ -203,11 +203,9 @@ class Violation:
         return f"{self.where}: [{self.rule}] {self.message}"
 
 
-def _interval_at(obj: GeneralObject, index: int) -> Interval | None:
-    if 1 <= index <= len(obj.entries):
-        e = obj.entries[index - 1]
-        if isinstance(e, Interval):
-            return e
+def _entry_at(obj: GeneralObject, index: int) -> Circle | Interval | None:
+    if isinstance(index, int) and 1 <= index <= len(obj.entries):
+        return obj.entries[index - 1]
     return None
 
 
@@ -249,24 +247,17 @@ def validate(c: Cobordism) -> list[Violation]:
             )
         for bi, circ in enumerate(comp.boundary, start=1):
             where = f"{comp_where}, circle {bi}"
-            if isinstance(circ, InClosed):
-                in_circles[circ.index] += 1
-                if circ.index not in c.source.circle_indices:
+            if isinstance(circ, (InClosed, OutClosed)):
+                incoming = isinstance(circ, InClosed)
+                (in_circles if incoming else out_circles)[circ.index] += 1
+                obj = c.source if incoming else c.target
+                if not isinstance(_entry_at(obj, circ.index), Circle):
                     v.append(
                         Violation(
                             "index-range",
                             where,
-                            f"source has no circle at position {circ.index}",
-                        )
-                    )
-            elif isinstance(circ, OutClosed):
-                out_circles[circ.index] += 1
-                if circ.index not in c.target.circle_indices:
-                    v.append(
-                        Violation(
-                            "index-range",
-                            where,
-                            f"target has no circle at position {circ.index}",
+                            f"{'source' if incoming else 'target'} has no circle "
+                            f"at position {circ.index}",
                         )
                     )
             elif isinstance(circ, Window):
@@ -352,7 +343,7 @@ def _validate_mixed(c, circ, where, in_refs, out_refs) -> list[Violation]:
         obj = _side_object(c, entry)
         counter = in_refs if entry.side == IN else out_refs
         counter[entry.index] += 1
-        if _interval_at(obj, entry.index) is None:
+        if not isinstance(_entry_at(obj, entry.index), Interval):
             side_name = "source" if entry.side == IN else "target"
             v.append(
                 Violation(
@@ -377,7 +368,7 @@ def _validate_mixed(c, circ, where, in_refs, out_refs) -> list[Violation]:
         for k, entry in enumerate(cyc):
             if not isinstance(entry, IntervalRef):
                 continue
-            interval = _interval_at(_side_object(c, entry), entry.index)
+            interval = _entry_at(_side_object(c, entry), entry.index)
             before = cyc[(k - 1) % n]
             after = cyc[(k + 1) % n]
             want_before = first_met(entry, interval)

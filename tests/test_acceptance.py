@@ -1,4 +1,4 @@
-"""Acceptance gate: eight numbered criteria, one pass/fail line each.
+"""Acceptance gate: ten numbered criteria, one pass/fail line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 Each criterion warms up untimed, then must finish inside its budget.
@@ -25,6 +25,7 @@ from occob.calculus import (
 )
 from occob.classify import canonicalize, enumerate_classes, is_isomorphic
 from occob.cli import main
+from occob.dsl import CobordismDef, Document, serialize
 from occob.objects import STAR, GeneralObject, Permutation
 from occob.sampling import (
     sample_cobordism,
@@ -275,7 +276,7 @@ def test_criterion_7_b_condition():
 
 
 def test_criterion_8_dsl_round_trip(capsys):
-    from occob.dsl import parse, serialize
+    from occob.dsl import parse
 
     roundtrip = sorted((CORPUS / "roundtrip").glob("*.occ"))
     malformed = sorted((CORPUS / "malformed").glob("*.occ"))
@@ -291,3 +292,34 @@ def test_criterion_8_dsl_round_trip(capsys):
             captured = capsys.readouterr()
             assert rc == 2, path.name
             assert "line" in captured.err and "column" in captured.err, path.name
+
+
+def one_cycle_document(n: int):
+    """Objects C = [O] and X = n intervals under one n-cycle, and the
+    realizer R : X -> C with its mixed cycle rotated to start mid-way."""
+    x = star_obj("I" * n, cycles=[range(1, n + 1)])
+    c = star_obj("O")
+    cycle = [e for i in range(1, n + 1) for e in (in_ref(i), Arc(STAR))]
+    cycle = cycle[n:] + cycle[:n]
+    cob = Cobordism(x, c, (Component(0, (Mixed(cycle), OutClosed(1))),))
+    return Document(STAR_SET, {"C": c, "X": x}, {"R": CobordismDef("X", "C", cob)})
+
+
+def test_criterion_9_canonical_text_of_a_long_cycle():
+    serialize(one_cycle_document(50))  # warmup
+    doc = one_cycle_document(5000)
+    cob = doc.cobordisms["R"].cobordism
+    with criterion(9, "canonicalize and serialize one 5000-interval cycle", 1.0):
+        (_, mixed) = canonicalize(cob).cobordism.components[0].boundary
+        assert mixed.cycle[0] == in_ref(1)
+        assert "mixed [in 1, arc, in 2, arc, in 3," in serialize(doc)
+
+
+def test_criterion_10_validate_many_circles():
+    n = 5000
+    source = star_obj("O" * n)
+    boundary = [InClosed(i) for i in range(1, n + 1)] + [OutClosed(1)]
+    cob = Cobordism(source, star_obj("O"), (Component(0, boundary),))
+    validate(identity(star_obj("OO")))  # warmup
+    with criterion(10, "validate a cobordism with 5000 incoming circles", 1.0):
+        assert validate(cob) == []

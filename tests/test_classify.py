@@ -13,6 +13,8 @@ from conftest import AB, STAR_SET, star_obj
 from occob.calculus import identity, make_T, realize
 from occob.classify import (
     CanonicalForm,
+    _entry_key,
+    _min_rotation,
     canonicalize,
     enumerate_classes,
     is_isomorphic,
@@ -35,6 +37,14 @@ from occob.surfaces import (
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def full_min_rotation(cycle: tuple) -> tuple:
+    """The least rotation found by comparing every rotation in full."""
+    keys = [_entry_key(e) for e in cycle]
+    n = len(cycle)
+    best = min(range(n), key=lambda s: [keys[(s + k) % n] for k in range(n)])
+    return tuple(cycle[(best + k) % n] for k in range(n))
 
 
 class TestCanonicalize:
@@ -67,6 +77,22 @@ class TestCanonicalize:
         for _ in range(20):
             c = sample_cobordism(rng, ("a",))
             assert validate(canonicalize(c).cobordism) == []
+
+    def test_min_rotation_matches_full_comparison(self, rng):
+        rotations = 0
+        for branes in ((STAR,), ("a", "b"), ("a", "b", "c")):
+            for _ in range(1000):
+                c = sample_cobordism(rng, branes)
+                assert validate(c) == []
+                for comp in c.components:
+                    for circ in comp.boundary:
+                        if not isinstance(circ, Mixed):
+                            continue
+                        for s in range(len(circ.cycle)):
+                            cyc = circ.cycle[s:] + circ.cycle[:s]
+                            assert _min_rotation(cyc) == full_min_rotation(cyc)
+                            rotations += 1
+        assert rotations > 10000
 
 
 class TestIsIsomorphic:

@@ -161,6 +161,13 @@ class TestClassify:
         assert rows[1] == "0,0,2,true"
         assert len(rows) == 5
 
+    @pytest.mark.parametrize("bounds", [("-3", "1"), ("1", "-2")])
+    def test_negative_bound_exits_2(self, doc_path, capsys, bounds):
+        with pytest.raises(SystemExit) as exit_:
+            main(["classify", doc_path, "c1", "-G", bounds[0], "-W", bounds[1]])
+        assert exit_.value.code == 2
+        assert "non-negative integer" in capsys.readouterr().err
+
 
 class TestStabilize:
     def test_repeated(self, doc_path, capsys):
@@ -180,6 +187,13 @@ class TestStabilize:
             main(["stabilize", doc_path, "T", "-k", k])
         assert exit_.value.code == 2
         assert "non-negative integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["object", "a b"])
+    def test_name_outside_the_grammar_exits_2(self, doc_path, capsys, name):
+        with pytest.raises(SystemExit) as exit_:
+            main(["stabilize", doc_path, "T", "-o", name])
+        assert exit_.value.code == 2
+        assert "not a usable name" in capsys.readouterr().err
 
 
 class TestSwapTensor:

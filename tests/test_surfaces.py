@@ -75,6 +75,14 @@ class TestValidate:
         c = single(star_obj("I"), star_obj("O"), Component(0, (InClosed(1), OutClosed(1))))
         assert "index-range" in rules(validate(c))
 
+    def test_non_integer_index_is_out_of_range(self):
+        mixed = Mixed((in_ref("2"), Arc(STAR)))
+        c = single(star_obj("OI"), star_obj("O"), Component(0, (InClosed("1"), mixed)))
+        assert [v.message for v in validate(c) if v.rule == "index-range"] == [
+            "source has no circle at position 1",
+            "source has no interval at position 2",
+        ]
+
     def test_unknown_window_brane(self):
         c = single(
             star_obj("O"),
