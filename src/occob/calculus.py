@@ -165,13 +165,17 @@ def compose(second: Cobordism, first: Cobordism) -> Cobordism:
                 in_circle_piece[circ.index] = pid
                 consumed.add((pid, bpos))
     for i in middle.circle_indices:
-        uf.union(out_circle_piece[i], in_circle_piece[i])
+        uf.union(
+            _attached(out_circle_piece, "circle", i, "first"),
+            _attached(in_circle_piece, "circle", i, "second"),
+        )
 
     # Glue intervals: mark the reference pair, merge, count the splice.
     partner: dict[tuple, tuple] = {}
     splices: list[int] = []
     for i in middle.interval_indices:
-        a, b = out_nodes[i], in_nodes[i]
+        a = _attached(out_nodes, "interval", i, "first")
+        b = _attached(in_nodes, "interval", i, "second")
         if entry_at[a].rev == entry_at[b].rev:
             raise CompositionError(
                 f"incoherent traversal of glued interval {i}: both sides "
@@ -228,6 +232,15 @@ def compose(second: Cobordism, first: Cobordism) -> Cobordism:
         genus = genus_from_euler(chi[cls], len(boundary))
         components.append(Component(genus, tuple(boundary)))
     return Cobordism(first.source, second.target, tuple(components))
+
+
+def _attached(table: dict, kind: str, i: int, factor: str):
+    """Where middle ``kind`` ``i`` attaches to a factor, or a ``CompositionError``."""
+    if i not in table:
+        raise CompositionError(
+            f"middle {kind} {i} is not attached to the {factor} factor"
+        )
+    return table[i]
 
 
 def _fuse_arcs(seq: list[MixedEntry]) -> BoundaryCircle:
@@ -384,12 +397,20 @@ def make_T(branes: Iterable[str]) -> Cobordism:
 
 
 def stabilize(c: Cobordism) -> Cobordism:
-    """Compose with the stabilizer on the outgoing circle.
+    """Add a handle and one window per brane where the outgoing circle is.
 
-    Requires target equal to the single-circle object.  Adds one to the
-    genus of the component holding the outgoing circle and one window per
-    brane to it; everything else is unchanged.
+    Requires target equal to the single-circle object.  The closed form of
+    ``compose(make_T(c.target.branes), c)``, equal to it up to
+    ``canonicalize``: the component holding ``OutClosed(1)`` gains one
+    genus and one window per brane, appended after its boundary circles,
+    whose order is kept; every other component is returned as it is.
     """
     if c.target.entries != (Circle(),):
         raise ValueError("stabilize requires the single-circle target object")
-    return compose(make_T(c.target.branes), c)
+    comps = list(c.components)
+    for pos, comp in enumerate(comps):
+        if OutClosed(1) in comp.boundary:
+            windows = tuple(Window(b) for b in sorted(c.target.branes))
+            comps[pos] = Component(comp.genus + 1, comp.boundary + windows)
+            return Cobordism(c.source, c.target, comps)
+    raise CompositionError("no component holds outgoing circle 1")

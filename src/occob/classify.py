@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from occob.calculus import realize
+from occob.errors import InvalidCobordismError
 from occob.objects import Circle, GeneralObject
 from occob.surfaces import (
     IN,
@@ -53,7 +54,14 @@ def _entry_key(e) -> tuple:
 
 def _min_rotation(cycle: tuple) -> tuple:
     # A valid cycle holds each reference once, so its least entry is unique.
-    best = min(range(len(cycle)), key=lambda s: _entry_key(cycle[s]))
+    keys = [_entry_key(e) for e in cycle]
+    least = min(keys)
+    if least[0] != 0 or keys.count(least) != 1:
+        raise InvalidCobordismError(
+            "mixed cycle has no unique least interval reference: "
+            "the cobordism is not valid"
+        )
+    best = keys.index(least)
     return cycle[best:] + cycle[:best]
 
 
@@ -90,7 +98,8 @@ def canonicalize(c: Cobordism) -> CanonicalForm:
     violations): each mixed cycle then starts at its least interval
     reference.  On valid input the result is idempotent, and invariant
     under any reordering of components or boundary circles and any
-    rotation of mixed cycles.
+    rotation of mixed cycles.  A mixed cycle without a unique least
+    interval reference raises ``InvalidCobordismError``.
     """
     keyed = []
     for comp in c.components:

@@ -7,6 +7,7 @@ __all__ = [
     "CompositionError",
     "ClosedComponentError",
     "InfeasibleObjectError",
+    "InvalidCobordismError",
     "DslSyntaxError",
     "DslValidationError",
 ]
@@ -35,6 +36,14 @@ class InfeasibleObjectError(OcError):
 
     Raised when a permutation cycle is not brane-coherent: the connecting
     arcs of the would-be boundary circle would need two different labels.
+    """
+
+
+class InvalidCobordismError(OcError):
+    """An operation that requires a valid cobordism met an invalid one.
+
+    Raised where a wrong answer would otherwise come back silently, such
+    as a mixed cycle without a unique least interval reference.
     """
 
 

@@ -1,4 +1,4 @@
-"""Acceptance gate: ten numbered criteria, one pass/fail line each.
+"""Acceptance gate: eleven numbered criteria, one pass/fail line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 Each criterion warms up untimed, then must finish inside its budget.
@@ -26,7 +26,7 @@ from occob.calculus import (
 from occob.classify import canonicalize, enumerate_classes, is_isomorphic
 from occob.cli import main
 from occob.dsl import CobordismDef, Document, serialize
-from occob.objects import STAR, GeneralObject, Permutation
+from occob.objects import STAR, Circle, GeneralObject, Permutation
 from occob.sampling import (
     sample_cobordism,
     sample_composable_chain,
@@ -323,3 +323,15 @@ def test_criterion_10_validate_many_circles():
     validate(identity(star_obj("OO")))  # warmup
     with criterion(10, "validate a cobordism with 5000 incoming circles", 1.0):
         assert validate(cob) == []
+
+
+def test_criterion_11_many_stabilizations():
+    circle = GeneralObject(frozenset({"a", "b"}), (Circle(),))
+    stabilize(stabilize(identity(circle)))  # warmup
+    with criterion(11, "2000 successive stabilizations over two branes", 0.25):
+        cur = identity(circle)
+        for _ in range(2000):
+            cur = stabilize(cur)
+        (comp,) = cur.components
+        assert comp.genus == 2000
+        assert window_vector(cur) == {"a": 2000, "b": 2000}

@@ -21,18 +21,19 @@ from occob.calculus import (
     swap_cobordism,
     tensor,
 )
-from occob.classify import is_isomorphic
+from occob.classify import canonicalize, is_isomorphic
 from occob.errors import (
     ClosedComponentError,
     CompositionError,
     InfeasibleObjectError,
 )
-from occob.objects import STAR, GeneralObject, Interval, Permutation
+from occob.objects import STAR, Circle, GeneralObject, Interval, Permutation
 from occob.sampling import (
     sample_cobordism,
     sample_composable_chain,
     sample_composable_pair,
     sample_object,
+    shuffled,
 )
 from occob.surfaces import (
     Arc,
@@ -185,6 +186,28 @@ class TestCompose:
         # It does compose with its own kind.
         glued = compose(against, against)
         assert validate(glued) == []
+
+    def test_unattached_middle_circle_raises(self):
+        circ = star_obj("O")
+        cap = Cobordism(circ, circ, (Component(0, (InClosed(1),)),))
+        cocap = Cobordism(circ, circ, (Component(0, (OutClosed(1),)),))
+        with pytest.raises(CompositionError, match="circle 1 .* first factor"):
+            compose(identity(circ), cap)
+        with pytest.raises(CompositionError, match="circle 1 .* second factor"):
+            compose(cocap, identity(circ))
+
+    def test_unattached_middle_interval_raises(self):
+        obj = star_obj("I")
+        only_in = Cobordism(
+            obj, obj, (Component(0, (Mixed((in_ref(1), Arc(STAR))),)),)
+        )
+        only_out = Cobordism(
+            obj, obj, (Component(0, (Mixed((out_ref(1), Arc(STAR))),)),)
+        )
+        with pytest.raises(CompositionError, match="interval 1 .* first factor"):
+            compose(identity(obj), only_in)
+        with pytest.raises(CompositionError, match="interval 1 .* second factor"):
+            compose(only_out, identity(obj))
 
 
 class TestTensor:
@@ -409,6 +432,31 @@ class TestStabilizer:
     def test_stabilize_needs_single_circle_target(self):
         with pytest.raises(ValueError):
             stabilize(identity(star_obj("OO")))
+
+    def test_stabilize_needs_the_outgoing_circle(self):
+        circ = star_obj("O")
+        cap = Cobordism(circ, circ, (Component(0, (InClosed(1),)),))
+        with pytest.raises(CompositionError, match="outgoing circle 1"):
+            stabilize(cap)
+
+    def test_closed_form_matches_gluing_T(self, rng):
+        for branes in (STAR_SET, AB, frozenset("abc")):
+            T = make_T(branes)
+            target = GeneralObject(branes, (Circle(),))
+            for _ in range(300):
+                closed = glued = sample_cobordism(rng, target=target)
+                if rng.random() < 0.5:
+                    closed = glued = shuffled(rng, closed)
+                for _ in range(4):
+                    before = closed
+                    closed = stabilize(closed)
+                    glued = compose(T, glued)
+                    assert validate(closed) == []
+                    assert canonicalize(closed) == canonicalize(glued)
+                    assert len(closed.components) == len(before.components)
+                    for old, new in zip(before.components, closed.components):
+                        if OutClosed(1) not in old.boundary:
+                            assert new is old
 
 
 @settings(max_examples=30, deadline=None)

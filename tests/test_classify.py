@@ -20,6 +20,7 @@ from occob.classify import (
     is_isomorphic,
     strata_table,
 )
+from occob.errors import InvalidCobordismError
 from occob.objects import STAR, GeneralObject, Permutation
 from occob.sampling import sample_cobordism, shuffled
 from occob.surfaces import (
@@ -106,6 +107,29 @@ class TestIsIsomorphic:
         for _ in range(20):
             c = sample_cobordism(rng, ("a", "b"))
             assert is_isomorphic(c, shuffled(rng, c))
+
+    def test_rotations_of_a_valid_cycle_agree(self):
+        valid = realize(star_obj("III", cycles=[[1, 2, 3]]))
+        mixed, out = valid.components[0].boundary
+        for s in range(1, len(mixed.cycle)):
+            turned = Mixed(mixed.cycle[s:] + mixed.cycle[:s])
+            comp = Component(0, (turned, out))
+            assert is_isomorphic(valid, Cobordism(valid.source, valid.target, (comp,)))
+
+    def test_invalid_cycles_raise_instead_of_depending_on_rotation(self):
+        obj = GeneralObject(frozenset("abc"), ())
+        arcs = (Arc("a"), Arc("b"), Arc("a"), Arc("c"))
+
+        def loop(cycle):
+            return Cobordism(obj, obj, (Component(0, (Mixed(cycle),)),))
+
+        with pytest.raises(InvalidCobordismError):
+            is_isomorphic(loop(arcs), loop(arcs[2:] + arcs[:2]))
+        twice = Mixed((in_ref(1), Arc(STAR), in_ref(1), Arc(STAR)))
+        src = star_obj("I")
+        c = Cobordism(src, star_obj(""), (Component(0, (twice,)),))
+        with pytest.raises(InvalidCobordismError):
+            canonicalize(c)
 
     def test_window_brane_matters(self):
         src = GeneralObject(AB, ())
