@@ -77,7 +77,7 @@ def swap_cobordism(a: GeneralObject, b: GeneralObject) -> Cobordism:
     the block swap.
     """
     if a.branes != b.branes:
-        raise ValueError("swap requires matching brane sets")
+        raise CompositionError("swap requires matching brane sets")
     la, lb = len(a.entries), len(b.entries)
 
     def tmap(i: int) -> int:
@@ -130,7 +130,10 @@ def compose(second: Cobordism, first: Cobordism) -> Cobordism:
     n_first = len(first.components)
     uf = _UnionFind(len(pieces))
 
-    # Index every mixed-cycle entry by a sortable node id.
+    # Index every glued closed circle by its piece, and every mixed-cycle
+    # entry by a node id (pid, bpos, epos); ids are inserted in sorted order.
+    out_circle_piece: dict[int, int] = {}  # middle circle -> piece in first
+    in_circle_piece: dict[int, int] = {}  # middle circle -> piece in second
     succ: dict[tuple, tuple] = {}
     entry_at: dict[tuple, MixedEntry] = {}
     out_nodes: dict[int, tuple] = {}  # middle interval -> node in first
@@ -138,6 +141,10 @@ def compose(second: Cobordism, first: Cobordism) -> Cobordism:
     for pid, comp in enumerate(pieces):
         from_first = pid < n_first
         for bpos, circ in enumerate(comp.boundary):
+            if from_first and isinstance(circ, OutClosed):
+                out_circle_piece[circ.index] = pid
+            elif not from_first and isinstance(circ, InClosed):
+                in_circle_piece[circ.index] = pid
             if not isinstance(circ, Mixed):
                 continue
             n = len(circ.cycle)
@@ -151,19 +158,7 @@ def compose(second: Cobordism, first: Cobordism) -> Cobordism:
                     elif not from_first and entry.side == IN:
                         in_nodes[entry.index] = node
 
-    # Glue closed circles: delete the matched pair, merge the components.
-    out_circle_piece: dict[int, int] = {}
-    in_circle_piece: dict[int, int] = {}
-    consumed: set[tuple[int, int]] = set()
-    for pid, comp in enumerate(pieces):
-        from_first = pid < n_first
-        for bpos, circ in enumerate(comp.boundary):
-            if from_first and isinstance(circ, OutClosed):
-                out_circle_piece[circ.index] = pid
-                consumed.add((pid, bpos))
-            elif not from_first and isinstance(circ, InClosed):
-                in_circle_piece[circ.index] = pid
-                consumed.add((pid, bpos))
+    # Glue closed circles: merge the components; assembly drops the pair.
     for i in middle.circle_indices:
         uf.union(
             _attached(out_circle_piece, "circle", i, "first"),
@@ -191,7 +186,7 @@ def compose(second: Cobordism, first: Cobordism) -> Cobordism:
     glued = set(partner)
     traced: dict[int, list[BoundaryCircle]] = {}
     visited: set[tuple] = set(glued)
-    for start in sorted(succ):
+    for start in succ:
         if start in visited:
             continue
         seq: list[MixedEntry] = []
@@ -214,10 +209,10 @@ def compose(second: Cobordism, first: Cobordism) -> Cobordism:
     for pid, comp in enumerate(pieces):
         cls = uf.find(pid)
         chi[cls] = chi.get(cls, 0) + euler_char(comp)
-        for bpos, circ in enumerate(comp.boundary):
-            if isinstance(circ, Mixed) or (pid, bpos) in consumed:
-                continue
-            kept.setdefault(cls, []).append(circ)
+        glued_closed = OutClosed if pid < n_first else InClosed
+        for circ in comp.boundary:
+            if not isinstance(circ, (Mixed, glued_closed)):
+                kept.setdefault(cls, []).append(circ)
     for pid in splices:
         cls = uf.find(pid)
         chi[cls] -= 1
@@ -370,13 +365,14 @@ def pullback(c: Cobordism, tau: Permutation) -> Permutation:
 def is_morphism(c: Cobordism, src: GeneralObject, tgt: GeneralObject) -> bool:
     """Does ``c`` connect ``src`` to ``tgt`` compatibly with their sigmas?
 
-    The underlying manifolds must match; the answer is whether the target
-    permutation pulls back along ``c`` to the source permutation.
+    The underlying manifolds must match, else ``CompositionError``; the
+    answer is whether the target permutation pulls back along ``c`` to the
+    source permutation.
     """
     if c.source.entries != src.entries or c.source.branes != src.branes:
-        raise ValueError("the source object does not match the cobordism")
+        raise CompositionError("the source object does not match the cobordism")
     if c.target.entries != tgt.entries or c.target.branes != tgt.branes:
-        raise ValueError("the target object does not match the cobordism")
+        raise CompositionError("the target object does not match the cobordism")
     return pullback(c, tgt.sigma) == src.sigma
 
 
@@ -404,9 +400,11 @@ def stabilize(c: Cobordism) -> Cobordism:
     ``canonicalize``: the component holding ``OutClosed(1)`` gains one
     genus and one window per brane, appended after its boundary circles,
     whose order is kept; every other component is returned as it is.
+    Any other target, or no component holding ``OutClosed(1)``, raises
+    ``CompositionError``.
     """
     if c.target.entries != (Circle(),):
-        raise ValueError("stabilize requires the single-circle target object")
+        raise CompositionError("stabilize requires the single-circle target object")
     comps = list(c.components)
     for pos, comp in enumerate(comps):
         if OutClosed(1) in comp.boundary:

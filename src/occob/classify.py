@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from occob.calculus import realize
-from occob.errors import InvalidCobordismError
+from occob.errors import CompositionError, InvalidCobordismError
 from occob.objects import Circle, GeneralObject
 from occob.surfaces import (
     IN,
@@ -27,6 +27,7 @@ from occob.surfaces import (
     OutClosed,
     Window,
     in_b_subcategory,
+    window_vector,
 )
 
 __all__ = [
@@ -119,7 +120,7 @@ def canonicalize(c: Cobordism) -> CanonicalForm:
 def is_isomorphic(a: Cobordism, b: Cobordism) -> bool:
     """Equality of canonical forms of two valid cobordisms between the same objects."""
     if a.source != b.source or a.target != b.target:
-        raise ValueError("cobordisms with different source or target objects")
+        raise CompositionError("cobordisms with different source or target objects")
     return canonicalize(a).key == canonicalize(b).key
 
 
@@ -184,19 +185,12 @@ def strata_table(
     (always true for these connected representatives).
     """
     c = obj.c_number
-    rows = []
-    for form in enumerate_classes(obj, max_genus, max_windows):
-        comp = form.cobordism.components[0]
-        wvec = {b: 0 for b in sorted(obj.branes)}
-        for circ in comp.boundary:
-            if isinstance(circ, Window):
-                wvec[circ.brane] += 1
-        rows.append(
-            StrataRow(
-                genus=comp.genus,
-                windows=tuple(sorted(wvec.items())),
-                c_number=c,
-                in_b=in_b_subcategory(form.cobordism),
-            )
+    return [
+        StrataRow(
+            genus=form.cobordism.components[0].genus,
+            windows=tuple(window_vector(form.cobordism).items()),
+            c_number=c,
+            in_b=in_b_subcategory(form.cobordism),
         )
-    return rows
+        for form in enumerate_classes(obj, max_genus, max_windows)
+    ]

@@ -23,15 +23,7 @@ from occob.dsl import (
 )
 from occob.errors import DslSyntaxError, DslValidationError, OcError
 from occob.objects import GeneralObject, Permutation
-from occob.surfaces import (
-    Cobordism,
-    Window,
-    euler_char,
-    euler_total,
-    in_b_subcategory,
-    invariant_summary,
-    window_vector,
-)
+from occob.surfaces import Cobordism, component_summary, invariant_summary
 
 __all__ = ["main", "run"]
 
@@ -126,8 +118,6 @@ def _cmd_invariants(args) -> int:
     doc = _load(args.file)
     cob = _get_cobordism(doc, args.a)
     summary = invariant_summary(cob)
-    c_number = cob.source.c_number
-    b_flag = in_b_subcategory(cob)
     if args.json:
         payload = {
             "format": 1,
@@ -137,9 +127,7 @@ def _cmd_invariants(args) -> int:
                     "genus": comp.genus,
                     "windows": dict(comp.windows),
                     "boundary": dict(comp.boundary_kinds),
-                    "euler": 2
-                    - 2 * comp.genus
-                    - sum(n for _, n in comp.boundary_kinds),
+                    "euler": comp.euler,
                 }
                 for comp in summary.components
             ],
@@ -147,31 +135,26 @@ def _cmd_invariants(args) -> int:
                 "components": summary.component_count,
                 "genus": summary.genus_total,
                 "windows": dict(summary.window_vector),
-                "euler": euler_total(cob),
+                "euler": summary.euler,
             },
-            "c_number": c_number,
-            "b_subcategory": b_flag,
+            "c_number": cob.source.c_number,
+            "b_subcategory": summary.b_subcategory,
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
-    for i, comp in enumerate(cob.components, 1):
-        wv = {
-            b: sum(
-                1 for circ in comp.boundary if isinstance(circ, Window) and circ.brane == b
-            )
-            for b in sorted(cob.source.branes)
-        }
+    zeros = dict.fromkeys(cob.source.branes, 0)
+    for i, comp in enumerate(map(component_summary, cob.components), 1):
         print(
             f"component {i}: genus={comp.genus} "
-            f"windows={_fmt_windows(wv)} euler={euler_char(comp)}"
+            f"windows={_fmt_windows(zeros | dict(comp.windows))} euler={comp.euler}"
         )
     print(
         f"total: components={summary.component_count} "
-        f"genus={summary.genus_total} windows={_fmt_windows(window_vector(cob))} "
-        f"euler={euler_total(cob)}"
+        f"genus={summary.genus_total} "
+        f"windows={_fmt_windows(dict(summary.window_vector))} euler={summary.euler}"
     )
-    print(f"c={c_number}")
-    print(f"b={'true' if b_flag else 'false'}")
+    print(f"c={cob.source.c_number}")
+    print(f"b={'true' if summary.b_subcategory else 'false'}")
     return 0
 
 
@@ -193,21 +176,13 @@ def _permutation_payload(p: Permutation, as_json: bool) -> int:
 def _cmd_sigma(args) -> int:
     doc = _load(args.file)
     cob = _get_cobordism(doc, args.a)
-    try:
-        sigma = calculus.boundary_permutation(cob)
-    except ValueError as exc:
-        raise OcError(str(exc)) from exc
-    return _permutation_payload(sigma, args.json)
+    return _permutation_payload(calculus.boundary_permutation(cob), args.json)
 
 
 def _cmd_pullback(args) -> int:
     doc = _load(args.file)
     cob = _get_cobordism(doc, args.a)
-    try:
-        tau = _parse_tau(args.tau, cob.target)
-        result = calculus.pullback(cob, tau)
-    except ValueError as exc:
-        raise OcError(str(exc)) from exc
+    result = calculus.pullback(cob, _parse_tau(args.tau, cob.target))
     return _permutation_payload(result, args.json)
 
 
@@ -215,10 +190,7 @@ def _cmd_iso(args) -> int:
     doc = _load(args.file)
     a = _get_cobordism(doc, args.a)
     b = _get_cobordism(doc, args.b)
-    try:
-        same = classify.is_isomorphic(a, b)
-    except ValueError as exc:
-        raise OcError(str(exc)) from exc
+    same = classify.is_isomorphic(a, b)
     if args.json:
         print(json.dumps({"format": 1, "isomorphic": same}, sort_keys=True))
     else:
@@ -229,10 +201,7 @@ def _cmd_iso(args) -> int:
 def _cmd_classify(args) -> int:
     doc = _load(args.file)
     obj = _get_object(doc, args.object)
-    try:
-        rows = classify.strata_table(obj, args.G, args.W)
-    except (ValueError, OcError) as exc:
-        raise OcError(str(exc)) from exc
+    rows = classify.strata_table(obj, args.G, args.W)
     branes = sorted(obj.branes)
     header = ["g"] + [f"w_{b}" for b in branes] + ["c", "b_flag"]
     table = [

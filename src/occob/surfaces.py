@@ -59,6 +59,7 @@ __all__ = [
     "window_vector",
     "boundary_permutation",
     "in_b_subcategory",
+    "component_summary",
     "invariant_summary",
 ]
 
@@ -270,7 +271,7 @@ def validate(c: Cobordism) -> list[Violation]:
                         )
                     )
             elif isinstance(circ, Mixed):
-                v.extend(_validate_mixed(c, circ, where, in_refs, out_refs))
+                v.extend(_validate_mixed(c, branes, circ, where, in_refs, out_refs))
             else:  # pragma: no cover - defensive
                 v.append(Violation("kind", where, f"unknown circle {circ!r}"))
 
@@ -302,7 +303,7 @@ def validate(c: Cobordism) -> list[Violation]:
     return v
 
 
-def _validate_mixed(c, circ, where, in_refs, out_refs) -> list[Violation]:
+def _validate_mixed(c, branes, circ, where, in_refs, out_refs) -> list[Violation]:
     v: list[Violation] = []
     cyc = circ.cycle
     n = len(cyc)
@@ -330,7 +331,7 @@ def _validate_mixed(c, circ, where, in_refs, out_refs) -> list[Violation]:
     ok_refs = True
     for k, entry in enumerate(cyc):
         if isinstance(entry, Arc):
-            if entry.brane not in (c.source.branes | c.target.branes):
+            if entry.brane not in branes:
                 v.append(
                     Violation(
                         "unknown-brane",
@@ -490,13 +491,19 @@ def in_b_subcategory(c: Cobordism) -> bool:
     return True
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, order=True)
 class ComponentSummary:
-    """Key data of one component, in a reordering-invariant shape."""
+    """Key data of one component, in a reordering-invariant shape.
+
+    Windows list only the branes that carry one.  The euler field comes
+    last and is fixed by the fields before it, so the field order sorts
+    summaries by genus, windows and boundary kinds.
+    """
 
     genus: int
     windows: tuple[tuple[str, int], ...]
     boundary_kinds: tuple[tuple[str, int], ...]
+    euler: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -506,39 +513,46 @@ class InvariantSummary:
     genus_by_component: tuple[int, ...]
     genus_total: int
     component_count: int
+    euler: int
+    b_subcategory: bool
 
 
 _KIND_NAMES = {InClosed: "in", OutClosed: "out", Window: "window", Mixed: "mixed"}
 
 
+def component_summary(comp: Component) -> ComponentSummary:
+    """Genus, windows per brane, boundary kinds and Euler characteristic of
+    one component, invariant under boundary reordering and cycle rotation."""
+    windows: Counter[str] = Counter()
+    kinds: Counter[str] = Counter()
+    for circ in comp.boundary:
+        kinds[_KIND_NAMES[type(circ)]] += 1
+        if isinstance(circ, Window):
+            windows[circ.brane] += 1
+    return ComponentSummary(
+        comp.genus,
+        tuple(sorted(windows.items())),
+        tuple(sorted(kinds.items())),
+        euler_char(comp),
+    )
+
+
 def invariant_summary(c: Cobordism) -> InvariantSummary:
-    """Genus and window data per component plus global totals.
+    """Per-component summaries plus global totals.
 
     Invariant under component reordering, boundary reordering, and mixed
-    cycle rotation: components are reported in a canonical sort order and
-    window and kind counts as sorted tuples.
+    cycle rotation: components are reported in sorted order, and the
+    totals are the window vector (with zeros), genus, Euler
+    characteristic and the b-subcategory flag.
     """
-    summaries = []
-    for comp in c.components:
-        windows: Counter[str] = Counter()
-        kinds: Counter[str] = Counter()
-        for circ in comp.boundary:
-            kinds[_KIND_NAMES[type(circ)]] += 1
-            if isinstance(circ, Window):
-                windows[circ.brane] += 1
-        summaries.append(
-            ComponentSummary(
-                comp.genus,
-                tuple(sorted(windows.items())),
-                tuple(sorted(kinds.items())),
-            )
-        )
-    summaries.sort(key=lambda s: (s.genus, s.windows, s.boundary_kinds))
-    genera = tuple(sorted(comp.genus for comp in c.components))
+    summaries = sorted(map(component_summary, c.components))
+    genera = tuple(s.genus for s in summaries)
     return InvariantSummary(
         components=tuple(summaries),
-        window_vector=tuple(sorted(window_vector(c).items())),
+        window_vector=tuple(window_vector(c).items()),
         genus_by_component=genera,
         genus_total=sum(genera),
-        component_count=len(c.components),
+        component_count=len(summaries),
+        euler=sum(s.euler for s in summaries),
+        b_subcategory=in_b_subcategory(c),
     )

@@ -395,7 +395,7 @@ class TestMorphismCheck:
 
     def test_mismatched_entries_raise(self):
         c = identity(star_obj("O"))
-        with pytest.raises(ValueError):
+        with pytest.raises(CompositionError):
             is_morphism(c, star_obj("OO"), star_obj("O"))
 
 
@@ -430,7 +430,7 @@ class TestStabilizer:
             assert window_vector(cur) == {STAR: k}
 
     def test_stabilize_needs_single_circle_target(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(CompositionError):
             stabilize(identity(star_obj("OO")))
 
     def test_stabilize_needs_the_outgoing_circle(self):

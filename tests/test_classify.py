@@ -20,7 +20,7 @@ from occob.classify import (
     is_isomorphic,
     strata_table,
 )
-from occob.errors import InvalidCobordismError
+from occob.errors import CompositionError, InvalidCobordismError
 from occob.objects import STAR, GeneralObject, Permutation
 from occob.sampling import sample_cobordism, shuffled
 from occob.surfaces import (
@@ -100,7 +100,7 @@ class TestIsIsomorphic:
     def test_requires_matching_objects(self):
         a = identity(star_obj("O"))
         b = identity(star_obj("OO"))
-        with pytest.raises(ValueError):
+        with pytest.raises(CompositionError):
             is_isomorphic(a, b)
 
     def test_shuffled_copies_agree(self, rng):

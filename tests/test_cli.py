@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import re
+from collections import Counter
 
 import pytest
 
@@ -221,6 +223,46 @@ class TestCorpusThroughCli:
         for path in sorted((CORPUS / "malformed").glob("*.occ")):
             assert main(["check", str(path)]) == 2, path.name
             assert "line" in capsys.readouterr().err, path.name
+
+    def test_invariants_text_and_json_agree(self, capsys):
+        row = re.compile(r"(?:component \d+|total): (.*) windows=\{(.*)\} euler=(-?\d+)")
+
+        def parse_row(text):
+            head, windows, euler = row.fullmatch(text).groups()
+            pairs = (item.split(":") for item in windows.split(", ") if item)
+            return head, {b: int(n) for b, n in pairs}, int(euler)
+
+        def key(genus, windows, euler):
+            return genus, tuple(sorted((b, n) for b, n in windows.items() if n)), euler
+
+        checked = 0
+        for path in sorted((CORPUS / "roundtrip").glob("*.occ")):
+            for name in parse(path.read_text(encoding="utf-8")).cobordisms:
+                assert main(["invariants", str(path), name]) == 0
+                text = capsys.readouterr().out.splitlines()
+                assert main(["invariants", "--json", str(path), name]) == 0
+                payload = json.loads(capsys.readouterr().out)
+                *comps, total = map(parse_row, text[:-2])
+                got = Counter(
+                    key(int(head.removeprefix("genus=")), w, e) for head, w, e in comps
+                )
+                want = Counter(
+                    key(c["genus"], c["windows"], c["euler"]) for c in payload["components"]
+                )
+                assert got == want, (path.name, name)
+                t = payload["total"]
+                assert len(comps) == t["components"]
+                assert total == (
+                    f"components={t['components']} genus={t['genus']}",
+                    t["windows"],
+                    t["euler"],
+                )
+                assert text[-2:] == [
+                    f"c={payload['c_number']}",
+                    f"b={str(payload['b_subcategory']).lower()}",
+                ]
+                checked += 1
+        assert checked > 50
 
     def test_iso_on_shuffled_encodings(self, tmp_path, capsys):
         import random

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import AB, STAR_SET, labeled_obj, star_obj
 from occob.objects import STAR, GeneralObject
+from occob.sampling import sample_cobordism, shuffled
 from occob.surfaces import (
     Arc,
     Cobordism,
@@ -16,6 +17,7 @@ from occob.surfaces import (
     OutClosed,
     Window,
     boundary_permutation,
+    component_summary,
     euler_char,
     euler_total,
     genus_from_euler,
@@ -274,3 +276,29 @@ class TestSummary:
         assert s.genus_total == 2
         assert dict(s.window_vector) == {"a": 2, "b": 1}
         assert s.genus_by_component == (0, 2)
+
+    def test_component_summary(self):
+        comp = Component(1, (InClosed(1), Window("b"), Window("b"), OutClosed(1)))
+        s = component_summary(comp)
+        assert s.euler == euler_char(comp) == -4
+        assert s.windows == (("b", 2),)
+        assert s.boundary_kinds == (("in", 1), ("out", 1), ("window", 2))
+
+    def test_summaries_agree_with_the_numeric_invariants(self, rng):
+        flags = set()
+        for _ in range(200):
+            c = sample_cobordism(rng, ("a", "b"))
+            s = invariant_summary(c)
+            flags.add(s.b_subcategory)
+            assert s.euler == euler_total(c)
+            assert s.b_subcategory == in_b_subcategory(c)
+            per_component = [component_summary(comp) for comp in c.components]
+            for comp, cs in zip(c.components, per_component):
+                assert cs.euler == euler_char(comp)
+                assert all(n > 0 for _, n in cs.windows)
+            by_fields = sorted(
+                per_component, key=lambda cs: (cs.genus, cs.windows, cs.boundary_kinds)
+            )
+            assert s.components == tuple(by_fields)
+            assert invariant_summary(shuffled(rng, c)) == s
+        assert flags == {True, False}
