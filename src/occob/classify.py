@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from occob.calculus import realize
-from occob.errors import CompositionError, InvalidCobordismError
+from occob.errors import CompositionError, InvalidCobordismError, InvalidValueError
 from occob.objects import Circle, GeneralObject
 from occob.surfaces import (
     IN,
@@ -128,18 +128,6 @@ def is_isomorphic(a: Cobordism, b: Cobordism) -> bool:
 # enumeration
 
 
-def _decorated(base: Cobordism, genus: int, wvec: dict[str, int]) -> Cobordism:
-    comp = base.components[0]
-    windows = tuple(
-        Window(b) for b in sorted(wvec) for _ in range(wvec[b])
-    )
-    return Cobordism(
-        base.source,
-        base.target,
-        (Component(genus, comp.boundary + windows),),
-    )
-
-
 def enumerate_classes(
     obj: GeneralObject, max_genus: int, max_windows: int
 ) -> list[CanonicalForm]:
@@ -148,21 +136,37 @@ def enumerate_classes(
     the given bounds.
 
     Such a cobordism is determined up to isomorphism by its genus and
-    window vector, so representatives are built directly: the minimal
-    realizer decorated with extra genus and windows.  The list has
-    exactly ``(max_genus + 1) * (max_windows + 1) ** len(obj.branes)``
-    entries, ordered by genus then window vector.
+    window vector, so representatives are built directly: the canonical
+    minimal realizer with extra genus and windows.  The list has exactly
+    ``(max_genus + 1) * (max_windows + 1) ** len(obj.branes)`` entries,
+    ordered by genus then window vector.  A negative bound raises
+    ``InvalidValueError``.
     """
     if max_genus < 0 or max_windows < 0:
-        raise ValueError("bounds must be nonnegative")
-    base = realize(obj)
+        raise InvalidValueError("bounds must be nonnegative")
+    base = canonicalize(realize(obj))
+    source_key, target_key, ((_, keys),) = base.key
+    boundary = base.cobordism.components[0].boundary
+    # Window keys (2, brane) sort after the closed circles (0 and 1) and
+    # before the mixed ones (3), so adding windows to the canonical
+    # realizer keeps it canonical when they go in at that cut, by brane.
+    cut = sum(1 for k in keys if k[0] < 2)
     branes = sorted(obj.branes)
-    out = []
-    for g in range(max_genus + 1):
-        for counts in product(range(max_windows + 1), repeat=len(branes)):
-            wvec = dict(zip(branes, counts))
-            out.append(canonicalize(_decorated(base, g, wvec)))
-    return out
+    splices = []
+    for counts in product(range(max_windows + 1), repeat=len(branes)):
+        windows = tuple(Window(b) for b, n in zip(branes, counts) for _ in range(n))
+        splices.append((
+            boundary[:cut] + windows + boundary[cut:],
+            keys[:cut] + tuple(map(_circle_key, windows)) + keys[cut:],
+        ))
+    return [
+        CanonicalForm(
+            (source_key, target_key, ((g, circle_keys),)),
+            Cobordism(obj, base.cobordism.target, (Component(g, circles),)),
+        )
+        for g in range(max_genus + 1)
+        for circles, circle_keys in splices
+    ]
 
 
 @dataclass(frozen=True, slots=True)

@@ -8,6 +8,7 @@ __all__ = [
     "ClosedComponentError",
     "InfeasibleObjectError",
     "InvalidCobordismError",
+    "InvalidValueError",
     "DslSyntaxError",
     "DslValidationError",
 ]
@@ -44,6 +45,13 @@ class InvalidCobordismError(OcError):
 
     Raised where a wrong answer would otherwise come back silently, such
     as a mixed cycle without a unique least interval reference.
+    """
+
+
+class InvalidValueError(OcError, ValueError):
+    """An argument is out of range for the operation it was passed to.
+
+    Also a ``ValueError``, so callers that catch that keep working.
     """
 
 

@@ -29,6 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Union
 
+from occob.errors import InvalidValueError
 from occob.objects import Circle, GeneralObject, Interval, Permutation
 
 __all__ = [
@@ -441,14 +442,15 @@ def window_vector(c: Cobordism) -> dict[str, int]:
 def boundary_permutation(c: Cobordism) -> Permutation:
     """Permutation induced on source intervals by a cobordism to one circle.
 
-    Requires the target to be the single-circle object.  Walking each
-    mixed boundary circle in its stored orientation, the image of an
-    interval is the next interval met on the same circle; an interval
-    alone on its circle is a fixed point.  The union over all mixed
-    circles is a permutation of the source interval positions.
+    Requires the target to be the single-circle object, and raises
+    ``InvalidValueError`` on any other.  Walking each mixed boundary
+    circle in its stored orientation, the image of an interval is the
+    next interval met on the same circle; an interval alone on its circle
+    is a fixed point.  The union over all mixed circles is a permutation
+    of the source interval positions.
     """
     if c.target.entries != (Circle(),):
-        raise ValueError(
+        raise InvalidValueError(
             "boundary permutation requires the single-circle target object"
         )
     mapping: dict[int, int] = {}

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import AB, STAR_SET, star_obj
+from conftest import AB, CORPUS, STAR_SET, star_obj
 from occob.calculus import identity, make_T, realize
 from occob.classify import (
     CanonicalForm,
@@ -20,9 +20,15 @@ from occob.classify import (
     is_isomorphic,
     strata_table,
 )
-from occob.errors import CompositionError, InvalidCobordismError
+from occob.dsl import parse
+from occob.errors import (
+    CompositionError,
+    InfeasibleObjectError,
+    InvalidCobordismError,
+    OcError,
+)
 from occob.objects import STAR, GeneralObject, Permutation
-from occob.sampling import sample_cobordism, shuffled
+from occob.sampling import sample_cobordism, sample_object, shuffled
 from occob.surfaces import (
     Arc,
     Cobordism,
@@ -167,6 +173,58 @@ class TestEnumerate:
         assert seen == {
             (g, ((STAR, w),)) for g in range(3) for w in range(3)
         }
+
+
+def _decorated(base: Cobordism, genus: int, wvec: dict[str, int]) -> Cobordism:
+    comp = base.components[0]
+    windows = tuple(Window(b) for b in sorted(wvec) for _ in range(wvec[b]))
+    return Cobordism(
+        base.source, base.target, (Component(genus, comp.boundary + windows),)
+    )
+
+
+def reference_classes(obj, max_genus: int, max_windows: int) -> list[CanonicalForm]:
+    """Each class built as the realizer plus genus and windows, then
+    canonicalized on its own."""
+    base = realize(obj)
+    branes = sorted(obj.branes)
+    return [
+        canonicalize(_decorated(base, g, dict(zip(branes, counts))))
+        for g in range(max_genus + 1)
+        for counts in itertools.product(range(max_windows + 1), repeat=len(branes))
+    ]
+
+
+class TestEnumerateAgainstReference:
+    def _assert_same(self, obj, max_genus, max_windows):
+        got = enumerate_classes(obj, max_genus, max_windows)
+        want = reference_classes(obj, max_genus, max_windows)
+        assert [f.key for f in got] == [f.key for f in want]
+        assert [f.cobordism for f in got] == [f.cobordism for f in want]
+
+    def test_every_feasible_corpus_object(self):
+        checked = 0
+        for path in sorted((CORPUS / "roundtrip").glob("*.occ")):
+            for obj in parse(path.read_text(encoding="utf-8")).objects.values():
+                try:
+                    realize(obj)
+                except InfeasibleObjectError:
+                    continue
+                self._assert_same(obj, 2, 2)
+                checked += 1
+        assert checked > 50
+
+    @pytest.mark.parametrize("branes", [(STAR,), ("a", "b"), ("a", "b", "c")])
+    def test_sampled_objects(self, rng, branes):
+        for _ in range(30):
+            self._assert_same(sample_object(rng, branes), 2, 2)
+
+    @pytest.mark.parametrize("bounds", [(-1, 0), (0, -1)])
+    def test_negative_bound_is_an_oc_error(self, bounds):
+        with pytest.raises(OcError):
+            enumerate_classes(star_obj("O"), *bounds)
+        with pytest.raises(OcError):
+            strata_table(star_obj("O"), *bounds)
 
 
 class TestStrata:

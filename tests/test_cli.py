@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 
-from conftest import CORPUS
-from occob.cli import main
+from conftest import CORPUS, REPO
+from occob.cli import _build_parser, main
 from occob.dsl import parse
 
 STABILIZER = """\
@@ -280,3 +283,57 @@ class TestCorpusThroughCli:
         p = tmp_path / "pair.occ"
         p.write_text(serialize(doc), encoding="utf-8")
         assert main(["iso", str(p), "one", "two"]) == 0
+
+
+class TestParserReuse:
+    def test_cached_parser_leaks_no_state_between_calls(self, doc_path, tmp_path, capsys):
+        table = tmp_path / "table.csv"
+        calls = [
+            ["classify", doc_path, "c1", "-G", "1", "-W", "1", "--csv", str(table)],
+            ["classify", doc_path, "c1", "-G", "1", "-W", "1"],
+            ["stabilize", doc_path, "T", "-k", "3"],
+            ["stabilize", doc_path, "T"],
+            ["invariants", "--json", doc_path, "T"],
+            ["invariants", doc_path, "T"],
+            ["stabilize", doc_path, "T", "-k", "two"],
+            ["check", doc_path],
+            ["compose", doc_path, "T", "T", "-o", "X"],
+            ["compose", doc_path, "T", "T"],
+        ]
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            wrote = table.exists()
+            table.unlink(missing_ok=True)
+            return (code, *capsys.readouterr(), wrote)
+
+        reused = [run(argv) for argv in calls]
+        fresh = []
+        for argv in calls:
+            _build_parser.cache_clear()
+            fresh.append(run(argv))
+        assert reused == fresh
+        assert [r[3] for r in reused] == [True] + [False] * 9
+        assert [r[0] for r in reused] == [0] * 6 + [2] + [0] * 3
+        assert reused[2][1] != reused[3][1] and reused[4][1] != reused[5][1]
+        assert "cobordism X :" in reused[8][1] and "cobordism result :" in reused[9][1]
+
+
+def test_fresh_process_check_exit_codes():
+    paths = [str(REPO / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+    def check(path):
+        return subprocess.run(
+            [sys.executable, "-m", "occob.cli", "check", str(path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    ok = check(CORPUS / "roundtrip" / "ref_stabilizer.occ")
+    assert ok.returncode == 0 and ok.stdout.startswith("ok: ")
+    bad = check(sorted((CORPUS / "malformed").glob("*.occ"))[0])
+    assert bad.returncode == 2
+    assert re.search(r"line \d+, column \d+", bad.stderr)

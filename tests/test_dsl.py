@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import CORPUS, STAR_SET, star_obj
 from occob.dsl import (
     Document,
+    _tokenize,
     document_to_dict,
     from_json,
     parse,
@@ -140,6 +141,55 @@ class TestDiagnostics:
         with pytest.raises(DslSyntaxError) as err:
             parse("object a = [I(*,*)] sigma (\N{SUPERSCRIPT TWO});")
         assert (err.value.line, err.value.column) == (1, 28)
+
+
+TOKEN_POSITIONS = [
+    ("a\tb", [("WORD", "a", 1, 1), ("WORD", "b", 1, 3), ("EOF", "", 1, 4)]),
+    ("a\r\nb", [("WORD", "a", 1, 1), ("WORD", "b", 2, 1), ("EOF", "", 2, 2)]),
+    ("1a", [("INT", "1", 1, 1), ("WORD", "a", 1, 2), ("EOF", "", 1, 3)]),
+    ("a\N{SUPERSCRIPT TWO}", [("WORD", "a\N{SUPERSCRIPT TWO}", 1, 1), ("EOF", "", 1, 3)]),
+    (
+        "x ->y*(",
+        [
+            ("WORD", "x", 1, 1),
+            ("ARROW", "->", 1, 3),
+            ("WORD", "y", 1, 5),
+            ("STAR", "*", 1, 6),
+            ("(", "(", 1, 7),
+            ("EOF", "", 1, 8),
+        ],
+    ),
+    # A comment does not advance the column, so EOF keeps the column
+    # where a trailing comment starts.
+    ("a # comment", [("WORD", "a", 1, 1), ("EOF", "", 1, 3)]),
+    ("a\n  # c", [("WORD", "a", 1, 1), ("EOF", "", 2, 3)]),
+]
+
+TOKEN_ERRORS = [
+    ("\N{SUPERSCRIPT TWO}", 1, 1, "unexpected character"),
+    ("x \N{ROMAN NUMERAL TWELVE}", 1, 3, "unexpected character"),
+    ("\t\N{ARABIC-INDIC DIGIT THREE}", 1, 2, "unexpected character"),
+    ("a\r\n - b", 2, 2, "stray '-'"),
+]
+
+
+class TestTokenPositions:
+    @pytest.mark.parametrize(("text", "tokens"), TOKEN_POSITIONS)
+    def test_kind_value_line_column(self, text, tokens):
+        assert [(t.kind, t.value, t.line, t.col) for t in _tokenize(text)] == tokens
+
+    @pytest.mark.parametrize(("text", "line", "column", "message"), TOKEN_ERRORS)
+    def test_errors_point_at_the_character(self, text, line, column, message):
+        with pytest.raises(DslSyntaxError) as err:
+            _tokenize(text)
+        assert (err.value.line, err.value.column) == (line, column)
+        assert message in str(err.value)
+
+    def test_json_errors_carry_a_path_not_a_position(self):
+        with pytest.raises(DslSyntaxError) as err:
+            from_json(json.dumps({"format": 1, "objects": {"x": {"entries": 3}}}))
+        assert (err.value.line, err.value.column) == (0, 0)
+        assert str(err.value).startswith("at $.objects.x.entries: ")
 
 
 class TestSerialize:

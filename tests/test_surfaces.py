@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import AB, STAR_SET, labeled_obj, star_obj
+from occob.errors import OcError
 from occob.objects import STAR, GeneralObject
 from occob.sampling import sample_cobordism, shuffled
 from occob.surfaces import (
@@ -213,6 +214,12 @@ class TestBoundaryPermutation:
     def test_requires_single_circle_target(self):
         c = single(star_obj("O"), star_obj("OO"), Component(0, (InClosed(1), OutClosed(1), OutClosed(2))))
         with pytest.raises(ValueError):
+            boundary_permutation(c)
+
+    @pytest.mark.parametrize("target", ["", "OO", "I"])
+    def test_other_targets_are_an_oc_error(self, target):
+        c = single(star_obj("O"), star_obj(target), Component(0, (InClosed(1),)))
+        with pytest.raises(OcError):
             boundary_permutation(c)
 
     def test_successor_within_each_mixed_circle(self):
