@@ -16,6 +16,7 @@ from occob import calculus, classify
 from occob.dsl import (
     CobordismDef,
     Document,
+    _dump_json,
     is_name,
     parse,
     parse_cycles,
@@ -35,6 +36,9 @@ def _load(path: str) -> Document:
             text = fh.read()
     except OSError as exc:
         raise _Usage(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        message = f"not valid UTF-8 at byte offset {exc.start}"
+        raise _Usage(f"cannot read {path}: {message}") from exc
     return parse(text)
 
 
@@ -141,7 +145,7 @@ def _cmd_invariants(args) -> int:
             "c_number": cob.source.c_number,
             "b_subcategory": summary.b_subcategory,
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_dump_json(payload))
         return 0
     zeros = dict.fromkeys(cob.source.branes, 0)
     for i, comp in enumerate(map(component_summary, cob.components), 1):
@@ -168,7 +172,7 @@ def _permutation_payload(p: Permutation, as_json: bool) -> int:
                 "text": p.cycle_string(),
             },
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_dump_json(payload))
     else:
         print(p.cycle_string())
     return 0
@@ -212,10 +216,13 @@ def _cmd_classify(args) -> int:
         for row in rows
     ]
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(table)
+        try:
+            with open(args.csv, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                writer.writerows(table)
+        except OSError as exc:
+            raise _Usage(f"cannot write {args.csv}: {exc.strerror}") from exc
     if args.json:
         payload = {
             "format": 1,
@@ -230,7 +237,7 @@ def _cmd_classify(args) -> int:
                 for row in rows
             ],
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_dump_json(payload))
     else:
         print(" ".join(header))
         for line in table:

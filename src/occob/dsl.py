@@ -33,9 +33,10 @@ a message prefix such as ``at $.cobordisms.T.components[0].genus: ``.
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from itertools import islice
 
 from occob.classify import canonicalize
 from occob.errors import DslError, DslSyntaxError, DslValidationError
@@ -85,8 +86,12 @@ class Document:
 
 # ---------------------------------------------------------------------------
 # tokens
+#
+# A token is the string it matched.  Its kind is read off the string, and
+# its line and column are worked out from the text only when an error is
+# raised.
 
-_PUNCT = {",", ";", ":", "=", "[", "]", "{", "}", "(", ")"}
+_SYMBOLS = {",", ";", ":", "=", "[", "]", "{", "}", "(", ")", STAR, "->"}
 _KEYWORDS = {
     "branes",
     "object",
@@ -102,78 +107,61 @@ _KEYWORDS = {
     "in",
     "out",
 }
+# Whitespace is exactly space, tab, CR and LF; every other character is
+# part of some lexeme, so that a bad one can be reported.  ``\w`` is the
+# word rule (``isalnum()`` or ``_``), but it also matches digits such as
+# ``²`` that may not start a word, so ``_tokenize`` checks each first
+# character.
+_LEXEME = r"->|[0-9]+|\w+|[^ \t\r\n]"
+_COMMENT = re.compile(r"#[^\n]*")
+_TOKEN = re.compile(_LEXEME)
+_LOCATE = re.compile(rf"#[^\n]*|{_LEXEME}")
 
 
-class _Tok(NamedTuple):  # a tuple is cheaper to build than a dataclass
-    kind: str  # WORD INT STAR ARROW punct EOF
-    value: str
-    line: int
-    col: int
+def _is_int(t: str) -> bool:
+    return "0" <= t[:1] <= "9"  # not isdigit(), which accepts digits int() rejects
 
 
-def _tokenize(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            i += 1
-            col += 1
-        elif ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch == "-":
-            if i + 1 < n and text[i + 1] == ">":
-                toks.append(_Tok("ARROW", "->", line, col))
-                i += 2
-                col += 2
-            else:
-                raise DslSyntaxError("stray '-' (expected '->')", line, col)
-        elif ch in _PUNCT:
-            toks.append(_Tok(ch, ch, line, col))
-            i += 1
-            col += 1
-        elif ch == "*":
-            toks.append(_Tok("STAR", STAR, line, col))
-            i += 1
-            col += 1
-        elif "0" <= ch <= "9":  # not isdigit(), which accepts digits int() rejects
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            toks.append(_Tok("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Tok("WORD", text[i:j], line, col))
-            col += j - i
-            i = j
-        else:
-            raise DslSyntaxError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Tok("EOF", "", line, col))
+def _is_word(t: str) -> bool:
+    return t[:1].isalpha() or t[:1] == "_"
+
+
+def _tokenize(text: str) -> list[str]:
+    toks = _TOKEN.findall(_COMMENT.sub("", text))
+    bad = {t for t in set(toks) if not (t in _SYMBOLS or _is_int(t) or _is_word(t))}
+    if bad:
+        k = next(k for k, t in enumerate(toks) if t in bad)
+        t = toks[k]
+        message = (
+            "stray '-' (expected '->')"
+            if t == "-"
+            else f"unexpected character {t[0]!r}"
+        )
+        raise DslSyntaxError(message, *_locate(text, k))
     return toks
+
+
+def _locate(text: str, k: int) -> tuple[int, int]:
+    """1-based line and column of token ``k`` of ``text``, or of its end."""
+    starts = (m.start() for m in _LOCATE.finditer(text) if m[0][0] != "#")
+    pos = next(islice(starts, k, None), None)
+    if pos is None:  # the end, where a trailing comment does not count
+        pos = text.find("#", text.rfind("\n") + 1)
+        if pos < 0:
+            pos = len(text)
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
 # ---------------------------------------------------------------------------
 # document builder
 #
 # The only code that turns front-end values into a Document.  Each check
-# takes the location ``where`` of the value: a token for text, or for JSON
-# the tuple of keys and indices leading to it, which is formatted into a
-# path only when an error is raised.
+# takes the location ``where`` of the value: for text the index of its
+# token, or for JSON the tuple of keys and indices leading to it.  Either
+# becomes a line and column or a path only when an error is raised.
 
 
-def _fail(where, message: str, cls: type[DslError] = DslSyntaxError, **kwargs):
-    if isinstance(where, _Tok):
-        raise cls(message, where.line, where.col, **kwargs)
+def _fail(where: tuple, message: str, cls: type[DslError] = DslSyntaxError, **kwargs):
     path = "".join(
         f".{k}"
         if isinstance(k, str) and k.isidentifier()
@@ -184,29 +172,38 @@ def _fail(where, message: str, cls: type[DslError] = DslSyntaxError, **kwargs):
 
 
 class _Builder:
-    """Checks front-end values while assembling them into ``doc``."""
+    """Checks front-end values while assembling them into ``doc``.
 
-    def __init__(self, branes: list[str], where):
+    ``text`` is the document text that token indices refer to.
+    """
+
+    def __init__(self, branes: list[str], where, text: str = ""):
+        self.text = text
         if not branes:
-            _fail(where, "the brane list is empty")
+            self.fail(where, "the brane list is empty")
         dup = sorted(b for b, n in Counter(branes).items() if n > 1)
         if dup:
-            _fail(where, f"brane {dup[0]!r} declared twice")
+            self.fail(where, f"brane {dup[0]!r} declared twice")
         self.doc = Document(branes=frozenset(branes))
+
+    def fail(self, where, message: str, cls=DslSyntaxError, **kwargs):
+        if isinstance(where, int):
+            raise cls(message, *_locate(self.text, where), **kwargs)
+        _fail(where, message, cls, **kwargs)
 
     def brane(self, label: str, where) -> str:
         if label not in self.doc.branes:
-            _fail(where, f"brane {label!r} is not declared")
+            self.fail(where, f"brane {label!r} is not declared")
         return label
 
     def new_name(self, what: str, name: str, where) -> None:
         """Reject a second ``what`` ("object" or "cobordism") called ``name``."""
         if name in (self.doc.objects if what == "object" else self.doc.cobordisms):
-            _fail(where, f"{what} {name!r} already defined")
+            self.fail(where, f"{what} {name!r} already defined")
 
     def object_ref(self, name: str, where) -> str:
         if name not in self.doc.objects:
-            _fail(where, f"unknown object {name!r}")
+            self.fail(where, f"unknown object {name!r}")
         return name
 
     def add_object(self, name: str, entries: list, cycles, where) -> None:
@@ -219,7 +216,7 @@ class _Builder:
             try:
                 sigma = Permutation.from_cycles(cycles, positions)
             except ValueError as exc:
-                _fail(where, f"object {name!r}: {exc}", DslValidationError)
+                self.fail(where, f"object {name!r}: {exc}", DslValidationError)
         self.doc.objects[name] = GeneralObject(self.doc.branes, entries, sigma)
 
     def add_cobordism(
@@ -233,62 +230,61 @@ class _Builder:
             listing = "; ".join(str(v) for v in violations[:4])
             more = "" if len(violations) <= 4 else f" (+{len(violations) - 4} more)"
             message = f"cobordism {name!r} is invalid: {listing}{more}"
-            _fail(where, message, DslValidationError, violations=violations)
+            self.fail(where, message, DslValidationError, violations=violations)
         self.doc.cobordisms[name] = CobordismDef(source, target, cob)
 
 
 # ---------------------------------------------------------------------------
 # parser
+#
+# Tokens are strings, and the empty string is the end of input.  Errors
+# point at the current token unless they come from the builder, which is
+# handed the index of the token that a value was read from.
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.toks = _tokenize(text)
+        self.toks.append("")
         self.pos = 0
 
-    def peek(self) -> _Tok:
+    def peek(self) -> str:
         return self.toks[self.pos]
 
-    def advance(self) -> _Tok:
+    def advance(self) -> str:
         t = self.toks[self.pos]
-        if t.kind != "EOF":
+        if t:
             self.pos += 1
         return t
 
-    def fail(self, message: str, tok: _Tok | None = None):
-        t = tok or self.peek()
-        raise DslSyntaxError(message, t.line, t.col)
+    def fail(self, message: str):
+        raise DslSyntaxError(message, *_locate(self.text, self.pos))
 
-    def expect(self, kind: str, what: str | None = None) -> _Tok:
+    def expect(self, value: str) -> None:
         t = self.peek()
-        if t.kind != kind:
-            shown = what or repr(kind)
-            got = t.value or "end of input"
-            self.fail(f"expected {shown}, got {got!r}", t)
-        return self.advance()
-
-    def expect_word(self, word: str) -> _Tok:
-        t = self.peek()
-        if t.kind != "WORD" or t.value != word:
-            self.fail(f"expected {word!r}, got {t.value or 'end of input'!r}", t)
-        return self.advance()
+        if t != value:
+            self.fail(f"expected {value!r}, got {t or 'end of input'!r}")
+        self.pos += 1
 
     def expect_int(self) -> int:
-        return int(self.expect("INT", "an integer").value)
+        t = self.peek()
+        if not _is_int(t):
+            self.fail(f"expected an integer, got {t or 'end of input'!r}")
+        return int(self.advance())
 
     # names ----------------------------------------------------------------
 
-    def name(self, what: str) -> _Tok:
+    def name(self, what: str) -> str:
         t = self.peek()
-        if t.kind != "WORD":
-            self.fail(f"expected {what}, got {t.value or 'end of input'!r}", t)
-        if t.value in _KEYWORDS:
-            self.fail(f"keyword {t.value!r} cannot be used as {what}", t)
+        if not _is_word(t):
+            self.fail(f"expected {what}, got {t or 'end of input'!r}")
+        if t in _KEYWORDS:
+            self.fail(f"keyword {t!r} cannot be used as {what}")
         return self.advance()
 
-    def brane_name(self) -> _Tok:
-        t = self.peek()
-        if t.kind == "STAR":
+    def brane_name(self) -> str:
+        if self.peek() == STAR:
             return self.advance()
         return self.name("a brane label")
 
@@ -296,92 +292,85 @@ class _Parser:
 
     def document(self) -> Document:
         self.build = self.branes_decl()
-        while True:
-            t = self.peek()
-            if t.kind == "EOF":
-                break
-            if t.kind == "WORD" and t.value == "object":
+        while t := self.peek():
+            if t == "object":
                 self.objectdef()
-            elif t.kind == "WORD" and t.value == "cobordism":
+            elif t == "cobordism":
                 self.cobdef()
-            elif t.kind == "WORD" and t.value == "branes":
-                self.fail("a branes declaration must come first", t)
+            elif t == "branes":
+                self.fail("a branes declaration must come first")
             else:
-                self.fail(
-                    f"expected 'object' or 'cobordism', got {t.value or 'end of input'!r}",
-                    t,
-                )
+                self.fail(f"expected 'object' or 'cobordism', got {t!r}")
         return self.build.doc
 
     def branes_decl(self) -> _Builder:
-        t = self.peek()
-        self.single_brane = not (t.kind == "WORD" and t.value == "branes")
+        at = self.pos
+        self.single_brane = self.peek() != "branes"
         if self.single_brane:
-            return _Builder([STAR], t)
+            return _Builder([STAR], at, self.text)
         self.advance()
-        labels = [self.brane_name().value]
-        while self.peek().kind == ",":
+        labels = [self.brane_name()]
+        while self.peek() == ",":
             self.advance()
-            labels.append(self.brane_name().value)
+            labels.append(self.brane_name())
         self.expect(";")
-        return _Builder(labels, t)
+        return _Builder(labels, at, self.text)
 
-    def check_brane(self, tok: _Tok) -> str:
-        return self.build.brane(tok.value, tok)
+    def brane(self) -> str:
+        at = self.pos
+        return self.build.brane(self.brane_name(), at)
 
     # objects --------------------------------------------------------------
 
     def objectdef(self) -> None:
-        self.expect_word("object")
-        name_tok = self.name("an object name")
-        self.build.new_name("object", name_tok.value, name_tok)
+        self.expect("object")
+        at = self.pos
+        name = self.name("an object name")
+        self.build.new_name("object", name, at)
         self.expect("=")
         self.expect("[")
         entries = []
-        if self.peek().kind != "]":
+        if self.peek() != "]":
             entries.append(self.entry())
-            while self.peek().kind == ",":
+            while self.peek() == ",":
                 self.advance()
                 entries.append(self.entry())
         self.expect("]")
         cycles = None
-        sigma_tok = self.peek()
-        if sigma_tok.kind == "WORD" and sigma_tok.value == "sigma":
+        sigma_at = self.pos
+        if self.peek() == "sigma":
             self.advance()
             cycles = self.cycles()
         self.expect(";")
-        self.build.add_object(name_tok.value, entries, cycles, sigma_tok)
+        self.build.add_object(name, entries, cycles, sigma_at)
 
     def entry(self):
         t = self.peek()
-        if t.kind == "WORD" and t.value == "O":
+        if t == "O":
             self.advance()
             return Circle()
-        if t.kind == "WORD" and t.value == "I":
+        if t == "I":
             self.advance()
             self.expect("(")
-            left = self.check_brane(self.brane_name())
+            left = self.brane()
             self.expect(",")
-            right = self.check_brane(self.brane_name())
+            right = self.brane()
             self.expect(")")
             return Interval(left, right)
-        self.fail(f"expected 'O' or 'I(..)', got {t.value or 'end of input'!r}", t)
+        self.fail(f"expected 'O' or 'I(..)', got {t or 'end of input'!r}")
 
     def cycles(self) -> list[tuple[int, ...]]:
         t = self.peek()
-        if t.kind == "WORD" and t.value == "id":
+        if t == "id":
             self.advance()
             return []
-        if t.kind != "(":
-            self.fail(
-                f"expected 'id' or a cycle '(..)', got {t.value or 'end of input'!r}",
-                t,
-            )
+        if t != "(":
+            self.fail(f"expected 'id' or a cycle '(..)', got {t or 'end of input'!r}")
         out = []
-        while self.peek().kind == "(":
+        while self.peek() == "(":
             self.advance()
             cyc = [self.expect_int()]
-            while self.peek().kind == "INT":
+            while _is_int(self.peek()):
                 cyc.append(self.expect_int())
             self.expect(")")
             out.append(tuple(cyc))
@@ -389,93 +378,85 @@ class _Parser:
 
     # cobordisms -----------------------------------------------------------
 
-    def resolve_object(self, tok: _Tok) -> str:
-        return self.build.object_ref(tok.value, tok)
-
     def cobdef(self) -> None:
-        self.expect_word("cobordism")
-        name_tok = self.name("a cobordism name")
-        self.build.new_name("cobordism", name_tok.value, name_tok)
+        self.expect("cobordism")
+        at = self.pos
+        name = self.name("a cobordism name")
+        self.build.new_name("cobordism", name, at)
         self.expect(":")
-        src_tok = self.name("a source object name")
-        self.expect("ARROW", "'->'")
-        tgt_tok = self.name("a target object name")
-        source = self.resolve_object(src_tok)
-        target = self.resolve_object(tgt_tok)
+        src_at = self.pos
+        source = self.name("a source object name")
+        self.expect("->")
+        tgt_at = self.pos
+        target = self.name("a target object name")
+        source = self.build.object_ref(source, src_at)
+        target = self.build.object_ref(target, tgt_at)
         self.expect("{")
         comps = []
-        while self.peek().kind == "WORD" and self.peek().value == "component":
+        while self.peek() == "component":
             comps.append(self.component())
         self.expect("}")
-        self.build.add_cobordism(name_tok.value, name_tok, source, target, comps)
+        self.build.add_cobordism(name, at, source, target, comps)
 
     def component(self) -> Component:
-        self.expect_word("component")
+        self.expect("component")
         self.expect("{")
-        self.expect_word("genus")
+        self.expect("genus")
         genus = self.expect_int()
         self.expect(";")
         boundary = []
-        while not (self.peek().kind == "}"):
+        while self.peek() != "}":
             boundary.append(self.bline())
         self.expect("}")
         return Component(genus, boundary)
 
     def bline(self):
         t = self.peek()
-        if t.kind != "WORD":
-            self.fail(
-                f"expected a boundary line, got {t.value or 'end of input'!r}", t
-            )
-        if t.value == "in" or t.value == "out":
+        if not _is_word(t):
+            self.fail(f"expected a boundary line, got {t or 'end of input'!r}")
+        if t == "in" or t == "out":
             self.advance()
             index = self.expect_int()
             self.expect(";")
-            return InClosed(index) if t.value == "in" else OutClosed(index)
-        if t.value == "window":
+            return InClosed(index) if t == "in" else OutClosed(index)
+        if t == "window":
             self.advance()
             brane = self.optional_brane(context="window")
             self.expect(";")
             return Window(brane)
-        if t.value == "mixed":
+        if t == "mixed":
             self.advance()
             self.expect("[")
             entries = [self.mentry()]
-            while self.peek().kind == ",":
+            while self.peek() == ",":
                 self.advance()
                 entries.append(self.mentry())
             self.expect("]")
             self.expect(";")
             return Mixed(entries)
-        self.fail(
-            f"expected 'in', 'out', 'window', or 'mixed', got {t.value!r}", t
-        )
+        self.fail(f"expected 'in', 'out', 'window', or 'mixed', got {t!r}")
 
     def optional_brane(self, context: str) -> str:
-        t = self.peek()
-        if t.kind in (";", ",", "]"):
+        if self.peek() in (";", ",", "]"):
             if self.single_brane:
                 return STAR
-            self.fail(f"{context} needs a brane label", t)
-        return self.check_brane(self.brane_name())
+            self.fail(f"{context} needs a brane label")
+        return self.brane()
 
     def mentry(self):
         t = self.peek()
-        if t.kind == "WORD" and t.value in (IN, OUT):
+        if t == IN or t == OUT:
             self.advance()
             index = self.expect_int()
-            rev = default_rev(t.value)
-            nxt = self.peek()
-            if nxt.kind == "WORD" and nxt.value == "rev":
+            rev = default_rev(t)
+            if self.peek() == "rev":
                 self.advance()
                 rev = not rev
-            return IntervalRef(t.value, index, rev)
-        if t.kind == "WORD" and t.value == "arc":
+            return IntervalRef(t, index, rev)
+        if t == "arc":
             self.advance()
             return Arc(self.optional_brane(context="arc"))
-        self.fail(
-            f"expected 'in', 'out', or 'arc', got {t.value or 'end of input'!r}", t
-        )
+        self.fail(f"expected 'in', 'out', or 'arc', got {t or 'end of input'!r}")
 
 
 def parse(text: str) -> Document:
@@ -487,9 +468,8 @@ def parse_cycles(text: str) -> list[tuple[int, ...]]:
     """Parse standalone cycle notation, e.g. ``(2 3)(4)`` or ``id``."""
     p = _Parser(text)
     out = p.cycles()
-    t = p.peek()
-    if t.kind != "EOF":
-        p.fail(f"unexpected trailing input {t.value!r}", t)
+    if p.peek():
+        p.fail(f"unexpected trailing input {p.peek()!r}")
     return out
 
 
@@ -616,7 +596,59 @@ def document_to_dict(doc: Document) -> dict:
 
 def to_json(doc: Document) -> str:
     """Stable JSON encoding mirroring the text format."""
-    return json.dumps(document_to_dict(doc), indent=2, sort_keys=True) + "\n"
+    return _dump_json(document_to_dict(doc)) + "\n"
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _dump_json(value) -> str:
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)``.
+
+    Only for dicts with str keys, lists, str, int and bool; anything else
+    raises ``TypeError``.  ``json`` itself falls back to its pure-Python
+    encoder whenever ``indent`` is set.
+    """
+    out: list[str] = []
+    _write_json(value, "\n", out.append)
+    return "".join(out)
+
+
+def _write_json(value, newline: str, write) -> None:
+    if isinstance(value, str):
+        write(_quote(value))
+    elif value is True:
+        write("true")
+    elif value is False:
+        write("false")
+    elif isinstance(value, int):
+        write(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            write("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            write(sep + _quote(key) + ": ")
+            _write_json(item, inner, write)
+            sep = "," + inner
+        write(newline + "}")
+    elif isinstance(value, list):
+        if not value:
+            write("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            write(sep)
+            _write_json(item, inner, write)
+            sep = "," + inner
+        write(newline + "]")
+    else:
+        raise TypeError(f"{type(value).__name__} is not written as JSON")
 
 
 _JSON_KINDS = {
@@ -673,10 +705,10 @@ def is_name(value, brane: bool = False) -> bool:
         return False
     try:
         p = _Parser(value)
-        tok = p.brane_name() if brane else p.name("a name")
+        name = p.brane_name() if brane else p.name("a name")
     except DslSyntaxError:
         return False
-    return tok.value == value
+    return name == value
 
 
 def _json_name(value, where: tuple, what: str, brane: bool = False) -> str:

@@ -80,6 +80,14 @@ class TestCheck:
     def test_missing_file_exits_2(self, capsys):
         assert main(["check", "/nonexistent/nowhere.occ"]) == 2
 
+    def test_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "latin1.occ"
+        p.write_bytes(b"object A = [O];\n\xff\n")
+        assert main(["check", str(p)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read {p}: not valid UTF-8 at byte offset 16\n"
+        )
+
 
 class TestCompose:
     def test_emits_parseable_document(self, doc_path, capsys):
@@ -166,6 +174,14 @@ class TestClassify:
         assert rows[1] == "0,0,2,true"
         assert len(rows) == 5
 
+    def test_unwritable_csv_path_exits_2(self, doc_path, tmp_path, capsys):
+        out_csv = tmp_path / "missing" / "table.csv"
+        argv = ["classify", doc_path, "c1", "-G", "1", "-W", "1", "--csv", str(out_csv)]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: cannot write {out_csv}: No such file or directory\n"
+
     @pytest.mark.parametrize("bounds", [("-3", "1"), ("1", "-2")])
     def test_negative_bound_exits_2(self, doc_path, capsys, bounds):
         with pytest.raises(SystemExit) as exit_:
@@ -216,6 +232,56 @@ class TestSwapTensor:
         assert len(cob.source.entries) == 3
 
 
+# Exit code and diagnostic of ``occob check`` on each malformed corpus file.
+MALFORMED = {
+    "bad_arrow.occ": (2, "line 2, column 18: unexpected character '>'"),
+    "bare_arc_multibrane.occ": (2, "line 6, column 21: arc needs a brane label"),
+    "bare_window_multibrane.occ": (2, "line 8, column 11: window needs a brane label"),
+    "branes_not_first.occ": (
+        2,
+        "line 2, column 1: a branes declaration must come first",
+    ),
+    "duplicate_cobordism.occ": (2, "line 9, column 11: cobordism 'c' already defined"),
+    "duplicate_object.occ": (2, "line 2, column 8: object 'a' already defined"),
+    "empty_mixed.occ": (
+        2,
+        "line 5, column 12: expected 'in', 'out', or 'arc', got ']'",
+    ),
+    "illegal_char.occ": (2, "line 1, column 9: unexpected character '@'"),
+    "keyword_as_name.occ": (
+        2,
+        "line 1, column 8: keyword 'component' cannot be used as an object name",
+    ),
+    "missing_colon.occ": (2, "line 2, column 13: expected ':', got 'a'"),
+    "missing_genus.occ": (2, "line 4, column 5: expected 'genus', got 'in'"),
+    "missing_index.occ": (2, "line 5, column 7: expected an integer, got ';'"),
+    "missing_semicolon.occ": (2, "line 2, column 1: expected ';', got 'object'"),
+    "negative_genus.occ": (2, "line 4, column 11: stray '-' (expected '->')"),
+    "sigma_letters.occ": (2, "line 1, column 28: expected an integer, got 'a'"),
+    "sigma_unclosed.occ": (2, "line 1, column 39: expected ')', got ';'"),
+    "stray_token.occ": (
+        2,
+        "line 1, column 17: expected 'object' or 'cobordism', got 'surplus'",
+    ),
+    "trailing_comma.occ": (
+        2,
+        "line 5, column 34: expected 'in', 'out', or 'arc', got ']'",
+    ),
+    "typo_keyword.occ": (
+        2,
+        "line 1, column 1: expected 'object' or 'cobordism', got 'objct'",
+    ),
+    "unclosed_component.occ": (
+        2,
+        "line 6, column 1: expected a boundary line, got 'end of input'",
+    ),
+    "unclosed_entries.occ": (2, "line 1, column 22: expected ']', got ';'"),
+    "undeclared_brane.occ": (2, "line 2, column 17: brane 'z' is not declared"),
+    "unknown_source.occ": (2, "line 2, column 15: unknown object 'ghost'"),
+    "unknown_target.occ": (2, "line 2, column 20: unknown object 'ghost'"),
+}
+
+
 class TestCorpusThroughCli:
     def test_every_roundtrip_file_checks(self, capsys):
         for path in sorted((CORPUS / "roundtrip").glob("*.occ")):
@@ -223,9 +289,12 @@ class TestCorpusThroughCli:
             capsys.readouterr()
 
     def test_every_malformed_file_exits_2(self, capsys):
-        for path in sorted((CORPUS / "malformed").glob("*.occ")):
-            assert main(["check", str(path)]) == 2, path.name
-            assert "line" in capsys.readouterr().err, path.name
+        paths = sorted((CORPUS / "malformed").glob("*.occ"))
+        assert [p.name for p in paths] == sorted(MALFORMED)
+        for path in paths:
+            code, message = MALFORMED[path.name]
+            assert main(["check", str(path)]) == code, path.name
+            assert capsys.readouterr() == ("", f"syntax error: {message}\n"), path.name
 
     def test_invariants_text_and_json_agree(self, capsys):
         row = re.compile(r"(?:component \d+|total): (.*) windows=\{(.*)\} euler=(-?\d+)")

@@ -13,6 +13,10 @@ from hypothesis import strategies as st
 from conftest import CORPUS, STAR_SET, star_obj
 from occob.dsl import (
     Document,
+    _dump_json,
+    _is_int,
+    _is_word,
+    _locate,
     _tokenize,
     document_to_dict,
     from_json,
@@ -143,6 +147,74 @@ class TestDiagnostics:
         assert (err.value.line, err.value.column) == (1, 28)
 
 
+def reference_tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """The character-loop tokenizer ``_tokenize`` replaced: (kind, value, line, col)."""
+    toks = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+        elif ch in " \t\r":
+            i += 1
+            col += 1
+        elif ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif ch == "-":
+            if i + 1 < n and text[i + 1] == ">":
+                toks.append(("ARROW", "->", line, col))
+                i += 2
+                col += 2
+            else:
+                raise DslSyntaxError("stray '-' (expected '->')", line, col)
+        elif ch in ",;:=[]{}()":
+            toks.append((ch, ch, line, col))
+            i += 1
+            col += 1
+        elif ch == "*":
+            toks.append(("STAR", "*", line, col))
+            i += 1
+            col += 1
+        elif "0" <= ch <= "9":
+            j = i
+            while j < n and "0" <= text[j] <= "9":
+                j += 1
+            toks.append(("INT", text[i:j], line, col))
+            col += j - i
+            i = j
+        elif ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(("WORD", text[i:j], line, col))
+            col += j - i
+            i = j
+        else:
+            raise DslSyntaxError(f"unexpected character {ch!r}", line, col)
+    toks.append(("EOF", "", line, col))
+    return toks
+
+
+_KINDS = {"": "EOF", "*": "STAR", "->": "ARROW", **{c: c for c in ",;:=[]{}()"}}
+
+
+def _kind(value: str) -> str:
+    """The token kind the parser reads off a token string."""
+    if value in _KINDS:
+        return _KINDS[value]
+    return "INT" if _is_int(value) else "WORD" if _is_word(value) else "bad"
+
+
+def positioned(text: str) -> list[tuple[str, str, int, int]]:
+    """``_tokenize`` with each token's kind, and line and column from ``_locate``."""
+    values = _tokenize(text) + [""]
+    return [(_kind(v), v, *_locate(text, k)) for k, v in enumerate(values)]
+
+
 TOKEN_POSITIONS = [
     ("a\tb", [("WORD", "a", 1, 1), ("WORD", "b", 1, 3), ("EOF", "", 1, 4)]),
     ("a\r\nb", [("WORD", "a", 1, 1), ("WORD", "b", 2, 1), ("EOF", "", 2, 2)]),
@@ -170,26 +242,76 @@ TOKEN_ERRORS = [
     ("x \N{ROMAN NUMERAL TWELVE}", 1, 3, "unexpected character"),
     ("\t\N{ARABIC-INDIC DIGIT THREE}", 1, 2, "unexpected character"),
     ("a\r\n - b", 2, 2, "stray '-'"),
+    ("a\x0bb", 1, 2, "unexpected character"),
+    ("a\n\x0c", 2, 1, "unexpected character"),
+    ("a \xa0", 1, 3, "unexpected character"),
 ]
 
 
 class TestTokenPositions:
     @pytest.mark.parametrize(("text", "tokens"), TOKEN_POSITIONS)
     def test_kind_value_line_column(self, text, tokens):
-        assert [(t.kind, t.value, t.line, t.col) for t in _tokenize(text)] == tokens
+        assert positioned(text) == tokens
+        assert reference_tokenize(text) == tokens
 
     @pytest.mark.parametrize(("text", "line", "column", "message"), TOKEN_ERRORS)
     def test_errors_point_at_the_character(self, text, line, column, message):
-        with pytest.raises(DslSyntaxError) as err:
-            _tokenize(text)
-        assert (err.value.line, err.value.column) == (line, column)
-        assert message in str(err.value)
+        for tokenize in (_tokenize, reference_tokenize):
+            with pytest.raises(DslSyntaxError) as err:
+                tokenize(text)
+            assert (err.value.line, err.value.column) == (line, column)
+            assert message in str(err.value)
 
     def test_json_errors_carry_a_path_not_a_position(self):
         with pytest.raises(DslSyntaxError) as err:
             from_json(json.dumps({"format": 1, "objects": {"x": {"entries": 3}}}))
         assert (err.value.line, err.value.column) == (0, 0)
         assert str(err.value).startswith("at $.objects.x.entries: ")
+
+
+_ROUNDTRIP_TEXTS = [
+    p.read_text(encoding="utf-8") for p in sorted((CORPUS / "roundtrip").glob("*.occ"))
+]
+_JUNK = (
+    " \t\r\n\x0b\x0c\xa0\u2028\N{SUPERSCRIPT TWO}\N{ROMAN NUMERAL TWELVE}"
+    "\N{ARABIC-INDIC DIGIT THREE}\xe9#->*_,;:=[]{}()aIO019"
+)
+
+
+def _assert_matches_reference(text: str) -> None:
+    try:
+        reference = reference_tokenize(text)
+    except DslSyntaxError as exc:
+        with pytest.raises(DslSyntaxError) as err:
+            _tokenize(text)
+        got = (str(err.value), err.value.line, err.value.column)
+        assert got == (str(exc), exc.line, exc.column)
+        return
+    assert _tokenize(text) == [value for _, value, _, _ in reference[:-1]]
+    assert positioned(text) == reference
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(_ROUNDTRIP_TEXTS),
+    st.lists(
+        st.tuples(st.floats(0, 1), st.integers(0, 3), st.text(_JUNK, max_size=3)),
+        max_size=4,
+    ),
+)
+def test_tokens_match_the_reference_on_mutated_corpus(text, edits):
+    for where, cut, insert in edits:
+        i = int(where * len(text))
+        text = text[:i] + insert + text[i + cut :]
+    _assert_matches_reference(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(_JUNK, max_size=60))
+@example("a # c\n\t->b")
+@example("x#y")
+def test_tokens_match_the_reference_on_junk(text):
+    _assert_matches_reference(text)
 
 
 class TestSerialize:
@@ -369,6 +491,41 @@ def test_from_json_is_total_and_faithful_under_mutation(seed, data):
     again = parse(text)
     assert serialize(again) == text
     assert again.objects == doc.objects and again.branes == doc.branes
+
+
+_JSON_SCALARS = st.one_of(
+    st.text(),
+    st.text("\"\\\x00\x1f\x7f\xe9\u2028\U0001f600 a"),
+    st.integers(),
+    st.integers(-(10**300), 10**300),
+    st.booleans(),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestDumpJson:
+    @settings(max_examples=400, deadline=None)
+    @given(_JSON_VALUES)
+    @example({})
+    @example([])
+    @example({"b": [], "a": {}, "": [{}]})
+    def test_is_json_dumps_indented(self, value):
+        assert _dump_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_documents(self, rng):
+        for _ in range(20):
+            data = document_to_dict(sample_document(rng, branes=("a", "b")))
+            assert _dump_json(data) == json.dumps(data, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [1.0, None, {1: "a"}, [{"a": None}], (1,)])
+    def test_rejects_other_types(self, value):
+        with pytest.raises(TypeError):
+            _dump_json(value)
 
 
 class TestParseCycles:
