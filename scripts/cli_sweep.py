@@ -6,7 +6,8 @@ once with ``--json``: ``check``; ``invariants``, ``sigma``, ``stabilize``
 with ``-k 1`` and ``-k 3`` and ``pullback --tau id`` on each cobordism;
 ``iso``, ``compose`` and ``tensor`` on each ordered pair of cobordisms;
 ``classify -G 2 -W 2`` on each object; ``swap`` on each ordered pair of
-objects.  Then ``check`` runs on each file of ``corpus/malformed``.
+objects.  Then ``check`` runs on each file of ``corpus/malformed``, and
+last come a few calls whose arguments the CLI must reject (``ERRORS``).
 
 Each call goes through ``occob.cli.main`` in the same process, and the
 script prints its arguments, exit code, standard output and standard
@@ -28,6 +29,13 @@ from occob.cli import main
 from occob.dsl import parse
 
 ROOT = Path(__file__).resolve().parents[1]
+REF = "corpus/roundtrip/ref_interfaces.occ"
+ERRORS = [
+    ["pullback", REF, "across", "--tau", "(3 9)"],  # outside the domain
+    ["pullback", REF, "across", "--tau", f"({'1' * 5000})"],  # too many digits
+    ["check", "corpus/roundtrip/a\x00b.occ"],  # unopenable path
+    ["classify", REF, "five", "-G", "\u0663", "-W", "0"],  # not an ASCII digit
+]
 
 
 def run(argv: list[str]) -> None:
@@ -74,6 +82,8 @@ def sweep() -> None:
             run(argv + ["--json"])
     for path in sorted((ROOT / "corpus" / "malformed").glob("*.occ")):
         run(["check", str(path.relative_to(ROOT))])
+    for argv in ERRORS:
+        run(argv)
 
 
 if __name__ == "__main__":

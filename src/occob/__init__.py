@@ -40,13 +40,10 @@ from occob.surfaces import (
     component_summary,
     euler_char,
     euler_total,
-    first_met,
-    genus_from_euler,
     in_b_subcategory,
     in_ref,
     invariant_summary,
     out_ref,
-    second_met,
     validate,
     window_vector,
 )
@@ -94,12 +91,9 @@ __all__ = [
     "InvariantSummary",
     "in_ref",
     "out_ref",
-    "first_met",
-    "second_met",
     "validate",
     "euler_char",
     "euler_total",
-    "genus_from_euler",
     "window_vector",
     "boundary_permutation",
     "in_b_subcategory",

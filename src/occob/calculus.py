@@ -30,7 +30,6 @@ from occob.surfaces import (
     Window,
     boundary_permutation,
     euler_char,
-    genus_from_euler,
     in_ref,
     out_ref,
 )
@@ -224,9 +223,24 @@ def compose(second: Cobordism, first: Cobordism) -> Cobordism:
             raise ClosedComponentError(
                 "gluing closed a component off from all boundary"
             )
-        genus = genus_from_euler(chi[cls], len(boundary))
+        genus = _genus(chi[cls], len(boundary))
         components.append(Component(genus, tuple(boundary)))
     return Cobordism(first.source, second.target, tuple(components))
+
+
+def _genus(chi: int, boundary_count: int) -> int:
+    """Recover genus from Euler characteristic and boundary circle count.
+
+    Raises ``CompositionError`` when no orientable surface fits, i.e. when
+    2 - chi - b is negative or odd.
+    """
+    twice = 2 - chi - boundary_count
+    if twice < 0 or twice % 2 != 0:
+        raise CompositionError(
+            f"no orientable genus fits euler characteristic {chi} with "
+            f"{boundary_count} boundary circles"
+        )
+    return twice // 2
 
 
 def _attached(table: dict, kind: str, i: int, factor: str):

@@ -56,8 +56,8 @@ def _entry_key(e) -> tuple:
 def _min_rotation(cycle: tuple) -> tuple:
     # A valid cycle holds each reference once, so its least entry is unique.
     keys = [_entry_key(e) for e in cycle]
-    least = min(keys)
-    if least[0] != 0 or keys.count(least) != 1:
+    least = min(keys, default=None)
+    if least is None or least[0] != 0 or keys.count(least) != 1:
         raise InvalidCobordismError(
             "mixed cycle has no unique least interval reference: "
             "the cobordism is not valid"

@@ -31,6 +31,8 @@ __all__ = ["main", "run"]
 
 
 def _load(path: str) -> Document:
+    if "\0" in path:  # open() would raise a ValueError
+        raise _Usage(f"cannot read {path}: embedded null byte")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -216,6 +218,8 @@ def _cmd_classify(args) -> int:
         for row in rows
     ]
     if args.csv:
+        if "\0" in args.csv:  # open() would raise a ValueError
+            raise _Usage(f"cannot write {args.csv}: embedded null byte")
         try:
             with open(args.csv, "w", encoding="utf-8", newline="") as fh:
                 writer = csv.writer(fh)
@@ -250,7 +254,7 @@ def _cmd_classify(args) -> int:
 
 
 def _count_arg(value: str) -> int:
-    if not value.isdecimal():
+    if not (value.isascii() and value.isdecimal()):
         raise argparse.ArgumentTypeError(f"{value!r} is not a non-negative integer")
     return int(value)
 
@@ -340,7 +344,7 @@ def main(argv: list[str] | None = None) -> int:
     except DslValidationError as exc:
         print(f"invalid document: {exc}", file=sys.stderr)
         return 1
-    except (OcError, ValueError) as exc:
+    except OcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

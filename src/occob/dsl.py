@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 from occob.classify import canonicalize
-from occob.errors import DslError, DslSyntaxError, DslValidationError
+from occob.errors import DslError, DslSyntaxError, DslValidationError, InvalidValueError
 from occob.objects import STAR, Circle, GeneralObject, Interval, Permutation
 from occob.surfaces import (
     IN,
@@ -215,7 +215,7 @@ class _Builder:
             )
             try:
                 sigma = Permutation.from_cycles(cycles, positions)
-            except ValueError as exc:
+            except InvalidValueError as exc:
                 self.fail(where, f"object {name!r}: {exc}", DslValidationError)
         self.doc.objects[name] = GeneralObject(self.doc.branes, entries, sigma)
 
@@ -271,7 +271,12 @@ class _Parser:
         t = self.peek()
         if not _is_int(t):
             self.fail(f"expected an integer, got {t or 'end of input'!r}")
-        return int(self.advance())
+        try:
+            value = int(t)
+        except ValueError:  # longer than the interpreter's digit limit
+            self.fail(f"integer literal of {len(t)} digits is too long")
+        self.pos += 1
+        return value
 
     # names ----------------------------------------------------------------
 

@@ -49,9 +49,12 @@ class InvalidCobordismError(OcError):
 
 
 class InvalidValueError(OcError, ValueError):
-    """An argument is out of range for the operation it was passed to.
+    """A value the constructor or operation it was passed to cannot take.
 
-    Also a ``ValueError``, so callers that catch that keep working.
+    Raised by the constructors of objects and surfaces (a non-bijective
+    permutation, an undeclared label, a negative genus) and by operations
+    given an argument out of range.  Also a ``ValueError``, so callers
+    that catch that keep working.
     """
 
 

@@ -12,7 +12,9 @@ Everything in this module is an immutable value with structural equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Mapping, Union
+
+from occob.errors import InvalidValueError
 
 __all__ = [
     "STAR",
@@ -54,14 +56,19 @@ class Permutation:
     pairs: tuple[tuple[int, int], ...]
 
     def __init__(self, mapping: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        items = sorted(dict(mapping).items())
+        try:
+            items = sorted(dict(mapping).items())
+            values = sorted(v for _, v in items)
+        except (TypeError, ValueError) as exc:  # not pairs, or not comparable
+            raise InvalidValueError(f"not a permutation: {exc}") from None
         keys = [k for k, _ in items]
-        values = sorted(v for _, v in items)
         for x in keys + values:
             if not isinstance(x, int) or isinstance(x, bool):
-                raise ValueError(f"permutation entries must be integers, got {x!r}")
+                raise InvalidValueError(
+                    f"permutation entries must be integers, got {x!r}"
+                )
         if values != keys:
-            raise ValueError(
+            raise InvalidValueError(
                 f"not a bijection: domain {keys} versus image {values}"
             )
         object.__setattr__(self, "pairs", tuple(items))
@@ -88,9 +95,13 @@ class Permutation:
             cyc = list(cycle)
             for x in cyc:
                 if x not in dom:
-                    raise ValueError(f"cycle element {x} outside domain {sorted(dom)}")
+                    raise InvalidValueError(
+                        f"cycle element {x} outside domain {sorted(dom)}"
+                    )
                 if x in seen:
-                    raise ValueError(f"element {x} listed twice in cycle notation")
+                    raise InvalidValueError(
+                        f"element {x} listed twice in cycle notation"
+                    )
                 seen.add(x)
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
                 mapping[a] = b
@@ -110,13 +121,10 @@ class Permutation:
         for k, v in self.pairs:
             if k == i:
                 return v
-        raise KeyError(f"{i} not in permutation domain {list(self.domain)}")
+        raise InvalidValueError(f"{i} not in permutation domain {list(self.domain)}")
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.pairs)
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Cycle decomposition, fixed points included.
@@ -156,20 +164,6 @@ class Permutation:
             "(" + " ".join(str(x) for x in cyc) + ")" for cyc in self.cycles()
         )
 
-    # -- algebra ---------------------------------------------------------
-
-    def inverse(self) -> "Permutation":
-        return Permutation({v: k for k, v in self.pairs})
-
-    def shifted(self, offset: int) -> "Permutation":
-        return Permutation({k + offset: v + offset for k, v in self.pairs})
-
-    def disjoint_union(self, other: "Permutation") -> "Permutation":
-        overlap = set(self.domain) & set(other.domain)
-        if overlap:
-            raise ValueError(f"domains overlap on {sorted(overlap)}")
-        return Permutation(dict(self.pairs) | dict(other.pairs))
-
     def __repr__(self) -> str:
         return f"Permutation({dict(self.pairs)!r})"
 
@@ -197,27 +191,29 @@ class GeneralObject:
     ):
         brane_set = frozenset(branes)
         if not brane_set:
-            raise ValueError("the brane set must be nonempty")
+            raise InvalidValueError("the brane set must be nonempty")
         for b in brane_set:
             if not isinstance(b, str) or not b:
-                raise ValueError(f"brane labels must be nonempty strings, got {b!r}")
+                raise InvalidValueError(
+                    f"brane labels must be nonempty strings, got {b!r}"
+                )
         entry_tuple = tuple(entries)
         for pos, e in enumerate(entry_tuple, start=1):
             if isinstance(e, Interval):
                 for side in (e.left, e.right):
                     if side not in brane_set:
-                        raise ValueError(
+                        raise InvalidValueError(
                             f"entry {pos}: brane {side!r} not in {sorted(brane_set)}"
                         )
             elif not isinstance(e, Circle):
-                raise ValueError(f"entry {pos}: not a Circle or Interval: {e!r}")
+                raise InvalidValueError(f"entry {pos}: not a Circle or Interval: {e!r}")
         interval_positions = tuple(
             i for i, e in enumerate(entry_tuple, start=1) if isinstance(e, Interval)
         )
         if sigma is None:
             sigma = Permutation.identity(interval_positions)
         elif sigma.domain != interval_positions:
-            raise ValueError(
+            raise InvalidValueError(
                 f"sigma domain {list(sigma.domain)} does not match interval "
                 f"positions {list(interval_positions)}"
             )
@@ -243,18 +239,15 @@ class GeneralObject:
             i for i, e in enumerate(self.entries, start=1) if isinstance(e, Circle)
         )
 
-    @property
-    def alpha(self) -> int:
-        """Number of interval entries."""
-        return len(self.interval_indices)
-
     def interval(self, index: int) -> Interval:
         """The interval entry at 1-based position ``index``."""
         if not 1 <= index <= len(self.entries):
-            raise ValueError(f"index {index} out of range 1..{len(self.entries)}")
+            raise InvalidValueError(
+                f"index {index} out of range 1..{len(self.entries)}"
+            )
         e = self.entries[index - 1]
         if not isinstance(e, Interval):
-            raise ValueError(f"entry {index} is a circle, not an interval")
+            raise InvalidValueError(f"entry {index} is a circle, not an interval")
         return e
 
     @property
@@ -272,12 +265,14 @@ class GeneralObject:
     def tensor(self, other: "GeneralObject") -> "GeneralObject":
         """Juxtaposition: concatenate entries, shift the second sigma."""
         if self.branes != other.branes:
-            raise ValueError(
+            raise InvalidValueError(
                 f"brane sets differ: {sorted(self.branes)} versus "
                 f"{sorted(other.branes)}"
             )
+        n = len(self.entries)
+        shifted = tuple((k + n, v + n) for k, v in other.sigma.pairs)
         return GeneralObject(
             self.branes,
             self.entries + other.entries,
-            self.sigma.disjoint_union(other.sigma.shifted(len(self.entries))),
+            Permutation(self.sigma.pairs + shifted),
         )

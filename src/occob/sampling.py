@@ -18,6 +18,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from occob.dsl import CobordismDef, Document
+from occob.errors import InvalidValueError
 from occob.objects import STAR, Circle, GeneralObject, Interval, Permutation
 from occob.surfaces import (
     IN,
@@ -108,7 +109,7 @@ def sample_cobordism(
     ensure_b: bool = False,
 ) -> Cobordism:
     if source is not None and target is not None:
-        raise ValueError("fix at most one side; the other is derived")
+        raise InvalidValueError("fix at most one side; the other is derived")
     if source is not None:
         branes = source.branes
     if target is not None:
@@ -118,7 +119,7 @@ def sample_cobordism(
         side for side, obj in ((IN, source), (OUT, target)) if obj is None
     )
     if ensure_b and OUT not in derivable:
-        raise ValueError("ensure_b needs a derived target")
+        raise InvalidValueError("ensure_b needs a derived target")
 
     slots: list[_Slot] = []
     closed: list[tuple[str, int]] = []

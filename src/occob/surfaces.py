@@ -29,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Union
 
-from occob.errors import InvalidValueError
+from occob.errors import InvalidCobordismError, InvalidValueError
 from occob.objects import Circle, GeneralObject, Interval, Permutation
 
 __all__ = [
@@ -51,12 +51,9 @@ __all__ = [
     "in_ref",
     "out_ref",
     "default_rev",
-    "first_met",
-    "second_met",
     "validate",
     "euler_char",
     "euler_total",
-    "genus_from_euler",
     "window_vector",
     "boundary_permutation",
     "in_b_subcategory",
@@ -83,7 +80,9 @@ class IntervalRef:
 
     def __post_init__(self):
         if self.side not in (IN, OUT):
-            raise ValueError(f"side must be {IN!r} or {OUT!r}, got {self.side!r}")
+            raise InvalidValueError(
+                f"side must be {IN!r} or {OUT!r}, got {self.side!r}"
+            )
 
 
 def in_ref(index: int, rev: bool = True) -> IntervalRef:
@@ -152,7 +151,7 @@ class Component:
 
     def __init__(self, genus: int, boundary=()):
         if genus < 0:
-            raise ValueError(f"genus must be nonnegative, got {genus}")
+            raise InvalidValueError(f"genus must be nonnegative, got {genus}")
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "boundary", tuple(boundary))
 
@@ -169,24 +168,6 @@ class Cobordism:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "components", tuple(components))
-
-
-# ---------------------------------------------------------------------------
-# endpoint bookkeeping
-
-
-def _side_object(c: Cobordism, ref: IntervalRef) -> GeneralObject:
-    return c.source if ref.side == IN else c.target
-
-
-def first_met(ref: IntervalRef, interval: Interval) -> str:
-    """Brane of the endpoint met first when traversing ``ref``."""
-    return interval.right if ref.rev else interval.left
-
-
-def second_met(ref: IntervalRef, interval: Interval) -> str:
-    """Brane of the endpoint met second when traversing ``ref``."""
-    return interval.left if ref.rev else interval.right
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +190,10 @@ def _entry_at(obj: GeneralObject, index: int) -> Circle | Interval | None:
     if isinstance(index, int) and 1 <= index <= len(obj.entries):
         return obj.entries[index - 1]
     return None
+
+
+def _side_object(c: Cobordism, ref: IntervalRef) -> GeneralObject:
+    return c.source if ref.side == IN else c.target
 
 
 def validate(c: Cobordism) -> list[Violation]:
@@ -373,8 +358,8 @@ def _validate_mixed(c, branes, circ, where, in_refs, out_refs) -> list[Violation
             interval = _entry_at(_side_object(c, entry), entry.index)
             before = cyc[(k - 1) % n]
             after = cyc[(k + 1) % n]
-            want_before = first_met(entry, interval)
-            want_after = second_met(entry, interval)
+            ends = (interval.left, interval.right)  # met in this order unless rev
+            want_before, want_after = ends[::-1] if entry.rev else ends
             if before.brane != want_before:
                 v.append(
                     Violation(
@@ -409,28 +394,19 @@ def euler_total(c: Cobordism) -> int:
     return sum(euler_char(comp) for comp in c.components)
 
 
-def genus_from_euler(chi: int, boundary_count: int) -> int:
-    """Recover genus from Euler characteristic and boundary circle count.
-
-    Raises ``ValueError`` when no orientable surface fits, i.e. when
-    2 - chi - b is negative or odd.  The gluing machinery treats such a
-    failure as an internal error.
-    """
-    twice = 2 - chi - boundary_count
-    if twice < 0 or twice % 2 != 0:
-        raise ValueError(
-            f"no orientable genus fits euler characteristic {chi} with "
-            f"{boundary_count} boundary circles"
-        )
-    return twice // 2
-
-
 def window_vector(c: Cobordism) -> dict[str, int]:
-    """Window count per brane, with explicit zeros for unused branes."""
+    """Window count per brane, with explicit zeros for unused branes.
+
+    A window on a brane that is not declared raises ``InvalidCobordismError``.
+    """
     counts = {b: 0 for b in sorted(c.source.branes | c.target.branes)}
     for comp in c.components:
         for circ in comp.boundary:
             if isinstance(circ, Window):
+                if circ.brane not in counts:
+                    raise InvalidCobordismError(
+                        f"window brane {circ.brane!r} not declared"
+                    )
                 counts[circ.brane] += 1
     return counts
 
@@ -447,7 +423,9 @@ def boundary_permutation(c: Cobordism) -> Permutation:
     circle in its stored orientation, the image of an interval is the
     next interval met on the same circle; an interval alone on its circle
     is a fixed point.  The union over all mixed circles is a permutation
-    of the source interval positions.
+    of the source interval positions.  On an invalid cobordism it is not:
+    that raises ``InvalidCobordismError``, or ``InvalidValueError`` when
+    two references share an interval.
     """
     if c.target.entries != (Circle(),):
         raise InvalidValueError(
@@ -460,12 +438,16 @@ def boundary_permutation(c: Cobordism) -> Permutation:
                 continue
             refs = circ.refs()
             for r, r_next in zip(refs, refs[1:] + refs[:1]):
-                if r.side != IN or r_next.side != IN:  # pragma: no cover
-                    raise ValueError("unexpected outgoing interval reference")
+                if r.side != IN or r_next.side != IN:
+                    raise InvalidCobordismError(
+                        "a mixed circle references an outgoing interval"
+                    )
                 mapping[r.index] = r_next.index
     sigma = Permutation(mapping)
-    if sigma.domain != c.source.interval_indices:  # pragma: no cover - defensive
-        raise ValueError("mixed circles do not cover the source intervals")
+    if sigma.domain != c.source.interval_indices:
+        raise InvalidCobordismError(
+            "mixed circles do not cover the source intervals"
+        )
     return sigma
 
 
@@ -512,7 +494,6 @@ class ComponentSummary:
 class InvariantSummary:
     components: tuple[ComponentSummary, ...]
     window_vector: tuple[tuple[str, int], ...]
-    genus_by_component: tuple[int, ...]
     genus_total: int
     component_count: int
     euler: int
@@ -548,12 +529,10 @@ def invariant_summary(c: Cobordism) -> InvariantSummary:
     characteristic and the b-subcategory flag.
     """
     summaries = sorted(map(component_summary, c.components))
-    genera = tuple(s.genus for s in summaries)
     return InvariantSummary(
         components=tuple(summaries),
         window_vector=tuple(window_vector(c).items()),
-        genus_by_component=genera,
-        genus_total=sum(genera),
+        genus_total=sum(s.genus for s in summaries),
         component_count=len(summaries),
         euler=sum(s.euler for s in summaries),
         b_subcategory=in_b_subcategory(c),

@@ -108,7 +108,7 @@ def test_criterion_3_euler_conservation():
                 rng, (STAR,), max_components=4, max_genus=3
             )
             middle = first.target
-            if middle.alpha > 6:
+            if len(middle.interval_indices) > 6:
                 continue
             if len(first.components) > 4 or len(second.components) > 4:
                 continue
@@ -125,7 +125,7 @@ def test_criterion_3_euler_conservation():
             expected = (
                 euler_total(first)
                 + euler_total(second)
-                - first.target.alpha
+                - len(first.target.interval_indices)
             )
             assert euler_total(glued) == expected
             for comp in glued.components:

@@ -1,0 +1,389 @@
+"""The public surface: every callable export rejects bad values with an ``OcError``.
+
+The gate walks ``occob.__all__``.  Each callable export is in exactly one of
+two places:
+
+* ``BAD_VALUES``: calls that pass it bad values, each of which must raise the
+  named ``OcError`` subclass.
+* ``TOTAL``: plain records and functions that are defined on every value of
+  their argument types, each with the reason.
+
+Arguments that are not of the annotated type at all, such as an ``int``
+where a ``Cobordism`` goes, are outside this contract.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+import occob
+from conftest import AB, STAR_SET, labeled_obj, star_obj
+from occob import (
+    STAR,
+    Arc,
+    Circle,
+    ClosedComponentError,
+    Cobordism,
+    CobordismDef,
+    Component,
+    CompositionError,
+    Document,
+    DslSyntaxError,
+    DslValidationError,
+    GeneralObject,
+    InClosed,
+    InfeasibleObjectError,
+    Interval,
+    IntervalRef,
+    InvalidCobordismError,
+    InvalidValueError,
+    Mixed,
+    OcError,
+    OutClosed,
+    Permutation,
+    Window,
+    boundary_permutation,
+    canonicalize,
+    compose,
+    enumerate_classes,
+    from_json,
+    identity,
+    in_ref,
+    invariant_summary,
+    is_isomorphic,
+    is_morphism,
+    make_T,
+    out_ref,
+    parse,
+    pullback,
+    realize,
+    serialize,
+    stabilize,
+    strata_table,
+    swap_cobordism,
+    tensor,
+    to_json,
+    window_vector,
+)
+
+ONE = star_obj("O")
+IV = star_obj("I")
+EMPTY = star_obj("")
+LONG = "1" * 5000  # past the interpreter's int conversion limit
+
+
+def _square(rev_in: bool = True) -> Cobordism:
+    """The identity on one interval, with a choice of incoming traversal."""
+    square = Mixed((out_ref(1), Arc(STAR), in_ref(1, rev_in), Arc(STAR)))
+    return Cobordism(IV, IV, (Component(0, (square,)),))
+
+
+def _to_circle(*boundary) -> Cobordism:
+    """A one-component cobordism from one interval to one circle."""
+    return Cobordism(IV, ONE, (Component(0, boundary),))
+
+
+def _undeclared_window() -> Cobordism:
+    return Cobordism(EMPTY, EMPTY, (Component(0, (Window("z"),)),))
+
+
+def _document(c: Cobordism) -> Document:
+    doc = Document(branes=STAR_SET)
+    doc.objects["s"], doc.objects["t"] = c.source, c.target
+    doc.cobordisms["c"] = CobordismDef("s", "t", c)
+    return doc
+
+
+def _repeated_ref() -> Cobordism:
+    cycle = (in_ref(1), Arc(STAR), in_ref(1), Arc(STAR))
+    return Cobordism(IV, EMPTY, (Component(0, (Mixed(cycle),)),))
+
+
+def _empty_cycle() -> Cobordism:
+    return Cobordism(EMPTY, EMPTY, (Component(0, (Mixed(()),)),))
+
+
+def _cap() -> Cobordism:
+    """A disc from one circle to nothing: gluing it on top closes a surface."""
+    return Cobordism(ONE, EMPTY, (Component(0, (InClosed(1),)),))
+
+
+_INCOHERENT = labeled_obj(AB, ["a:b", "a:b"], cycles=[[1, 2]])
+
+BAD_VALUES: dict[str, list[tuple[str, object, type[OcError]]]] = {
+    "Permutation": [
+        ("not a bijection", lambda: Permutation({1: 2}), InvalidValueError),
+        ("bool entries", lambda: Permutation({True: True}), InvalidValueError),
+        ("string entry", lambda: Permutation({1: "a", 2: 1}), InvalidValueError),
+        ("triple", lambda: Permutation([(1, 2, 3)]), InvalidValueError),
+        ("call outside domain", lambda: Permutation({1: 1})(3), InvalidValueError),
+        (
+            "cycle outside domain",
+            lambda: Permutation.from_cycles([[5]], {1}),
+            InvalidValueError,
+        ),
+        (
+            "element listed twice",
+            lambda: Permutation.from_cycles([[1, 2], [2]], {1, 2}),
+            InvalidValueError,
+        ),
+        ("identity on bools", lambda: Permutation.identity([True]), InvalidValueError),
+    ],
+    "GeneralObject": [
+        ("no branes", lambda: GeneralObject([]), InvalidValueError),
+        ("empty label", lambda: GeneralObject([""]), InvalidValueError),
+        (
+            "undeclared label",
+            lambda: GeneralObject(STAR_SET, [Interval(STAR, "z")]),
+            InvalidValueError,
+        ),
+        (
+            "not an entry",
+            lambda: GeneralObject(STAR_SET, [Window(STAR)]),
+            InvalidValueError,
+        ),
+        (
+            "sigma on the wrong domain",
+            lambda: GeneralObject(STAR_SET, [Circle()], Permutation.identity([1])),
+            InvalidValueError,
+        ),
+        ("interval out of range", lambda: ONE.interval(9), InvalidValueError),
+        ("interval at a circle", lambda: ONE.interval(1), InvalidValueError),
+        (
+            "tensor over other branes",
+            lambda: ONE.tensor(GeneralObject(AB, [])),
+            InvalidValueError,
+        ),
+    ],
+    "IntervalRef": [
+        ("unknown side", lambda: IntervalRef("up", 1, False), InvalidValueError),
+    ],
+    "Component": [
+        ("negative genus", lambda: Component(-1), InvalidValueError),
+    ],
+    "window_vector": [
+        (
+            "undeclared window brane",
+            lambda: window_vector(_undeclared_window()),
+            InvalidCobordismError,
+        ),
+    ],
+    "invariant_summary": [
+        (
+            "undeclared window brane",
+            lambda: invariant_summary(_undeclared_window()),
+            InvalidCobordismError,
+        ),
+    ],
+    "boundary_permutation": [
+        (
+            "target is not one circle",
+            lambda: boundary_permutation(identity(IV)),
+            InvalidValueError,
+        ),
+        (
+            "outgoing reference in a mixed circle",
+            lambda: boundary_permutation(
+                _to_circle(Mixed((in_ref(1), Arc(STAR), out_ref(1), Arc(STAR))))
+            ),
+            InvalidCobordismError,
+        ),
+        (
+            "source interval on no circle",
+            lambda: boundary_permutation(_to_circle(OutClosed(1))),
+            InvalidCobordismError,
+        ),
+    ],
+    "compose": [
+        (
+            "interface mismatch",
+            lambda: compose(identity(ONE), identity(IV)),
+            CompositionError,
+        ),
+        (
+            "both sides traverse the glued interval alike",
+            lambda: compose(_square(rev_in=False), _square(rev_in=False)),
+            CompositionError,
+        ),
+        (
+            "closes a component",
+            lambda: compose(_cap(), realize(EMPTY)),
+            ClosedComponentError,
+        ),
+    ],
+    "tensor": [
+        (
+            "different brane sets",
+            lambda: tensor(identity(ONE), identity(GeneralObject(AB, []))),
+            InvalidValueError,
+        ),
+    ],
+    "swap_cobordism": [
+        (
+            "different brane sets",
+            lambda: swap_cobordism(ONE, GeneralObject(AB, [])),
+            CompositionError,
+        ),
+    ],
+    "realize": [
+        ("incoherent cycle", lambda: realize(_INCOHERENT), InfeasibleObjectError),
+    ],
+    "pullback": [
+        (
+            "tau on the wrong domain",
+            lambda: pullback(identity(IV), Permutation.identity([5])),
+            InvalidValueError,
+        ),
+    ],
+    "is_morphism": [
+        (
+            "source does not match",
+            lambda: is_morphism(identity(IV), ONE, IV),
+            CompositionError,
+        ),
+    ],
+    "make_T": [
+        ("no branes", lambda: make_T([]), InvalidValueError),
+    ],
+    "stabilize": [
+        (
+            "target is not one circle",
+            lambda: stabilize(identity(IV)),
+            CompositionError,
+        ),
+        (
+            "no component holds the outgoing circle",
+            lambda: stabilize(Cobordism(EMPTY, ONE, ())),
+            CompositionError,
+        ),
+    ],
+    "canonicalize": [
+        (
+            "repeated reference",
+            lambda: canonicalize(_repeated_ref()),
+            InvalidCobordismError,
+        ),
+        (
+            "empty mixed cycle",
+            lambda: canonicalize(_empty_cycle()),
+            InvalidCobordismError,
+        ),
+    ],
+    "is_isomorphic": [
+        (
+            "different objects",
+            lambda: is_isomorphic(identity(ONE), identity(IV)),
+            CompositionError,
+        ),
+    ],
+    "enumerate_classes": [
+        ("negative bound", lambda: enumerate_classes(ONE, -1, 0), InvalidValueError),
+        (
+            "infeasible object",
+            lambda: enumerate_classes(_INCOHERENT, 0, 0),
+            InfeasibleObjectError,
+        ),
+    ],
+    "strata_table": [
+        ("negative bound", lambda: strata_table(ONE, 0, -1), InvalidValueError),
+    ],
+    "parse": [
+        ("grammar", lambda: parse("object a = [O"), DslSyntaxError),
+        (
+            "over-long integer",
+            lambda: parse(f"object a = [I(*,*)] sigma ({LONG});"),
+            DslSyntaxError,
+        ),
+        (
+            "invalid cobordism",
+            lambda: parse("object c = [O];\ncobordism x : c -> c { }"),
+            DslValidationError,
+        ),
+    ],
+    "serialize": [
+        (
+            "invalid cobordism",
+            lambda: serialize(_document(_empty_cycle())),
+            InvalidCobordismError,
+        ),
+    ],
+    "to_json": [
+        (
+            "invalid cobordism",
+            lambda: to_json(_document(_repeated_ref())),
+            InvalidCobordismError,
+        ),
+    ],
+    "from_json": [
+        ("not JSON", lambda: from_json("{"), DslSyntaxError),
+        ("unknown format", lambda: from_json({"format": 2}), DslSyntaxError),
+        (
+            "over-long integer",
+            lambda: from_json(f'{{"format": {LONG}}}'),
+            DslSyntaxError,
+        ),
+    ],
+}
+
+_RECORD = "a record; validate or the object that holds it checks its values"
+_RESULT = "a result record, built by the library"
+_EXCEPTION = "an exception class, which takes any message"
+
+TOTAL: dict[str, str] = {
+    "Circle": "a record with no fields",
+    "Interval": _RECORD,
+    "Arc": _RECORD,
+    "InClosed": _RECORD,
+    "OutClosed": _RECORD,
+    "Window": _RECORD,
+    "Mixed": _RECORD,
+    "Cobordism": _RECORD,
+    "Document": "a record; parse and from_json check what goes in it",
+    "MixedEntry": "a type alias, not called",
+    "BoundaryCircle": "a type alias, not called",
+    "Violation": _RESULT,
+    "ComponentSummary": _RESULT,
+    "InvariantSummary": _RESULT,
+    "CanonicalForm": _RESULT,
+    "StrataRow": _RESULT,
+    "CobordismDef": _RESULT,
+    "in_ref": "an IntervalRef with a valid side, for any index",
+    "out_ref": "an IntervalRef with a valid side, for any index",
+    "validate": "reports what is wrong as Violation values",
+    "euler_char": "arithmetic on the genus and the boundary count",
+    "euler_total": "a sum of euler_char",
+    "in_b_subcategory": "a yes-or-no question about the components",
+    "component_summary": "counts the boundary circles of any component",
+    "identity": "a cylinder or a square for each entry of any object",
+    "OcError": _EXCEPTION,
+    "CompositionError": _EXCEPTION,
+    "ClosedComponentError": _EXCEPTION,
+    "InfeasibleObjectError": _EXCEPTION,
+    "InvalidCobordismError": _EXCEPTION,
+    "InvalidValueError": _EXCEPTION,
+    "DslSyntaxError": _EXCEPTION,
+    "DslValidationError": _EXCEPTION,
+}
+
+
+def test_every_callable_export_is_covered_once():
+    callables = {name for name in occob.__all__ if callable(getattr(occob, name))}
+    missing = sorted(callables - BAD_VALUES.keys() - TOTAL.keys())
+    twice = sorted(BAD_VALUES.keys() & TOTAL.keys())
+    stale = sorted((BAD_VALUES.keys() | TOTAL.keys()) - callables)
+    caseless = sorted(name for name, cases in BAD_VALUES.items() if not cases)
+    assert (missing, twice, stale, caseless) == ([], [], [], [])
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(call, error, id=f"{name}: {what}")
+        for name, cases in BAD_VALUES.items()
+        for what, call, error in cases
+    ],
+)
+def test_a_bad_value_raises_an_oc_error(call, error):
+    assert issubclass(error, OcError)
+    with pytest.raises(error):
+        call()

@@ -53,7 +53,7 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 def middle_interval_count(obj: GeneralObject) -> int:
-    return obj.alpha
+    return len(obj.interval_indices)
 
 
 class TestIdentity:

@@ -39,6 +39,7 @@ cobordism P : p2 -> p1 {
 """
 
 BROKEN = "object a = [O\n"
+LONG = "1" * 5000  # past the interpreter's int conversion limit
 
 INVALID = """\
 object c1 = [O];
@@ -79,6 +80,21 @@ class TestCheck:
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["check", "/nonexistent/nowhere.occ"]) == 2
+
+    def test_path_with_a_nul_byte_exits_2(self, capsys):
+        assert main(["check", "a\x00b"]) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot read a\x00b: embedded null byte\n"
+        )
+
+    def test_over_long_integer_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "long.occ"
+        p.write_text(f"object a = [I(*,*)] sigma ({LONG});\n", encoding="utf-8")
+        assert main(["check", str(p)]) == 2
+        assert capsys.readouterr().err == (
+            "syntax error: line 1, column 28: "
+            "integer literal of 5000 digits is too long\n"
+        )
 
     def test_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
         p = tmp_path / "latin1.occ"
@@ -143,6 +159,13 @@ class TestQueries:
         assert main(["pullback", doc_path, "P", "--tau", "id"]) == 0
         assert capsys.readouterr().out.strip() == "(1 2)"
 
+    def test_pullback_over_long_integer_exits_2(self, doc_path, capsys):
+        assert main(["pullback", doc_path, "P", "--tau", f"(1 {LONG})"]) == 2
+        assert capsys.readouterr().err == (
+            "syntax error: line 1, column 4: "
+            "integer literal of 5000 digits is too long\n"
+        )
+
     def test_pullback_json(self, doc_path, capsys):
         assert main(["pullback", doc_path, "P", "--tau", "id", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -182,6 +205,22 @@ class TestClassify:
         assert out == ""
         assert err == f"error: cannot write {out_csv}: No such file or directory\n"
 
+    def test_csv_path_with_a_nul_byte_exits_2(self, doc_path, capsys):
+        argv = ["classify", doc_path, "c1", "-G", "1", "-W", "1", "--csv", "t\x00"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: cannot write t\x00: embedded null byte\n"
+
+    @pytest.mark.parametrize("flag", ["-G", "-W"])
+    def test_non_ascii_digits_exit_2(self, doc_path, capsys, flag):
+        argv = ["classify", doc_path, "c1", "-G", "1", "-W", "1"]
+        argv[argv.index(flag) + 1] = "\u0663"  # ARABIC-INDIC DIGIT THREE
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert "non-negative integer" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bounds", [("-3", "1"), ("1", "-2")])
     def test_negative_bound_exits_2(self, doc_path, capsys, bounds):
         with pytest.raises(SystemExit) as exit_:
@@ -202,7 +241,7 @@ class TestStabilize:
         doc = parse(capsys.readouterr().out)
         assert doc.cobordisms["result"].cobordism.components[0].genus == 1
 
-    @pytest.mark.parametrize("k", ["-3", "two"])
+    @pytest.mark.parametrize("k", ["-3", "two", "\u0663"])
     def test_bad_count_exits_2(self, doc_path, capsys, k):
         with pytest.raises(SystemExit) as exit_:
             main(["stabilize", doc_path, "T", "-k", k])

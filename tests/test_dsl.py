@@ -29,6 +29,8 @@ from occob.errors import DslError, DslSyntaxError, DslValidationError
 from occob.objects import Circle, GeneralObject, Interval
 from occob.sampling import sample_document
 
+LONG = "1" * 5000  # past the interpreter's int conversion limit
+
 
 class TestParseBasics:
     def test_reference_object_line(self):
@@ -120,6 +122,24 @@ class TestDiagnostics:
         with pytest.raises(DslSyntaxError) as err:
             parse("branes a;\nobject x = [I(a,z)];")
         self.assert_position(err.value)
+
+    @pytest.mark.parametrize(
+        "text, line, column",
+        [
+            (f"object a = [I(*,*)] sigma ({LONG});", 1, 28),
+            (
+                f"object c = [O];\ncobordism x : c -> c {{\ncomponent {{\ngenus {LONG}",
+                4,
+                7,
+            ),
+        ],
+        ids=["sigma", "genus"],
+    )
+    def test_over_long_integer_is_a_syntax_error(self, text, line, column):
+        with pytest.raises(DslSyntaxError) as err:
+            parse(text)
+        assert (err.value.line, err.value.column) == (line, column)
+        assert "integer literal of 5000 digits is too long" in str(err.value)
 
     def test_sigma_on_non_interval_is_validation_error(self):
         with pytest.raises(DslValidationError) as err:
@@ -538,6 +558,11 @@ class TestParseCycles:
     def test_rejects_garbage(self):
         with pytest.raises(DslSyntaxError):
             parse_cycles("(2 3")
+
+    def test_rejects_over_long_integer(self):
+        with pytest.raises(DslSyntaxError) as err:
+            parse_cycles(f"(2 {LONG})")
+        assert (err.value.line, err.value.column) == (1, 4)
 
 
 class TestCorpus:

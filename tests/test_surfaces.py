@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from conftest import AB, STAR_SET, labeled_obj, star_obj
-from occob.errors import OcError
+from occob.calculus import _genus
+from occob.errors import CompositionError, OcError
 from occob.objects import STAR, GeneralObject
 from occob.sampling import sample_cobordism, shuffled
 from occob.surfaces import (
@@ -21,7 +22,6 @@ from occob.surfaces import (
     component_summary,
     euler_char,
     euler_total,
-    genus_from_euler,
     in_b_subcategory,
     in_ref,
     invariant_summary,
@@ -181,15 +181,15 @@ class TestNumbers:
         assert euler_char(Component(0, (InClosed(1), OutClosed(1)))) == 0
 
     def test_genus_from_euler(self):
-        assert genus_from_euler(-3, 3) == 1
-        assert genus_from_euler(2 - 0 - 0, 0) == 0
-        assert genus_from_euler(-6, 4) == 2
+        assert _genus(-3, 3) == 1
+        assert _genus(2 - 0 - 0, 0) == 0
+        assert _genus(-6, 4) == 2
 
     def test_genus_from_euler_rejects_impossible(self):
-        with pytest.raises(ValueError):
-            genus_from_euler(1, 0)
-        with pytest.raises(ValueError):
-            genus_from_euler(3, 1)
+        with pytest.raises(CompositionError):
+            _genus(1, 0)
+        with pytest.raises(CompositionError):
+            _genus(3, 1)
 
     def test_window_vector_includes_zero_entries(self):
         src = labeled_obj(AB, ["O"])
@@ -282,7 +282,6 @@ class TestSummary:
         assert s.component_count == 2
         assert s.genus_total == 2
         assert dict(s.window_vector) == {"a": 2, "b": 1}
-        assert s.genus_by_component == (0, 2)
 
     def test_component_summary(self):
         comp = Component(1, (InClosed(1), Window("b"), Window("b"), OutClosed(1)))
