@@ -125,37 +125,50 @@ def compose(second: Cobordism, first: Cobordism) -> Cobordism:
         )
     middle = first.target
 
-    pieces = list(first.components) + list(second.components)
+    pieces = first.components + second.components
     n_first = len(first.components)
     uf = _UnionFind(len(pieces))
 
-    # Index every glued closed circle by its piece, and every mixed-cycle
-    # entry by a node id (pid, bpos, epos); ids are inserted in sorted order.
+    # Index every glued closed circle by its piece, and number every
+    # mixed-cycle entry 0..N-1 in (piece, circle, entry) order: node x is
+    # entries[x], followed on its cycle by node succ[x], on piece owner[x].
+    # The other circles of each piece are kept as they are.
     out_circle_piece: dict[int, int] = {}  # middle circle -> piece in first
     in_circle_piece: dict[int, int] = {}  # middle circle -> piece in second
-    succ: dict[tuple, tuple] = {}
-    entry_at: dict[tuple, MixedEntry] = {}
-    out_nodes: dict[int, tuple] = {}  # middle interval -> node in first
-    in_nodes: dict[int, tuple] = {}  # middle interval -> node in second
+    entries: list[MixedEntry] = []
+    succ: list[int] = []
+    owner: list[int] = []
+    out_nodes: dict[int, int] = {}  # middle interval -> node in first
+    in_nodes: dict[int, int] = {}  # middle interval -> node in second
+    kept: list[list[BoundaryCircle]] = []  # piece -> circles kept
     for pid, comp in enumerate(pieces):
-        from_first = pid < n_first
-        for bpos, circ in enumerate(comp.boundary):
-            if from_first and isinstance(circ, OutClosed):
-                out_circle_piece[circ.index] = pid
-            elif not from_first and isinstance(circ, InClosed):
-                in_circle_piece[circ.index] = pid
-            if not isinstance(circ, Mixed):
-                continue
-            n = len(circ.cycle)
-            for epos, entry in enumerate(circ.cycle):
-                node = (pid, bpos, epos)
-                succ[node] = (pid, bpos, (epos + 1) % n)
-                entry_at[node] = entry
-                if isinstance(entry, IntervalRef):
-                    if from_first and entry.side == OUT:
-                        out_nodes[entry.index] = node
-                    elif not from_first and entry.side == IN:
-                        in_nodes[entry.index] = node
+        if pid < n_first:
+            glued_closed, circle_piece, side, nodes = (
+                OutClosed, out_circle_piece, OUT, out_nodes
+            )
+        else:
+            glued_closed, circle_piece, side, nodes = (
+                InClosed, in_circle_piece, IN, in_nodes
+            )
+        stay: list[BoundaryCircle] = []
+        for circ in comp.boundary:
+            if isinstance(circ, Mixed):
+                cycle = circ.cycle
+                if not cycle:
+                    continue
+                base = len(entries)
+                entries += cycle
+                owner += [pid] * len(cycle)
+                succ += range(base + 1, base + len(cycle))
+                succ.append(base)
+                for node, entry in enumerate(cycle, base):
+                    if isinstance(entry, IntervalRef) and entry.side == side:
+                        nodes[entry.index] = node
+            elif isinstance(circ, glued_closed):
+                circle_piece[circ.index] = pid
+            else:
+                stay.append(circ)
+        kept.append(stay)
 
     # Glue closed circles: merge the components; assembly drops the pair.
     for i in middle.circle_indices:
@@ -164,68 +177,68 @@ def compose(second: Cobordism, first: Cobordism) -> Cobordism:
             _attached(in_circle_piece, "circle", i, "second"),
         )
 
-    # Glue intervals: mark the reference pair, merge, count the splice.
-    partner: dict[tuple, tuple] = {}
+    # Glue intervals: pair the two references, merge, count the splice.
+    # A paired node counts as visited: the trace steps over it.
+    partner = [-1] * len(entries)
+    visited = bytearray(len(entries))
     splices: list[int] = []
     for i in middle.interval_indices:
         a = _attached(out_nodes, "interval", i, "first")
         b = _attached(in_nodes, "interval", i, "second")
-        if entry_at[a].rev == entry_at[b].rev:
+        if entries[a].rev == entries[b].rev:
             raise CompositionError(
                 f"incoherent traversal of glued interval {i}: both sides "
                 "meet its endpoints in the same order"
             )
         partner[a] = b
         partner[b] = a
-        uf.union(a[0], b[0])
-        splices.append(a[0])
+        visited[a] = visited[b] = 1
+        uf.union(owner[a], owner[b])
+        splices.append(owner[a])
+    # A class is named by its least piece, so classes come up in order.
+    root = [uf.find(pid) for pid in range(len(pieces))]
 
     # Trace the glued boundary: walk successor links, crossing each glued
     # interval onto the other surface.  Runs of arcs then fuse into one.
-    glued = set(partner)
     traced: dict[int, list[BoundaryCircle]] = {}
-    visited: set[tuple] = set(glued)
-    for start in succ:
-        if start in visited:
-            continue
+    start = visited.find(0)
+    while start >= 0:
         seq: list[MixedEntry] = []
         cur = start
         while True:
-            visited.add(cur)
-            seq.append(entry_at[cur])
-            nxt = succ[cur]
-            while nxt in glued:
-                nxt = succ[partner[nxt]]
-            cur = nxt
+            visited[cur] = 1
+            seq.append(entries[cur])
+            cur = succ[cur]
+            while partner[cur] >= 0:
+                cur = succ[partner[cur]]
             if cur == start:
                 break
-        cls = uf.find(start[0])
-        traced.setdefault(cls, []).append(_fuse_arcs(seq))
+        traced.setdefault(root[owner[start]], []).append(_fuse_arcs(seq))
+        start = visited.find(0, start + 1)
 
     # Assemble the result components class by class.
-    kept: dict[int, list[BoundaryCircle]] = {}
     chi: dict[int, int] = {}
+    boundary: dict[int, list[BoundaryCircle]] = {}
     for pid, comp in enumerate(pieces):
-        cls = uf.find(pid)
-        chi[cls] = chi.get(cls, 0) + euler_char(comp)
-        glued_closed = OutClosed if pid < n_first else InClosed
-        for circ in comp.boundary:
-            if not isinstance(circ, (Mixed, glued_closed)):
-                kept.setdefault(cls, []).append(circ)
+        cls = root[pid]
+        if cls == pid:
+            chi[cls] = euler_char(comp)
+            boundary[cls] = kept[pid]
+        else:
+            chi[cls] += euler_char(comp)
+            boundary[cls] += kept[pid]
     for pid in splices:
-        cls = uf.find(pid)
-        chi[cls] -= 1
+        chi[root[pid]] -= 1
 
     components = []
-    for cls in sorted(chi):
-        boundary = kept.get(cls, []) + traced.get(cls, [])
-        if not boundary:
+    for cls, circles in boundary.items():
+        circles += traced.get(cls, ())
+        if not circles:
             raise ClosedComponentError(
                 "gluing closed a component off from all boundary"
             )
-        genus = _genus(chi[cls], len(boundary))
-        components.append(Component(genus, tuple(boundary)))
-    return Cobordism(first.source, second.target, tuple(components))
+        components.append(Component(_genus(chi[cls], len(circles)), circles))
+    return Cobordism(first.source, second.target, components)
 
 
 def _genus(chi: int, boundary_count: int) -> int:
@@ -255,38 +268,35 @@ def _attached(table: dict, kind: str, i: int, factor: str):
 def _fuse_arcs(seq: list[MixedEntry]) -> BoundaryCircle:
     """Collapse runs of adjacent arcs in a traced cycle.
 
-    A cycle with no interval reference left becomes a window; its arcs
-    must all carry one brane.
+    The cycle is read from its first interval reference.  A cycle with no
+    interval reference left becomes a window.  The arcs of a run must all
+    carry one brane.
     """
-    if all(isinstance(e, Arc) for e in seq):
+    for shift, e in enumerate(seq):
+        if isinstance(e, IntervalRef):
+            break
+    else:
         branes = {e.brane for e in seq}
         if len(branes) != 1:
             raise CompositionError(
                 f"arc branes disagree on a glued free circle: {sorted(branes)}"
             )
         return Window(branes.pop())
-    shift = next(i for i, e in enumerate(seq) if isinstance(e, IntervalRef))
     rotated = seq[shift:] + seq[:shift]
     out: list[MixedEntry] = []
-    run: list[Arc] = []
-
-    def close_run():
-        if run:
-            branes = {a.brane for a in run}
-            if len(branes) != 1:
-                raise CompositionError(
-                    f"arc branes disagree across a glued interval: {sorted(branes)}"
-                )
-            out.append(Arc(branes.pop()))
-            run.clear()
-
-    for e in rotated:
-        if isinstance(e, IntervalRef):
-            close_run()
+    for k, e in enumerate(rotated):
+        if isinstance(e, IntervalRef) or isinstance(out[-1], IntervalRef):
             out.append(e)
-        else:
-            run.append(e)
-    close_run()
+        elif e.brane != out[-1].brane:
+            lo = hi = k
+            while not isinstance(rotated[lo - 1], IntervalRef):
+                lo -= 1
+            while hi < len(rotated) and not isinstance(rotated[hi], IntervalRef):
+                hi += 1
+            branes = sorted({a.brane for a in rotated[lo:hi]})
+            raise CompositionError(
+                f"arc branes disagree across a glued interval: {branes}"
+            )
     return Mixed(out)
 
 

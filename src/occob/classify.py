@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from operator import itemgetter
 
 from occob.calculus import realize
 from occob.errors import CompositionError, InvalidCobordismError, InvalidValueError
@@ -26,6 +27,7 @@ from occob.surfaces import (
     Mixed,
     OutClosed,
     Window,
+    _not_a_circle,
     in_b_subcategory,
     window_vector,
 )
@@ -43,6 +45,8 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # total encodings
 
+_first = itemgetter(0)
+
 # Entry order inside mixed cycles: references before arcs, references by
 # (side, index, rev), arcs by brane.
 
@@ -53,8 +57,13 @@ def _entry_key(e) -> tuple:
     return (1, e.brane)
 
 
-def _min_rotation(cycle: tuple) -> tuple:
-    # A valid cycle holds each reference once, so its least entry is unique.
+def _mixed_key(cycle: tuple) -> tuple[tuple, int]:
+    """The key of a mixed circle at its least rotation, and where that starts.
+
+    A valid cycle holds each reference once, so its least entry is unique:
+    the least rotation starts there, and its key is the entry keys rotated
+    with it.
+    """
     keys = [_entry_key(e) for e in cycle]
     least = min(keys, default=None)
     if least is None or least[0] != 0 or keys.count(least) != 1:
@@ -63,17 +72,23 @@ def _min_rotation(cycle: tuple) -> tuple:
             "the cobordism is not valid"
         )
     best = keys.index(least)
-    return cycle[best:] + cycle[:best]
+    return (3, tuple(keys[best:] + keys[:best])), best
 
 
 def _circle_key(circ: BoundaryCircle) -> tuple:
+    if isinstance(circ, Mixed):
+        return _mixed_key(circ.cycle)[0]
     if isinstance(circ, InClosed):
         return (0, circ.index)
     if isinstance(circ, OutClosed):
         return (1, circ.index)
     if isinstance(circ, Window):
         return (2, circ.brane)
-    return (3, tuple(_entry_key(e) for e in circ.cycle))
+    raise InvalidCobordismError(_not_a_circle(circ))
+
+
+def _component_key(comp: Component) -> tuple:
+    return (comp.genus, tuple(sorted(map(_circle_key, comp.boundary))))
 
 
 def _object_key(obj: GeneralObject) -> tuple:
@@ -97,31 +112,47 @@ def canonicalize(c: Cobordism) -> CanonicalForm:
 
     Requires ``c`` to be valid (``surfaces.validate`` returns no
     violations): each mixed cycle then starts at its least interval
-    reference.  On valid input the result is idempotent, and invariant
-    under any reordering of components or boundary circles and any
-    rotation of mixed cycles.  A mixed cycle without a unique least
-    interval reference raises ``InvalidCobordismError``.
+    reference.  Each circle's key is computed once: a mixed circle's is
+    its entry keys, rotated with the cycle.  The key is the two object
+    keys and the sorted component keys, a component's key being its genus
+    and its sorted circle keys.  On valid input the result is idempotent,
+    and invariant under any reordering of components or boundary circles
+    and any rotation of mixed cycles.  A mixed cycle without a unique
+    least interval reference raises ``InvalidCobordismError``.
     """
     keyed = []
     for comp in c.components:
-        boundary = [
-            Mixed(_min_rotation(circ.cycle)) if isinstance(circ, Mixed) else circ
-            for circ in comp.boundary
-        ]
-        boundary.sort(key=_circle_key)
-        comp_key = (comp.genus, tuple(map(_circle_key, boundary)))
-        keyed.append((comp_key, Component(comp.genus, boundary)))
-    keyed.sort(key=lambda kc: kc[0])
+        circles = []
+        for circ in comp.boundary:
+            if isinstance(circ, Mixed):
+                key, best = _mixed_key(circ.cycle)
+                if best:
+                    circ = Mixed(circ.cycle[best:] + circ.cycle[:best])
+            else:
+                key = _circle_key(circ)
+            circles.append((key, circ))
+        circles.sort(key=_first)
+        comp_key = (comp.genus, tuple(k for k, _ in circles))
+        keyed.append((comp_key, Component(comp.genus, (circ for _, circ in circles))))
+    keyed.sort(key=_first)
     canonical = Cobordism(c.source, c.target, (comp for _, comp in keyed))
     key = (_object_key(c.source), _object_key(c.target), tuple(k for k, _ in keyed))
     return CanonicalForm(key, canonical)
 
 
 def is_isomorphic(a: Cobordism, b: Cobordism) -> bool:
-    """Equality of canonical forms of two valid cobordisms between the same objects."""
+    """Do two valid cobordisms between the same objects have one canonical key?
+
+    After checking that the sources and the targets are equal, compares
+    the sorted component keys only: no canonical cobordism or object key
+    is built.  A mixed cycle without a unique least interval reference
+    raises ``InvalidCobordismError``, as in ``canonicalize``.
+    """
     if a.source != b.source or a.target != b.target:
         raise CompositionError("cobordisms with different source or target objects")
-    return canonicalize(a).key == canonicalize(b).key
+    return sorted(map(_component_key, a.components)) == sorted(
+        map(_component_key, b.components)
+    )
 
 
 # ---------------------------------------------------------------------------

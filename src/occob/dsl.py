@@ -512,6 +512,17 @@ def _fmt_bline(circ, single: bool) -> str:
     return f"mixed [{inner}];"
 
 
+def _decimal(n: int) -> str:
+    """``n`` in decimal, or ``InvalidValueError`` for an integer longer
+    than the interpreter writes."""
+    try:
+        return int.__repr__(n)
+    except ValueError:
+        raise InvalidValueError(
+            f"an integer of {n.bit_length()} bits is too long to write in decimal"
+        ) from None
+
+
 def serialize(doc: Document) -> str:
     """Deterministic canonical text: sorted names, canonical cobordisms.
 
@@ -531,7 +542,7 @@ def serialize(doc: Document) -> str:
         lines = [f"cobordism {name} : {d.source_name} -> {d.target_name} {{"]
         for comp in canonical.components:
             lines.append("  component {")
-            lines.append(f"    genus {comp.genus};")
+            lines.append(f"    genus {_decimal(comp.genus)};")
             for circ in comp.boundary:
                 lines.append("    " + _fmt_bline(circ, single))
             lines.append("  }")
@@ -627,7 +638,7 @@ def _write_json(value, newline: str, write) -> None:
     elif value is False:
         write("false")
     elif isinstance(value, int):
-        write(int.__repr__(value))
+        write(_decimal(value))
     elif isinstance(value, dict):
         if not value:
             write("{}")

@@ -263,16 +263,28 @@ class GeneralObject:
     # -- monoidal structure ---------------------------------------------
 
     def tensor(self, other: "GeneralObject") -> "GeneralObject":
-        """Juxtaposition: concatenate entries, shift the second sigma."""
+        """Juxtaposition: concatenate entries, shift the second sigma.
+
+        Over one brane set the juxtaposition of two valid objects is valid
+        by construction: the shifted pairs of the second sigma follow the
+        sorted pairs of the first, on the interval positions of the
+        concatenated entries.  So it is assembled directly, and no check
+        runs.  Different brane sets raise ``InvalidValueError``.
+        """
         if self.branes != other.branes:
             raise InvalidValueError(
                 f"brane sets differ: {sorted(self.branes)} versus "
                 f"{sorted(other.branes)}"
             )
         n = len(self.entries)
-        shifted = tuple((k + n, v + n) for k, v in other.sigma.pairs)
-        return GeneralObject(
-            self.branes,
-            self.entries + other.entries,
-            Permutation(self.sigma.pairs + shifted),
+        sigma = object.__new__(Permutation)
+        object.__setattr__(
+            sigma,
+            "pairs",
+            self.sigma.pairs + tuple((k + n, v + n) for k, v in other.sigma.pairs),
         )
+        joined = object.__new__(GeneralObject)
+        object.__setattr__(joined, "branes", self.branes)
+        object.__setattr__(joined, "entries", self.entries + other.entries)
+        object.__setattr__(joined, "sigma", sigma)
+        return joined

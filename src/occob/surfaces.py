@@ -196,14 +196,29 @@ def _side_object(c: Cobordism, ref: IntervalRef) -> GeneralObject:
     return c.source if ref.side == IN else c.target
 
 
+def _shown_index(index) -> str:
+    """An index as a message shows it: an integer too long for the
+    interpreter to write in decimal is shown by its size."""
+    try:
+        return str(index)
+    except ValueError:
+        return f"<an integer of {index.bit_length()} bits>"
+
+
+def _not_a_circle(circ) -> str:
+    return f"{type(circ).__name__} is not a kind of boundary circle"
+
+
 def validate(c: Cobordism) -> list[Violation]:
     """Check structural validity; an empty list means valid.
 
     Rules checked, in the order reported: matching brane sets, per
-    component nonempty boundary, well-formed boundary circles (index
-    ranges, brane membership, strict ref/arc alternation, arc labels
-    matching the interval endpoints they touch), and globally that every
-    source and target entry is used by exactly one boundary circle.
+    component nonempty boundary, well-formed boundary circles (kinds of
+    circles and of mixed-cycle entries, index ranges, brane membership,
+    strict ref/arc alternation, arc labels matching the interval endpoints
+    they touch), and globally that every source and target entry is used
+    by exactly one boundary circle.  An index too long to write in decimal
+    is shown by its size.
     """
     v: list[Violation] = []
     if c.source.branes != c.target.branes:
@@ -244,7 +259,7 @@ def validate(c: Cobordism) -> list[Violation]:
                             "index-range",
                             where,
                             f"{'source' if incoming else 'target'} has no circle "
-                            f"at position {circ.index}",
+                            f"at position {_shown_index(circ.index)}",
                         )
                     )
             elif isinstance(circ, Window):
@@ -258,8 +273,8 @@ def validate(c: Cobordism) -> list[Violation]:
                     )
             elif isinstance(circ, Mixed):
                 v.extend(_validate_mixed(c, branes, circ, where, in_refs, out_refs))
-            else:  # pragma: no cover - defensive
-                v.append(Violation("kind", where, f"unknown circle {circ!r}"))
+            else:
+                v.append(Violation("kind", where, _not_a_circle(circ)))
 
     def check_exactly_once(counter, indices, rule_what, where_side):
         for i in indices:
@@ -314,7 +329,7 @@ def _validate_mixed(c, branes, circ, where, in_refs, out_refs) -> list[Violation
             )
         )
     has_ref = False
-    ok_refs = True
+    ok_refs = True  # every entry is an arc or a reference to an interval
     for k, entry in enumerate(cyc):
         if isinstance(entry, Arc):
             if entry.brane not in branes:
@@ -326,6 +341,17 @@ def _validate_mixed(c, branes, circ, where, in_refs, out_refs) -> list[Violation
                     )
                 )
             continue
+        if not isinstance(entry, IntervalRef):
+            v.append(
+                Violation(
+                    "kind",
+                    where,
+                    f"entry {k + 1}: {type(entry).__name__} is neither an "
+                    "interval reference nor an arc",
+                )
+            )
+            ok_refs = False
+            continue
         has_ref = True
         obj = _side_object(c, entry)
         counter = in_refs if entry.side == IN else out_refs
@@ -336,7 +362,8 @@ def _validate_mixed(c, branes, circ, where, in_refs, out_refs) -> list[Violation
                 Violation(
                     "index-range",
                     where,
-                    f"{side_name} has no interval at position {entry.index}",
+                    f"{side_name} has no interval at position "
+                    f"{_shown_index(entry.index)}",
                 )
             )
             ok_refs = False
@@ -505,11 +532,18 @@ _KIND_NAMES = {InClosed: "in", OutClosed: "out", Window: "window", Mixed: "mixed
 
 def component_summary(comp: Component) -> ComponentSummary:
     """Genus, windows per brane, boundary kinds and Euler characteristic of
-    one component, invariant under boundary reordering and cycle rotation."""
+    one component, invariant under boundary reordering and cycle rotation.
+
+    A boundary element that is not one of the four circle kinds raises
+    ``InvalidCobordismError``.
+    """
     windows: Counter[str] = Counter()
     kinds: Counter[str] = Counter()
     for circ in comp.boundary:
-        kinds[_KIND_NAMES[type(circ)]] += 1
+        kind = _KIND_NAMES.get(type(circ))
+        if kind is None:
+            raise InvalidCobordismError(_not_a_circle(circ))
+        kinds[kind] += 1
         if isinstance(circ, Window):
             windows[circ.brane] += 1
     return ComponentSummary(

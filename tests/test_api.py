@@ -44,6 +44,7 @@ from occob import (
     Window,
     boundary_permutation,
     canonicalize,
+    component_summary,
     compose,
     enumerate_classes,
     from_json,
@@ -63,6 +64,7 @@ from occob import (
     swap_cobordism,
     tensor,
     to_json,
+    validate,
     window_vector,
 )
 
@@ -70,6 +72,7 @@ ONE = star_obj("O")
 IV = star_obj("I")
 EMPTY = star_obj("")
 LONG = "1" * 5000  # past the interpreter's int conversion limit
+HUGE = 10**5000  # an int the interpreter will not write in decimal
 
 
 def _square(rev_in: bool = True) -> Cobordism:
@@ -101,6 +104,10 @@ def _repeated_ref() -> Cobordism:
 
 def _empty_cycle() -> Cobordism:
     return Cobordism(EMPTY, EMPTY, (Component(0, (Mixed(()),)),))
+
+
+def _huge_genus() -> Cobordism:
+    return Cobordism(ONE, ONE, (Component(HUGE, (InClosed(1), OutClosed(1))),))
 
 
 def _cap() -> Cobordism:
@@ -172,6 +179,23 @@ BAD_VALUES: dict[str, list[tuple[str, object, type[OcError]]]] = {
         (
             "undeclared window brane",
             lambda: invariant_summary(_undeclared_window()),
+            InvalidCobordismError,
+        ),
+        (
+            "an arc where a circle goes",
+            lambda: invariant_summary(_to_circle(Arc(STAR))),
+            InvalidCobordismError,
+        ),
+    ],
+    "component_summary": [
+        (
+            "an arc where a circle goes",
+            lambda: component_summary(Component(0, (Arc(STAR),))),
+            InvalidCobordismError,
+        ),
+        (
+            "a reference where a circle goes",
+            lambda: component_summary(Component(0, (in_ref(1),))),
             InvalidCobordismError,
         ),
     ],
@@ -268,6 +292,11 @@ BAD_VALUES: dict[str, list[tuple[str, object, type[OcError]]]] = {
             lambda: canonicalize(_empty_cycle()),
             InvalidCobordismError,
         ),
+        (
+            "an arc where a circle goes",
+            lambda: canonicalize(_to_circle(Arc(STAR))),
+            InvalidCobordismError,
+        ),
     ],
     "is_isomorphic": [
         (
@@ -306,12 +335,22 @@ BAD_VALUES: dict[str, list[tuple[str, object, type[OcError]]]] = {
             lambda: serialize(_document(_empty_cycle())),
             InvalidCobordismError,
         ),
+        (
+            "genus past the digit limit",
+            lambda: serialize(_document(_huge_genus())),
+            InvalidValueError,
+        ),
     ],
     "to_json": [
         (
             "invalid cobordism",
             lambda: to_json(_document(_repeated_ref())),
             InvalidCobordismError,
+        ),
+        (
+            "genus past the digit limit",
+            lambda: to_json(_document(_huge_genus())),
+            InvalidValueError,
         ),
     ],
     "from_json": [
@@ -353,7 +392,6 @@ TOTAL: dict[str, str] = {
     "euler_char": "arithmetic on the genus and the boundary count",
     "euler_total": "a sum of euler_char",
     "in_b_subcategory": "a yes-or-no question about the components",
-    "component_summary": "counts the boundary circles of any component",
     "identity": "a cylinder or a square for each entry of any object",
     "OcError": _EXCEPTION,
     "CompositionError": _EXCEPTION,
@@ -387,3 +425,37 @@ def test_a_bad_value_raises_an_oc_error(call, error):
     assert issubclass(error, OcError)
     with pytest.raises(error):
         call()
+
+
+def _disc(*extra) -> Cobordism:
+    """A valid disc from one interval to one circle, plus ``extra`` circles."""
+    return _to_circle(Mixed((in_ref(1), Arc(STAR))), OutClosed(1), *extra)
+
+
+@pytest.mark.parametrize("wrong", [Window(STAR), InClosed(1), Mixed(())])
+def test_validate_reports_a_wrong_kind_in_a_mixed_cycle(wrong):
+    cycle = (in_ref(1), Arc(STAR), wrong, Arc(STAR))
+    c = _to_circle(Mixed(cycle), OutClosed(1))
+    (kind,) = [v for v in validate(c) if v.rule == "kind"]
+    assert kind.where == "component 1, circle 1"
+    name = type(wrong).__name__
+    assert kind.message == f"entry 3: {name} is neither an interval reference nor an arc"
+
+
+def test_validate_reports_a_wrong_kind_of_circle():
+    assert validate(_disc()) == []
+    (v,) = validate(_disc(Arc(STAR)))
+    assert (v.rule, v.where) == ("kind", "component 1, circle 3")
+    (v,) = validate(Cobordism(EMPTY, EMPTY, (Component(0, (in_ref(1),)),)))
+    assert v.message == "IntervalRef is not a kind of boundary circle"
+
+
+@pytest.mark.parametrize(
+    "circle",
+    [InClosed(HUGE), Mixed((in_ref(HUGE), Arc(STAR)))],
+    ids=["closed", "mixed"],
+)
+def test_validate_shows_an_overlong_index_by_its_size(circle):
+    c = Cobordism(ONE, ONE, (Component(0, (circle,)),))
+    (v,) = [v for v in validate(c) if v.rule == "index-range"]
+    assert v.message.endswith(f"at position <an integer of {HUGE.bit_length()} bits>")

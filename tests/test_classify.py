@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import AB, CORPUS, STAR_SET, star_obj
-from occob.calculus import identity, make_T, realize
+from occob.calculus import compose, identity, make_T, realize, stabilize
 from occob.classify import (
     CanonicalForm,
     _entry_key,
-    _min_rotation,
+    _mixed_key,
     canonicalize,
     enumerate_classes,
     is_isomorphic,
@@ -97,7 +97,10 @@ class TestCanonicalize:
                             continue
                         for s in range(len(circ.cycle)):
                             cyc = circ.cycle[s:] + circ.cycle[:s]
-                            assert _min_rotation(cyc) == full_min_rotation(cyc)
+                            least = full_min_rotation(cyc)
+                            key, best = _mixed_key(cyc)
+                            assert cyc[best:] + cyc[:best] == least
+                            assert key == (3, tuple(map(_entry_key, least)))
                             rotations += 1
         assert rotations > 10000
 
@@ -137,6 +140,46 @@ class TestIsIsomorphic:
         with pytest.raises(InvalidCobordismError):
             canonicalize(c)
 
+    def test_an_invalid_cycle_in_either_argument_raises(self):
+        src, tgt = star_obj("I"), star_obj("")
+
+        def cap(*cycle):
+            return Cobordism(src, tgt, (Component(0, (Mixed(cycle),)),))
+
+        good = cap(in_ref(1), Arc(STAR))
+        bad = cap(in_ref(1), Arc(STAR), in_ref(1), Arc(STAR))
+        assert validate(good) == [] and is_isomorphic(good, good)
+        for a, b in ((good, bad), (bad, good)):
+            with pytest.raises(InvalidCobordismError):
+                is_isomorphic(a, b)
+
+    @pytest.mark.parametrize("branes", [(STAR,), ("a", "b"), ("a", "b", "c")])
+    def test_agrees_with_canonical_keys(self, rng, branes):
+        def same_key(a, b):
+            return canonicalize(a).key == canonicalize(b).key
+
+        answers = set()
+        for _ in range(60):
+            c = sample_cobordism(rng, branes)
+            pairs = [(c, shuffled(rng, c)), (shuffled(rng, c), shuffled(rng, c))]
+            pairs += [(c, other) for other in _changed(rng, c)]
+            obj = sample_object(rng, branes)
+            r = realize(obj)
+            once = stabilize(r)
+            pairs += [
+                (once, compose(make_T(branes), r)),
+                (once, r),
+                (stabilize(once), shuffled(rng, stabilize(once))),
+                (stabilize(once), stabilize(shuffled(rng, once))),
+            ]
+            forms = enumerate_classes(obj, 1, 1)
+            pairs += [(f.cobordism, g.cobordism) for f in forms[:3] for g in forms[:3]]
+            for a, b in pairs:
+                answer = is_isomorphic(a, b)
+                assert answer == same_key(a, b)
+                answers.add(answer)
+        assert answers == {True, False}
+
     def test_window_brane_matters(self):
         src = GeneralObject(AB, ())
         base = Component(0, (Window("a"),))
@@ -144,6 +187,25 @@ class TestIsIsomorphic:
         ca = Cobordism(src, src, (base,))
         cb = Cobordism(src, src, (other,))
         assert not is_isomorphic(ca, cb)
+
+
+def _changed(rng: random.Random, c: Cobordism) -> list[Cobordism]:
+    """Copies of ``c`` between the same objects in another class: one
+    component gains a genus, or a window of the first brane."""
+    if not c.components:
+        return []
+    k = rng.randrange(len(c.components))
+    comp = c.components[k]
+    window = Window(sorted(c.source.branes)[0])
+    out = []
+    for changed in (
+        Component(comp.genus + 1, comp.boundary),
+        Component(comp.genus, comp.boundary + (window,)),
+    ):
+        comps = list(c.components)
+        comps[k] = changed
+        out.append(Cobordism(c.source, c.target, comps))
+    return out
 
 
 class TestEnumerate:

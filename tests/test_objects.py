@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import AB, STAR_SET, labeled_obj, star_obj
 from occob.objects import STAR, Circle, GeneralObject, Interval, Permutation
+from occob.sampling import sample_object
 
 
 class TestPermutation:
@@ -99,6 +102,22 @@ class TestGeneralObject:
             a.tensor(b)
         both = labeled_obj(AB, ["a:a"]).tensor(labeled_obj(AB, ["b:b"]))
         assert both.branes == AB
+
+    @pytest.mark.parametrize("branes", [(STAR,), ("a", "b"), ("a", "b", "c")])
+    def test_tensor_equals_the_checked_construction(self, branes):
+        rng = random.Random(0xC0B0)
+        empty = GeneralObject(branes)
+        objects = [empty] + [sample_object(rng, branes) for _ in range(40)]
+        for a in objects:
+            for b in objects[:10] + [empty]:
+                n = len(a.entries)
+                shifted = tuple((k + n, v + n) for k, v in b.sigma.pairs)
+                sigma = Permutation(a.sigma.pairs + shifted)
+                want = GeneralObject(a.branes, a.entries + b.entries, sigma)
+                got = a.tensor(b)
+                assert got == want
+                assert hash(got) == hash(want)
+                assert repr(got) == repr(want)
 
     def test_interval_accessor(self):
         obj = labeled_obj(AB, ["O", "a:b"])
