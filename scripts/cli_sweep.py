@@ -8,6 +8,10 @@ with ``-k 1`` and ``-k 3`` and ``pullback --tau id`` on each cobordism;
 ``classify -G 2 -W 2`` on each object; ``swap`` on each ordered pair of
 objects.  Then ``check`` runs on each file of ``corpus/malformed``, and
 last come a few calls whose arguments the CLI must reject (``ERRORS``).
+After the calls on each ``corpus/roundtrip`` file, the script also prints
+the file's ``to_json`` text and that text read back by ``from_json`` and
+written by ``serialize``, which covers the JSON front end on source
+documents.
 
 Each call goes through ``occob.cli.main`` in the same process, and the
 script prints its arguments, exit code, standard output and standard
@@ -26,7 +30,7 @@ import os
 from pathlib import Path
 
 from occob.cli import main
-from occob.dsl import parse
+from occob.dsl import from_json, parse, serialize, to_json
 
 ROOT = Path(__file__).resolve().parents[1]
 REF = "corpus/roundtrip/ref_interfaces.occ"
@@ -50,6 +54,16 @@ def run(argv: list[str]) -> None:
     print(out.getvalue(), end="")
     print("--- stderr")
     print(err.getvalue(), end="")
+
+
+def json_round_trip(path: Path) -> None:
+    """Print ``to_json`` of a file and ``serialize`` of that read back."""
+    file = str(path.relative_to(ROOT))
+    text = to_json(parse(path.read_text(encoding="utf-8")))
+    print("$ to_json", file)
+    print(text, end="")
+    print("$ serialize from_json to_json", file)
+    print(serialize(from_json(text)), end="")
 
 
 def calls(path: Path):
@@ -80,6 +94,7 @@ def sweep() -> None:
         for argv in calls(path):
             run(argv)
             run(argv + ["--json"])
+        json_round_trip(path)
     for path in sorted((ROOT / "corpus" / "malformed").glob("*.occ")):
         run(["check", str(path.relative_to(ROOT))])
     for argv in ERRORS:

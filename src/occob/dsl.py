@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
@@ -115,6 +116,8 @@ _KEYWORDS = {
 _LEXEME = r"->|[0-9]+|\w+|[^ \t\r\n]"
 _COMMENT = re.compile(r"#[^\n]*")
 _TOKEN = re.compile(_LEXEME)
+# ``int()`` reads a literal this short whatever the interpreter's digit limit.
+_SHORT_INT = sys.int_info.str_digits_check_threshold
 _LOCATE = re.compile(rf"#[^\n]*|{_LEXEME}")
 
 
@@ -334,12 +337,7 @@ class _Parser:
         self.build.new_name("object", name, at)
         self.expect("=")
         self.expect("[")
-        entries = []
-        if self.peek() != "]":
-            entries.append(self.entry())
-            while self.peek() == ",":
-                self.advance()
-                entries.append(self.entry())
+        entries = self.entries() if self.peek() != "]" else []
         self.expect("]")
         cycles = None
         sigma_at = self.pos
@@ -348,6 +346,40 @@ class _Parser:
             cycles = self.cycles()
         self.expect(";")
         self.build.add_object(name, entries, cycles, sigma_at)
+
+    # The list productions read an item of the plain form straight from
+    # ``self.toks`` and hand any other to the method for one item, at its
+    # index.  Each lookahead past a token is taken only once that token is
+    # known not to be the end of input.
+
+    def entries(self) -> list:
+        """``entry ("," entry)*``."""
+        toks, branes = self.toks, self.build.doc.branes
+        out = []
+        k = self.pos
+        while True:
+            t = toks[k]
+            if t == "O":
+                out.append(Circle())
+                k += 1
+            elif (
+                t == "I"
+                and toks[k + 1] == "("
+                and toks[k + 2] in branes
+                and toks[k + 3] == ","
+                and toks[k + 4] in branes
+                and toks[k + 5] == ")"
+            ):
+                out.append(Interval(toks[k + 2], toks[k + 4]))
+                k += 6
+            else:
+                self.pos = k
+                out.append(self.entry())
+                k = self.pos
+            if toks[k] != ",":
+                self.pos = k
+                return out
+            k += 1
 
     def entry(self):
         t = self.peek()
@@ -371,15 +403,30 @@ class _Parser:
             return []
         if t != "(":
             self.fail(f"expected 'id' or a cycle '(..)', got {t or 'end of input'!r}")
+        toks = self.toks
         out = []
-        while self.peek() == "(":
-            self.advance()
-            cyc = [self.expect_int()]
-            while _is_int(self.peek()):
-                cyc.append(self.expect_int())
-            self.expect(")")
-            out.append(tuple(cyc))
+        k = self.pos
+        while toks[k] == "(":
+            start = k = k + 1
+            while "0" <= toks[k][:1] <= "9" and len(toks[k]) <= _SHORT_INT:
+                k += 1
+            if start < k and toks[k] == ")":
+                out.append(tuple(map(int, toks[start:k])))
+                k += 1
+            else:
+                self.pos = start - 1
+                out.append(self.cycle())
+                k = self.pos
+        self.pos = k
         return out
+
+    def cycle(self) -> tuple[int, ...]:
+        self.expect("(")
+        cyc = [self.expect_int()]
+        while _is_int(self.peek()):
+            cyc.append(self.expect_int())
+        self.expect(")")
+        return tuple(cyc)
 
     # cobordisms -----------------------------------------------------------
 
@@ -409,9 +456,31 @@ class _Parser:
         self.expect("genus")
         genus = self.expect_int()
         self.expect(";")
+        toks, branes = self.toks, self.build.doc.branes
         boundary = []
-        while self.peek() != "}":
+        k = self.pos
+        while (t := toks[k]) != "}":
+            if t == "in" or t == "out":
+                n = toks[k + 1]
+                if "0" <= n[:1] <= "9" and len(n) <= _SHORT_INT and toks[k + 2] == ";":
+                    index = int(n)
+                    boundary.append(InClosed(index) if t == "in" else OutClosed(index))
+                    k += 3
+                    continue
+            elif t == "window":
+                b = toks[k + 1]
+                if b in branes and toks[k + 2] == ";":
+                    boundary.append(Window(b))
+                    k += 3
+                    continue
+                if b == ";" and self.single_brane:
+                    boundary.append(Window(STAR))
+                    k += 2
+                    continue
+            self.pos = k
             boundary.append(self.bline())
+            k = self.pos
+        self.pos = k
         self.expect("}")
         return Component(genus, boundary)
 
@@ -432,10 +501,7 @@ class _Parser:
         if t == "mixed":
             self.advance()
             self.expect("[")
-            entries = [self.mentry()]
-            while self.peek() == ",":
-                self.advance()
-                entries.append(self.mentry())
+            entries = self.mentries()
             self.expect("]")
             self.expect(";")
             return Mixed(entries)
@@ -447,6 +513,41 @@ class _Parser:
                 return STAR
             self.fail(f"{context} needs a brane label")
         return self.brane()
+
+    def mentries(self) -> list:
+        """``mentry ("," mentry)*``, read as ``entries`` reads its list."""
+        toks, branes = self.toks, self.build.doc.branes
+        out = []
+        k = self.pos
+        while True:
+            t = toks[k]
+            e = None
+            if t == IN or t == OUT:
+                n = toks[k + 1]
+                if "0" <= n[:1] <= "9" and len(n) <= _SHORT_INT:
+                    rev = t == IN
+                    if toks[k + 2] == "rev":
+                        rev = not rev
+                        k += 1
+                    e = IntervalRef(t, int(n), rev)
+                    k += 2
+            elif t == "arc":
+                b = toks[k + 1]
+                if b in branes:
+                    e = Arc(b)
+                    k += 2
+                elif self.single_brane and (b == "," or b == "]"):
+                    e = Arc(STAR)
+                    k += 1
+            if e is None:
+                self.pos = k
+                e = self.mentry()
+                k = self.pos
+            out.append(e)
+            if toks[k] != ",":
+                self.pos = k
+                return out
+            k += 1
 
     def mentry(self):
         t = self.peek()
@@ -497,15 +598,15 @@ def _fmt_sigma(sigma: Permutation) -> str:
 def _fmt_mixed_entry(e, single: bool) -> str:
     if isinstance(e, Arc):
         return "arc" + _fmt_brane(e.brane, single)
-    rev = "" if e.rev == default_rev(e.side) else " rev"
-    return f"{e.side} {e.index}{rev}"
+    rev = "" if e.rev == (e.side == IN) else " rev"  # default_rev(e.side), inline
+    return f"{e.side} {_decimal(e.index)}{rev}"
 
 
 def _fmt_bline(circ, single: bool) -> str:
     if isinstance(circ, InClosed):
-        return f"in {circ.index};"
+        return f"in {_decimal(circ.index)};"
     if isinstance(circ, OutClosed):
-        return f"out {circ.index};"
+        return f"out {_decimal(circ.index)};"
     if isinstance(circ, Window):
         return f"window{_fmt_brane(circ.brane, single)};"
     inner = ", ".join(_fmt_mixed_entry(e, single) for e in circ.cycle)
@@ -553,69 +654,181 @@ def serialize(doc: Document) -> str:
 
 # ---------------------------------------------------------------------------
 # JSON mirror
+#
+# ``to_json`` writes the text of ``json.dumps(d, indent=2, sort_keys=True)``
+# for the document's dict ``d`` without building ``d``.  Each kind of node
+# has a template at its fixed depth with its keys in sorted order.  A
+# template's first slot takes the separator before the node: "[" or "{"
+# for the first item of an array or object, "," for the others.
+
+_OBJECT = """%s
+    %s: {
+      "entries": """
+_CIRCLE = """%s
+        {
+          "type": "circle"
+        }"""
+_INTERVAL = """%s
+        {
+          "left": %s,
+          "right": %s,
+          "type": "interval"
+        }"""
+_SIGMA = """,
+      "sigma": """
+_OBJECT_END = """
+    }"""
+_CYCLE = """%s
+        [
+          %s
+        ]"""
+_COBORDISM = """%s
+    %s: {
+      "components": """
+_COMPONENT = """%s
+        {
+          "boundary": """
+_IN_OUT = """%s
+            {
+              "index": %s,
+              "type": "%s"
+            }"""
+_WINDOW = """%s
+            {
+              "brane": %s,
+              "type": "window"
+            }"""
+_MIXED = """%s
+            {
+              "entries": """
+_MIXED_END = """,
+              "type": "mixed"
+            }"""
+_REF = """%s
+                {
+                  "index": %s,
+                  "rev": %s,
+                  "type": %s
+                }"""
+_ARC = """%s
+                {
+                  "brane": %s,
+                  "type": "arc"
+                }"""
+_GENUS = """,
+          "genus": %s
+        }"""
+_ENDPOINTS = """,
+      "source": %s,
+      "target": %s
+    }"""
 
 
-def _entry_to_json(e) -> dict:
-    if isinstance(e, Circle):
-        return {"type": "circle"}
-    return {"type": "interval", "left": e.left, "right": e.right}
-
-
-def _mixed_entry_to_json(e) -> dict:
-    if isinstance(e, Arc):
-        return {"type": "arc", "brane": e.brane}
-    return {"type": e.side, "index": e.index, "rev": e.rev}
-
-
-def _circle_to_json(circ) -> dict:
-    if isinstance(circ, InClosed):
-        return {"type": "in", "index": circ.index}
-    if isinstance(circ, OutClosed):
-        return {"type": "out", "index": circ.index}
-    if isinstance(circ, Window):
-        return {"type": "window", "brane": circ.brane}
-    return {
-        "type": "mixed",
-        "entries": [_mixed_entry_to_json(e) for e in circ.cycle],
-    }
-
-
-def document_to_dict(doc: Document) -> dict:
-    return {
-        "format": 1,
-        "branes": sorted(doc.branes),
-        "objects": {
-            name: {
-                "entries": [_entry_to_json(e) for e in obj.entries],
-                "sigma": [list(c) for c in obj.sigma.cycles()],
-            }
-            for name, obj in doc.objects.items()
-        },
-        "cobordisms": {
-            name: {
-                "source": d.source_name,
-                "target": d.target_name,
-                "components": [
-                    {
-                        "genus": comp.genus,
-                        "boundary": [
-                            _circle_to_json(circ) for circ in comp.boundary
-                        ],
-                    }
-                    for comp in canonicalize(d.cobordism).cobordism.components
-                ],
-            }
-            for name, d in doc.cobordisms.items()
-        },
-    }
+def _close(sep: str, end: str) -> str:
+    """``end`` of an array or object after items, or its empty form."""
+    return end if sep == "," else sep + end[-1]
 
 
 def to_json(doc: Document) -> str:
-    """Stable JSON encoding mirroring the text format."""
-    return _dump_json(document_to_dict(doc)) + "\n"
+    """Stable JSON encoding mirroring the text format.
+
+    The text is exactly that of ``json.dumps(data, indent=2,
+    sort_keys=True)`` for the document's data.
+    """
+    # Canonicalize first: an invalid cobordism raises before anything of
+    # the document is written.
+    forms = {
+        name: canonicalize(d.cobordism).cobordism
+        for name, d in doc.cobordisms.items()
+    }
+    out = ['{\n  "branes": ']
+    w = out.append
+    _write_json(sorted(doc.branes), "\n  ", w)
+    w(',\n  "cobordisms": ')
+    sep = "{"
+    for name in sorted(forms):
+        w(_COBORDISM % (sep, _key(name)))
+        csep = "["
+        for comp in forms[name].components:
+            w(_COMPONENT % csep)
+            bsep = "["
+            for circ in comp.boundary:
+                if isinstance(circ, InClosed):
+                    w(_IN_OUT % (bsep, _value(circ.index, _NL14), "in"))
+                elif isinstance(circ, OutClosed):
+                    w(_IN_OUT % (bsep, _value(circ.index, _NL14), "out"))
+                elif isinstance(circ, Window):
+                    w(_WINDOW % (bsep, _value(circ.brane, _NL14)))
+                else:
+                    w(_MIXED % bsep)
+                    esep = "["
+                    for e in circ.cycle:
+                        if isinstance(e, Arc):
+                            w(_ARC % (esep, _value(e.brane, _NL18)))
+                        else:
+                            # An entry of no reference kind fails on .side.
+                            side, index, rev = e.side, e.index, e.rev
+                            w(_REF % (esep, _value(index, _NL18),
+                                      _value(rev, _NL18), _value(side, _NL18)))
+                        esep = ","
+                    w(_close(esep, "\n              ]"))
+                    w(_MIXED_END)
+                bsep = ","
+            w(_close(bsep, "\n          ]"))
+            w(_GENUS % _value(comp.genus, _NL10))
+            csep = ","
+        d = doc.cobordisms[name]
+        w(_close(csep, "\n      ]"))
+        w(_ENDPOINTS % (_value(d.source_name, _NL6), _value(d.target_name, _NL6)))
+        sep = ","
+    w(_close(sep, "\n  }"))
+    w(',\n  "format": 1,\n  "objects": ')
+    sep = "{"
+    for name in sorted(doc.objects):
+        obj = doc.objects[name]
+        w(_OBJECT % (sep, _key(name)))
+        esep = "["
+        for e in obj.entries:
+            if isinstance(e, Circle):
+                w(_CIRCLE % esep)
+            else:
+                w(_INTERVAL % (esep, _quote(e.left), _quote(e.right)))
+            esep = ","
+        w(_close(esep, "\n      ]"))
+        w(_SIGMA)
+        csep = "["
+        for cycle in obj.sigma.cycles():
+            w(_CYCLE % (csep, ",\n          ".join(map(_decimal, cycle))))
+            csep = ","
+        w(_close(csep, "\n      ]"))
+        w(_OBJECT_END)
+        sep = ","
+    w(_close(sep, "\n  }"))
+    w("\n}\n")
+    return "".join(out)
 
 
 _quote = json.encoder.encode_basestring_ascii
+_NL6, _NL10, _NL14, _NL18 = ("\n" + " " * k for k in (6, 10, 14, 18))
+
+
+def _key(key) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"keys must be str, not {type(key).__name__}")
+    return _quote(key)
+
+
+def _value(value, newline: str) -> str:
+    """``value`` as ``_write_json`` writes it where ``newline`` starts its line."""
+    if type(value) is int:
+        return _decimal(value)
+    if type(value) is str:
+        return _quote(value)
+    if type(value) is bool:
+        return "true" if value else "false"
+    out: list[str] = []
+    _write_json(value, newline, out.append)
+    return "".join(out)
 
 
 def _dump_json(value) -> str:
@@ -646,9 +859,7 @@ def _write_json(value, newline: str, write) -> None:
         inner = newline + "  "
         sep = "{" + inner
         for key, item in sorted(value.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            write(sep + _quote(key) + ": ")
+            write(sep + _key(key) + ": ")
             _write_json(item, inner, write)
             sep = "," + inner
         write(newline + "}")
@@ -775,6 +986,101 @@ def _circle_from_json(build: _Builder, where: tuple, data: dict):
     _fail(where + ("type",), f"unknown boundary circle type {kind!r}")
 
 
+def _read_object(branes: frozenset, spec) -> tuple[list, list] | None:
+    """An object's entries and sigma cycles, read without per-field calls.
+
+    None as soon as a value fails a check or is not of the exact type
+    ``json.loads`` gives; the caller then reads ``spec`` again through
+    ``_field``, which raises with the value's path or accepts it.
+    """
+    if type(spec) is not dict:
+        return None
+    items, sigma = spec.get("entries", []), spec.get("sigma", [])
+    if type(items) is not list or type(sigma) is not list:
+        return None
+    entries = []
+    for e in items:
+        kind = e.get("type") if type(e) is dict else None
+        if type(kind) is not str:
+            return None
+        if kind == "circle":
+            entries.append(Circle())
+        elif kind == "interval":
+            left, right = e.get("left"), e.get("right")
+            if not (type(left) is str and left in branes
+                    and type(right) is str and right in branes):
+                return None
+            entries.append(Interval(left, right))
+        else:
+            return None
+    cycles = []
+    for cycle in sigma:
+        if type(cycle) is not list:
+            return None
+        for i in cycle:
+            if type(i) is not int or i < 0:
+                return None
+        cycles.append(tuple(cycle))
+    return entries, cycles
+
+
+def _read_components(branes: frozenset, spec: dict) -> list | None:
+    """A cobordism's components, read as ``_read_object`` reads an object."""
+    if type(spec) is not dict:
+        return None
+    comps = spec.get("components", [])
+    if type(comps) is not list:
+        return None
+    out = []
+    for comp in comps:
+        if type(comp) is not dict:
+            return None
+        genus, boundary = comp.get("genus"), comp.get("boundary", [])
+        if type(genus) is not int or genus < 0 or type(boundary) is not list:
+            return None
+        circles = []
+        for circ in boundary:
+            kind = circ.get("type") if type(circ) is dict else None
+            if type(kind) is not str:
+                return None
+            if kind == "mixed":
+                items = circ.get("entries")
+                if type(items) is not list:
+                    return None
+                cycle = []
+                for e in items:
+                    side = e.get("type") if type(e) is dict else None
+                    if type(side) is not str:
+                        return None
+                    if side == "arc":
+                        brane = e.get("brane")
+                        if type(brane) is not str or brane not in branes:
+                            return None
+                        cycle.append(Arc(brane))
+                    elif side == IN or side == OUT:
+                        index, rev = e.get("index"), e.get("rev", side == IN)
+                        if type(index) is not int or index < 0 or type(rev) is not bool:
+                            return None
+                        cycle.append(IntervalRef(side, index, rev))
+                    else:
+                        return None
+                circles.append(Mixed(cycle))
+            elif kind == "in" or kind == "out":
+                index = circ.get("index")
+                if type(index) is not int or index < 0:
+                    return None
+                circles.append(InClosed(index) if kind == "in" else OutClosed(index))
+            elif kind == "window":
+                brane = circ.get("brane")
+                if type(brane) is not str or brane not in branes:
+                    return None
+                circles.append(Window(brane))
+            else:
+                return None
+        out.append(Component(genus, circles))
+    return out
+
+
 def from_json(source: str | dict) -> Document:
     """Inverse of ``to_json``; applies the same checks as ``parse``.
 
@@ -803,15 +1109,19 @@ def from_json(source: str | dict) -> Document:
         where = ("objects", name)
         name = _json_name(name, where, "an object name")
         spec = _field(objects, name, dict, ("objects",))
-        entries = [
-            _entry_from_json(build, w, e)
-            for w, e in _items(spec, "entries", dict, where)
-        ]
-        cycles = [
-            tuple(_field(cycle, i, int, w) for i in range(len(cycle)))
-            for w, cycle in _items(spec, "sigma", list, where)
-        ]
-        build.add_object(name, entries, cycles, where + ("sigma",))
+        read = _read_object(build.doc.branes, spec)
+        if read is None:
+            read = (
+                [
+                    _entry_from_json(build, w, e)
+                    for w, e in _items(spec, "entries", dict, where)
+                ],
+                [
+                    tuple(_field(cycle, i, int, w) for i in range(len(cycle)))
+                    for w, cycle in _items(spec, "sigma", list, where)
+                ],
+            )
+        build.add_object(name, *read, where + ("sigma",))
     cobordisms = _field(data, "cobordisms", dict, (), {})
     for name in cobordisms:
         where = ("cobordisms", name)
@@ -821,15 +1131,17 @@ def from_json(source: str | dict) -> Document:
             build.object_ref(_field(spec, key, str, where), where + (key,))
             for key in ("source", "target")
         )
-        components = [
-            Component(
-                _field(comp, "genus", int, w),
-                [
-                    _circle_from_json(build, cw, circ)
-                    for cw, circ in _items(comp, "boundary", dict, w)
-                ],
-            )
-            for w, comp in _items(spec, "components", dict, where)
-        ]
+        components = _read_components(build.doc.branes, spec)
+        if components is None:
+            components = [
+                Component(
+                    _field(comp, "genus", int, w),
+                    [
+                        _circle_from_json(build, cw, circ)
+                        for cw, circ in _items(comp, "boundary", dict, w)
+                    ],
+                )
+                for w, comp in _items(spec, "components", dict, where)
+            ]
         build.add_cobordism(name, where, source, target, components)
     return build.doc

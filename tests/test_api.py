@@ -459,3 +459,15 @@ def test_validate_shows_an_overlong_index_by_its_size(circle):
     c = Cobordism(ONE, ONE, (Component(0, (circle,)),))
     (v,) = [v for v in validate(c) if v.rule == "index-range"]
     assert v.message.endswith(f"at position <an integer of {HUGE.bit_length()} bits>")
+
+
+@pytest.mark.parametrize(
+    "circle",
+    [InClosed(HUGE), OutClosed(HUGE), Mixed((in_ref(HUGE), Arc(STAR)))],
+    ids=["in", "out", "interval-ref"],
+)
+@pytest.mark.parametrize("write", [serialize, to_json])
+def test_an_overlong_index_is_not_written(write, circle):
+    c = Cobordism(ONE, ONE, (Component(0, (circle,)),))
+    with pytest.raises(InvalidValueError, match="too long to write in decimal"):
+        write(_document(c))

@@ -11,14 +11,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS, STAR_SET, star_obj
+from occob.calculus import compose, identity, realize, stabilize
 from occob.dsl import (
+    CobordismDef,
     Document,
     _dump_json,
     _is_int,
     _is_word,
     _locate,
     _tokenize,
-    document_to_dict,
     from_json,
     parse,
     parse_cycles,
@@ -26,8 +27,10 @@ from occob.dsl import (
     to_json,
 )
 from occob.errors import DslError, DslSyntaxError, DslValidationError
-from occob.objects import Circle, GeneralObject, Interval
+from occob.objects import STAR, Circle, GeneralObject, Interval, Permutation
 from occob.sampling import sample_document
+from occob.surfaces import IntervalRef
+from reference_json import document_to_dict
 
 LONG = "1" * 5000  # past the interpreter's int conversion limit
 
@@ -132,8 +135,20 @@ class TestDiagnostics:
                 4,
                 7,
             ),
+            (
+                f"object c = [O];\ncobordism x : c -> c {{\n"
+                f"component {{ genus 0;\nin {LONG};",
+                4,
+                4,
+            ),
+            (
+                f"object i = [I(*,*)];\ncobordism x : i -> i {{\n"
+                f"component {{ genus 0;\nmixed [in 1, arc, out {LONG}",
+                4,
+                23,
+            ),
         ],
-        ids=["sigma", "genus"],
+        ids=["sigma", "genus", "index", "ref-index"],
     )
     def test_over_long_integer_is_a_syntax_error(self, text, line, column):
         with pytest.raises(DslSyntaxError) as err:
@@ -387,9 +402,70 @@ class TestJson:
 
     def test_omitted_rev_takes_the_default(self):
         data = document_to_dict(parse(JSON_BASE))
-        for entry in _node(data, _S_REF[:-1]):
+        for entry in _node(data, _S_ENTRIES):
             entry.pop("rev", None)
-        assert serialize(from_json(data)) == serialize(parse(JSON_BASE))
+        doc = from_json(data)
+        assert serialize(doc) == serialize(parse(JSON_BASE))
+        (circle,) = doc.cobordisms["S"].cobordism.components[0].boundary
+        refs = {(e.side, e.rev) for e in circle.cycle if isinstance(e, IntervalRef)}
+        assert refs == {("in", True), ("out", False)}
+
+
+def reference_json(doc: Document) -> str:
+    return json.dumps(document_to_dict(doc), indent=2, sort_keys=True) + "\n"
+
+
+def _pipeline_document(name: str, n: int) -> Document:
+    """The result document of a ``large_interfaces`` benchmark shape.
+
+    Object ``X`` of n entries and the canonical ``compose(realize(X),
+    identity(X))``, stabilized 5n/4 times for ``tower``, named ``R``.
+    """
+    branes = ("a", "b") if name == "tower" else (STAR,)
+    if name == "circles":
+        x = GeneralObject(branes, [Circle()] * n)
+    elif name == "tower":
+        x = GeneralObject(branes, [Circle()])
+    else:
+        images = list(range(1, n + 1))
+        if name == "perm":
+            random.Random(n).shuffle(images)
+        else:
+            images = images[1:] + images[:1]
+        sigma = Permutation(dict(zip(range(1, n + 1), images)))
+        x = GeneralObject(branes, [Interval(STAR, STAR)] * n, sigma)
+    r = realize(x)
+    result = compose(r, identity(x))
+    for _ in range(n * 5 // 4 if name == "tower" else 0):
+        result = stabilize(result)
+    doc = Document(branes=frozenset(branes), objects={"C": r.target, "X": x})
+    doc.cobordisms["R"] = CobordismDef("X", "C", result)
+    return doc
+
+
+class TestToJsonReference:
+    """``to_json`` writes the text of ``json.dumps`` on the reference dict."""
+
+    @pytest.mark.parametrize("branes", [(STAR,), ("a", "b"), ("a", "b", "c")])
+    def test_sampled_documents(self, rng, branes):
+        for _ in range(40):
+            doc = sample_document(rng, branes=branes)
+            assert to_json(doc) == reference_json(doc)
+
+    @pytest.mark.parametrize(
+        "objects",
+        [{}, {"c": star_obj("O"), "i": star_obj("II", [[1, 2]])}, {"e": star_obj("")}],
+        ids=["empty", "objects-only", "no-entries"],
+    )
+    def test_documents_without_cobordisms(self, objects):
+        doc = Document(branes=STAR_SET, objects=objects)
+        assert to_json(doc) == reference_json(doc)
+
+    @pytest.mark.parametrize("shape", ["cycle", "perm", "circles", "tower"])
+    def test_benchmark_shapes(self, shape):
+        doc = _pipeline_document(shape, 24)
+        assert to_json(doc) == reference_json(doc)
+        assert serialize(from_json(to_json(doc))) == serialize(doc)
 
 
 JSON_BASE = """\
@@ -417,34 +493,85 @@ def _set(path: tuple, value):
     return mutate
 
 
-_S_REF = ("cobordisms", "S", "components", 0, "boundary", 0, "entries", 0)
+_S_ENTRIES = ("cobordisms", "S", "components", 0, "boundary", 0, "entries")
+_S_REF, _S_ARC, _S_OUT = (_S_ENTRIES + (k,) for k in range(3))
 _T_COMP = ("cobordisms", "T", "components", 0)
 
 
+def _drop(path: tuple):
+    def mutate(data):
+        del _node(data, path[:-1])[path[-1]]
+
+    return mutate
+
+
 @pytest.mark.parametrize(
-    "mutate, path",
+    "mutate, path, message",
     [
-        (_set(_T_COMP + ("genus",), -1), "$.cobordisms.T.components[0].genus"),
-        (_set(("branes",), []), "$.branes"),
+        (_set(_T_COMP + ("genus",), -1), "$.cobordisms.T.components[0].genus", None),
+        (_set(("branes",), []), "$.branes", None),
         (
             _set(("objects", "p", "entries", 0, "left"), "z"),
             "$.objects.p.entries[0].left",
+            None,
         ),
-        (_set(("objects", "p", "sigma"), [[1, 1]]), "$.objects.p.sigma"),
-        (lambda d: _rename(d["objects"], "c", "object"), "$.objects.object"),
-        (lambda d: _rename(d["objects"], "c", "a b"), '$.objects["a b"]'),
-        (_set(_T_COMP + ("genus",), True), "$.cobordisms.T.components[0].genus"),
+        (_set(("objects", "p", "sigma"), [[1, 1]]), "$.objects.p.sigma", None),
+        (lambda d: _rename(d["objects"], "c", "object"), "$.objects.object", None),
+        (lambda d: _rename(d["objects"], "c", "a b"), '$.objects["a b"]', None),
+        (_set(_T_COMP + ("genus",), True), "$.cobordisms.T.components[0].genus", None),
         (
             _set(_T_COMP + ("boundary", 0, "index"), 1.0),
             "$.cobordisms.T.components[0].boundary[0].index",
+            None,
         ),
-        (_set(("branes",), ["a,b"]), "$.branes[0]"),
-        (_set(("branes",), "ab"), "$.branes"),
+        (_set(("branes",), ["a,b"]), "$.branes[0]", None),
+        (_set(("branes",), "ab"), "$.branes", None),
         (
             _set(_S_REF + ("rev",), "*"),
             "$.cobordisms.S.components[0].boundary[0].entries[0].rev",
+            None,
         ),
-        (_set(_T_COMP + ("boundary",), []), "$.cobordisms.T"),
+        (_set(_T_COMP + ("boundary",), []), "$.cobordisms.T", None),
+        (
+            _drop(_S_ARC + ("brane",)),
+            "$.cobordisms.S.components[0].boundary[0].entries[1]",
+            "missing field 'brane'",
+        ),
+        (
+            _set(_S_ARC + ("brane",), "z"),
+            "$.cobordisms.S.components[0].boundary[0].entries[1].brane",
+            "brane 'z' is not declared",
+        ),
+        (
+            _set(("objects", "p", "entries", 0, "right"), ["*"]),
+            "$.objects.p.entries[0].right",
+            "expected a string, got an array",
+        ),
+        (
+            _set(_S_REF + ("index",), True),
+            "$.cobordisms.S.components[0].boundary[0].entries[0].index",
+            "expected a non-negative integer, got true",
+        ),
+        (
+            _set(_S_OUT + ("rev",), 1),
+            "$.cobordisms.S.components[0].boundary[0].entries[2].rev",
+            "expected true or false, got 1",
+        ),
+        (
+            _set(_S_ENTRIES, {}),
+            "$.cobordisms.S.components[0].boundary[0].entries",
+            "expected an array, got an object",
+        ),
+        (
+            _set(_S_REF, []),
+            "$.cobordisms.S.components[0].boundary[0].entries[0]",
+            "expected an object, got an array",
+        ),
+        (
+            _set(_T_COMP + ("boundary", 2, "brane"), 5),
+            "$.cobordisms.T.components[0].boundary[2].brane",
+            "expected a string, got 5",
+        ),
     ],
     ids=[
         "negative-genus",
@@ -459,14 +586,25 @@ _T_COMP = ("cobordisms", "T", "components", 0)
         "branes-string",
         "rev-string",
         "invalid-cobordism",
+        "arc-without-brane",
+        "undeclared-arc-brane",
+        "interval-right-not-a-string",
+        "bool-ref-index",
+        "int-out-ref-rev",
+        "entries-object",
+        "mixed-entry-list",
+        "window-brane-int",
     ],
 )
-def test_from_json_faults_name_their_path(mutate, path):
+def test_from_json_faults_name_their_path(mutate, path, message):
+    """Each fault names its path; the ones with a message are pinned to it."""
     data = document_to_dict(parse(JSON_BASE))
     mutate(data)
     with pytest.raises((DslSyntaxError, DslValidationError)) as err:
         from_json(data)
     assert str(err.value).startswith(f"at {path}: "), str(err.value)
+    if message is not None:
+        assert str(err.value) == f"at {path}: {message}"
 
 
 def _mutation_sites(node, path=()):
@@ -572,6 +710,16 @@ class TestCorpus:
         for path in files:
             text = path.read_text(encoding="utf-8")
             assert serialize(parse(text)) == text, path.name
+
+    def test_every_prefix_parses_or_raises_a_dsl_error(self):
+        """Lookahead in the parser never reads past the end of input."""
+        for path in sorted((CORPUS / "roundtrip").glob("*.occ")):
+            text = path.read_text(encoding="utf-8")
+            for k in range(len(text) + 1):
+                try:
+                    parse(text[:k])
+                except DslError:
+                    pass
 
     def test_malformed_files_fail_with_position(self):
         files = sorted((CORPUS / "malformed").glob("*.occ"))
