@@ -7,7 +7,10 @@ with ``-k 1`` and ``-k 3`` and ``pullback --tau id`` on each cobordism;
 ``iso``, ``compose`` and ``tensor`` on each ordered pair of cobordisms;
 ``classify -G 2 -W 2`` on each object; ``swap`` on each ordered pair of
 objects.  Then ``check`` runs on each file of ``corpus/malformed``, and
-last come a few calls whose arguments the CLI must reject (``ERRORS``).
+then come a few calls whose arguments the CLI must reject (``ERRORS``).
+Last, ``parse`` reads each text of ``RULE_TEXTS``, each written to break
+one rule of ``validate``, and the script prints the error it raises and
+the ``(rule, where, message)`` of each violation it carries.
 After the calls on each ``corpus/roundtrip`` file, the script also prints
 the file's ``to_json`` text and that text read back by ``from_json`` and
 written by ``serialize``, which covers the JSON front end on source
@@ -31,6 +34,7 @@ from pathlib import Path
 
 from occob.cli import main
 from occob.dsl import from_json, parse, serialize, to_json
+from occob.errors import DslError
 
 ROOT = Path(__file__).resolve().parents[1]
 REF = "corpus/roundtrip/ref_interfaces.occ"
@@ -40,6 +44,33 @@ ERRORS = [
     ["check", "corpus/roundtrip/a\x00b.occ"],  # unopenable path
     ["classify", REF, "five", "-G", "\u0663", "-W", "0"],  # not an ASCII digit
 ]
+
+
+def _text(objects: str, boundary: str, branes: str = "") -> str:
+    """A document defining ``objects`` and one cobordism ``x : s -> t`` of
+    one component with ``boundary`` lines."""
+    lines = "".join(f"    {line};\n" for line in boundary.split("; ") if line)
+    return (
+        f"{branes}{objects}\ncobordism x : s -> t {{\n  component {{\n"
+        f"    genus 0;\n{lines}  }}\n}}\n"
+    )
+
+
+_CIRCLES = "object s = [O];\nobject t = [O];"
+_INTERVALS = "object s = [I(*,*), I(*,*)];\nobject t = [];"
+# Texts that break one rule of ``validate`` each.  An undeclared brane is
+# refused by the parser before validation, so that text raises a syntax error.
+RULE_TEXTS = {
+    "index-range": _text(_CIRCLES, "in 2; out 1"),
+    "duplicate-use": _text(_CIRCLES, "in 1; in 1; out 1"),
+    "missing-use": _text(_CIRCLES, "out 1"),
+    "alternation": _text(_INTERVALS, "mixed [in 1, in 2, arc, arc]; mixed [arc]"),
+    "arc-brane": _text(
+        "object s = [I(a,b)];\nobject t = [];", "mixed [in 1, arc a]", "branes a, b;\n"
+    ),
+    "unknown-brane": _text(_CIRCLES, "in 1; out 1; window z", "branes a, b;\n"),
+    "empty-boundary": _text("object s = [];\nobject t = [];", ""),
+}
 
 
 def run(argv: list[str]) -> None:
@@ -88,6 +119,19 @@ def calls(path: Path):
             yield ["swap", file, n, m]
 
 
+def rule_text(rule: str, text: str) -> None:
+    """Print the error ``parse`` raises on ``text`` and its violations."""
+    print("$ parse", rule)
+    try:
+        parse(text)
+    except DslError as exc:
+        print(f"{type(exc).__name__}: {exc}")
+        for v in getattr(exc, "violations", ()):
+            print((v.rule, v.where, v.message))
+    else:
+        print("parsed")
+
+
 def sweep() -> None:
     os.chdir(ROOT)  # the file arguments, and so the output, are relative paths
     for path in sorted((ROOT / "corpus" / "roundtrip").glob("*.occ")):
@@ -99,6 +143,8 @@ def sweep() -> None:
         run(["check", str(path.relative_to(ROOT))])
     for argv in ERRORS:
         run(argv)
+    for rule, text in RULE_TEXTS.items():
+        rule_text(rule, text)
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from occob.errors import ClosedComponentError, CompositionError, InfeasibleObjectError
+from occob.errors import wrong_type
 from occob.objects import Circle, GeneralObject, Permutation
 from occob.surfaces import (
     IN,
@@ -118,6 +119,8 @@ def compose(second: Cobordism, first: Cobordism) -> Cobordism:
     flags, and ``ClosedComponentError`` if gluing would close a component
     off from all boundary.
     """
+    if type(second) is not Cobordism or type(first) is not Cobordism:
+        raise wrong_type(Cobordism, second, first)
     if first.target != second.source:
         raise CompositionError(
             "interface mismatch: target of the first factor differs from "
@@ -322,6 +325,8 @@ def _shift_circle(circ: BoundaryCircle, s_off: int, t_off: int) -> BoundaryCircl
 
 def tensor(a: Cobordism, b: Cobordism) -> Cobordism:
     """Place side by side: concatenate components, shifting b's indices."""
+    if type(a) is not Cobordism or type(b) is not Cobordism:
+        raise wrong_type(Cobordism, a, b)
     source = a.source.tensor(b.source)
     target = a.target.tensor(b.target)
     s_off, t_off = len(a.source.entries), len(a.target.entries)
@@ -354,6 +359,8 @@ def realize(obj: GeneralObject) -> Cobordism:
     realizer and raises ``InfeasibleObjectError``.  With one brane every
     object is feasible.
     """
+    if type(obj) is not GeneralObject:
+        raise wrong_type(GeneralObject, obj)
     boundary: list[BoundaryCircle] = [InClosed(i) for i in obj.circle_indices]
     for cyc in obj.sigma.cycles():
         entries: list[MixedEntry] = []
@@ -427,6 +434,8 @@ def stabilize(c: Cobordism) -> Cobordism:
     Any other target, or no component holding ``OutClosed(1)``, raises
     ``CompositionError``.
     """
+    if type(c) is not Cobordism:
+        raise wrong_type(Cobordism, c)
     if c.target.entries != (Circle(),):
         raise CompositionError("stabilize requires the single-circle target object")
     comps = list(c.components)

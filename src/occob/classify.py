@@ -16,6 +16,7 @@ from operator import itemgetter
 
 from occob.calculus import realize
 from occob.errors import CompositionError, InvalidCobordismError, InvalidValueError
+from occob.errors import wrong_type
 from occob.objects import Circle, GeneralObject
 from occob.surfaces import (
     IN,
@@ -120,6 +121,8 @@ def canonicalize(c: Cobordism) -> CanonicalForm:
     and any rotation of mixed cycles.  A mixed cycle without a unique
     least interval reference raises ``InvalidCobordismError``.
     """
+    if type(c) is not Cobordism:
+        raise wrong_type(Cobordism, c)
     keyed = []
     for comp in c.components:
         circles = []
@@ -148,6 +151,8 @@ def is_isomorphic(a: Cobordism, b: Cobordism) -> bool:
     is built.  A mixed cycle without a unique least interval reference
     raises ``InvalidCobordismError``, as in ``canonicalize``.
     """
+    if type(a) is not Cobordism or type(b) is not Cobordism:
+        raise wrong_type(Cobordism, a, b)
     if a.source != b.source or a.target != b.target:
         raise CompositionError("cobordisms with different source or target objects")
     return sorted(map(_component_key, a.components)) == sorted(

@@ -41,6 +41,7 @@ from itertools import islice
 
 from occob.classify import canonicalize
 from occob.errors import DslError, DslSyntaxError, DslValidationError, InvalidValueError
+from occob.errors import wrong_type
 from occob.objects import STAR, Circle, GeneralObject, Interval, Permutation
 from occob.surfaces import (
     IN,
@@ -567,6 +568,8 @@ class _Parser:
 
 def parse(text: str) -> Document:
     """Parse a document; every cobordism in the result passes validation."""
+    if type(text) is not str:
+        raise wrong_type(str, text)
     return _Parser(text).document()
 
 
@@ -629,6 +632,8 @@ def serialize(doc: Document) -> str:
 
     Serializing, parsing, and serializing again is byte-stable.
     """
+    if type(doc) is not Document:
+        raise wrong_type(Document, doc)
     single = doc.branes == frozenset({STAR})
     blocks: list[str] = []
     if not single:
@@ -735,6 +740,8 @@ def to_json(doc: Document) -> str:
     The text is exactly that of ``json.dumps(data, indent=2,
     sort_keys=True)`` for the document's data.
     """
+    if type(doc) is not Document:
+        raise wrong_type(Document, doc)
     # Canonicalize first: an invalid cobordism raises before anything of
     # the document is written.
     forms = {

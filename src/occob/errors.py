@@ -58,6 +58,13 @@ class InvalidValueError(OcError, ValueError):
     """
 
 
+def wrong_type(kind: type, *values) -> InvalidValueError:
+    """The error for an entry point given an argument that is not exactly
+    of type ``kind``: it names the first of ``values`` that is not."""
+    bad = next(x for x in values if type(x) is not kind)
+    return InvalidValueError(f"expected a {kind.__name__}, got {type(bad).__name__}")
+
+
 class DslError(OcError):
     """Base class for text format errors.  Carries a source position."""
 

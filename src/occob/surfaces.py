@@ -29,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Union
 
-from occob.errors import InvalidCobordismError, InvalidValueError
+from occob.errors import InvalidCobordismError, InvalidValueError, wrong_type
 from occob.objects import Circle, GeneralObject, Interval, Permutation
 
 __all__ = [
@@ -150,8 +150,11 @@ class Component:
     boundary: tuple[BoundaryCircle, ...]
 
     def __init__(self, genus: int, boundary=()):
-        if genus < 0:
-            raise InvalidValueError(f"genus must be nonnegative, got {genus}")
+        if type(genus) is not int or genus < 0:
+            raise InvalidValueError(
+                f"genus must be a nonnegative int, got {type(genus).__name__} "
+                f"{_shown_int(genus)}"
+            )
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "boundary", tuple(boundary))
 
@@ -186,23 +189,13 @@ class Violation:
         return f"{self.where}: [{self.rule}] {self.message}"
 
 
-def _entry_at(obj: GeneralObject, index: int) -> Circle | Interval | None:
-    if isinstance(index, int) and 1 <= index <= len(obj.entries):
-        return obj.entries[index - 1]
-    return None
-
-
-def _side_object(c: Cobordism, ref: IntervalRef) -> GeneralObject:
-    return c.source if ref.side == IN else c.target
-
-
-def _shown_index(index) -> str:
-    """An index as a message shows it: an integer too long for the
-    interpreter to write in decimal is shown by its size."""
+def _shown_int(n) -> str:
+    """An index or genus as a message shows it: an integer too long for
+    the interpreter to write in decimal is shown by its size."""
     try:
-        return str(index)
+        return str(n)
     except ValueError:
-        return f"<an integer of {index.bit_length()} bits>"
+        return f"<an integer of {n.bit_length()} bits>"
 
 
 def _not_a_circle(circ) -> str:
@@ -212,200 +205,151 @@ def _not_a_circle(circ) -> str:
 def validate(c: Cobordism) -> list[Violation]:
     """Check structural validity; an empty list means valid.
 
-    Rules checked, in the order reported: matching brane sets, per
-    component nonempty boundary, well-formed boundary circles (kinds of
-    circles and of mixed-cycle entries, index ranges, brane membership,
-    strict ref/arc alternation, arc labels matching the interval endpoints
-    they touch), and globally that every source and target entry is used
-    by exactly one boundary circle.  An index too long to write in decimal
-    is shown by its size.
+    One walk over the components checks every boundary circle, and one
+    walk over each mixed cycle checks alternation, entry kinds, index
+    ranges, brane membership and arc labels together.  Circles, entries
+    and indices are tested by exact type: an index that is not exactly an
+    ``int``, such as ``True``, is out of range and uses no entry.
+
+    Reported in this order: differing brane sets; then per component an
+    empty boundary, and per circle in turn what is wrong with it (see
+    ``_mixed_findings`` for a mixed circle); last, every source circle,
+    target circle, source interval and target interval, in that order,
+    not used by exactly one boundary circle.  An index too long to write
+    in decimal is shown by its size.
     """
+    if type(c) is not Cobordism:
+        raise wrong_type(Cobordism, c)
+    source, target = c.source, c.target
     v: list[Violation] = []
-    if c.source.branes != c.target.branes:
-        v.append(
-            Violation(
-                "brane-set",
-                "cobordism",
-                f"source branes {sorted(c.source.branes)} differ from target "
-                f"branes {sorted(c.target.branes)}",
-            )
-        )
-    branes = c.source.branes | c.target.branes
-
-    in_circles: Counter[int] = Counter()
-    out_circles: Counter[int] = Counter()
-    in_refs: Counter[int] = Counter()
-    out_refs: Counter[int] = Counter()
-
+    if source.branes != target.branes:
+        s, t = sorted(source.branes), sorted(target.branes)
+        message = f"source branes {s} differ from target branes {t}"
+        v.append(Violation("brane-set", "cobordism", message))
+    branes = source.branes | target.branes
+    # Per side, its entries and how many boundary circles use each of them:
+    # an index in range and at an entry of the right kind is one use.  Looked
+    # up by the side of a reference or the kind of a closed circle.
+    ins = ("source", source.entries, [0] * (len(source.entries) + 1))
+    outs = ("target", target.entries, [0] * (len(target.entries) + 1))
+    sides = {IN: ins, OUT: outs, InClosed: ins, OutClosed: outs}
     for ci, comp in enumerate(c.components, start=1):
-        comp_where = f"component {ci}"
         if not comp.boundary:
-            v.append(
-                Violation(
-                    "empty-boundary",
-                    comp_where,
-                    "component has no boundary circles",
-                )
-            )
+            message = "component has no boundary circles"
+            v.append(Violation("empty-boundary", f"component {ci}", message))
         for bi, circ in enumerate(comp.boundary, start=1):
-            where = f"{comp_where}, circle {bi}"
-            if isinstance(circ, (InClosed, OutClosed)):
-                incoming = isinstance(circ, InClosed)
-                (in_circles if incoming else out_circles)[circ.index] += 1
-                obj = c.source if incoming else c.target
-                if not isinstance(_entry_at(obj, circ.index), Circle):
-                    v.append(
-                        Violation(
-                            "index-range",
-                            where,
-                            f"{'source' if incoming else 'target'} has no circle "
-                            f"at position {_shown_index(circ.index)}",
-                        )
-                    )
-            elif isinstance(circ, Window):
-                if circ.brane not in branes:
-                    v.append(
-                        Violation(
-                            "unknown-brane",
-                            where,
-                            f"window brane {circ.brane!r} not declared",
-                        )
-                    )
-            elif isinstance(circ, Mixed):
-                v.extend(_validate_mixed(c, branes, circ, where, in_refs, out_refs))
+            kind = type(circ)
+            if kind is InClosed or kind is OutClosed:
+                side, entries, uses = sides[kind]
+                i = circ.index
+                if (
+                    type(i) is int
+                    and 0 < i <= len(entries)
+                    and isinstance(entries[i - 1], Circle)
+                ):
+                    uses[i] += 1
+                    continue
+                at = _shown_int(i)
+                found = [("index-range", f"{side} has no circle at position {at}")]
+            elif kind is Window:
+                if circ.brane in branes:
+                    continue
+                message = f"window brane {circ.brane!r} not declared"
+                found = [("unknown-brane", message)]
+            elif kind is Mixed:
+                found = _mixed_findings(circ.cycle, sides, branes)
             else:
-                v.append(Violation("kind", where, _not_a_circle(circ)))
-
-    def check_exactly_once(counter, indices, rule_what, where_side):
-        for i in indices:
-            n = counter.get(i, 0)
-            if n == 0:
-                v.append(
-                    Violation(
-                        "missing-use",
-                        "cobordism",
-                        f"{where_side} {rule_what} {i} is not attached to any "
-                        "boundary circle",
-                    )
-                )
-            elif n > 1:
-                v.append(
-                    Violation(
-                        "duplicate-use",
-                        "cobordism",
-                        f"{where_side} {rule_what} {i} is attached {n} times",
-                    )
-                )
-
-    check_exactly_once(in_circles, c.source.circle_indices, "circle", "source")
-    check_exactly_once(out_circles, c.target.circle_indices, "circle", "target")
-    check_exactly_once(in_refs, c.source.interval_indices, "interval", "source")
-    check_exactly_once(out_refs, c.target.interval_indices, "interval", "target")
+                found = [("kind", _not_a_circle(circ))]
+            if found:
+                where = f"component {ci}, circle {bi}"
+                v.extend(Violation(rule, where, message) for rule, message in found)
+    # uses[0] stays 0: a side's entries are each used once when the rest are 1.
+    if any(uses.count(1) < len(entries) for _, entries, uses in (ins, outs)):
+        for what, entry_kind in (("circle", Circle), ("interval", Interval)):
+            for side, entries, uses in (ins, outs):
+                for i, e in enumerate(entries, start=1):
+                    n = uses[i]
+                    if n == 1 or not isinstance(e, entry_kind):
+                        continue
+                    rule, how = "duplicate-use", f"attached {n} times"
+                    if n == 0:
+                        rule, how = "missing-use", "not attached to any boundary circle"
+                    message = f"{side} {what} {i} is {how}"
+                    v.append(Violation(rule, "cobordism", message))
     return v
 
 
-def _validate_mixed(c, branes, circ, where, in_refs, out_refs) -> list[Violation]:
-    v: list[Violation] = []
-    cyc = circ.cycle
+def _mixed_findings(cyc: tuple, sides: dict, branes) -> list[tuple[str, str]]:
+    """What is wrong with one mixed cycle, as (rule, message) pairs in the
+    order reported: its length, its alternation, each entry in cycle order
+    (kind, index range, undeclared arc brane), a missing interval
+    reference, and, only when the cycle is otherwise sound, arc labels that
+    differ from the interval endpoints they touch.  Each reference in range
+    is counted as a use in ``sides``."""
     n = len(cyc)
-    if n < 2 or n % 2 != 0:
-        v.append(
-            Violation(
-                "alternation",
-                where,
-                f"mixed cycle must have even length at least 2, got {n}",
+    found = []  # per entry, in cycle order
+    arcs = []  # arc labels, reported only when the cycle is otherwise sound
+    refs = 0
+    adjacent = False  # two references next to each other
+    ok_refs = True  # every entry is an arc or a reference in range
+    # Each entry with the entries before and after it on the cycle.
+    for k, before, e, after in zip(
+        range(1, n + 1), cyc[-1:] + cyc[:-1], cyc, cyc[1:] + cyc[:1]
+    ):
+        if type(e) is Arc:
+            if e.brane not in branes:
+                found.append(("unknown-brane", f"arc brane {e.brane!r} not declared"))
+            continue
+        if type(e) is not IntervalRef:
+            kind = type(e).__name__
+            message = f"{kind} is neither an interval reference nor an arc"
+            found.append(("kind", f"entry {k}: {message}"))
+            ok_refs = False
+            continue
+        refs += 1
+        if type(after) is IntervalRef:
+            adjacent = True
+        side, entries, uses = sides[e.side]
+        i = e.index
+        if not (
+            type(i) is int
+            and 0 < i <= len(entries)
+            and isinstance(interval := entries[i - 1], Interval)
+        ):
+            at = _shown_int(i)
+            found.append(("index-range", f"{side} has no interval at position {at}"))
+            ok_refs = False
+            continue
+        uses[i] += 1
+        # The arc before a reference ends at the endpoint met first, and the
+        # arc after it starts at the one met second: (left, right) unless rev.
+        first, second = interval.left, interval.right
+        if e.rev:
+            first, second = second, first
+        if type(before) is Arc and before.brane != first:
+            arcs.append(
+                f"arc before {e.side} {i} is {before.brane!r}, expected {first!r}"
             )
-        )
-    alternates = all(
-        isinstance(cyc[k], IntervalRef) != isinstance(cyc[(k + 1) % n], IntervalRef)
-        for k in range(n)
-    )
+        if type(after) is Arc and after.brane != second:
+            arcs.append(
+                f"arc after {e.side} {i} is {after.brane!r}, expected {second!r}"
+            )
+    alternates = n >= 2 and 2 * refs == n and not adjacent
+    if alternates and ok_refs and not found and not arcs:
+        return found
+    head = []
+    if n < 2 or n % 2:
+        message = f"mixed cycle must have even length at least 2, got {n}"
+        head.append(("alternation", message))
     if n >= 2 and not alternates:
-        v.append(
-            Violation(
-                "alternation",
-                where,
-                "entries must strictly alternate interval references and arcs",
-            )
-        )
-    has_ref = False
-    ok_refs = True  # every entry is an arc or a reference to an interval
-    for k, entry in enumerate(cyc):
-        if isinstance(entry, Arc):
-            if entry.brane not in branes:
-                v.append(
-                    Violation(
-                        "unknown-brane",
-                        where,
-                        f"arc brane {entry.brane!r} not declared",
-                    )
-                )
-            continue
-        if not isinstance(entry, IntervalRef):
-            v.append(
-                Violation(
-                    "kind",
-                    where,
-                    f"entry {k + 1}: {type(entry).__name__} is neither an "
-                    "interval reference nor an arc",
-                )
-            )
-            ok_refs = False
-            continue
-        has_ref = True
-        obj = _side_object(c, entry)
-        counter = in_refs if entry.side == IN else out_refs
-        counter[entry.index] += 1
-        if not isinstance(_entry_at(obj, entry.index), Interval):
-            side_name = "source" if entry.side == IN else "target"
-            v.append(
-                Violation(
-                    "index-range",
-                    where,
-                    f"{side_name} has no interval at position "
-                    f"{_shown_index(entry.index)}",
-                )
-            )
-            ok_refs = False
-    if not has_ref:
-        v.append(
-            Violation(
-                "alternation",
-                where,
-                "mixed cycle contains no interval reference (use a window)",
-            )
-        )
-    if n >= 2 and n % 2 == 0 and alternates and has_ref and ok_refs:
-        # Arc labels must match the interval endpoints they touch:
-        # the arc before a reference ends at its first-met endpoint, the
-        # arc after it starts at its second-met endpoint.
-        for k, entry in enumerate(cyc):
-            if not isinstance(entry, IntervalRef):
-                continue
-            interval = _entry_at(_side_object(c, entry), entry.index)
-            before = cyc[(k - 1) % n]
-            after = cyc[(k + 1) % n]
-            ends = (interval.left, interval.right)  # met in this order unless rev
-            want_before, want_after = ends[::-1] if entry.rev else ends
-            if before.brane != want_before:
-                v.append(
-                    Violation(
-                        "arc-brane",
-                        where,
-                        f"arc before {entry.side} {entry.index} is "
-                        f"{before.brane!r}, expected {want_before!r}",
-                    )
-                )
-            if after.brane != want_after:
-                v.append(
-                    Violation(
-                        "arc-brane",
-                        where,
-                        f"arc after {entry.side} {entry.index} is "
-                        f"{after.brane!r}, expected {want_after!r}",
-                    )
-                )
-    return v
+        message = "entries must strictly alternate interval references and arcs"
+        head.append(("alternation", message))
+    if not refs:
+        message = "mixed cycle contains no interval reference (use a window)"
+        found.append(("alternation", message))
+    if alternates and ok_refs:
+        found += (("arc-brane", message) for message in arcs)
+    return head + found
 
 
 # ---------------------------------------------------------------------------

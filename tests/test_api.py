@@ -8,8 +8,12 @@ two places:
 * ``TOTAL``: plain records and functions that are defined on every value of
   their argument types, each with the reason.
 
-Arguments that are not of the annotated type at all, such as an ``int``
-where a ``Cobordism`` goes, are outside this contract.
+``WRONG_TYPES`` holds calls that pass an argument not of the annotated type
+at all, such as an ``int`` where a ``Cobordism`` goes, to each entry point
+that checks for it: ``Component``, ``validate``, ``compose``, ``tensor``,
+``realize``, ``stabilize``, ``canonicalize``, ``is_isomorphic``, ``parse``,
+``serialize`` and ``to_json``.  Each must raise ``InvalidValueError``.  The
+argument types of the other exports are outside this contract.
 """
 
 from __future__ import annotations
@@ -364,6 +368,27 @@ BAD_VALUES: dict[str, list[tuple[str, object, type[OcError]]]] = {
     ],
 }
 
+WRONG_TYPES: dict[str, list[tuple[str, object]]] = {
+    "Component": [
+        ("bool genus", lambda: Component(True, (InClosed(1),))),
+        ("str genus", lambda: Component("1")),
+        ("float genus", lambda: Component(1.0)),
+    ],
+    "validate": [("a str", lambda: validate("x"))],
+    "compose": [
+        ("ints", lambda: compose(1, 2)),
+        ("first not a cobordism", lambda: compose(identity(ONE), ONE)),
+    ],
+    "tensor": [("ints", lambda: tensor(1, 2))],
+    "realize": [("an int", lambda: realize(1))],
+    "stabilize": [("None", lambda: stabilize(None))],
+    "canonicalize": [("an int", lambda: canonicalize(3))],
+    "is_isomorphic": [("ints", lambda: is_isomorphic(1, 1))],
+    "parse": [("an int", lambda: parse(1)), ("bytes", lambda: parse(b"object"))],
+    "serialize": [("an int", lambda: serialize(5))],
+    "to_json": [("a list", lambda: to_json([]))],
+}
+
 _RECORD = "a record; validate or the object that holds it checks its values"
 _RESULT = "a result record, built by the library"
 _EXCEPTION = "an exception class, which takes any message"
@@ -425,6 +450,24 @@ def test_a_bad_value_raises_an_oc_error(call, error):
     assert issubclass(error, OcError)
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(call, id=f"{name}: {what}")
+        for name, cases in WRONG_TYPES.items()
+        for what, call in cases
+    ],
+)
+def test_a_wrong_type_raises_an_invalid_value_error(call):
+    match = "expected a|genus must be a nonnegative int"
+    with pytest.raises(InvalidValueError, match=match):
+        call()
+
+
+def test_wrong_types_name_exports():
+    assert set(WRONG_TYPES) <= set(occob.__all__)
 
 
 def _disc(*extra) -> Cobordism:

@@ -26,10 +26,18 @@ from occob.dsl import (
     serialize,
     to_json,
 )
-from occob.errors import DslError, DslSyntaxError, DslValidationError
+from occob.errors import DslError, DslSyntaxError, DslValidationError, InvalidValueError
 from occob.objects import STAR, Circle, GeneralObject, Interval, Permutation
 from occob.sampling import sample_document
-from occob.surfaces import IntervalRef
+from occob.surfaces import (
+    Cobordism,
+    Component,
+    InClosed,
+    IntervalRef,
+    Mixed,
+    OutClosed,
+    validate,
+)
 from reference_json import document_to_dict
 
 LONG = "1" * 5000  # past the interpreter's int conversion limit
@@ -376,6 +384,42 @@ class TestSerialize:
         assert serialize(doc).endswith("\n")
 
 
+def _with_a_true(rng: random.Random, c: Cobordism) -> Cobordism | None:
+    """``c`` with one genus or index of 1 replaced by ``True``, or None when
+    it has none, or when ``Component`` refuses the genus."""
+    spots = []
+    for ci, comp in enumerate(c.components):
+        if comp.genus == 1:
+            spots.append((ci, None, None))
+        for bi, circ in enumerate(comp.boundary):
+            if isinstance(circ, (InClosed, OutClosed)) and circ.index == 1:
+                spots.append((ci, bi, None))
+            elif isinstance(circ, Mixed):
+                spots += [
+                    (ci, bi, k)
+                    for k, e in enumerate(circ.cycle)
+                    if isinstance(e, IntervalRef) and e.index == 1
+                ]
+    if not spots:
+        return None
+    ci, bi, k = rng.choice(spots)
+    comps = list(c.components)
+    genus, boundary = comps[ci].genus, list(comps[ci].boundary)
+    if bi is None:
+        genus = True
+    elif k is None:
+        boundary[bi] = type(boundary[bi])(True)
+    else:
+        cycle = list(boundary[bi].cycle)
+        cycle[k] = IntervalRef(cycle[k].side, True, cycle[k].rev)
+        boundary[bi] = Mixed(cycle)
+    try:
+        comps[ci] = Component(genus, boundary)
+    except InvalidValueError:
+        return None
+    return Cobordism(c.source, c.target, comps)
+
+
 class TestJson:
     def test_round_trip(self, rng):
         for _ in range(10):
@@ -391,6 +435,25 @@ class TestJson:
     def test_deterministic(self, rng):
         doc = sample_document(rng)
         assert to_json(doc) == to_json(from_json(to_json(doc)))
+
+    def test_what_validate_accepts_reads_back_the_same(self, rng):
+        """Every document whose cobordisms pass ``validate`` reads back from
+        its JSON text as a document with the same texts, also when sampling
+        put ``True`` where a cobordism had a genus or an index of 1."""
+        checked = 0
+        for _ in range(300):
+            doc = sample_document(rng)
+            for name, d in doc.cobordisms.items():
+                c = _with_a_true(rng, d.cobordism) if rng.random() < 0.25 else None
+                if c is not None:
+                    doc.cobordisms[name] = CobordismDef(d.source_name, d.target_name, c)
+            if any(validate(d.cobordism) for d in doc.cobordisms.values()):
+                continue
+            text = to_json(doc)
+            again = from_json(text)
+            assert (to_json(again), serialize(again)) == (text, serialize(doc))
+            checked += 1
+        assert checked > 100
 
     def test_malformed_json_raises_syntax(self):
         with pytest.raises(DslSyntaxError):

@@ -86,6 +86,21 @@ class TestValidate:
             "source has no interval at position 2",
         ]
 
+    def test_a_bool_index_is_out_of_range_and_uses_no_entry(self):
+        closed = single(
+            star_obj("O"), star_obj("O"), Component(0, (InClosed(True), OutClosed(1)))
+        )
+        disc = Component(0, (Mixed((in_ref(True), Arc(STAR))),))
+        mixed = single(star_obj("I"), star_obj(""), disc)
+        assert [(v.rule, v.message) for v in validate(closed)] == [
+            ("index-range", "source has no circle at position True"),
+            ("missing-use", "source circle 1 is not attached to any boundary circle"),
+        ]
+        assert [(v.rule, v.message) for v in validate(mixed)] == [
+            ("index-range", "source has no interval at position True"),
+            ("missing-use", "source interval 1 is not attached to any boundary circle"),
+        ]
+
     def test_unknown_window_brane(self):
         c = single(
             star_obj("O"),

@@ -1,0 +1,233 @@
+"""``validate`` against the earlier version kept in ``reference_validate``.
+
+Both must return the same violations, in the same order, on sampled
+cobordisms, on reordered and rotated copies of them, and on mutants that
+break each rule.  The mutants here are one or two edits of a sampled
+cobordism; every index they write is a plain ``int``.  The one intended
+difference, an index that is not exactly an ``int``, is pinned in
+``test_surfaces.py``.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from occob.objects import Circle, GeneralObject, Interval
+from occob.sampling import sample_cobordism, shuffled
+from occob.surfaces import (
+    IN,
+    Arc,
+    Cobordism,
+    Component,
+    InClosed,
+    IntervalRef,
+    Mixed,
+    OutClosed,
+    Window,
+    validate,
+)
+from reference_validate import reference_validate
+from test_compose_reference import (
+    BRANE_SETS,
+    _edit_entry,
+    _mixed_positions,
+    drop_reference,
+    flip_rev,
+    relabel_arc,
+)
+
+
+def _with_component(c: Cobordism, ci: int, boundary) -> Cobordism:
+    comps = list(c.components)
+    comps[ci] = Component(comps[ci].genus, boundary)
+    return Cobordism(c.source, c.target, comps)
+
+
+def _circle_positions(c: Cobordism, kinds) -> list[tuple[int, int]]:
+    return [
+        (ci, bi)
+        for ci, comp in enumerate(c.components)
+        for bi, circ in enumerate(comp.boundary)
+        if isinstance(circ, kinds)
+    ]
+
+
+def duplicate_reference(rng: random.Random, c: Cobordism) -> Cobordism | None:
+    """A second circle on some component that uses an interval again."""
+    spots = _mixed_positions(c, lambda e: isinstance(e, IntervalRef))
+    if not spots:
+        return None
+    ci, bi, ei = rng.choice(spots)
+    ref = c.components[ci].boundary[bi].cycle[ei]
+    arc = Arc(rng.choice(sorted(c.source.branes)))
+    target = rng.randrange(len(c.components))
+    return _with_component(
+        c, target, c.components[target].boundary + (Mixed((ref, arc)),)
+    )
+
+
+def duplicate_circle(rng: random.Random, c: Cobordism) -> Cobordism | None:
+    spots = _circle_positions(c, (InClosed, OutClosed))
+    if not spots:
+        return None
+    ci, bi = rng.choice(spots)
+    boundary = c.components[ci].boundary
+    return _with_component(c, ci, boundary + (boundary[bi],))
+
+
+def _bad_index(rng: random.Random, obj: GeneralObject, wrong_kind) -> int:
+    """An index with no entry of the wanted kind: out of range, or one of
+    ``wrong_kind`` positions when there are some."""
+    choices = [0, -1, len(obj.entries) + 1, len(obj.entries) + 7]
+    choices += [i for i, e in enumerate(obj.entries, 1) if isinstance(e, wrong_kind)]
+    return rng.choice(choices)
+
+
+def index_out_of_range(rng: random.Random, c: Cobordism) -> Cobordism | None:
+    refs = _mixed_positions(c, lambda e: isinstance(e, IntervalRef))
+    closed = _circle_positions(c, (InClosed, OutClosed))
+    if refs and (not closed or rng.random() < 0.5):
+
+        def pushed(e):
+            obj = c.source if e.side == IN else c.target
+            return (IntervalRef(e.side, _bad_index(rng, obj, Circle), e.rev),)
+
+        return _edit_entry(c, rng.choice(refs), pushed)
+    if not closed:
+        return None
+    ci, bi = rng.choice(closed)
+    boundary = list(c.components[ci].boundary)
+    circ = boundary[bi]
+    obj = c.source if isinstance(circ, InClosed) else c.target
+    boundary[bi] = type(circ)(_bad_index(rng, obj, Interval))
+    return _with_component(c, ci, boundary)
+
+
+def window_in_cycle(rng: random.Random, c: Cobordism) -> Cobordism | None:
+    spots = _mixed_positions(c, lambda e: True)
+    if not spots:
+        return None
+    wrong = rng.choice([Window(rng.choice(sorted(c.source.branes))), InClosed(1)])
+    return _edit_entry(c, rng.choice(spots), lambda e: (wrong,))
+
+
+def arcs_side_by_side(rng: random.Random, c: Cobordism) -> Cobordism | None:
+    spots = _mixed_positions(c, lambda e: isinstance(e, Arc))
+    if not spots:
+        return None
+    return _edit_entry(c, rng.choice(spots), lambda e: (e, Arc(e.brane)))
+
+
+def empty_component(rng: random.Random, c: Cobordism) -> Cobordism | None:
+    if not c.components:
+        return None
+    return _with_component(c, rng.randrange(len(c.components)), ())
+
+
+def undeclared_brane(rng: random.Random, c: Cobordism) -> Cobordism | None:
+    arcs = _mixed_positions(c, lambda e: isinstance(e, Arc))
+    if arcs and rng.random() < 0.7:
+        return _edit_entry(c, rng.choice(arcs), lambda e: (Arc("z"),))
+    if not c.components:
+        return None
+    ci = rng.randrange(len(c.components))
+    return _with_component(c, ci, c.components[ci].boundary + (Window("z"),))
+
+
+def arc_as_circle(rng: random.Random, c: Cobordism) -> Cobordism | None:
+    if not c.components:
+        return None
+    ci = rng.randrange(len(c.components))
+    wrong = rng.choice([Arc(rng.choice(sorted(c.source.branes))), "circle"])
+    return _with_component(c, ci, c.components[ci].boundary + (wrong,))
+
+
+def other_branes(rng: random.Random, c: Cobordism) -> Cobordism | None:
+    t = c.target
+    wider = GeneralObject(t.branes | {"z"}, t.entries, t.sigma)
+    return Cobordism(c.source, wider, c.components)
+
+
+MUTATIONS = [
+    drop_reference,
+    flip_rev,
+    relabel_arc,
+    duplicate_reference,
+    duplicate_circle,
+    index_out_of_range,
+    window_in_cycle,
+    arcs_side_by_side,
+    empty_component,
+    undeclared_brane,
+    arc_as_circle,
+    other_branes,
+]
+
+
+def assert_same(c: Cobordism) -> set[str]:
+    got = validate(c)
+    assert got == reference_validate(c)
+    return {v.rule for v in got}
+
+
+@pytest.mark.parametrize("branes", BRANE_SETS, ids=["*", "ab", "abc"])
+def test_sampled_cobordisms_validate_as_the_reference_does(rng, branes):
+    for _ in range(200):
+        c = sample_cobordism(rng, branes, max_new_intervals=4)
+        assert assert_same(c) == set()
+        assert assert_same(shuffled(rng, c)) == set()
+
+
+@pytest.mark.parametrize("branes", BRANE_SETS, ids=["*", "ab", "abc"])
+def test_mutants_validate_as_the_reference_does(rng, branes):
+    fired: set[str] = set()
+    for _ in range(300):
+        c = sample_cobordism(rng, branes, max_new_intervals=4)
+        for mutate in MUTATIONS:
+            m = mutate(rng, c)
+            if m is None:
+                continue
+            fired |= assert_same(m) | assert_same(shuffled(rng, m))
+            twice = rng.choice(MUTATIONS)(rng, m)
+            if twice is not None:
+                fired |= assert_same(twice)
+    rules = {
+        "brane-set",
+        "empty-boundary",
+        "kind",
+        "index-range",
+        "unknown-brane",
+        "alternation",
+        "arc-brane",
+        "missing-use",
+        "duplicate-use",
+    }
+    assert fired == rules
+
+
+def test_arbitrary_cycles_validate_as_the_reference_does(rng):
+    """Cycles of 0 to 6 entries drawn from arcs, references in and out of
+    range, and wrong kinds, on objects over {a, b}: every length and order
+    of entries, not only a sampled surface edited once or twice."""
+    branes = ("a", "b")
+    pool = [Arc("a"), Arc("b"), Arc("z"), Window("a"), InClosed(1)]
+    pool += [
+        IntervalRef(side, i, rev)
+        for side in ("in", "out")
+        for i in (-1, 0, 1, 2, 3, 4)
+        for rev in (False, True)
+    ]
+    fired: set[str] = set()
+    for _ in range(3000):
+        c = sample_cobordism(rng, branes, max_components=2)
+        if not c.components:
+            continue
+        cycles = tuple(
+            Mixed(rng.choice(pool) for _ in range(rng.randint(0, 6)))
+            for _ in range(rng.randint(1, 2))
+        )
+        ci = rng.randrange(len(c.components))
+        fired |= assert_same(_with_component(c, ci, c.components[ci].boundary + cycles))
+    assert {"alternation", "arc-brane", "kind", "index-range"} <= fired
