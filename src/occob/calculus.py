@@ -67,6 +67,8 @@ def _cylinder(obj: GeneralObject, target: GeneralObject, tmap) -> Cobordism:
 
 def identity(obj: GeneralObject) -> Cobordism:
     """One cylinder per circle and one square per interval."""
+    if type(obj) is not GeneralObject:
+        raise wrong_type(GeneralObject, obj)
     return _cylinder(obj, obj, lambda i: i)
 
 
@@ -388,6 +390,10 @@ def pullback(c: Cobordism, tau: Permutation) -> Permutation:
     the glued surface.  The result does not depend on which realizer of
     ``tau`` is used; stabilized realizers give the same answer.
     """
+    if type(c) is not Cobordism:
+        raise wrong_type(Cobordism, c)
+    if type(tau) is not Permutation:
+        raise wrong_type(Permutation, tau)
     anchored = GeneralObject(c.target.branes, c.target.entries, tau)
     rebased = Cobordism(c.source, anchored, c.components)
     return boundary_permutation(compose(realize(anchored), rebased))

@@ -16,7 +16,7 @@ from occob import calculus, classify
 from occob.dsl import (
     CobordismDef,
     Document,
-    _dump_json,
+    _decimal,
     is_name,
     parse,
     parse_cycles,
@@ -125,6 +125,13 @@ def _cmd_invariants(args) -> int:
     doc = _load(args.file)
     cob = _get_cobordism(doc, args.a)
     summary = invariant_summary(cob)
+    # Both layouts print these numbers: one too long to write in decimal
+    # raises the writers' InvalidValueError in either.
+    for comp in summary.components:
+        _decimal(comp.euler)
+        _decimal(comp.genus)
+    _decimal(summary.euler)
+    _decimal(summary.genus_total)
     if args.json:
         payload = {
             "format": 1,
@@ -147,7 +154,7 @@ def _cmd_invariants(args) -> int:
             "c_number": cob.source.c_number,
             "b_subcategory": summary.b_subcategory,
         }
-        print(_dump_json(payload))
+        print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     zeros = dict.fromkeys(cob.source.branes, 0)
     for i, comp in enumerate(map(component_summary, cob.components), 1):
@@ -174,7 +181,7 @@ def _permutation_payload(p: Permutation, as_json: bool) -> int:
                 "text": p.cycle_string(),
             },
         }
-        print(_dump_json(payload))
+        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(p.cycle_string())
     return 0
@@ -241,7 +248,7 @@ def _cmd_classify(args) -> int:
                 for row in rows
             ],
         }
-        print(_dump_json(payload))
+        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(" ".join(header))
         for line in table:

@@ -34,10 +34,10 @@ from __future__ import annotations
 
 import json
 import re
-import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
+from typing import NoReturn
 
 from occob.classify import canonicalize
 from occob.errors import DslError, DslSyntaxError, DslValidationError, InvalidValueError
@@ -54,7 +54,6 @@ from occob.surfaces import (
     Mixed,
     OutClosed,
     Window,
-    default_rev,
     validate,
 )
 
@@ -117,8 +116,6 @@ _KEYWORDS = {
 _LEXEME = r"->|[0-9]+|\w+|[^ \t\r\n]"
 _COMMENT = re.compile(r"#[^\n]*")
 _TOKEN = re.compile(_LEXEME)
-# ``int()`` reads a literal this short whatever the interpreter's digit limit.
-_SHORT_INT = sys.int_info.str_digits_check_threshold
 _LOCATE = re.compile(rf"#[^\n]*|{_LEXEME}")
 
 
@@ -244,6 +241,13 @@ class _Builder:
 # Tokens are strings, and the empty string is the end of input.  Errors
 # point at the current token unless they come from the builder, which is
 # handed the index of the token that a value was read from.
+#
+# Each list production reads its items straight from ``self.toks`` by
+# index and checks each token where it reads it.  It calls a method only
+# to raise an error at the token that broke the grammar, or to read an
+# integer literal past the interpreter's digit limit, which ``int()``
+# refuses.  A token past another is read only once that other is known
+# not to be the end of input.
 
 
 class _Parser:
@@ -256,31 +260,33 @@ class _Parser:
     def peek(self) -> str:
         return self.toks[self.pos]
 
-    def advance(self) -> str:
-        t = self.toks[self.pos]
-        if t:
-            self.pos += 1
-        return t
+    def fail(self, message: str, k: int | None = None) -> NoReturn:
+        """Raise ``DslSyntaxError`` at token ``k``, by default the current one."""
+        raise DslSyntaxError(message, *_locate(self.text, self.pos if k is None else k))
 
-    def fail(self, message: str):
-        raise DslSyntaxError(message, *_locate(self.text, self.pos))
+    def expected(self, what: str, k: int) -> NoReturn:
+        self.fail(f"expected {what}, got {self.toks[k] or 'end of input'!r}", k)
 
     def expect(self, value: str) -> None:
-        t = self.peek()
-        if t != value:
-            self.fail(f"expected {value!r}, got {t or 'end of input'!r}")
+        if self.toks[self.pos] != value:
+            self.expected(repr(value), self.pos)
         self.pos += 1
 
-    def expect_int(self) -> int:
-        t = self.peek()
+    def integer(self, k: int) -> int:
+        """Token ``k`` as an integer, raising unless ``int()`` reads it as one."""
+        t = self.toks[k]
         if not _is_int(t):
-            self.fail(f"expected an integer, got {t or 'end of input'!r}")
+            self.expected("an integer", k)
         try:
-            value = int(t)
+            return int(t)
         except ValueError:  # longer than the interpreter's digit limit
-            self.fail(f"integer literal of {len(t)} digits is too long")
-        self.pos += 1
-        return value
+            self.fail(f"integer literal of {len(t)} digits is too long", k)
+
+    def bad_brane(self, k: int) -> NoReturn:
+        """Raise the error for token ``k``, which is no declared brane label."""
+        self.pos = k
+        label = self.brane_name()  # raises for a token that is not a name
+        self.build.fail(k, f"brane {label!r} is not declared")
 
     # names ----------------------------------------------------------------
 
@@ -290,11 +296,13 @@ class _Parser:
             self.fail(f"expected {what}, got {t or 'end of input'!r}")
         if t in _KEYWORDS:
             self.fail(f"keyword {t!r} cannot be used as {what}")
-        return self.advance()
+        self.pos += 1
+        return t
 
     def brane_name(self) -> str:
         if self.peek() == STAR:
-            return self.advance()
+            self.pos += 1
+            return STAR
         return self.name("a brane label")
 
     # document -------------------------------------------------------------
@@ -317,17 +325,13 @@ class _Parser:
         self.single_brane = self.peek() != "branes"
         if self.single_brane:
             return _Builder([STAR], at, self.text)
-        self.advance()
+        self.pos += 1
         labels = [self.brane_name()]
         while self.peek() == ",":
-            self.advance()
+            self.pos += 1
             labels.append(self.brane_name())
         self.expect(";")
         return _Builder(labels, at, self.text)
-
-    def brane(self) -> str:
-        at = self.pos
-        return self.build.brane(self.brane_name(), at)
 
     # objects --------------------------------------------------------------
 
@@ -343,15 +347,10 @@ class _Parser:
         cycles = None
         sigma_at = self.pos
         if self.peek() == "sigma":
-            self.advance()
+            self.pos += 1
             cycles = self.cycles()
         self.expect(";")
         self.build.add_object(name, entries, cycles, sigma_at)
-
-    # The list productions read an item of the plain form straight from
-    # ``self.toks`` and hand any other to the method for one item, at its
-    # index.  Each lookahead past a token is taken only once that token is
-    # known not to be the end of input.
 
     def entries(self) -> list:
         """``entry ("," entry)*``."""
@@ -363,71 +362,51 @@ class _Parser:
             if t == "O":
                 out.append(Circle())
                 k += 1
-            elif (
-                t == "I"
-                and toks[k + 1] == "("
-                and toks[k + 2] in branes
-                and toks[k + 3] == ","
-                and toks[k + 4] in branes
-                and toks[k + 5] == ")"
-            ):
+            elif t == "I":
+                if toks[k + 1] != "(":
+                    self.expected("'('", k + 1)
+                if toks[k + 2] not in branes:
+                    self.bad_brane(k + 2)
+                if toks[k + 3] != ",":
+                    self.expected("','", k + 3)
+                if toks[k + 4] not in branes:
+                    self.bad_brane(k + 4)
+                if toks[k + 5] != ")":
+                    self.expected("')'", k + 5)
                 out.append(Interval(toks[k + 2], toks[k + 4]))
                 k += 6
             else:
-                self.pos = k
-                out.append(self.entry())
-                k = self.pos
+                self.expected("'O' or 'I(..)'", k)
             if toks[k] != ",":
                 self.pos = k
                 return out
             k += 1
 
-    def entry(self):
-        t = self.peek()
-        if t == "O":
-            self.advance()
-            return Circle()
-        if t == "I":
-            self.advance()
-            self.expect("(")
-            left = self.brane()
-            self.expect(",")
-            right = self.brane()
-            self.expect(")")
-            return Interval(left, right)
-        self.fail(f"expected 'O' or 'I(..)', got {t or 'end of input'!r}")
-
     def cycles(self) -> list[tuple[int, ...]]:
-        t = self.peek()
-        if t == "id":
-            self.advance()
-            return []
-        if t != "(":
-            self.fail(f"expected 'id' or a cycle '(..)', got {t or 'end of input'!r}")
+        """``"id" | ("(" INT+ ")")+``."""
         toks = self.toks
-        out = []
         k = self.pos
+        if toks[k] == "id":
+            self.pos = k + 1
+            return []
+        if toks[k] != "(":
+            self.expected("'id' or a cycle '(..)'", k)
+        out = []
         while toks[k] == "(":
             start = k = k + 1
-            while "0" <= toks[k][:1] <= "9" and len(toks[k]) <= _SHORT_INT:
+            while "0" <= toks[k][:1] <= "9":
                 k += 1
-            if start < k and toks[k] == ")":
+            if k == start:
+                self.expected("an integer", k)
+            try:
                 out.append(tuple(map(int, toks[start:k])))
-                k += 1
-            else:
-                self.pos = start - 1
-                out.append(self.cycle())
-                k = self.pos
+            except ValueError:  # past the digit limit: integer() raises at the first
+                out.append(tuple(map(self.integer, range(start, k))))
+            if toks[k] != ")":
+                self.expected("')'", k)
+            k += 1
         self.pos = k
         return out
-
-    def cycle(self) -> tuple[int, ...]:
-        self.expect("(")
-        cyc = [self.expect_int()]
-        while _is_int(self.peek()):
-            cyc.append(self.expect_int())
-        self.expect(")")
-        return tuple(cyc)
 
     # cobordisms -----------------------------------------------------------
 
@@ -452,118 +431,96 @@ class _Parser:
         self.build.add_cobordism(name, at, source, target, comps)
 
     def component(self) -> Component:
+        """``"component" "{" "genus" INT ";" bline* "}"``."""
         self.expect("component")
         self.expect("{")
         self.expect("genus")
-        genus = self.expect_int()
+        genus = self.integer(self.pos)
+        self.pos += 1
         self.expect(";")
-        toks, branes = self.toks, self.build.doc.branes
+        toks, branes, single = self.toks, self.build.doc.branes, self.single_brane
         boundary = []
         k = self.pos
         while (t := toks[k]) != "}":
             if t == "in" or t == "out":
-                n = toks[k + 1]
-                if "0" <= n[:1] <= "9" and len(n) <= _SHORT_INT and toks[k + 2] == ";":
-                    index = int(n)
-                    boundary.append(InClosed(index) if t == "in" else OutClosed(index))
-                    k += 3
-                    continue
+                try:
+                    index = int(toks[k + 1])
+                except ValueError:  # not an integer literal, or past the digit limit
+                    index = self.integer(k + 1)
+                if toks[k + 2] != ";":
+                    self.expected("';'", k + 2)
+                boundary.append(InClosed(index) if t == "in" else OutClosed(index))
+                k += 3
             elif t == "window":
                 b = toks[k + 1]
-                if b in branes and toks[k + 2] == ";":
-                    boundary.append(Window(b))
-                    k += 3
-                    continue
-                if b == ";" and self.single_brane:
-                    boundary.append(Window(STAR))
+                if b in branes:
                     k += 2
-                    continue
-            self.pos = k
-            boundary.append(self.bline())
-            k = self.pos
-        self.pos = k
-        self.expect("}")
+                elif b == ";" or b == "," or b == "]":
+                    if not single:
+                        self.fail("window needs a brane label", k + 1)
+                    b = STAR
+                    k += 1
+                else:
+                    self.bad_brane(k + 1)
+                if toks[k] != ";":
+                    self.expected("';'", k)
+                boundary.append(Window(b))
+                k += 1
+            elif t == "mixed":
+                if toks[k + 1] != "[":
+                    self.expected("'['", k + 1)
+                self.pos = k + 2
+                cycle = self.mentries()
+                k = self.pos
+                if toks[k] != "]":
+                    self.expected("']'", k)
+                if toks[k + 1] != ";":
+                    self.expected("';'", k + 1)
+                boundary.append(Mixed(cycle))
+                k += 2
+            elif _is_word(t):
+                self.fail(f"expected 'in', 'out', 'window', or 'mixed', got {t!r}", k)
+            else:
+                self.expected("a boundary line", k)
+        self.pos = k + 1
         return Component(genus, boundary)
 
-    def bline(self):
-        t = self.peek()
-        if not _is_word(t):
-            self.fail(f"expected a boundary line, got {t or 'end of input'!r}")
-        if t == "in" or t == "out":
-            self.advance()
-            index = self.expect_int()
-            self.expect(";")
-            return InClosed(index) if t == "in" else OutClosed(index)
-        if t == "window":
-            self.advance()
-            brane = self.optional_brane(context="window")
-            self.expect(";")
-            return Window(brane)
-        if t == "mixed":
-            self.advance()
-            self.expect("[")
-            entries = self.mentries()
-            self.expect("]")
-            self.expect(";")
-            return Mixed(entries)
-        self.fail(f"expected 'in', 'out', 'window', or 'mixed', got {t!r}")
-
-    def optional_brane(self, context: str) -> str:
-        if self.peek() in (";", ",", "]"):
-            if self.single_brane:
-                return STAR
-            self.fail(f"{context} needs a brane label")
-        return self.brane()
-
     def mentries(self) -> list:
-        """``mentry ("," mentry)*``, read as ``entries`` reads its list."""
-        toks, branes = self.toks, self.build.doc.branes
+        """``mentry ("," mentry)*``."""
+        toks, branes, single = self.toks, self.build.doc.branes, self.single_brane
         out = []
         k = self.pos
         while True:
             t = toks[k]
-            e = None
             if t == IN or t == OUT:
-                n = toks[k + 1]
-                if "0" <= n[:1] <= "9" and len(n) <= _SHORT_INT:
-                    rev = t == IN
-                    if toks[k + 2] == "rev":
-                        rev = not rev
-                        k += 1
-                    e = IntervalRef(t, int(n), rev)
-                    k += 2
+                try:
+                    index = int(toks[k + 1])
+                except ValueError:  # not an integer literal, or past the digit limit
+                    index = self.integer(k + 1)
+                rev = t == IN  # default_rev(t), inline
+                if toks[k + 2] == "rev":
+                    rev = not rev
+                    k += 1
+                out.append(IntervalRef(t, index, rev))
+                k += 2
             elif t == "arc":
                 b = toks[k + 1]
                 if b in branes:
-                    e = Arc(b)
                     k += 2
-                elif self.single_brane and (b == "," or b == "]"):
-                    e = Arc(STAR)
+                elif b == "," or b == "]" or b == ";":
+                    if not single:
+                        self.fail("arc needs a brane label", k + 1)
+                    b = STAR
                     k += 1
-            if e is None:
-                self.pos = k
-                e = self.mentry()
-                k = self.pos
-            out.append(e)
+                else:
+                    self.bad_brane(k + 1)
+                out.append(Arc(b))
+            else:
+                self.expected("'in', 'out', or 'arc'", k)
             if toks[k] != ",":
                 self.pos = k
                 return out
             k += 1
-
-    def mentry(self):
-        t = self.peek()
-        if t == IN or t == OUT:
-            self.advance()
-            index = self.expect_int()
-            rev = default_rev(t)
-            if self.peek() == "rev":
-                self.advance()
-                rev = not rev
-            return IntervalRef(t, index, rev)
-        if t == "arc":
-            self.advance()
-            return Arc(self.optional_brane(context="arc"))
-        self.fail(f"expected 'in', 'out', or 'arc', got {t or 'end of input'!r}")
 
 
 def parse(text: str) -> Document:
@@ -617,8 +574,10 @@ def _fmt_bline(circ, single: bool) -> str:
 
 
 def _decimal(n: int) -> str:
-    """``n`` in decimal, or ``InvalidValueError`` for an integer longer
-    than the interpreter writes."""
+    """``n`` in decimal, or ``InvalidValueError`` for a value that is not
+    an ``int`` or an integer longer than the interpreter writes."""
+    if type(n) is not int:
+        raise InvalidValueError(f"expected an integer, got {type(n).__name__}")
     try:
         return int.__repr__(n)
     except ValueError:
@@ -664,7 +623,17 @@ def serialize(doc: Document) -> str:
 # for the document's dict ``d`` without building ``d``.  Each kind of node
 # has a template at its fixed depth with its keys in sorted order.  A
 # template's first slot takes the separator before the node: "[" or "{"
-# for the first item of an array or object, "," for the others.
+# for the first item of an array or object, "," for the others.  Each
+# value goes through ``_decimal``, ``_string`` or ``_bool``, which raise
+# ``InvalidValueError`` for a value of any other type.
+#
+# ``from_json`` reads each node with ``dict.get`` and tests each value by
+# exact type, as ``json.loads`` gives it.  Where a test fails, the reader
+# hands the value to ``_field``, which raises with the value's ``$.``-path
+# built from the keys and indices the reader holds, or accepts a subclass
+# of the JSON type.  The items of an array are all type-checked before any
+# of them is read, so each error is the first that a reader checking field
+# by field in document order meets.
 
 _OBJECT = """%s
     %s: {
@@ -748,58 +717,56 @@ def to_json(doc: Document) -> str:
         name: canonicalize(d.cobordism).cobordism
         for name, d in doc.cobordisms.items()
     }
-    out = ['{\n  "branes": ']
+    branes = [f"\n    {_string(b)}" for b in sorted(doc.branes)]
+    out = ['{\n  "branes": ', f"[{','.join(branes)}\n  ]" if branes else "[]"]
     w = out.append
-    _write_json(sorted(doc.branes), "\n  ", w)
     w(',\n  "cobordisms": ')
     sep = "{"
     for name in sorted(forms):
-        w(_COBORDISM % (sep, _key(name)))
+        w(_COBORDISM % (sep, _string(name)))
         csep = "["
         for comp in forms[name].components:
             w(_COMPONENT % csep)
             bsep = "["
             for circ in comp.boundary:
                 if isinstance(circ, InClosed):
-                    w(_IN_OUT % (bsep, _value(circ.index, _NL14), "in"))
+                    w(_IN_OUT % (bsep, _decimal(circ.index), "in"))
                 elif isinstance(circ, OutClosed):
-                    w(_IN_OUT % (bsep, _value(circ.index, _NL14), "out"))
+                    w(_IN_OUT % (bsep, _decimal(circ.index), "out"))
                 elif isinstance(circ, Window):
-                    w(_WINDOW % (bsep, _value(circ.brane, _NL14)))
+                    w(_WINDOW % (bsep, _string(circ.brane)))
                 else:
                     w(_MIXED % bsep)
                     esep = "["
                     for e in circ.cycle:
                         if isinstance(e, Arc):
-                            w(_ARC % (esep, _value(e.brane, _NL18)))
+                            w(_ARC % (esep, _string(e.brane)))
                         else:
-                            # An entry of no reference kind fails on .side.
-                            side, index, rev = e.side, e.index, e.rev
-                            w(_REF % (esep, _value(index, _NL18),
-                                      _value(rev, _NL18), _value(side, _NL18)))
+                            w(_REF % (esep, _decimal(e.index), _bool(e.rev),
+                                      _string(e.side)))
                         esep = ","
                     w(_close(esep, "\n              ]"))
                     w(_MIXED_END)
                 bsep = ","
             w(_close(bsep, "\n          ]"))
-            w(_GENUS % _value(comp.genus, _NL10))
+            w(_GENUS % _decimal(comp.genus))
             csep = ","
         d = doc.cobordisms[name]
         w(_close(csep, "\n      ]"))
-        w(_ENDPOINTS % (_value(d.source_name, _NL6), _value(d.target_name, _NL6)))
+        w(_ENDPOINTS % (_string(d.source_name), _string(d.target_name)))
         sep = ","
     w(_close(sep, "\n  }"))
     w(',\n  "format": 1,\n  "objects": ')
     sep = "{"
     for name in sorted(doc.objects):
         obj = doc.objects[name]
-        w(_OBJECT % (sep, _key(name)))
+        w(_OBJECT % (sep, _string(name)))
         esep = "["
         for e in obj.entries:
             if isinstance(e, Circle):
                 w(_CIRCLE % esep)
             else:
-                w(_INTERVAL % (esep, _quote(e.left), _quote(e.right)))
+                w(_INTERVAL % (esep, _string(e.left), _string(e.right)))
             esep = ","
         w(_close(esep, "\n      ]"))
         w(_SIGMA)
@@ -816,73 +783,22 @@ def to_json(doc: Document) -> str:
 
 
 _quote = json.encoder.encode_basestring_ascii
-_NL6, _NL10, _NL14, _NL18 = ("\n" + " " * k for k in (6, 10, 14, 18))
 
 
-def _key(key) -> str:
-    if not isinstance(key, str):
-        raise TypeError(f"keys must be str, not {type(key).__name__}")
-    return _quote(key)
+def _string(s: str) -> str:
+    """``s`` as a JSON string, or ``InvalidValueError`` for a value that is
+    not a ``str``."""
+    try:
+        return _quote(s)
+    except TypeError:
+        raise InvalidValueError(f"expected a string, got {type(s).__name__}") from None
 
 
-def _value(value, newline: str) -> str:
-    """``value`` as ``_write_json`` writes it where ``newline`` starts its line."""
-    if type(value) is int:
-        return _decimal(value)
-    if type(value) is str:
-        return _quote(value)
-    if type(value) is bool:
-        return "true" if value else "false"
-    out: list[str] = []
-    _write_json(value, newline, out.append)
-    return "".join(out)
-
-
-def _dump_json(value) -> str:
-    """The text of ``json.dumps(value, indent=2, sort_keys=True)``.
-
-    Only for dicts with str keys, lists, str, int and bool; anything else
-    raises ``TypeError``.  ``json`` itself falls back to its pure-Python
-    encoder whenever ``indent`` is set.
-    """
-    out: list[str] = []
-    _write_json(value, "\n", out.append)
-    return "".join(out)
-
-
-def _write_json(value, newline: str, write) -> None:
-    if isinstance(value, str):
-        write(_quote(value))
-    elif value is True:
-        write("true")
-    elif value is False:
-        write("false")
-    elif isinstance(value, int):
-        write(_decimal(value))
-    elif isinstance(value, dict):
-        if not value:
-            write("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, item in sorted(value.items()):
-            write(sep + _key(key) + ": ")
-            _write_json(item, inner, write)
-            sep = "," + inner
-        write(newline + "}")
-    elif isinstance(value, list):
-        if not value:
-            write("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in value:
-            write(sep)
-            _write_json(item, inner, write)
-            sep = "," + inner
-        write(newline + "]")
-    else:
-        raise TypeError(f"{type(value).__name__} is not written as JSON")
+def _bool(b: bool) -> str:
+    """``b`` as JSON, or ``InvalidValueError`` for a value that is not a ``bool``."""
+    if type(b) is not bool:
+        raise InvalidValueError(f"expected a bool, got {type(b).__name__}")
+    return "true" if b else "false"
 
 
 _JSON_KINDS = {
@@ -922,11 +838,20 @@ def _field(data, key, kind: type, where: tuple, default=_REQUIRED):
     return value
 
 
-def _items(data, key, kind: type, where: tuple, default=()) -> list:
-    """``(where, item)`` for each item of the array ``data[key]``."""
-    items = _field(data, key, list, where, default)
-    where += (key,)
-    return [(where + (i,), _field(items, i, kind, where)) for i in range(len(items))]
+def _array(data, key, kind: type, where: tuple) -> list:
+    """``_field(data, key, list, where)`` with each of its items checked to
+    be of JSON type ``kind``, so that it raises for the first that is not."""
+    items = _field(data, key, list, where)
+    for i in range(len(items)):
+        _field(items, i, kind, where + (key,))
+    return items
+
+
+# Whether an iterable of types holds only the one type: the test of the
+# items of an array, made before any item is read.
+_ONLY_DICT, _ONLY_LIST, _ONLY_STR, _ONLY_INT = (
+    frozenset({kind}).issuperset for kind in (dict, list, str, int)
+)
 
 
 def is_name(value, brane: bool = False) -> bool:
@@ -951,139 +876,98 @@ def _json_name(value, where: tuple, what: str, brane: bool = False) -> str:
     return value
 
 
-def _json_brane(build: _Builder, data, where: tuple, key: str = "brane") -> str:
-    return build.brane(_field(data, key, str, where), where + (key,))
-
-
-def _entry_from_json(build: _Builder, where: tuple, data: dict):
-    kind = _field(data, "type", str, where)
-    if kind == "circle":
-        return Circle()
-    if kind == "interval":
-        return Interval(
-            _json_brane(build, data, where, "left"),
-            _json_brane(build, data, where, "right"),
-        )
-    _fail(where + ("type",), f"unknown entry type {kind!r}")
-
-
-def _mixed_entry_from_json(build: _Builder, where: tuple, data: dict):
-    kind = _field(data, "type", str, where)
-    if kind == "arc":
-        return Arc(_json_brane(build, data, where))
-    if kind in (IN, OUT):
-        rev = _field(data, "rev", bool, where, default_rev(kind))
-        return IntervalRef(kind, _field(data, "index", int, where), rev)
-    _fail(where + ("type",), f"unknown mixed entry type {kind!r}")
-
-
-def _circle_from_json(build: _Builder, where: tuple, data: dict):
-    kind = _field(data, "type", str, where)
-    if kind == "in":
-        return InClosed(_field(data, "index", int, where))
-    if kind == "out":
-        return OutClosed(_field(data, "index", int, where))
-    if kind == "window":
-        return Window(_json_brane(build, data, where))
-    if kind == "mixed":
-        return Mixed(
-            _mixed_entry_from_json(build, w, e)
-            for w, e in _items(data, "entries", dict, where, _REQUIRED)
-        )
-    _fail(where + ("type",), f"unknown boundary circle type {kind!r}")
-
-
-def _read_object(branes: frozenset, spec) -> tuple[list, list] | None:
-    """An object's entries and sigma cycles, read without per-field calls.
-
-    None as soon as a value fails a check or is not of the exact type
-    ``json.loads`` gives; the caller then reads ``spec`` again through
-    ``_field``, which raises with the value's path or accepts it.
-    """
-    if type(spec) is not dict:
-        return None
-    items, sigma = spec.get("entries", []), spec.get("sigma", [])
-    if type(items) is not list or type(sigma) is not list:
-        return None
+def _read_object(build: _Builder, spec: dict, where: tuple) -> tuple[list, list]:
+    """The entries and sigma cycles of the object ``spec`` at ``where``."""
+    branes = build.doc.branes
+    items = spec.get("entries", [])
+    if type(items) is not list or not _ONLY_DICT(map(type, items)):
+        items = _array(spec, "entries", dict, where)
     entries = []
-    for e in items:
-        kind = e.get("type") if type(e) is dict else None
-        if type(kind) is not str:
-            return None
+    for i, e in enumerate(items):
+        kind = e.get("type")
         if kind == "circle":
             entries.append(Circle())
         elif kind == "interval":
             left, right = e.get("left"), e.get("right")
             if not (type(left) is str and left in branes
                     and type(right) is str and right in branes):
-                return None
+                at = (*where, "entries", i)
+                left = build.brane(_field(e, "left", str, at), at + ("left",))
+                right = build.brane(_field(e, "right", str, at), at + ("right",))
             entries.append(Interval(left, right))
         else:
-            return None
+            at = (*where, "entries", i)
+            kind = _field(e, "type", str, at)
+            _fail(at + ("type",), f"unknown entry type {kind!r}")
+    sigma = spec.get("sigma", [])
+    if type(sigma) is not list or not _ONLY_LIST(map(type, sigma)):
+        sigma = _array(spec, "sigma", list, where)
     cycles = []
-    for cycle in sigma:
-        if type(cycle) is not list:
-            return None
-        for i in cycle:
-            if type(i) is not int or i < 0:
-                return None
+    for k, cycle in enumerate(sigma):
+        if not (_ONLY_INT(map(type, cycle)) and min(cycle, default=0) >= 0):
+            _array(sigma, k, int, (*where, "sigma"))
         cycles.append(tuple(cycle))
     return entries, cycles
 
 
-def _read_components(branes: frozenset, spec: dict) -> list | None:
-    """A cobordism's components, read as ``_read_object`` reads an object."""
-    if type(spec) is not dict:
-        return None
+def _read_components(build: _Builder, spec: dict, where: tuple) -> list:
+    """The components of the cobordism ``spec`` at ``where``."""
+    branes = build.doc.branes
     comps = spec.get("components", [])
-    if type(comps) is not list:
-        return None
+    if type(comps) is not list or not _ONLY_DICT(map(type, comps)):
+        comps = _array(spec, "components", dict, where)
     out = []
-    for comp in comps:
-        if type(comp) is not dict:
-            return None
+    for c, comp in enumerate(comps):
         genus, boundary = comp.get("genus"), comp.get("boundary", [])
-        if type(genus) is not int or genus < 0 or type(boundary) is not list:
-            return None
+        if type(genus) is not int or genus < 0:
+            _field(comp, "genus", int, (*where, "components", c))
+        if type(boundary) is not list or not _ONLY_DICT(map(type, boundary)):
+            boundary = _array(comp, "boundary", dict, (*where, "components", c))
         circles = []
-        for circ in boundary:
-            kind = circ.get("type") if type(circ) is dict else None
-            if type(kind) is not str:
-                return None
+        for j, circ in enumerate(boundary):
+            kind = circ.get("type")
             if kind == "mixed":
                 items = circ.get("entries")
-                if type(items) is not list:
-                    return None
+                if type(items) is not list or not _ONLY_DICT(map(type, items)):
+                    at = (*where, "components", c, "boundary", j)
+                    items = _array(circ, "entries", dict, at)
                 cycle = []
-                for e in items:
-                    side = e.get("type") if type(e) is dict else None
-                    if type(side) is not str:
-                        return None
+                for i, e in enumerate(items):
+                    side = e.get("type")
                     if side == "arc":
                         brane = e.get("brane")
                         if type(brane) is not str or brane not in branes:
-                            return None
+                            at = (*where, "components", c, "boundary", j, "entries", i)
+                            brane = _field(e, "brane", str, at)
+                            brane = build.brane(brane, at + ("brane",))
                         cycle.append(Arc(brane))
                     elif side == IN or side == OUT:
                         index, rev = e.get("index"), e.get("rev", side == IN)
-                        if type(index) is not int or index < 0 or type(rev) is not bool:
-                            return None
+                        if type(rev) is not bool or type(index) is not int or index < 0:
+                            at = (*where, "components", c, "boundary", j, "entries", i)
+                            _field(e, "rev", bool, at, rev)
+                            _field(e, "index", int, at)
                         cycle.append(IntervalRef(side, index, rev))
                     else:
-                        return None
+                        at = (*where, "components", c, "boundary", j, "entries", i)
+                        side = _field(e, "type", str, at)
+                        _fail(at + ("type",), f"unknown mixed entry type {side!r}")
                 circles.append(Mixed(cycle))
             elif kind == "in" or kind == "out":
                 index = circ.get("index")
                 if type(index) is not int or index < 0:
-                    return None
+                    _field(circ, "index", int, (*where, "components", c, "boundary", j))
                 circles.append(InClosed(index) if kind == "in" else OutClosed(index))
             elif kind == "window":
                 brane = circ.get("brane")
                 if type(brane) is not str or brane not in branes:
-                    return None
+                    at = (*where, "components", c, "boundary", j)
+                    brane = build.brane(_field(circ, "brane", str, at), at + ("brane",))
                 circles.append(Window(brane))
             else:
-                return None
+                at = (*where, "components", c, "boundary", j)
+                kind = _field(circ, "type", str, at)
+                _fail(at + ("type",), f"unknown boundary circle type {kind!r}")
         out.append(Component(genus, circles))
     return out
 
@@ -1108,27 +992,20 @@ def from_json(source: str | dict) -> Document:
     fmt = _field(data, "format", int, ())
     if fmt != 1:
         _fail(("format",), f"unsupported format {fmt}")
-    labels = _items(data, "branes", str, (), [STAR])
-    branes = [_json_name(b, w, "a brane label", brane=True) for w, b in labels]
+    labels = _field(data, "branes", list, (), [STAR])
+    if not _ONLY_STR(map(type, labels)):
+        labels = _array(data, "branes", str, ())
+    branes = [
+        _json_name(b, ("branes", i), "a brane label", brane=True)
+        for i, b in enumerate(labels)
+    ]
     build = _Builder(branes, ("branes",))
     objects = _field(data, "objects", dict, (), {})
     for name in objects:
         where = ("objects", name)
         name = _json_name(name, where, "an object name")
         spec = _field(objects, name, dict, ("objects",))
-        read = _read_object(build.doc.branes, spec)
-        if read is None:
-            read = (
-                [
-                    _entry_from_json(build, w, e)
-                    for w, e in _items(spec, "entries", dict, where)
-                ],
-                [
-                    tuple(_field(cycle, i, int, w) for i in range(len(cycle)))
-                    for w, cycle in _items(spec, "sigma", list, where)
-                ],
-            )
-        build.add_object(name, *read, where + ("sigma",))
+        build.add_object(name, *_read_object(build, spec, where), where + ("sigma",))
     cobordisms = _field(data, "cobordisms", dict, (), {})
     for name in cobordisms:
         where = ("cobordisms", name)
@@ -1138,17 +1015,6 @@ def from_json(source: str | dict) -> Document:
             build.object_ref(_field(spec, key, str, where), where + (key,))
             for key in ("source", "target")
         )
-        components = _read_components(build.doc.branes, spec)
-        if components is None:
-            components = [
-                Component(
-                    _field(comp, "genus", int, w),
-                    [
-                        _circle_from_json(build, cw, circ)
-                        for cw, circ in _items(comp, "boundary", dict, w)
-                    ],
-                )
-                for w, comp in _items(spec, "components", dict, where)
-            ]
+        components = _read_components(build, spec, where)
         build.add_cobordism(name, where, source, target, components)
     return build.doc

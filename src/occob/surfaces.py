@@ -398,6 +398,8 @@ def boundary_permutation(c: Cobordism) -> Permutation:
     that raises ``InvalidCobordismError``, or ``InvalidValueError`` when
     two references share an interval.
     """
+    if type(c) is not Cobordism:
+        raise wrong_type(Cobordism, c)
     if c.target.entries != (Circle(),):
         raise InvalidValueError(
             "boundary permutation requires the single-circle target object"
@@ -506,6 +508,8 @@ def invariant_summary(c: Cobordism) -> InvariantSummary:
     totals are the window vector (with zeros), genus, Euler
     characteristic and the b-subcategory flag.
     """
+    if type(c) is not Cobordism:
+        raise wrong_type(Cobordism, c)
     summaries = sorted(map(component_summary, c.components))
     return InvariantSummary(
         components=tuple(summaries),

@@ -12,8 +12,10 @@ two places:
 at all, such as an ``int`` where a ``Cobordism`` goes, to each entry point
 that checks for it: ``Component``, ``validate``, ``compose``, ``tensor``,
 ``realize``, ``stabilize``, ``canonicalize``, ``is_isomorphic``, ``parse``,
-``serialize`` and ``to_json``.  Each must raise ``InvalidValueError``.  The
-argument types of the other exports are outside this contract.
+``serialize``, ``to_json``, ``pullback``, ``boundary_permutation``,
+``invariant_summary`` and ``identity``.  Each must raise
+``InvalidValueError``.  The argument types of the other exports are outside
+this contract.
 """
 
 from __future__ import annotations
@@ -387,6 +389,13 @@ WRONG_TYPES: dict[str, list[tuple[str, object]]] = {
     "parse": [("an int", lambda: parse(1)), ("bytes", lambda: parse(b"object"))],
     "serialize": [("an int", lambda: serialize(5))],
     "to_json": [("a list", lambda: to_json([]))],
+    "pullback": [
+        ("ints", lambda: pullback(1, 2)),
+        ("tau not a permutation", lambda: pullback(identity(ONE), 2)),
+    ],
+    "boundary_permutation": [("an int", lambda: boundary_permutation(1))],
+    "invariant_summary": [("an int", lambda: invariant_summary(1))],
+    "identity": [("an int", lambda: identity(1))],
 }
 
 _RECORD = "a record; validate or the object that holds it checks its values"
@@ -502,6 +511,37 @@ def test_validate_shows_an_overlong_index_by_its_size(circle):
     c = Cobordism(ONE, ONE, (Component(0, (circle,)),))
     (v,) = [v for v in validate(c) if v.rule == "index-range"]
     assert v.message.endswith(f"at position <an integer of {HUGE.bit_length()} bits>")
+
+
+@pytest.mark.parametrize("index", [1.5, "x", None, True], ids=repr)
+@pytest.mark.parametrize("write", [serialize, to_json])
+def test_an_index_of_the_wrong_type_is_not_written(write, index):
+    c = Cobordism(ONE, ONE, (Component(0, (InClosed(index), OutClosed(1))),))
+    name = type(index).__name__
+    with pytest.raises(InvalidValueError, match=f"^expected an integer, got {name}$"):
+        write(_document(c))
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda c: CobordismDef(5, "t", c), "expected a string, got int"),
+        (lambda c: CobordismDef("s", None, c), "expected a string, got NoneType"),
+    ],
+    ids=["source", "target"],
+)
+def test_to_json_writes_only_str_object_names(make, message):
+    doc = _document(_square())
+    doc.cobordisms["c"] = make(doc.cobordisms["c"].cobordism)
+    with pytest.raises(InvalidValueError, match=f"^{message}$"):
+        to_json(doc)
+
+
+def test_to_json_writes_only_a_bool_rev():
+    square = Mixed((out_ref(1), Arc(STAR), IntervalRef("in", 1, 2), Arc(STAR)))
+    doc = _document(Cobordism(IV, IV, (Component(0, (square,)),)))
+    with pytest.raises(InvalidValueError, match="^expected a bool, got int$"):
+        to_json(doc)
 
 
 @pytest.mark.parametrize(

@@ -148,6 +148,22 @@ class TestQueries:
         assert payload["c_number"] == 2
         assert payload["b_subcategory"] is True
 
+    @pytest.mark.parametrize("layout", [[], ["--json"]], ids=["text", "json"])
+    def test_invariants_too_long_to_print_exit_1(self, tmp_path, capsys, layout):
+        """A genus of 4300 digits parses, but its Euler characteristic has
+        one more digit than the interpreter writes in decimal."""
+        p = tmp_path / "huge.occ"
+        p.write_text(
+            f"object c = [O];\ncobordism T : c -> c {{\n"
+            f"  component {{ genus {'9' * 4300}; in 1; out 1; }}\n}}\n",
+            encoding="utf-8",
+        )
+        assert main(["invariants", str(p), "T", *layout]) == 1
+        assert capsys.readouterr() == (
+            "",
+            "error: an integer of 14286 bits is too long to write in decimal\n",
+        )
+
     def test_sigma(self, doc_path, capsys):
         assert main(["sigma", doc_path, "T"]) == 0
         assert capsys.readouterr().out.strip() == "id"

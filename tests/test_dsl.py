@@ -15,7 +15,6 @@ from occob.calculus import compose, identity, realize, stabilize
 from occob.dsl import (
     CobordismDef,
     Document,
-    _dump_json,
     _is_int,
     _is_word,
     _locate,
@@ -38,6 +37,7 @@ from occob.surfaces import (
     OutClosed,
     validate,
 )
+from reference_dsl import outcome, reference_parse
 from reference_json import document_to_dict
 
 LONG = "1" * 5000  # past the interpreter's int conversion limit
@@ -714,41 +714,6 @@ def test_from_json_is_total_and_faithful_under_mutation(seed, data):
     assert again.objects == doc.objects and again.branes == doc.branes
 
 
-_JSON_SCALARS = st.one_of(
-    st.text(),
-    st.text("\"\\\x00\x1f\x7f\xe9\u2028\U0001f600 a"),
-    st.integers(),
-    st.integers(-(10**300), 10**300),
-    st.booleans(),
-)
-_JSON_VALUES = st.recursive(
-    _JSON_SCALARS,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.text(), inner, max_size=4),
-    max_leaves=30,
-)
-
-
-class TestDumpJson:
-    @settings(max_examples=400, deadline=None)
-    @given(_JSON_VALUES)
-    @example({})
-    @example([])
-    @example({"b": [], "a": {}, "": [{}]})
-    def test_is_json_dumps_indented(self, value):
-        assert _dump_json(value) == json.dumps(value, indent=2, sort_keys=True)
-
-    def test_documents(self, rng):
-        for _ in range(20):
-            data = document_to_dict(sample_document(rng, branes=("a", "b")))
-            assert _dump_json(data) == json.dumps(data, indent=2, sort_keys=True)
-
-    @pytest.mark.parametrize("value", [1.0, None, {1: "a"}, [{"a": None}], (1,)])
-    def test_rejects_other_types(self, value):
-        with pytest.raises(TypeError):
-            _dump_json(value)
-
-
 class TestParseCycles:
     def test_id(self):
         assert list(parse_cycles("id")) == []
@@ -775,14 +740,19 @@ class TestCorpus:
             assert serialize(parse(text)) == text, path.name
 
     def test_every_prefix_parses_or_raises_a_dsl_error(self):
-        """Lookahead in the parser never reads past the end of input."""
-        for path in sorted((CORPUS / "roundtrip").glob("*.occ")):
-            text = path.read_text(encoding="utf-8")
+        """Lookahead in the parser never reads past the end of input, and
+        each prefix reads as the item-by-item reference parser reads it.
+
+        A prefix that ends in whitespace has the tokens of the prefix
+        before that whitespace, so the parsers meet the same tokens; only
+        the parser under test reads it.
+        """
+        for text in _ROUNDTRIP_TEXTS:
             for k in range(len(text) + 1):
-                try:
-                    parse(text[:k])
-                except DslError:
-                    pass
+                got = outcome(parse, text[:k])
+                assert type(got) is str or issubclass(got[0], DslError), got
+                if k == len(text) or not text[k - 1].isspace():
+                    assert got == outcome(reference_parse, text[:k]), text[:k]
 
     def test_malformed_files_fail_with_position(self):
         files = sorted((CORPUS / "malformed").glob("*.occ"))

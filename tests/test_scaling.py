@@ -1,15 +1,18 @@
-"""The read path does work linear in the document, counted in lines run.
+"""The document layers do work linear in the document, counted in lines run.
 
-``sys.settrace`` counts the Python lines that ``validate``, ``parse`` and
-``from_json`` run on documents whose object has n entries, for n = 100,
-200, 400 and 800.  The documents have two of the shapes of the benchmark's
-``large_interfaces`` workload: ``cycle``, n intervals joined by one
-n-cycle, and ``circles``, n circles, each with its realizer as the
-cobordism.  A count does not depend on the host or on other load, unlike
-a time.  Each doubling of n may multiply the count by at most 2.3, which
-leaves room for an n log n sort; a quadratic path in Python multiplies it
-by about 4.  Work inside a single C call, such as ``x in tuple`` or
-``sorted``, runs no Python lines and so is not counted.
+``sys.settrace`` counts the Python lines that ``validate``, ``parse``,
+``from_json``, ``to_json`` and ``serialize`` run on documents of size n,
+for n = 100, 200, 400 and 800.  Three shapes follow the benchmark's
+``large_interfaces`` workload, each an object of n entries with its
+realizer as the cobordism: ``cycle``, n intervals joined by one n-cycle;
+``perm``, n intervals joined in pairs, so that sigma has n / 2 cycles; and
+``circles``, n circles.  The fourth, ``windows``, is one component of
+genus n with n windows over two branes, built directly.  A count does not
+depend on the host or on other load, unlike a time.  Each doubling of n
+may multiply the count by at most 2.3, which leaves room for an n log n
+sort; a quadratic path in Python multiplies it by about 4.  Work inside a
+single C call, such as ``x in tuple`` or ``sorted``, runs no Python lines
+and so is not counted.
 """
 
 from __future__ import annotations
@@ -21,19 +24,29 @@ import pytest
 from occob.calculus import realize
 from occob.dsl import CobordismDef, Document, from_json, parse, serialize, to_json
 from occob.objects import STAR, Circle, GeneralObject, Interval, Permutation
-from occob.surfaces import validate
+from occob.surfaces import Cobordism, Component, InClosed, OutClosed, Window, validate
 
 SIZES = (100, 200, 400, 800)
 MAX_RATIO = 2.3
 
 
 def _document(shape: str, n: int) -> Document:
-    if shape == "cycle":
-        positions = range(1, n + 1)
-        sigma = Permutation.from_cycles([positions], positions)
-        obj = GeneralObject({STAR}, [Interval(STAR, STAR)] * n, sigma)
-    else:
+    if shape == "windows":
+        branes = ("a", "b")
+        c1 = GeneralObject(branes, [Circle()])
+        windows = [Window(branes[i % 2]) for i in range(n)]
+        c = Cobordism(c1, c1, [Component(n, [InClosed(1), OutClosed(1), *windows])])
+        doc = Document(branes=frozenset(branes), objects={"C": c1})
+        doc.cobordisms["R"] = CobordismDef("C", "C", c)
+        return doc
+    if shape == "circles":
         obj = GeneralObject({STAR}, [Circle()] * n)
+    else:
+        positions = range(1, n + 1)
+        pairs = zip(positions[::2], positions[1::2])
+        cycles = [positions] if shape == "cycle" else pairs
+        sigma = Permutation.from_cycles(cycles, positions)
+        obj = GeneralObject({STAR}, [Interval(STAR, STAR)] * n, sigma)
     r = realize(obj)
     doc = Document(branes=frozenset({STAR}))
     doc.objects["C"], doc.objects["X"] = r.target, obj
@@ -67,12 +80,17 @@ def _call(layer: str, doc: Document):
     if layer == "parse":
         text = serialize(doc)
         return lambda: parse(text)
-    text = to_json(doc)
-    return lambda: from_json(text)
+    if layer == "from_json":
+        text = to_json(doc)
+        return lambda: from_json(text)
+    write = {"to_json": to_json, "serialize": serialize}[layer]
+    return lambda: write(doc)
 
 
-@pytest.mark.parametrize("shape", ["cycle", "circles"])
-@pytest.mark.parametrize("layer", ["validate", "parse", "from_json"])
+@pytest.mark.parametrize("shape", ["cycle", "perm", "circles", "windows"])
+@pytest.mark.parametrize(
+    "layer", ["validate", "parse", "from_json", "to_json", "serialize"]
+)
 def test_each_doubling_of_n_at_most_doubles_the_lines_run(layer, shape):
     counts = [_lines_run(_call(layer, _document(shape, n))) for n in SIZES]
     ratios = [round(b / a, 3) for a, b in zip(counts, counts[1:])]
