@@ -31,8 +31,6 @@ from occob.surfaces import (
     Window,
     boundary_permutation,
     euler_char,
-    in_ref,
-    out_ref,
 )
 
 __all__ = [
@@ -53,14 +51,18 @@ __all__ = [
 
 
 def _cylinder(obj: GeneralObject, target: GeneralObject, tmap) -> Cobordism:
+    arcs = {b: Arc(b) for b in obj.branes}
     comps = []
     for i, e in enumerate(obj.entries, start=1):
         if isinstance(e, Circle):
             comps.append(Component(0, (InClosed(i), OutClosed(tmap(i)))))
         else:
-            square = Mixed(
-                (out_ref(tmap(i)), Arc(e.right), in_ref(i), Arc(e.left))
-            )
+            square = Mixed((
+                IntervalRef(OUT, tmap(i), False),
+                arcs[e.right],
+                IntervalRef(IN, i, True),
+                arcs[e.left],
+            ))
             comps.append(Component(0, (square,)))
     return Cobordism(obj, target, tuple(comps))
 
@@ -78,6 +80,8 @@ def swap_cobordism(a: GeneralObject, b: GeneralObject) -> Cobordism:
     Identity-shaped cylinders whose target attachments are permuted by
     the block swap.
     """
+    if type(a) is not GeneralObject or type(b) is not GeneralObject:
+        raise wrong_type(GeneralObject, a, b)
     if a.branes != b.branes:
         raise CompositionError("swap requires matching brane sets")
     la, lb = len(a.entries), len(b.entries)
@@ -364,18 +368,20 @@ def realize(obj: GeneralObject) -> Cobordism:
     if type(obj) is not GeneralObject:
         raise wrong_type(GeneralObject, obj)
     boundary: list[BoundaryCircle] = [InClosed(i) for i in obj.circle_indices]
+    arcs = {b: Arc(b) for b in obj.branes}
+    at = obj.entries  # sigma permutes the positions of intervals only
     for cyc in obj.sigma.cycles():
         entries: list[MixedEntry] = []
         for x, nxt in zip(cyc, cyc[1:] + cyc[:1]):
-            left = obj.interval(x).left
-            if left != obj.interval(nxt).right:
+            left, right = at[x - 1].left, at[nxt - 1].right
+            if left != right:
                 raise InfeasibleObjectError(
                     f"cycle {cyc} is not brane-coherent: interval {x} leaves on "
                     f"brane {left!r} but interval {nxt} is entered on brane "
-                    f"{obj.interval(nxt).right!r}"
+                    f"{right!r}"
                 )
-            entries.append(in_ref(x))
-            entries.append(Arc(left))
+            entries.append(IntervalRef(IN, x, True))
+            entries.append(arcs[left])
         boundary.append(Mixed(entries))
     boundary.append(OutClosed(1))
     target = GeneralObject(obj.branes, (Circle(),))
@@ -406,6 +412,10 @@ def is_morphism(c: Cobordism, src: GeneralObject, tgt: GeneralObject) -> bool:
     answer is whether the target permutation pulls back along ``c`` to the
     source permutation.
     """
+    if type(c) is not Cobordism:
+        raise wrong_type(Cobordism, c)
+    if type(src) is not GeneralObject or type(tgt) is not GeneralObject:
+        raise wrong_type(GeneralObject, src, tgt)
     if c.source.entries != src.entries or c.source.branes != src.branes:
         raise CompositionError("the source object does not match the cobordism")
     if c.target.entries != tgt.entries or c.target.branes != tgt.branes:

@@ -20,6 +20,7 @@ from occob.errors import wrong_type
 from occob.objects import Circle, GeneralObject
 from occob.surfaces import (
     IN,
+    Arc,
     BoundaryCircle,
     Cobordism,
     Component,
@@ -53,9 +54,16 @@ _first = itemgetter(0)
 
 
 def _entry_key(e) -> tuple:
-    if isinstance(e, IntervalRef):
-        return (0, 0 if e.side == IN else 1, e.index, int(e.rev))
-    return (1, e.brane)
+    kind = type(e)
+    if kind is IntervalRef and type(e.rev) is bool:
+        return (0, 0 if e.side == IN else 1, e.index, 1 if e.rev else 0)
+    if kind is Arc:
+        return (1, e.brane)
+    if kind is IntervalRef:
+        message = f"an interval reference with rev {e.rev!r}, not a bool"
+    else:
+        message = f"{kind.__name__} is neither an interval reference nor an arc"
+    raise InvalidCobordismError(f"mixed cycle entry: {message}")
 
 
 def _mixed_key(cycle: tuple) -> tuple[tuple, int]:
@@ -224,6 +232,8 @@ def strata_table(
     whether the representative keeps outgoing boundary on every component
     (always true for these connected representatives).
     """
+    if type(obj) is not GeneralObject:
+        raise wrong_type(GeneralObject, obj)
     c = obj.c_number
     return [
         StrataRow(

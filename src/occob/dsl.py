@@ -116,6 +116,7 @@ _KEYWORDS = {
 _LEXEME = r"->|[0-9]+|\w+|[^ \t\r\n]"
 _COMMENT = re.compile(r"#[^\n]*")
 _TOKEN = re.compile(_LEXEME)
+_WORD = re.compile(r"\w+")
 _LOCATE = re.compile(rf"#[^\n]*|{_LEXEME}")
 
 
@@ -172,10 +173,18 @@ def _fail(where: tuple, message: str, cls: type[DslError] = DslSyntaxError, **kw
     raise cls(f"at ${path}: {message}", **kwargs)
 
 
+# The one circle entry, shared by every document.
+_CIRCLE_ENTRY = Circle()
+
+
 class _Builder:
     """Checks front-end values while assembling them into ``doc``.
 
-    ``text`` is the document text that token indices refer to.
+    ``text`` is the document text that token indices refer to.  The front
+    ends take each arc and window from ``arc`` and ``window``, which hold
+    one value per declared brane, and each interval from ``intervals``,
+    which holds per declared left label one value per right label met.
+    Each table has exactly the declared labels as keys.
     """
 
     def __init__(self, branes: list[str], where, text: str = ""):
@@ -186,6 +195,9 @@ class _Builder:
         if dup:
             self.fail(where, f"brane {dup[0]!r} declared twice")
         self.doc = Document(branes=frozenset(branes))
+        self.arc = {b: Arc(b) for b in branes}
+        self.window = {b: Window(b) for b in branes}
+        self.intervals: dict[str, dict[str, Interval]] = {b: {} for b in branes}
 
     def fail(self, where, message: str, cls=DslSyntaxError, **kwargs):
         if isinstance(where, int):
@@ -354,26 +366,31 @@ class _Parser:
 
     def entries(self) -> list:
         """``entry ("," entry)*``."""
-        toks, branes = self.toks, self.build.doc.branes
+        toks, branes, intervals = self.toks, self.build.doc.branes, self.build.intervals
         out = []
         k = self.pos
         while True:
             t = toks[k]
             if t == "O":
-                out.append(Circle())
+                out.append(_CIRCLE_ENTRY)
                 k += 1
             elif t == "I":
                 if toks[k + 1] != "(":
                     self.expected("'('", k + 1)
-                if toks[k + 2] not in branes:
+                row = intervals.get(toks[k + 2])
+                if row is None:
                     self.bad_brane(k + 2)
                 if toks[k + 3] != ",":
                     self.expected("','", k + 3)
-                if toks[k + 4] not in branes:
+                right = toks[k + 4]
+                if right not in branes:
                     self.bad_brane(k + 4)
                 if toks[k + 5] != ")":
                     self.expected("')'", k + 5)
-                out.append(Interval(toks[k + 2], toks[k + 4]))
+                iv = row.get(right)
+                if iv is None:
+                    iv = row[right] = Interval(toks[k + 2], right)
+                out.append(iv)
                 k += 6
             else:
                 self.expected("'O' or 'I(..)'", k)
@@ -438,7 +455,7 @@ class _Parser:
         genus = self.integer(self.pos)
         self.pos += 1
         self.expect(";")
-        toks, branes, single = self.toks, self.build.doc.branes, self.single_brane
+        toks, windows, single = self.toks, self.build.window, self.single_brane
         boundary = []
         k = self.pos
         while (t := toks[k]) != "}":
@@ -453,18 +470,19 @@ class _Parser:
                 k += 3
             elif t == "window":
                 b = toks[k + 1]
-                if b in branes:
+                window = windows.get(b)
+                if window is not None:
                     k += 2
                 elif b == ";" or b == "," or b == "]":
                     if not single:
                         self.fail("window needs a brane label", k + 1)
-                    b = STAR
+                    window = windows[STAR]
                     k += 1
                 else:
                     self.bad_brane(k + 1)
                 if toks[k] != ";":
                     self.expected("';'", k)
-                boundary.append(Window(b))
+                boundary.append(window)
                 k += 1
             elif t == "mixed":
                 if toks[k + 1] != "[":
@@ -487,7 +505,7 @@ class _Parser:
 
     def mentries(self) -> list:
         """``mentry ("," mentry)*``."""
-        toks, branes, single = self.toks, self.build.doc.branes, self.single_brane
+        toks, arcs, single = self.toks, self.build.arc, self.single_brane
         out = []
         k = self.pos
         while True:
@@ -505,16 +523,17 @@ class _Parser:
                 k += 2
             elif t == "arc":
                 b = toks[k + 1]
-                if b in branes:
+                arc = arcs.get(b)
+                if arc is not None:
                     k += 2
                 elif b == "," or b == "]" or b == ";":
                     if not single:
                         self.fail("arc needs a brane label", k + 1)
-                    b = STAR
+                    arc = arcs[STAR]
                     k += 1
                 else:
                     self.bad_brane(k + 1)
-                out.append(Arc(b))
+                out.append(arc)
             else:
                 self.expected("'in', 'out', or 'arc'", k)
             if toks[k] != ",":
@@ -586,25 +605,45 @@ def _decimal(n: int) -> str:
         ) from None
 
 
+def _name(value, what: str, brane: bool = False) -> str:
+    """``value``, or ``InvalidValueError`` when ``parse`` would not read it
+    back as ``what``: it is not a ``str``, or ``is_name`` rejects it."""
+    if is_name(value, brane):
+        return value
+    if not isinstance(value, str):
+        raise InvalidValueError(f"expected a string, got {type(value).__name__}")
+    raise InvalidValueError(f"{value!r} cannot be written as {what}")
+
+
+def _sorted_names(names, what: str, brane: bool = False) -> list[str]:
+    """``names``, each checked by ``_name``, in sorted order."""
+    return sorted([_name(name, what, brane) for name in names])
+
+
 def serialize(doc: Document) -> str:
     """Deterministic canonical text: sorted names, canonical cobordisms.
 
-    Serializing, parsing, and serializing again is byte-stable.
+    Serializing, parsing, and serializing again is byte-stable.  A brane,
+    object or cobordism name that ``parse`` would not read back raises
+    ``InvalidValueError``.
     """
     if type(doc) is not Document:
         raise wrong_type(Document, doc)
     single = doc.branes == frozenset({STAR})
     blocks: list[str] = []
+    branes = _sorted_names(doc.branes, "a brane label", brane=True)
     if not single:
-        blocks.append("branes " + ", ".join(sorted(doc.branes)) + ";")
-    for name in sorted(doc.objects):
+        blocks.append("branes " + ", ".join(branes) + ";")
+    for name in _sorted_names(doc.objects, "an object name"):
         obj = doc.objects[name]
         entries = ", ".join(_fmt_entry(e) for e in obj.entries)
         blocks.append(f"object {name} = [{entries}]{_fmt_sigma(obj.sigma)};")
-    for name in sorted(doc.cobordisms):
+    for name in _sorted_names(doc.cobordisms, "a cobordism name"):
         d = doc.cobordisms[name]
+        source = _name(d.source_name, "an object name")
+        target = _name(d.target_name, "an object name")
         canonical = canonicalize(d.cobordism).cobordism
-        lines = [f"cobordism {name} : {d.source_name} -> {d.target_name} {{"]
+        lines = [f"cobordism {name} : {source} -> {target} {{"]
         for comp in canonical.components:
             lines.append("  component {")
             lines.append(f"    genus {_decimal(comp.genus)};")
@@ -624,8 +663,9 @@ def serialize(doc: Document) -> str:
 # has a template at its fixed depth with its keys in sorted order.  A
 # template's first slot takes the separator before the node: "[" or "{"
 # for the first item of an array or object, "," for the others.  Each
-# value goes through ``_decimal``, ``_string`` or ``_bool``, which raise
-# ``InvalidValueError`` for a value of any other type.
+# integer and string goes through ``_decimal`` or ``_string``, which raise
+# ``InvalidValueError`` for a value of any other type; ``canonicalize``
+# has already rejected a ``rev`` that is not a ``bool``.
 #
 # ``from_json`` reads each node with ``dict.get`` and tests each value by
 # exact type, as ``json.loads`` gives it.  Where a test fails, the reader
@@ -717,12 +757,15 @@ def to_json(doc: Document) -> str:
         name: canonicalize(d.cobordism).cobordism
         for name, d in doc.cobordisms.items()
     }
-    branes = [f"\n    {_string(b)}" for b in sorted(doc.branes)]
+    branes = [
+        f"\n    {_string(b)}"
+        for b in _sorted_names(doc.branes, "a brane label", brane=True)
+    ]
     out = ['{\n  "branes": ', f"[{','.join(branes)}\n  ]" if branes else "[]"]
     w = out.append
     w(',\n  "cobordisms": ')
     sep = "{"
-    for name in sorted(forms):
+    for name in _sorted_names(forms, "a cobordism name"):
         w(_COBORDISM % (sep, _string(name)))
         csep = "["
         for comp in forms[name].components:
@@ -742,8 +785,8 @@ def to_json(doc: Document) -> str:
                         if isinstance(e, Arc):
                             w(_ARC % (esep, _string(e.brane)))
                         else:
-                            w(_REF % (esep, _decimal(e.index), _bool(e.rev),
-                                      _string(e.side)))
+                            rev = "true" if e.rev else "false"
+                            w(_REF % (esep, _decimal(e.index), rev, _string(e.side)))
                         esep = ","
                     w(_close(esep, "\n              ]"))
                     w(_MIXED_END)
@@ -753,12 +796,14 @@ def to_json(doc: Document) -> str:
             csep = ","
         d = doc.cobordisms[name]
         w(_close(csep, "\n      ]"))
-        w(_ENDPOINTS % (_string(d.source_name), _string(d.target_name)))
+        source = _name(d.source_name, "an object name")
+        target = _name(d.target_name, "an object name")
+        w(_ENDPOINTS % (_string(source), _string(target)))
         sep = ","
     w(_close(sep, "\n  }"))
     w(',\n  "format": 1,\n  "objects": ')
     sep = "{"
-    for name in sorted(doc.objects):
+    for name in _sorted_names(doc.objects, "an object name"):
         obj = doc.objects[name]
         w(_OBJECT % (sep, _string(name)))
         esep = "["
@@ -792,13 +837,6 @@ def _string(s: str) -> str:
         return _quote(s)
     except TypeError:
         raise InvalidValueError(f"expected a string, got {type(s).__name__}") from None
-
-
-def _bool(b: bool) -> str:
-    """``b`` as JSON, or ``InvalidValueError`` for a value that is not a ``bool``."""
-    if type(b) is not bool:
-        raise InvalidValueError(f"expected a bool, got {type(b).__name__}")
-    return "true" if b else "false"
 
 
 _JSON_KINDS = {
@@ -858,16 +896,19 @@ def is_name(value, brane: bool = False) -> bool:
     """Whether the text grammar reads ``value`` as one name token.
 
     That is a WORD that is not a keyword, or ``*`` for a brane label, so
-    the text written by ``serialize`` parses back to the same name.
+    the text written by ``serialize`` parses back to the same name.  A
+    value that starts a word and is all word characters is one token, the
+    one the tokenizer's word rule matches.
     """
     if not isinstance(value, str):
         return False
-    try:
-        p = _Parser(value)
-        name = p.brane_name() if brane else p.name("a name")
-    except DslSyntaxError:
-        return False
-    return name == value
+    if brane and value == STAR:
+        return True
+    return (
+        _WORD.fullmatch(value) is not None
+        and (value[0].isalpha() or value[0] == "_")
+        and value not in _KEYWORDS
+    )
 
 
 def _json_name(value, where: tuple, what: str, brane: bool = False) -> str:
@@ -878,7 +919,7 @@ def _json_name(value, where: tuple, what: str, brane: bool = False) -> str:
 
 def _read_object(build: _Builder, spec: dict, where: tuple) -> tuple[list, list]:
     """The entries and sigma cycles of the object ``spec`` at ``where``."""
-    branes = build.doc.branes
+    branes, intervals = build.doc.branes, build.intervals
     items = spec.get("entries", [])
     if type(items) is not list or not _ONLY_DICT(map(type, items)):
         items = _array(spec, "entries", dict, where)
@@ -886,7 +927,7 @@ def _read_object(build: _Builder, spec: dict, where: tuple) -> tuple[list, list]
     for i, e in enumerate(items):
         kind = e.get("type")
         if kind == "circle":
-            entries.append(Circle())
+            entries.append(_CIRCLE_ENTRY)
         elif kind == "interval":
             left, right = e.get("left"), e.get("right")
             if not (type(left) is str and left in branes
@@ -894,7 +935,11 @@ def _read_object(build: _Builder, spec: dict, where: tuple) -> tuple[list, list]
                 at = (*where, "entries", i)
                 left = build.brane(_field(e, "left", str, at), at + ("left",))
                 right = build.brane(_field(e, "right", str, at), at + ("right",))
-            entries.append(Interval(left, right))
+            row = intervals[left]
+            iv = row.get(right)
+            if iv is None:
+                iv = row[right] = Interval(left, right)
+            entries.append(iv)
         else:
             at = (*where, "entries", i)
             kind = _field(e, "type", str, at)
@@ -912,7 +957,7 @@ def _read_object(build: _Builder, spec: dict, where: tuple) -> tuple[list, list]
 
 def _read_components(build: _Builder, spec: dict, where: tuple) -> list:
     """The components of the cobordism ``spec`` at ``where``."""
-    branes = build.doc.branes
+    arcs, windows = build.arc, build.window
     comps = spec.get("components", [])
     if type(comps) is not list or not _ONLY_DICT(map(type, comps)):
         comps = _array(spec, "components", dict, where)
@@ -936,11 +981,12 @@ def _read_components(build: _Builder, spec: dict, where: tuple) -> list:
                     side = e.get("type")
                     if side == "arc":
                         brane = e.get("brane")
-                        if type(brane) is not str or brane not in branes:
+                        arc = arcs.get(brane) if type(brane) is str else None
+                        if arc is None:
                             at = (*where, "components", c, "boundary", j, "entries", i)
                             brane = _field(e, "brane", str, at)
-                            brane = build.brane(brane, at + ("brane",))
-                        cycle.append(Arc(brane))
+                            arc = arcs[build.brane(brane, at + ("brane",))]
+                        cycle.append(arc)
                     elif side == IN or side == OUT:
                         index, rev = e.get("index"), e.get("rev", side == IN)
                         if type(rev) is not bool or type(index) is not int or index < 0:
@@ -960,10 +1006,12 @@ def _read_components(build: _Builder, spec: dict, where: tuple) -> list:
                 circles.append(InClosed(index) if kind == "in" else OutClosed(index))
             elif kind == "window":
                 brane = circ.get("brane")
-                if type(brane) is not str or brane not in branes:
+                window = windows.get(brane) if type(brane) is str else None
+                if window is None:
                     at = (*where, "components", c, "boundary", j)
                     brane = build.brane(_field(circ, "brane", str, at), at + ("brane",))
-                circles.append(Window(brane))
+                    window = windows[brane]
+                circles.append(window)
             else:
                 at = (*where, "components", c, "boundary", j)
                 kind = _field(circ, "type", str, at)

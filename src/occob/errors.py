@@ -65,6 +65,12 @@ def wrong_type(kind: type, *values) -> InvalidValueError:
     return InvalidValueError(f"expected a {kind.__name__}, got {type(bad).__name__}")
 
 
+def not_iterable(what: str, exc: TypeError) -> InvalidValueError:
+    """The error for a constructor that could not read its collection of
+    ``what``, as ``exc`` says: not iterable, or an unhashable label."""
+    return InvalidValueError(f"expected an iterable of {what}: {exc}")
+
+
 class DslError(OcError):
     """Base class for text format errors.  Carries a source position."""
 

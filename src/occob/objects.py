@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
-from occob.errors import InvalidValueError
+from occob.errors import InvalidValueError, not_iterable, wrong_type
 
 __all__ = [
     "STAR",
@@ -45,6 +45,26 @@ class Interval:
 Entry = Union[Circle, Interval]
 
 
+_ONLY_INT = frozenset({int}).issuperset
+
+
+def _checked_items(d: dict) -> list[tuple[int, int]]:
+    """The sorted pairs of ``d``, or ``InvalidValueError`` saying why ``d``
+    is not a permutation of integers."""
+    try:
+        items = sorted(d.items())
+        values = sorted(v for _, v in items)
+    except (TypeError, ValueError) as exc:  # not comparable
+        raise InvalidValueError(f"not a permutation: {exc}") from None
+    keys = [k for k, _ in items]
+    for x in keys + values:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise InvalidValueError(f"permutation entries must be integers, got {x!r}")
+    if values != keys:
+        raise InvalidValueError(f"not a bijection: domain {keys} versus image {values}")
+    return items
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class Permutation:
     """A bijection of a finite set of integers onto itself.
@@ -57,20 +77,20 @@ class Permutation:
 
     def __init__(self, mapping: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         try:
-            items = sorted(dict(mapping).items())
-            values = sorted(v for _, v in items)
-        except (TypeError, ValueError) as exc:  # not pairs, or not comparable
+            d = dict(mapping)
+        except (TypeError, ValueError) as exc:  # not pairs
             raise InvalidValueError(f"not a permutation: {exc}") from None
-        keys = [k for k, _ in items]
-        for x in keys + values:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise InvalidValueError(
-                    f"permutation entries must be integers, got {x!r}"
-                )
-        if values != keys:
-            raise InvalidValueError(
-                f"not a bijection: domain {keys} versus image {values}"
-            )
+        # One C call per test: keys and values all exactly int, and the
+        # values the keys again.  Anything else takes the checks below,
+        # which accept an int subclass other than bool.
+        if (
+            _ONLY_INT(map(type, d))
+            and _ONLY_INT(map(type, d.values()))
+            and d.keys() == set(d.values())
+        ):
+            items = sorted(d.items())
+        else:
+            items = _checked_items(d)
         object.__setattr__(self, "pairs", tuple(items))
 
     # -- construction ----------------------------------------------------
@@ -189,7 +209,10 @@ class GeneralObject:
         entries: Iterable[Entry] = (),
         sigma: Permutation | None = None,
     ):
-        brane_set = frozenset(branes)
+        try:
+            brane_set = frozenset(branes)
+        except TypeError as exc:
+            raise not_iterable("brane labels", exc) from None
         if not brane_set:
             raise InvalidValueError("the brane set must be nonempty")
         for b in brane_set:
@@ -197,7 +220,10 @@ class GeneralObject:
                 raise InvalidValueError(
                     f"brane labels must be nonempty strings, got {b!r}"
                 )
-        entry_tuple = tuple(entries)
+        try:
+            entry_tuple = tuple(entries)
+        except TypeError as exc:
+            raise not_iterable("entries", exc) from None
         for pos, e in enumerate(entry_tuple, start=1):
             if isinstance(e, Interval):
                 for side in (e.left, e.right):
@@ -212,6 +238,8 @@ class GeneralObject:
         )
         if sigma is None:
             sigma = Permutation.identity(interval_positions)
+        elif type(sigma) is not Permutation:
+            raise wrong_type(Permutation, sigma)
         elif sigma.domain != interval_positions:
             raise InvalidValueError(
                 f"sigma domain {list(sigma.domain)} does not match interval "

@@ -29,7 +29,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Union
 
-from occob.errors import InvalidCobordismError, InvalidValueError, wrong_type
+from occob.errors import InvalidCobordismError, InvalidValueError
+from occob.errors import not_iterable, wrong_type
 from occob.objects import Circle, GeneralObject, Interval, Permutation
 
 __all__ = [
@@ -70,7 +71,7 @@ def default_rev(side: str) -> bool:
     return side == IN
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class IntervalRef:
     """One traversal of a source or target interval by a boundary circle."""
 
@@ -78,11 +79,12 @@ class IntervalRef:
     index: int
     rev: bool
 
-    def __post_init__(self):
-        if self.side not in (IN, OUT):
-            raise InvalidValueError(
-                f"side must be {IN!r} or {OUT!r}, got {self.side!r}"
-            )
+    def __init__(self, side: str, index: int, rev: bool):
+        if side != IN and side != OUT:
+            raise InvalidValueError(f"side must be {IN!r} or {OUT!r}, got {side!r}")
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "rev", rev)
 
 
 def in_ref(index: int, rev: bool = True) -> IntervalRef:
@@ -129,7 +131,11 @@ class Mixed:
     cycle: tuple[MixedEntry, ...]
 
     def __init__(self, cycle):
-        object.__setattr__(self, "cycle", tuple(cycle))
+        try:
+            cycle = tuple(cycle)
+        except TypeError as exc:
+            raise not_iterable("mixed entries", exc) from None
+        object.__setattr__(self, "cycle", cycle)
 
     def refs(self) -> tuple[IntervalRef, ...]:
         return tuple(e for e in self.cycle if isinstance(e, IntervalRef))
@@ -155,8 +161,12 @@ class Component:
                 f"genus must be a nonnegative int, got {type(genus).__name__} "
                 f"{_shown_int(genus)}"
             )
+        try:
+            boundary = tuple(boundary)
+        except TypeError as exc:
+            raise not_iterable("boundary circles", exc) from None
         object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "boundary", tuple(boundary))
+        object.__setattr__(self, "boundary", boundary)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -168,9 +178,15 @@ class Cobordism:
     components: tuple[Component, ...]
 
     def __init__(self, source: GeneralObject, target: GeneralObject, components=()):
+        if type(source) is not GeneralObject or type(target) is not GeneralObject:
+            raise wrong_type(GeneralObject, source, target)
+        try:
+            components = tuple(components)
+        except TypeError as exc:
+            raise not_iterable("components", exc) from None
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "components", tuple(components))
+        object.__setattr__(self, "components", components)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +268,7 @@ def validate(c: Cobordism) -> list[Violation]:
                 at = _shown_int(i)
                 found = [("index-range", f"{side} has no circle at position {at}")]
             elif kind is Window:
-                if circ.brane in branes:
+                if isinstance(circ.brane, str) and circ.brane in branes:
                     continue
                 message = f"window brane {circ.brane!r} not declared"
                 found = [("unknown-brane", message)]
@@ -297,7 +313,7 @@ def _mixed_findings(cyc: tuple, sides: dict, branes) -> list[tuple[str, str]]:
         range(1, n + 1), cyc[-1:] + cyc[:-1], cyc, cyc[1:] + cyc[:1]
     ):
         if type(e) is Arc:
-            if e.brane not in branes:
+            if not (isinstance(e.brane, str) and e.brane in branes):
                 found.append(("unknown-brane", f"arc brane {e.brane!r} not declared"))
             continue
         if type(e) is not IntervalRef:
@@ -358,10 +374,14 @@ def _mixed_findings(cyc: tuple, sides: dict, branes) -> list[tuple[str, str]]:
 
 def euler_char(comp: Component) -> int:
     """Euler characteristic 2 - 2g - b of one component."""
+    if type(comp) is not Component:
+        raise wrong_type(Component, comp)
     return 2 - 2 * comp.genus - len(comp.boundary)
 
 
 def euler_total(c: Cobordism) -> int:
+    if type(c) is not Cobordism:
+        raise wrong_type(Cobordism, c)
     return sum(euler_char(comp) for comp in c.components)
 
 
@@ -370,11 +390,13 @@ def window_vector(c: Cobordism) -> dict[str, int]:
 
     A window on a brane that is not declared raises ``InvalidCobordismError``.
     """
+    if type(c) is not Cobordism:
+        raise wrong_type(Cobordism, c)
     counts = {b: 0 for b in sorted(c.source.branes | c.target.branes)}
     for comp in c.components:
         for circ in comp.boundary:
             if isinstance(circ, Window):
-                if circ.brane not in counts:
+                if not (isinstance(circ.brane, str) and circ.brane in counts):
                     raise InvalidCobordismError(
                         f"window brane {circ.brane!r} not declared"
                     )
@@ -435,6 +457,8 @@ def in_b_subcategory(c: Cobordism) -> bool:
     and no outgoing interval reference, i.e. when it is, on its own, a
     cobordism to the empty 1-manifold.
     """
+    if type(c) is not Cobordism:
+        raise wrong_type(Cobordism, c)
     for comp in c.components:
         has_out = False
         for circ in comp.boundary:
@@ -483,6 +507,8 @@ def component_summary(comp: Component) -> ComponentSummary:
     A boundary element that is not one of the four circle kinds raises
     ``InvalidCobordismError``.
     """
+    if type(comp) is not Component:
+        raise wrong_type(Component, comp)
     windows: Counter[str] = Counter()
     kinds: Counter[str] = Counter()
     for circ in comp.boundary:

@@ -10,12 +10,15 @@ two places:
 
 ``WRONG_TYPES`` holds calls that pass an argument not of the annotated type
 at all, such as an ``int`` where a ``Cobordism`` goes, to each entry point
-that checks for it: ``Component``, ``validate``, ``compose``, ``tensor``,
+that checks for it: the constructors ``Component``, ``Cobordism``,
+``GeneralObject`` and ``Mixed``, and ``validate``, ``compose``, ``tensor``,
 ``realize``, ``stabilize``, ``canonicalize``, ``is_isomorphic``, ``parse``,
 ``serialize``, ``to_json``, ``pullback``, ``boundary_permutation``,
-``invariant_summary`` and ``identity``.  Each must raise
-``InvalidValueError``.  The argument types of the other exports are outside
-this contract.
+``invariant_summary``, ``identity``, ``euler_char``, ``euler_total``,
+``window_vector``, ``in_b_subcategory``, ``component_summary``,
+``swap_cobordism``, ``is_morphism``, ``make_T`` and ``strata_table``.  Each
+must raise ``InvalidValueError``.  The argument types of the other exports
+are outside this contract.
 """
 
 from __future__ import annotations
@@ -70,6 +73,9 @@ from occob import (
     swap_cobordism,
     tensor,
     to_json,
+    euler_char,
+    euler_total,
+    in_b_subcategory,
     validate,
     window_vector,
 )
@@ -375,8 +381,36 @@ WRONG_TYPES: dict[str, list[tuple[str, object]]] = {
         ("bool genus", lambda: Component(True, (InClosed(1),))),
         ("str genus", lambda: Component("1")),
         ("float genus", lambda: Component(1.0)),
+        ("int boundary", lambda: Component(0, 1)),
     ],
+    "Cobordism": [
+        ("int objects", lambda: Cobordism(1, 2)),
+        ("target not an object", lambda: Cobordism(ONE, None)),
+        ("int components", lambda: Cobordism(ONE, ONE, 1)),
+    ],
+    "GeneralObject": [
+        ("int branes", lambda: GeneralObject(1)),
+        ("an unhashable label", lambda: GeneralObject([["a"]])),
+        ("int entries", lambda: GeneralObject(STAR_SET, 1)),
+        ("sigma not a permutation", lambda: GeneralObject(STAR_SET, [], {})),
+    ],
+    "Mixed": [("an int", lambda: Mixed(1))],
     "validate": [("a str", lambda: validate("x"))],
+    "euler_char": [("an int", lambda: euler_char(1))],
+    "euler_total": [("an int", lambda: euler_total(1))],
+    "window_vector": [("an int", lambda: window_vector(1))],
+    "in_b_subcategory": [("an int", lambda: in_b_subcategory(1))],
+    "component_summary": [("an int", lambda: component_summary(1))],
+    "swap_cobordism": [
+        ("ints", lambda: swap_cobordism(1, 2)),
+        ("second not an object", lambda: swap_cobordism(ONE, 2)),
+    ],
+    "is_morphism": [
+        ("ints", lambda: is_morphism(1, 2, 3)),
+        ("objects not objects", lambda: is_morphism(identity(ONE), 2, 3)),
+    ],
+    "make_T": [("an int", lambda: make_T(1))],
+    "strata_table": [("an int", lambda: strata_table(1, 0, 0))],
     "compose": [
         ("ints", lambda: compose(1, 2)),
         ("first not a cobordism", lambda: compose(identity(ONE), ONE)),
@@ -494,6 +528,18 @@ def test_validate_reports_a_wrong_kind_in_a_mixed_cycle(wrong):
     assert kind.message == f"entry 3: {name} is neither an interval reference nor an arc"
 
 
+@pytest.mark.parametrize("brane", [[1], 1, None], ids=repr)
+def test_validate_reports_a_brane_that_is_not_a_str_as_unknown(brane):
+    window = Cobordism(EMPTY, EMPTY, (Component(0, (Window(brane),)),))
+    (v,) = validate(window)
+    message = f"window brane {brane!r} not declared"
+    assert (v.rule, v.message) == ("unknown-brane", message)
+    with pytest.raises(InvalidCobordismError, match="not declared"):
+        window_vector(window)
+    v = validate(_to_circle(Mixed((in_ref(1), Arc(brane))), OutClosed(1)))[0]
+    assert (v.rule, v.message) == ("unknown-brane", f"arc brane {brane!r} not declared")
+
+
 def test_validate_reports_a_wrong_kind_of_circle():
     assert validate(_disc()) == []
     (v,) = validate(_disc(Arc(STAR)))
@@ -537,11 +583,65 @@ def test_to_json_writes_only_str_object_names(make, message):
         to_json(doc)
 
 
+def _named(where: str, bad) -> Document:
+    """The document of ``_square()`` with ``bad`` as one name of kind ``where``."""
+    doc = _document(_square())
+    if where == "object":
+        doc.objects[bad] = ONE
+    elif where == "cobordism":
+        doc.cobordisms[bad] = doc.cobordisms.pop("c")
+    elif where == "endpoint":
+        doc.cobordisms["c"] = CobordismDef("s", bad, doc.cobordisms["c"].cobordism)
+    else:
+        doc.branes = frozenset({STAR, bad})
+    return doc
+
+
+@pytest.mark.parametrize("bad", ["a b", "component", "1a", "", 5], ids=repr)
+@pytest.mark.parametrize(
+    "where, what",
+    [
+        ("object", "an object name"),
+        ("cobordism", "a cobordism name"),
+        ("endpoint", "an object name"),
+        ("brane", "a brane label"),
+    ],
+    ids=["object", "cobordism", "endpoint", "brane"],
+)
+@pytest.mark.parametrize("write", [serialize, to_json])
+def test_a_name_that_would_not_parse_back_is_not_written(write, where, what, bad):
+    message = f"{bad!r} cannot be written as {what}"
+    if not isinstance(bad, str):
+        message = f"expected a string, got {type(bad).__name__}"
+    with pytest.raises(InvalidValueError, match=f"^{message}$"):
+        write(_named(where, bad))
+
+
 def test_to_json_writes_only_a_bool_rev():
     square = Mixed((out_ref(1), Arc(STAR), IntervalRef("in", 1, 2), Arc(STAR)))
     doc = _document(Cobordism(IV, IV, (Component(0, (square,)),)))
-    with pytest.raises(InvalidValueError, match="^expected a bool, got int$"):
+    message = "^mixed cycle entry: an interval reference with rev 2, not a bool$"
+    with pytest.raises(InvalidCobordismError, match=message):
         to_json(doc)
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (IntervalRef("in", 1, None), "an interval reference with rev None, not a bool"),
+        (IntervalRef("in", 1, 1), "an interval reference with rev 1, not a bool"),
+        (InClosed(1), "InClosed is neither an interval reference nor an arc"),
+        (Window(STAR), "Window is neither an interval reference nor an arc"),
+        (Mixed(()), "Mixed is neither an interval reference nor an arc"),
+    ],
+    ids=["rev None", "rev 1", "InClosed", "Window", "Mixed"],
+)
+@pytest.mark.parametrize("call", [canonicalize, serialize, to_json])
+def test_a_mixed_entry_of_the_wrong_kind_is_an_invalid_cobordism(call, entry, message):
+    square = Mixed((out_ref(1), Arc(STAR), entry, Arc(STAR)))
+    c = Cobordism(IV, IV, (Component(0, (square,)),))
+    with pytest.raises(InvalidCobordismError, match=f"^mixed cycle entry: {message}$"):
+        call(c if call is canonicalize else _document(c))
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 import random
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import CORPUS, STAR_SET, star_obj
 from occob.calculus import compose, identity, realize, stabilize
 from occob.dsl import (
+    _KEYWORDS,
     CobordismDef,
     Document,
     _is_int,
@@ -20,6 +22,7 @@ from occob.dsl import (
     _locate,
     _tokenize,
     from_json,
+    is_name,
     parse,
     parse_cycles,
     serialize,
@@ -37,7 +40,7 @@ from occob.surfaces import (
     OutClosed,
     validate,
 )
-from reference_dsl import outcome, reference_parse
+from reference_dsl import _is_name, outcome, reference_parse
 from reference_json import document_to_dict
 
 LONG = "1" * 5000  # past the interpreter's int conversion limit
@@ -781,3 +784,26 @@ def test_parser_total_over_arbitrary_text(text):
         parse(text)
     except DslError:
         pass
+
+
+class Name(str):
+    pass
+
+
+# Letters, "_", ASCII and other decimal digits, digits and numerals that are
+# word characters but not decimal digits, symbols, "#" and whitespace.
+_ALPHABET = "aZ_09é²١ⅷ𝟘*->#·( \t\n\u00a0"
+
+
+@pytest.mark.parametrize("brane", [False, True])
+def test_is_name_agrees_with_the_parser(brane):
+    """``is_name`` against the reference's, which runs the parser, on every
+    string of up to three characters of ``_ALPHABET`` and on keywords."""
+    texts = [
+        "".join(chars)
+        for k in range(4)
+        for chars in itertools.product(_ALPHABET, repeat=k)
+    ]
+    texts += sorted(_KEYWORDS) + [Name("ab"), Name("in"), Name("*"), 5, None, b"ab"]
+    for text in texts:
+        assert is_name(text, brane) == _is_name(text, brane), repr(text)

@@ -2,12 +2,14 @@
 
 ``sys.settrace`` counts the Python lines that ``validate``, ``parse``,
 ``from_json``, ``to_json`` and ``serialize`` run on documents of size n,
-for n = 100, 200, 400 and 800.  Three shapes follow the benchmark's
+and that ``realize`` and ``identity`` run on the document's object of n
+entries, for n = 100, 200, 400 and 800.  Three shapes follow the benchmark's
 ``large_interfaces`` workload, each an object of n entries with its
 realizer as the cobordism: ``cycle``, n intervals joined by one n-cycle;
 ``perm``, n intervals joined in pairs, so that sigma has n / 2 cycles; and
 ``circles``, n circles.  The fourth, ``windows``, is one component of
-genus n with n windows over two branes, built directly.  A count does not
+genus n with n windows over two branes, built directly, has no object of
+n entries, so ``realize`` and ``identity`` skip it.  A count does not
 depend on the host or on other load, unlike a time.  Each doubling of n
 may multiply the count by at most 2.3, which leaves room for an n log n
 sort; a quadratic path in Python multiplies it by about 4.  Work inside a
@@ -21,7 +23,7 @@ import sys
 
 import pytest
 
-from occob.calculus import realize
+from occob.calculus import identity, realize
 from occob.dsl import CobordismDef, Document, from_json, parse, serialize, to_json
 from occob.objects import STAR, Circle, GeneralObject, Interval, Permutation
 from occob.surfaces import Cobordism, Component, InClosed, OutClosed, Window, validate
@@ -77,6 +79,9 @@ def _call(layer: str, doc: Document):
     if layer == "validate":
         c = doc.cobordisms["R"].cobordism
         return lambda: validate(c)
+    if layer == "realize" or layer == "identity":
+        x, build = doc.objects["X"], realize if layer == "realize" else identity
+        return lambda: build(x)
     if layer == "parse":
         text = serialize(doc)
         return lambda: parse(text)
@@ -87,10 +92,18 @@ def _call(layer: str, doc: Document):
     return lambda: write(doc)
 
 
-@pytest.mark.parametrize("shape", ["cycle", "perm", "circles", "windows"])
-@pytest.mark.parametrize(
-    "layer", ["validate", "parse", "from_json", "to_json", "serialize"]
-)
+CASES = [
+    (layer, shape)
+    for layer in ("validate", "parse", "from_json", "to_json", "serialize")
+    for shape in ("cycle", "perm", "circles", "windows")
+] + [
+    (layer, shape)
+    for layer in ("realize", "identity")
+    for shape in ("cycle", "perm", "circles")
+]
+
+
+@pytest.mark.parametrize("layer, shape", CASES)
 def test_each_doubling_of_n_at_most_doubles_the_lines_run(layer, shape):
     counts = [_lines_run(_call(layer, _document(shape, n))) for n in SIZES]
     ratios = [round(b / a, 3) for a, b in zip(counts, counts[1:])]
