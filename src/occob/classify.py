@@ -31,7 +31,6 @@ from occob.surfaces import (
     Window,
     _not_a_circle,
     in_b_subcategory,
-    window_vector,
 )
 
 __all__ = [
@@ -48,6 +47,15 @@ __all__ = [
 # total encodings
 
 _first = itemgetter(0)
+
+
+def _incomparable(exc: TypeError) -> InvalidCobordismError:
+    """The error for keys that do not compare, as in an index that is a
+    ``str`` beside one that is an ``int``: ``exc`` says which."""
+    return InvalidCobordismError(
+        f"boundary keys do not compare ({exc}): the cobordism is not valid"
+    )
+
 
 # Entry order inside mixed cycles: references before arcs, references by
 # (side, index, rev), arcs by brane.
@@ -74,7 +82,10 @@ def _mixed_key(cycle: tuple) -> tuple[tuple, int]:
     with it.
     """
     keys = [_entry_key(e) for e in cycle]
-    least = min(keys, default=None)
+    try:
+        least = min(keys, default=None)
+    except TypeError as exc:
+        raise _incomparable(exc) from None
     if least is None or least[0] != 0 or keys.count(least) != 1:
         raise InvalidCobordismError(
             "mixed cycle has no unique least interval reference: "
@@ -127,7 +138,8 @@ def canonicalize(c: Cobordism) -> CanonicalForm:
     and its sorted circle keys.  On valid input the result is idempotent,
     and invariant under any reordering of components or boundary circles
     and any rotation of mixed cycles.  A mixed cycle without a unique
-    least interval reference raises ``InvalidCobordismError``.
+    least interval reference, or keys that do not compare (an index or a
+    brane of a type beside another), raise ``InvalidCobordismError``.
     """
     if type(c) is not Cobordism:
         raise wrong_type(Cobordism, c)
@@ -142,10 +154,16 @@ def canonicalize(c: Cobordism) -> CanonicalForm:
             else:
                 key = _circle_key(circ)
             circles.append((key, circ))
-        circles.sort(key=_first)
+        try:
+            circles.sort(key=_first)
+        except TypeError as exc:
+            raise _incomparable(exc) from None
         comp_key = (comp.genus, tuple(k for k, _ in circles))
         keyed.append((comp_key, Component(comp.genus, (circ for _, circ in circles))))
-    keyed.sort(key=_first)
+    try:
+        keyed.sort(key=_first)
+    except TypeError as exc:
+        raise _incomparable(exc) from None
     canonical = Cobordism(c.source, c.target, (comp for _, comp in keyed))
     key = (_object_key(c.source), _object_key(c.target), tuple(k for k, _ in keyed))
     return CanonicalForm(key, canonical)
@@ -156,20 +174,31 @@ def is_isomorphic(a: Cobordism, b: Cobordism) -> bool:
 
     After checking that the sources and the targets are equal, compares
     the sorted component keys only: no canonical cobordism or object key
-    is built.  A mixed cycle without a unique least interval reference
-    raises ``InvalidCobordismError``, as in ``canonicalize``.
+    is built.  A mixed cycle without a unique least interval reference,
+    or keys that do not compare, raise ``InvalidCobordismError``, as in
+    ``canonicalize``.
     """
     if type(a) is not Cobordism or type(b) is not Cobordism:
         raise wrong_type(Cobordism, a, b)
     if a.source != b.source or a.target != b.target:
         raise CompositionError("cobordisms with different source or target objects")
-    return sorted(map(_component_key, a.components)) == sorted(
-        map(_component_key, b.components)
-    )
+    try:
+        return sorted(map(_component_key, a.components)) == sorted(
+            map(_component_key, b.components)
+        )
+    except TypeError as exc:
+        raise _incomparable(exc) from None
 
 
 # ---------------------------------------------------------------------------
 # enumeration
+
+
+def _check_bounds(max_genus: int, max_windows: int) -> None:
+    if type(max_genus) is not int or type(max_windows) is not int:
+        raise wrong_type(int, max_genus, max_windows)
+    if max_genus < 0 or max_windows < 0:
+        raise InvalidValueError("bounds must be nonnegative")
 
 
 def enumerate_classes(
@@ -183,11 +212,10 @@ def enumerate_classes(
     window vector, so representatives are built directly: the canonical
     minimal realizer with extra genus and windows.  The list has exactly
     ``(max_genus + 1) * (max_windows + 1) ** len(obj.branes)`` entries,
-    ordered by genus then window vector.  A negative bound raises
-    ``InvalidValueError``.
+    ordered by genus then window vector.  A bound that is not an ``int``
+    (a bool is not) or is negative raises ``InvalidValueError``.
     """
-    if max_genus < 0 or max_windows < 0:
-        raise InvalidValueError("bounds must be nonnegative")
+    _check_bounds(max_genus, max_windows)
     base = canonicalize(realize(obj))
     source_key, target_key, ((_, keys),) = base.key
     boundary = base.cobordism.components[0].boundary
@@ -228,19 +256,19 @@ def strata_table(
 ) -> list[StrataRow]:
     """Tabulate ``enumerate_classes`` with the object's constants.
 
-    The c-number column is constant down the table; the b column records
-    whether the representative keeps outgoing boundary on every component
-    (always true for these connected representatives).
+    Rows come from the genus and window grid plus one realizer, with no
+    class representative built.  The c-number column is constant down the
+    table; so is the b column, whether the realizer keeps outgoing boundary
+    on every component (always true), which extra genus or windows keep.
     """
     if type(obj) is not GeneralObject:
         raise wrong_type(GeneralObject, obj)
+    _check_bounds(max_genus, max_windows)
+    in_b = in_b_subcategory(realize(obj))
     c = obj.c_number
-    return [
-        StrataRow(
-            genus=form.cobordism.components[0].genus,
-            windows=tuple(window_vector(form.cobordism).items()),
-            c_number=c,
-            in_b=in_b_subcategory(form.cobordism),
-        )
-        for form in enumerate_classes(obj, max_genus, max_windows)
+    branes = sorted(obj.branes)
+    vectors = [
+        tuple(zip(branes, counts))
+        for counts in product(range(max_windows + 1), repeat=len(branes))
     ]
+    return [StrataRow(g, w, c, in_b) for g in range(max_genus + 1) for w in vectors]

@@ -218,10 +218,9 @@ def _cmd_classify(args) -> int:
     rows = classify.strata_table(obj, args.G, args.W)
     branes = sorted(obj.branes)
     header = ["g"] + [f"w_{b}" for b in branes] + ["c", "b_flag"]
+    flags = ("false", "true")
     table = [
-        [row.genus]
-        + [dict(row.windows)[b] for b in branes]
-        + [row.c_number, "true" if row.in_b else "false"]
+        [row.genus, *[n for _, n in row.windows], row.c_number, flags[row.in_b]]
         for row in rows
     ]
     if args.csv:
@@ -250,9 +249,7 @@ def _cmd_classify(args) -> int:
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(" ".join(header))
-        for line in table:
-            print(" ".join(str(x) for x in line))
+        print("\n".join([" ".join(header), *[" ".join(map(str, x)) for x in table]]))
     return 0
 
 

@@ -62,7 +62,10 @@ def wrong_type(kind: type, *values) -> InvalidValueError:
     """The error for an entry point given an argument that is not exactly
     of type ``kind``: it names the first of ``values`` that is not."""
     bad = next(x for x in values if type(x) is not kind)
-    return InvalidValueError(f"expected a {kind.__name__}, got {type(bad).__name__}")
+    article = "an" if kind.__name__[0] in "aeiou" else "a"
+    return InvalidValueError(
+        f"expected {article} {kind.__name__}, got {type(bad).__name__}"
+    )
 
 
 def not_iterable(what: str, exc: TypeError) -> InvalidValueError:

@@ -188,6 +188,10 @@ class Permutation:
         return f"Permutation({dict(self.pairs)!r})"
 
 
+def _undeclared(pos: int, side, brane_set: frozenset) -> InvalidValueError:
+    return InvalidValueError(f"entry {pos}: brane {side!r} not in {sorted(brane_set)}")
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class GeneralObject:
     """A sequence of circles and labeled intervals with a permutation.
@@ -224,15 +228,18 @@ class GeneralObject:
             entry_tuple = tuple(entries)
         except TypeError as exc:
             raise not_iterable("entries", exc) from None
-        for pos, e in enumerate(entry_tuple, start=1):
-            if isinstance(e, Interval):
-                for side in (e.left, e.right):
-                    if side not in brane_set:
-                        raise InvalidValueError(
-                            f"entry {pos}: brane {side!r} not in {sorted(brane_set)}"
-                        )
-            elif not isinstance(e, Circle):
-                raise InvalidValueError(f"entry {pos}: not a Circle or Interval: {e!r}")
+        try:
+            for pos, e in enumerate(entry_tuple, start=1):
+                if isinstance(e, Interval):
+                    for side in (e.left, e.right):
+                        if side not in brane_set:
+                            raise _undeclared(pos, side, brane_set)
+                elif not isinstance(e, Circle):
+                    raise InvalidValueError(
+                        f"entry {pos}: not a Circle or Interval: {e!r}"
+                    )
+        except TypeError:  # an unhashable label, the ``side`` at ``pos``
+            raise _undeclared(pos, side, brane_set) from None
         interval_positions = tuple(
             i for i, e in enumerate(entry_tuple, start=1) if isinstance(e, Interval)
         )

@@ -504,23 +504,33 @@ def component_summary(comp: Component) -> ComponentSummary:
     """Genus, windows per brane, boundary kinds and Euler characteristic of
     one component, invariant under boundary reordering and cycle rotation.
 
-    A boundary element that is not one of the four circle kinds raises
-    ``InvalidCobordismError``.
+    A boundary element that is not one of the four circle kinds, and a
+    window brane that is not a ``str`` where it cannot be counted or
+    sorted, raise ``InvalidCobordismError``.
     """
     if type(comp) is not Component:
         raise wrong_type(Component, comp)
     windows: Counter[str] = Counter()
     kinds: Counter[str] = Counter()
-    for circ in comp.boundary:
-        kind = _KIND_NAMES.get(type(circ))
-        if kind is None:
-            raise InvalidCobordismError(_not_a_circle(circ))
-        kinds[kind] += 1
-        if isinstance(circ, Window):
-            windows[circ.brane] += 1
+    try:
+        for circ in comp.boundary:
+            kind = _KIND_NAMES.get(type(circ))
+            if kind is None:
+                raise InvalidCobordismError(_not_a_circle(circ))
+            kinds[kind] += 1
+            if isinstance(circ, Window):
+                windows[circ.brane] += 1
+        window_counts = tuple(sorted(windows.items()))
+    except TypeError:  # an unhashable brane, or one that does not compare
+        bad = next(
+            c.brane
+            for c in comp.boundary
+            if isinstance(c, Window) and not isinstance(c.brane, str)
+        )
+        raise InvalidCobordismError(f"window brane {bad!r} is not a str") from None
     return ComponentSummary(
         comp.genus,
-        tuple(sorted(windows.items())),
+        window_counts,
         tuple(sorted(kinds.items())),
         euler_char(comp),
     )
@@ -536,7 +546,11 @@ def invariant_summary(c: Cobordism) -> InvariantSummary:
     """
     if type(c) is not Cobordism:
         raise wrong_type(Cobordism, c)
-    summaries = sorted(map(component_summary, c.components))
+    try:
+        summaries = sorted(map(component_summary, c.components))
+    except TypeError:  # window branes of two types: window_vector names one
+        window_vector(c)
+        raise
     return InvariantSummary(
         components=tuple(summaries),
         window_vector=tuple(window_vector(c).items()),

@@ -16,12 +16,15 @@ that checks for it: the constructors ``Component``, ``Cobordism``,
 ``serialize``, ``to_json``, ``pullback``, ``boundary_permutation``,
 ``invariant_summary``, ``identity``, ``euler_char``, ``euler_total``,
 ``window_vector``, ``in_b_subcategory``, ``component_summary``,
-``swap_cobordism``, ``is_morphism``, ``make_T`` and ``strata_table``.  Each
-must raise ``InvalidValueError``.  The argument types of the other exports
+``swap_cobordism``, ``is_morphism``, ``make_T``, ``enumerate_classes`` and
+``strata_table``, whose bounds must be exactly ``int``.  Each must raise
+``InvalidValueError``.  The argument types of the other exports
 are outside this contract.
 """
 
 from __future__ import annotations
+
+import re
 
 import pytest
 
@@ -127,6 +130,11 @@ def _cap() -> Cobordism:
     return Cobordism(ONE, EMPTY, (Component(0, (InClosed(1),)),))
 
 
+def _split(*circles) -> Cobordism:
+    """A cobordism between empty objects with one component per circle."""
+    return Cobordism(EMPTY, EMPTY, [Component(0, (circ,)) for circ in circles])
+
+
 _INCOHERENT = labeled_obj(AB, ["a:b", "a:b"], cycles=[[1, 2]])
 
 BAD_VALUES: dict[str, list[tuple[str, object, type[OcError]]]] = {
@@ -154,6 +162,11 @@ BAD_VALUES: dict[str, list[tuple[str, object, type[OcError]]]] = {
         (
             "undeclared label",
             lambda: GeneralObject(STAR_SET, [Interval(STAR, "z")]),
+            InvalidValueError,
+        ),
+        (
+            "unhashable label",
+            lambda: GeneralObject(STAR_SET, [Interval(["x"], STAR)]),
             InvalidValueError,
         ),
         (
@@ -198,6 +211,11 @@ BAD_VALUES: dict[str, list[tuple[str, object, type[OcError]]]] = {
             lambda: invariant_summary(_to_circle(Arc(STAR))),
             InvalidCobordismError,
         ),
+        (
+            "window branes of two types on two components",
+            lambda: invariant_summary(_split(Window(STAR), Window(1))),
+            InvalidCobordismError,
+        ),
     ],
     "component_summary": [
         (
@@ -208,6 +226,16 @@ BAD_VALUES: dict[str, list[tuple[str, object, type[OcError]]]] = {
         (
             "a reference where a circle goes",
             lambda: component_summary(Component(0, (in_ref(1),))),
+            InvalidCobordismError,
+        ),
+        (
+            "unhashable window brane",
+            lambda: component_summary(Component(0, (Window(["a"]),))),
+            InvalidCobordismError,
+        ),
+        (
+            "window branes of two types",
+            lambda: component_summary(Component(0, (Window(STAR), Window(1)))),
             InvalidCobordismError,
         ),
     ],
@@ -410,7 +438,20 @@ WRONG_TYPES: dict[str, list[tuple[str, object]]] = {
         ("objects not objects", lambda: is_morphism(identity(ONE), 2, 3)),
     ],
     "make_T": [("an int", lambda: make_T(1))],
-    "strata_table": [("an int", lambda: strata_table(1, 0, 0))],
+    "enumerate_classes": [
+        ("str genus bound", lambda: enumerate_classes(ONE, "x", 0)),
+        ("float genus bound", lambda: enumerate_classes(ONE, 2.5, 0)),
+        ("bool genus bound", lambda: enumerate_classes(ONE, True, 0)),
+        ("None window bound", lambda: enumerate_classes(ONE, 0, None)),
+        ("wrong type before negative", lambda: enumerate_classes(ONE, -1, "x")),
+    ],
+    "strata_table": [
+        ("an int", lambda: strata_table(1, 0, 0)),
+        ("None window bound", lambda: strata_table(ONE, 0, None)),
+        ("str genus bound", lambda: strata_table(ONE, "x", 0)),
+        ("bool window bound", lambda: strata_table(ONE, 0, False)),
+        ("float genus bound", lambda: strata_table(_INCOHERENT, 1.0, 0)),
+    ],
     "compose": [
         ("ints", lambda: compose(1, 2)),
         ("first not a cobordism", lambda: compose(identity(ONE), ONE)),
@@ -642,6 +683,56 @@ def test_a_mixed_entry_of_the_wrong_kind_is_an_invalid_cobordism(call, entry, me
     c = Cobordism(IV, IV, (Component(0, (square,)),))
     with pytest.raises(InvalidCobordismError, match=f"^mixed cycle entry: {message}$"):
         call(c if call is canonicalize else _document(c))
+
+
+INCOMPARABLE = {
+    "closed indices": Cobordism(
+        ONE, ONE, (Component(0, (InClosed("x"), InClosed(1))),)
+    ),
+    "reference indices": _to_circle(
+        Mixed((in_ref(1), Arc(STAR), in_ref("x"), Arc(STAR)))
+    ),
+    "arc branes": _to_circle(Mixed((Arc(1), Arc(STAR), in_ref(1), Arc(STAR)))),
+    "window branes": Cobordism(
+        EMPTY, EMPTY, (Component(0, (Window(1), Window(STAR))),)
+    ),
+    "components": _split(InClosed("x"), InClosed(1)),
+}
+
+
+@pytest.mark.parametrize("c", INCOMPARABLE.values(), ids=INCOMPARABLE.keys())
+@pytest.mark.parametrize(
+    "call",
+    [
+        canonicalize,
+        lambda c: is_isomorphic(c, c),
+        lambda c: serialize(_document(c)),
+        lambda c: to_json(_document(c)),
+    ],
+    ids=["canonicalize", "is_isomorphic", "serialize", "to_json"],
+)
+def test_keys_that_do_not_compare_are_an_invalid_cobordism(call, c):
+    message = r"^boundary keys do not compare \('<' not supported between .*\): "
+    with pytest.raises(InvalidCobordismError, match=message):
+        call(c)
+
+
+@pytest.mark.parametrize("label", [["x"], {}], ids=repr)
+def test_an_unhashable_label_is_named_as_not_declared(label):
+    message = f"entry 2: brane {label!r} not in ['*']"
+    with pytest.raises(InvalidValueError, match=f"^{re.escape(message)}$"):
+        GeneralObject(STAR_SET, [Circle(), Interval(STAR, label)])
+
+
+@pytest.mark.parametrize(
+    "boundary, bad",
+    [((Window(["a"]),), ["a"]), ((Window(STAR), Window(1)), 1)],
+    ids=["unhashable", "two types"],
+)
+def test_component_summary_names_a_window_brane_that_is_not_a_str(boundary, bad):
+    message = f"window brane {bad!r} is not a str"
+    with pytest.raises(InvalidCobordismError, match=f"^{re.escape(message)}$"):
+        component_summary(Component(0, boundary))
 
 
 @pytest.mark.parametrize(

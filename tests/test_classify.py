@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import AB, CORPUS, STAR_SET, star_obj
+from conftest import AB, CORPUS, STAR_SET, labeled_obj, star_obj
 from occob.calculus import compose, identity, make_T, realize, stabilize
 from occob.classify import (
     CanonicalForm,
+    StrataRow,
     _entry_key,
     _mixed_key,
     canonicalize,
@@ -25,9 +26,11 @@ from occob.errors import (
     CompositionError,
     InfeasibleObjectError,
     InvalidCobordismError,
+    InvalidValueError,
     OcError,
+    wrong_type,
 )
-from occob.objects import STAR, GeneralObject, Permutation
+from occob.objects import STAR, GeneralObject, Interval, Permutation
 from occob.sampling import sample_cobordism, sample_object, shuffled
 from occob.surfaces import (
     Arc,
@@ -44,6 +47,8 @@ from occob.surfaces import (
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+_INCOHERENT = labeled_obj(AB, ["a:b", "a:b"], cycles=[[1, 2]])
 
 
 def full_min_rotation(cycle: tuple) -> tuple:
@@ -301,6 +306,89 @@ class TestStrata:
         rows = strata_table(star_obj("O"), 2, 1)
         keys = [(r.genus, r.windows) for r in rows]
         assert keys == sorted(keys)
+
+
+def reference_strata_table(obj, max_genus: int, max_windows: int) -> list[StrataRow]:
+    """The table read off each class that ``enumerate_classes`` builds,
+    through ``window_vector`` and ``in_b_subcategory``."""
+    if type(obj) is not GeneralObject:
+        raise wrong_type(GeneralObject, obj)
+    c = obj.c_number
+    return [
+        StrataRow(
+            genus=form.cobordism.components[0].genus,
+            windows=tuple(window_vector(form.cobordism).items()),
+            c_number=c,
+            in_b=in_b_subcategory(form.cobordism),
+        )
+        for form in enumerate_classes(obj, max_genus, max_windows)
+    ]
+
+
+def _outcome(table, *args):
+    """The rows, or the class and message of the ``OcError`` raised."""
+    try:
+        return table(*args)
+    except OcError as exc:
+        return type(exc), str(exc)
+
+
+def _relabeled(rng: random.Random, obj: GeneralObject) -> GeneralObject:
+    """``obj`` with each interval's labels drawn at random: its cycles are
+    often not brane-coherent, so it often has no realizer."""
+    branes = sorted(obj.branes)
+    entries = [
+        Interval(rng.choice(branes), rng.choice(branes))
+        if isinstance(e, Interval)
+        else e
+        for e in obj.entries
+    ]
+    return GeneralObject(obj.branes, entries, obj.sigma)
+
+
+# Negative, then of a type other than int: a bool is not an int here.
+BAD_BOUNDS = [
+    (-1, 0),
+    (0, -1),
+    ("x", 0),
+    (0, None),
+    (2.5, 0),
+    (True, 0),
+    (0, False),
+    (-1, "x"),
+    (1, 1.0),
+]
+
+
+class TestStrataAgainstReference:
+    @pytest.mark.parametrize("branes", [(STAR,), ("a", "b"), ("a", "b", "c")])
+    def test_sampled_objects(self, rng, branes):
+        for _ in range(8):
+            obj = sample_object(rng, branes)
+            for max_genus, max_windows in itertools.product(range(4), repeat=2):
+                got = strata_table(obj, max_genus, max_windows)
+                assert got == reference_strata_table(obj, max_genus, max_windows)
+
+    def test_incoherent_two_brane_objects(self, rng):
+        raised = 0
+        for _ in range(60):
+            obj = _relabeled(rng, sample_object(rng, AB))
+            bounds = (rng.randrange(4), rng.randrange(4))
+            got = _outcome(strata_table, obj, *bounds)
+            assert got == _outcome(reference_strata_table, obj, *bounds)
+            raised += got[0] is InfeasibleObjectError
+        assert raised > 10
+
+    @pytest.mark.parametrize("bounds", BAD_BOUNDS, ids=repr)
+    @pytest.mark.parametrize(
+        "obj",
+        [star_obj("OI"), _INCOHERENT, 1],
+        ids=["feasible", "incoherent", "not an object"],
+    )
+    def test_bad_bounds(self, obj, bounds):
+        got = _outcome(strata_table, obj, *bounds)
+        assert got == _outcome(reference_strata_table, obj, *bounds)
+        assert got[0] is InvalidValueError
 
 
 def brute_force_to_circle(entries_kinds: str, max_g: int, max_w: int):

@@ -53,6 +53,31 @@ cobordism X : c1 -> c1 {
 """
 
 
+MULTIBRANE = str(CORPUS / "roundtrip" / "feature_multibrane.occ")
+
+# classify MULTIBRANE labeled -G 1 -W 1: the object has one circle and one
+# sigma cycle, so its c-number is 3.
+THREE_BRANE_TABLE = """\
+g w_a w_b w_c c b_flag
+0 0 0 0 3 true
+0 0 0 1 3 true
+0 0 1 0 3 true
+0 0 1 1 3 true
+0 1 0 0 3 true
+0 1 0 1 3 true
+0 1 1 0 3 true
+0 1 1 1 3 true
+1 0 0 0 3 true
+1 0 0 1 3 true
+1 0 1 0 3 true
+1 0 1 1 3 true
+1 1 0 0 3 true
+1 1 0 1 3 true
+1 1 1 0 3 true
+1 1 1 1 3 true
+"""
+
+
 @pytest.fixture
 def doc_path(tmp_path):
     p = tmp_path / "doc.occ"
@@ -227,6 +252,25 @@ class TestClassify:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: cannot write t\x00: embedded null byte\n"
+
+    def test_three_brane_text_csv_and_json(self, tmp_path, capsys):
+        argv = ["classify", MULTIBRANE, "labeled", "-G", "1", "-W", "1"]
+        table = tmp_path / "table.csv"
+        assert main([*argv, "--csv", str(table)]) == 0
+        assert capsys.readouterr() == (THREE_BRANE_TABLE, "")
+        csv_text = THREE_BRANE_TABLE.replace(" ", ",").replace("\n", "\r\n")
+        assert table.read_bytes().decode("utf-8") == csv_text
+        assert main([*argv, "--json"]) == 0
+        rows = [
+            {"b_flag": True, "c": 3, "g": g, "w": {"a": a, "b": b, "c": c}}
+            for g, a, b, c, _ in (
+                map(int, line.split()[:5])
+                for line in THREE_BRANE_TABLE.splitlines()[1:]
+            )
+        ]
+        payload = {"branes": ["a", "b", "c"], "format": 1, "rows": rows}
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert capsys.readouterr() == (text, "")
 
     @pytest.mark.parametrize("flag", ["-G", "-W"])
     def test_non_ascii_digits_exit_2(self, doc_path, capsys, flag):

@@ -2,14 +2,16 @@
 
 ``sys.settrace`` counts the Python lines that ``validate``, ``parse``,
 ``from_json``, ``to_json`` and ``serialize`` run on documents of size n,
-and that ``realize`` and ``identity`` run on the document's object of n
-entries, for n = 100, 200, 400 and 800.  Three shapes follow the benchmark's
-``large_interfaces`` workload, each an object of n entries with its
-realizer as the cobordism: ``cycle``, n intervals joined by one n-cycle;
-``perm``, n intervals joined in pairs, so that sigma has n / 2 cycles; and
-``circles``, n circles.  The fourth, ``windows``, is one component of
-genus n with n windows over two branes, built directly, has no object of
-n entries, so ``realize`` and ``identity`` skip it.  A count does not
+that ``realize`` and ``identity`` run on the document's object of n
+entries, that ``compose`` runs gluing the realizer to the identity on that
+object, and that ``canonicalize`` runs on the realizer, for n = 100, 200,
+400 and 800.  Three shapes follow the benchmark's ``large_interfaces``
+workload, each an object of n entries with its realizer as the cobordism:
+``cycle``, n intervals joined by one n-cycle; ``perm``, n intervals joined
+in pairs, so that sigma has n / 2 cycles; and ``circles``, n circles.  The
+fourth, ``windows``, is one component of genus n with n windows over two
+branes, built directly, has no object of n entries, so ``realize``,
+``identity``, ``compose`` and ``canonicalize`` skip it.  A count does not
 depend on the host or on other load, unlike a time.  Each doubling of n
 may multiply the count by at most 2.3, which leaves room for an n log n
 sort; a quadratic path in Python multiplies it by about 4.  Work inside a
@@ -23,7 +25,8 @@ import sys
 
 import pytest
 
-from occob.calculus import identity, realize
+from occob.calculus import compose, identity, realize
+from occob.classify import canonicalize
 from occob.dsl import CobordismDef, Document, from_json, parse, serialize, to_json
 from occob.objects import STAR, Circle, GeneralObject, Interval, Permutation
 from occob.surfaces import Cobordism, Component, InClosed, OutClosed, Window, validate
@@ -82,6 +85,12 @@ def _call(layer: str, doc: Document):
     if layer == "realize" or layer == "identity":
         x, build = doc.objects["X"], realize if layer == "realize" else identity
         return lambda: build(x)
+    if layer == "compose":
+        r, ident = doc.cobordisms["R"].cobordism, identity(doc.objects["X"])
+        return lambda: compose(r, ident)
+    if layer == "canonicalize":
+        r = doc.cobordisms["R"].cobordism
+        return lambda: canonicalize(r)
     if layer == "parse":
         text = serialize(doc)
         return lambda: parse(text)
@@ -98,7 +107,7 @@ CASES = [
     for shape in ("cycle", "perm", "circles", "windows")
 ] + [
     (layer, shape)
-    for layer in ("realize", "identity")
+    for layer in ("realize", "identity", "compose", "canonicalize")
     for shape in ("cycle", "perm", "circles")
 ]
 
