@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Run the CLI over the corpus and print everything it writes.
 
-For each file of ``corpus/roundtrip``, every command runs once as text and
+First come ``occob --help`` and ``--help`` of each subcommand.  Then, for
+each file of ``corpus/roundtrip``, every command runs once as text and
 once with ``--json``: ``check``; ``invariants``, ``sigma``, ``stabilize``
 with ``-k 1`` and ``-k 3`` and ``pullback --tau id`` on each cobordism;
 ``iso``, ``compose`` and ``tensor`` on each ordered pair of cobordisms;
@@ -18,7 +19,9 @@ documents.
 
 Each call goes through ``occob.cli.main`` in the same process, and the
 script prints its arguments, exit code, standard output and standard
-error.  The output depends only on the corpus and the program, so the
+error.  ``COLUMNS`` is set to 80 first, since argparse wraps its usage
+and help text at the terminal width.  The output then depends only on
+the corpus and the program, so the
 outputs of two versions of occob can be compared with ``diff``.  It uses
 the standard library only:
 
@@ -38,6 +41,18 @@ from occob.errors import DslError
 
 ROOT = Path(__file__).resolve().parents[1]
 REF = "corpus/roundtrip/ref_interfaces.occ"
+COMMANDS = [
+    "check",
+    "compose",
+    "tensor",
+    "swap",
+    "invariants",
+    "sigma",
+    "pullback",
+    "iso",
+    "classify",
+    "stabilize",
+]
 ERRORS = [
     ["pullback", REF, "across", "--tau", "(3 9)"],  # outside the domain
     ["pullback", REF, "across", "--tau", f"({'1' * 5000})"],  # too many digits
@@ -133,7 +148,11 @@ def rule_text(rule: str, text: str) -> None:
 
 
 def sweep() -> None:
+    os.environ["COLUMNS"] = "80"
     os.chdir(ROOT)  # the file arguments, and so the output, are relative paths
+    run(["--help"])
+    for command in COMMANDS:
+        run([command, "--help"])
     for path in sorted((ROOT / "corpus" / "roundtrip").glob("*.occ")):
         for argv in calls(path):
             run(argv)

@@ -82,10 +82,7 @@ def _mixed_key(cycle: tuple) -> tuple[tuple, int]:
     with it.
     """
     keys = [_entry_key(e) for e in cycle]
-    try:
-        least = min(keys, default=None)
-    except TypeError as exc:
-        raise _incomparable(exc) from None
+    least = min(keys, default=None)
     if least is None or least[0] != 0 or keys.count(least) != 1:
         raise InvalidCobordismError(
             "mixed cycle has no unique least interval reference: "
@@ -144,23 +141,22 @@ def canonicalize(c: Cobordism) -> CanonicalForm:
     if type(c) is not Cobordism:
         raise wrong_type(Cobordism, c)
     keyed = []
-    for comp in c.components:
-        circles = []
-        for circ in comp.boundary:
-            if isinstance(circ, Mixed):
-                key, best = _mixed_key(circ.cycle)
-                if best:
-                    circ = Mixed(circ.cycle[best:] + circ.cycle[:best])
-            else:
-                key = _circle_key(circ)
-            circles.append((key, circ))
-        try:
-            circles.sort(key=_first)
-        except TypeError as exc:
-            raise _incomparable(exc) from None
-        comp_key = (comp.genus, tuple(k for k, _ in circles))
-        keyed.append((comp_key, Component(comp.genus, (circ for _, circ in circles))))
     try:
+        for comp in c.components:
+            circles = []
+            for circ in comp.boundary:
+                if isinstance(circ, Mixed):
+                    key, best = _mixed_key(circ.cycle)
+                    if best:
+                        circ = Mixed(circ.cycle[best:] + circ.cycle[:best])
+                else:
+                    key = _circle_key(circ)
+                circles.append((key, circ))
+            circles.sort(key=_first)
+            comp_key = (comp.genus, tuple(k for k, _ in circles))
+            keyed.append(
+                (comp_key, Component(comp.genus, (circ for _, circ in circles)))
+            )
         keyed.sort(key=_first)
     except TypeError as exc:
         raise _incomparable(exc) from None

@@ -2,6 +2,10 @@
 
 Exit codes: 0 success, 1 domain failure (invalid data, mismatched
 interfaces, a false query), 2 usage or syntax errors.
+
+Each subcommand is one ``cmd`` row in ``_build_parser``: name, handler,
+help, operands and options.  ``main`` loads FILE, looks the operands up
+in it and calls the handler with the arguments, document and values.
 """
 
 from __future__ import annotations
@@ -48,28 +52,25 @@ class _Usage(Exception):
     pass
 
 
-def _get_cobordism(doc: Document, name: str) -> Cobordism:
-    if name not in doc.cobordisms:
+def _lookup(doc: Document, metavar: str, name: str) -> Cobordism | GeneralObject:
+    """The cobordism (operand A or B) or object (N, M or OBJ) named ``name``."""
+    if metavar in ("A", "B"):
+        if name in doc.cobordisms:
+            return doc.cobordisms[name].cobordism
         raise OcError(f"no cobordism named {name!r} in the file")
-    return doc.cobordisms[name].cobordism
+    if name in doc.objects:
+        return doc.objects[name]
+    raise OcError(f"no object named {name!r} in the file")
 
 
-def _get_object(doc: Document, name: str) -> GeneralObject:
-    if name not in doc.objects:
-        raise OcError(f"no object named {name!r} in the file")
-    return doc.objects[name]
-
-
-def _result_doc(name: str, cob: Cobordism) -> Document:
+def _emit_doc(args, cob: Cobordism) -> int:
+    """Print ``cob`` as a document named by ``-o``, as text or JSON."""
+    name = args.name
     doc = Document(branes=cob.source.branes)
     doc.objects[f"{name}_src"] = cob.source
     doc.objects[f"{name}_tgt"] = cob.target
     doc.cobordisms[name] = CobordismDef(f"{name}_src", f"{name}_tgt", cob)
-    return doc
-
-
-def _emit_doc(doc: Document, as_json: bool) -> int:
-    sys.stdout.write(to_json(doc) if as_json else serialize(doc))
+    sys.stdout.write(to_json(doc) if args.json else serialize(doc))
     return 0
 
 
@@ -77,53 +78,34 @@ def _fmt_windows(counts: dict[str, int]) -> str:
     return "{" + ", ".join(f"{b}:{n}" for b, n in sorted(counts.items())) + "}"
 
 
-def _parse_tau(text: str, target: GeneralObject) -> Permutation:
-    cycles = parse_cycles(text)
-    return Permutation.from_cycles(cycles, target.interval_indices)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_check(args) -> int:
-    doc = _load(args.file)
+def _cmd_check(args, doc) -> int:
     print(f"ok: {len(doc.objects)} objects, {len(doc.cobordisms)} cobordisms")
     return 0
 
 
-def _cmd_compose(args) -> int:
-    doc = _load(args.file)
-    second = _get_cobordism(doc, args.a)
-    first = _get_cobordism(doc, args.b)
-    return _emit_doc(_result_doc(args.name, calculus.compose(second, first)), args.json)
+def _cmd_compose(args, _doc, second, first) -> int:
+    return _emit_doc(args, calculus.compose(second, first))
 
 
-def _cmd_tensor(args) -> int:
-    doc = _load(args.file)
-    a = _get_cobordism(doc, args.a)
-    b = _get_cobordism(doc, args.b)
-    return _emit_doc(_result_doc(args.name, calculus.tensor(a, b)), args.json)
+def _cmd_tensor(args, _doc, a, b) -> int:
+    return _emit_doc(args, calculus.tensor(a, b))
 
 
-def _cmd_swap(args) -> int:
-    doc = _load(args.file)
-    a = _get_object(doc, args.n)
-    b = _get_object(doc, args.m)
-    return _emit_doc(_result_doc(args.name, calculus.swap_cobordism(a, b)), args.json)
+def _cmd_swap(args, _doc, n, m) -> int:
+    return _emit_doc(args, calculus.swap_cobordism(n, m))
 
 
-def _cmd_stabilize(args) -> int:
-    doc = _load(args.file)
-    cob = _get_cobordism(doc, args.a)
+def _cmd_stabilize(args, _doc, cob) -> int:
     for _ in range(args.k):
         cob = calculus.stabilize(cob)
-    return _emit_doc(_result_doc(args.name, cob), args.json)
+    return _emit_doc(args, cob)
 
 
-def _cmd_invariants(args) -> int:
-    doc = _load(args.file)
-    cob = _get_cobordism(doc, args.a)
+def _cmd_invariants(args, _doc, cob) -> int:
     summary = invariant_summary(cob)
     # Both layouts print these numbers: one too long to write in decimal
     # raises the writers' InvalidValueError in either.
@@ -172,8 +154,8 @@ def _cmd_invariants(args) -> int:
     return 0
 
 
-def _permutation_payload(p: Permutation, as_json: bool) -> int:
-    if as_json:
+def _emit_permutation(args, p: Permutation) -> int:
+    if args.json:
         payload = {
             "format": 1,
             "permutation": {
@@ -187,23 +169,16 @@ def _permutation_payload(p: Permutation, as_json: bool) -> int:
     return 0
 
 
-def _cmd_sigma(args) -> int:
-    doc = _load(args.file)
-    cob = _get_cobordism(doc, args.a)
-    return _permutation_payload(calculus.boundary_permutation(cob), args.json)
+def _cmd_sigma(args, _doc, cob) -> int:
+    return _emit_permutation(args, calculus.boundary_permutation(cob))
 
 
-def _cmd_pullback(args) -> int:
-    doc = _load(args.file)
-    cob = _get_cobordism(doc, args.a)
-    result = calculus.pullback(cob, _parse_tau(args.tau, cob.target))
-    return _permutation_payload(result, args.json)
+def _cmd_pullback(args, _doc, cob) -> int:
+    tau = Permutation.from_cycles(parse_cycles(args.tau), cob.target.interval_indices)
+    return _emit_permutation(args, calculus.pullback(cob, tau))
 
 
-def _cmd_iso(args) -> int:
-    doc = _load(args.file)
-    a = _get_cobordism(doc, args.a)
-    b = _get_cobordism(doc, args.b)
+def _cmd_iso(args, _doc, a, b) -> int:
     same = classify.is_isomorphic(a, b)
     if args.json:
         print(json.dumps({"format": 1, "isomorphic": same}, sort_keys=True))
@@ -212,9 +187,7 @@ def _cmd_iso(args) -> int:
     return 0 if same else 1
 
 
-def _cmd_classify(args) -> int:
-    doc = _load(args.file)
-    obj = _get_object(doc, args.object)
+def _cmd_classify(args, _doc, obj) -> int:
     rows = classify.strata_table(obj, args.G, args.W)
     branes = sorted(obj.branes)
     header = ["g"] + [f"w_{b}" for b in branes] + ["c", "b_flag"]
@@ -277,68 +250,58 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def cmd(name, func, help_text):
+    def cmd(name, handler, help_text, *operands, options=None, emits=False):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
+        p.set_defaults(handler=(handler, operands))
         p.add_argument("file", metavar="FILE", help="input document")
-        return p
-
-    cmd("check", _cmd_check, "parse and validate a document")
-
-    p = cmd("compose", _cmd_compose, "glue B then A and emit the result")
-    p.add_argument("a", metavar="A")
-    p.add_argument("b", metavar="B")
-
-    p = cmd("tensor", _cmd_tensor, "place A beside B and emit the result")
-    p.add_argument("a", metavar="A")
-    p.add_argument("b", metavar="B")
-
-    p = cmd("swap", _cmd_swap, "emit the symmetry between two objects")
-    p.add_argument("n", metavar="N")
-    p.add_argument("m", metavar="M")
-
-    p = cmd("invariants", _cmd_invariants, "per-component and total invariants")
-    p.add_argument("a", metavar="A")
-
-    p = cmd("sigma", _cmd_sigma, "boundary permutation of a cobordism to one circle")
-    p.add_argument("a", metavar="A")
-
-    p = cmd("pullback", _cmd_pullback, "pull a target permutation back along A")
-    p.add_argument("a", metavar="A")
-    p.add_argument("--tau", required=True, help="cycles on the target intervals")
-
-    p = cmd("iso", _cmd_iso, "exit 0 iff A and B are isomorphic")
-    p.add_argument("a", metavar="A")
-    p.add_argument("b", metavar="B")
-
-    p = cmd("classify", _cmd_classify, "enumerate classes over an object")
-    p.add_argument("object", metavar="OBJ")
-    p.add_argument("-G", type=_count_arg, required=True, help="largest genus (>= 0)")
-    p.add_argument("-W", type=_count_arg, required=True, help="most windows per brane")
-    p.add_argument("--csv", metavar="PATH", help="also write the table as CSV")
-
-    p = cmd("stabilize", _cmd_stabilize, "compose with the stabilizer k times")
-    p.add_argument("a", metavar="A")
-    p.add_argument("-k", type=_count_arg, default=1, help="how many times (k >= 0)")
-
-    for p in sub.choices.values():
+        for dest, metavar in operands:
+            p.add_argument(dest, metavar=metavar)
+        for flag, kwargs in (options or {}).items():
+            p.add_argument(flag, **kwargs)
         p.add_argument("--json", action="store_true", help="emit JSON output")
-        if p.prog.split()[-1] in ("compose", "tensor", "swap", "stabilize"):
+        if emits:
             p.add_argument(
-                "-o",
-                "--output-name",
-                dest="name",
-                type=_name_arg,
-                default="result",
+                "-o", "--output-name", dest="name", type=_name_arg, default="result",
                 help="name for the emitted cobordism",
             )
+
+    a, b, n, m, obj = ("a", "A"), ("b", "B"), ("n", "N"), ("m", "M"), ("object", "OBJ")
+    cmd("check", _cmd_check, "parse and validate a document")
+    cmd("compose", _cmd_compose, "glue B then A and emit the result", a, b, emits=True)
+    cmd("tensor", _cmd_tensor, "place A beside B and emit the result", a, b, emits=True)
+    cmd("swap", _cmd_swap, "emit the symmetry between two objects", n, m, emits=True)
+    cmd("invariants", _cmd_invariants, "per-component and total invariants", a)
+    cmd("sigma", _cmd_sigma, "boundary permutation of a cobordism to one circle", a)
+    cmd(
+        "pullback", _cmd_pullback, "pull a target permutation back along A", a,
+        options={"--tau": dict(required=True, help="cycles on the target intervals")},
+    )
+    cmd("iso", _cmd_iso, "exit 0 iff A and B are isomorphic", a, b)
+    cmd(
+        "classify", _cmd_classify, "enumerate classes over an object", obj,
+        options={
+            "-G": dict(type=_count_arg, required=True, help="largest genus (>= 0)"),
+            "-W": dict(type=_count_arg, required=True, help="most windows per brane"),
+            "--csv": dict(metavar="PATH", help="also write the table as CSV"),
+        },
+    )
+    cmd(
+        "stabilize", _cmd_stabilize, "compose with the stabilizer k times", a,
+        options={
+            "-k": dict(type=_count_arg, default=1, help="how many times (k >= 0)"),
+        },
+        emits=True,
+    )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    handler, operands = args.handler
     try:
-        return args.func(args)
+        doc = _load(args.file)
+        values = [_lookup(doc, m, getattr(args, d)) for d, m in operands]
+        return handler(args, doc, *values)
     except _Usage as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

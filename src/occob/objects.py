@@ -97,7 +97,11 @@ class Permutation:
 
     @classmethod
     def identity(cls, domain: Iterable[int]) -> "Permutation":
-        return cls({i: i for i in domain})
+        try:
+            mapping = {i: i for i in domain}
+        except TypeError as exc:  # not iterable, or an unhashable element
+            raise not_iterable("integers", exc) from None
+        return cls(mapping)
 
     @classmethod
     def from_cycles(
@@ -108,23 +112,27 @@ class Permutation:
         Every listed element must belong to ``domain`` and may appear only
         once across all cycles.
         """
-        dom = set(domain)
-        mapping = {i: i for i in dom}
-        seen: set[int] = set()
-        for cycle in cycles:
-            cyc = list(cycle)
-            for x in cyc:
-                if x not in dom:
-                    raise InvalidValueError(
-                        f"cycle element {x} outside domain {sorted(dom)}"
-                    )
-                if x in seen:
-                    raise InvalidValueError(
-                        f"element {x} listed twice in cycle notation"
-                    )
-                seen.add(x)
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                mapping[a] = b
+        try:
+            dom = set(domain)
+            mapping = {i: i for i in dom}
+            seen: set[int] = set()
+            for cycle in cycles:
+                cyc = list(cycle)
+                for x in cyc:
+                    if x not in dom:
+                        raise InvalidValueError(
+                            f"cycle element {x} outside domain {sorted(dom)}"
+                        )
+                    if x in seen:
+                        raise InvalidValueError(
+                            f"element {x} listed twice in cycle notation"
+                        )
+                    seen.add(x)
+                for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                    mapping[a] = b
+        except TypeError as exc:  # not iterable, unhashable or unsortable
+            message = f"not cycles over a set of integers: {exc}"
+            raise InvalidValueError(message) from None
         return cls(mapping)
 
     # -- queries ---------------------------------------------------------

@@ -184,6 +184,9 @@ class Cobordism:
             components = tuple(components)
         except TypeError as exc:
             raise not_iterable("components", exc) from None
+        for comp in components:
+            if type(comp) is not Component:
+                raise wrong_type(Component, comp)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "components", components)

@@ -155,6 +155,26 @@ BAD_VALUES: dict[str, list[tuple[str, object, type[OcError]]]] = {
             InvalidValueError,
         ),
         ("identity on bools", lambda: Permutation.identity([True]), InvalidValueError),
+        (
+            "unhashable cycle element",
+            lambda: Permutation.from_cycles([[[1]]], {1}),
+            InvalidValueError,
+        ),
+        (
+            "identity on lists",
+            lambda: Permutation.identity([[1]]),
+            InvalidValueError,
+        ),
+        (
+            "domain not iterable",
+            lambda: Permutation.from_cycles([[1]], 5),
+            InvalidValueError,
+        ),
+        (
+            "cycles not iterable",
+            lambda: Permutation.from_cycles(3, {1}),
+            InvalidValueError,
+        ),
     ],
     "GeneralObject": [
         ("no branes", lambda: GeneralObject([]), InvalidValueError),
@@ -415,6 +435,7 @@ WRONG_TYPES: dict[str, list[tuple[str, object]]] = {
         ("int objects", lambda: Cobordism(1, 2)),
         ("target not an object", lambda: Cobordism(ONE, None)),
         ("int components", lambda: Cobordism(ONE, ONE, 1)),
+        ("int component", lambda: Cobordism(ONE, ONE, [1])),
     ],
     "GeneralObject": [
         ("int branes", lambda: GeneralObject(1)),

@@ -4,19 +4,21 @@
 ``from_json``, ``to_json`` and ``serialize`` run on documents of size n,
 that ``realize`` and ``identity`` run on the document's object of n
 entries, that ``compose`` runs gluing the realizer to the identity on that
-object, and that ``canonicalize`` runs on the realizer, for n = 100, 200,
-400 and 800.  Three shapes follow the benchmark's ``large_interfaces``
-workload, each an object of n entries with its realizer as the cobordism:
-``cycle``, n intervals joined by one n-cycle; ``perm``, n intervals joined
-in pairs, so that sigma has n / 2 cycles; and ``circles``, n circles.  The
-fourth, ``windows``, is one component of genus n with n windows over two
-branes, built directly, has no object of n entries, so ``realize``,
-``identity``, ``compose`` and ``canonicalize`` skip it.  A count does not
-depend on the host or on other load, unlike a time.  Each doubling of n
-may multiply the count by at most 2.3, which leaves room for an n log n
-sort; a quadratic path in Python multiplies it by about 4.  Work inside a
-single C call, such as ``x in tuple`` or ``sorted``, runs no Python lines
-and so is not counted.
+object, that ``canonicalize`` and ``boundary_permutation`` run on the
+realizer, and that ``pullback`` runs pulling the object's sigma back along
+its identity, for n = 100, 200, 400 and 800.  Three shapes follow the
+benchmark's ``large_interfaces`` workload, each an object of n entries
+with its realizer as the cobordism: ``cycle``, n intervals joined by one
+n-cycle; ``perm``, n intervals joined in pairs, so that sigma has n / 2
+cycles; and ``circles``, n circles.  The fourth, ``windows``, is one
+component of genus n with n windows over two branes, built directly, has
+no object of n entries, so ``realize``, ``identity``, ``compose``,
+``canonicalize``, ``boundary_permutation`` and ``pullback`` skip it.  A
+count does not depend on the host or on other load, unlike a time.  Each
+doubling of n may multiply the count by at most 2.3, which leaves room
+for an n log n sort; a quadratic path in Python multiplies it by about 4.
+Work inside a single C call, such as ``x in tuple`` or ``sorted``, runs
+no Python lines and so is not counted.
 """
 
 from __future__ import annotations
@@ -25,11 +27,19 @@ import sys
 
 import pytest
 
-from occob.calculus import compose, identity, realize
+from occob.calculus import compose, identity, pullback, realize
 from occob.classify import canonicalize
 from occob.dsl import CobordismDef, Document, from_json, parse, serialize, to_json
 from occob.objects import STAR, Circle, GeneralObject, Interval, Permutation
-from occob.surfaces import Cobordism, Component, InClosed, OutClosed, Window, validate
+from occob.surfaces import (
+    Cobordism,
+    Component,
+    InClosed,
+    OutClosed,
+    Window,
+    boundary_permutation,
+    validate,
+)
 
 SIZES = (100, 200, 400, 800)
 MAX_RATIO = 2.3
@@ -88,9 +98,14 @@ def _call(layer: str, doc: Document):
     if layer == "compose":
         r, ident = doc.cobordisms["R"].cobordism, identity(doc.objects["X"])
         return lambda: compose(r, ident)
-    if layer == "canonicalize":
+    if layer == "canonicalize" or layer == "boundary_permutation":
         r = doc.cobordisms["R"].cobordism
-        return lambda: canonicalize(r)
+        run = canonicalize if layer == "canonicalize" else boundary_permutation
+        return lambda: run(r)
+    if layer == "pullback":
+        x = doc.objects["X"]
+        ident = identity(x)
+        return lambda: pullback(ident, x.sigma)
     if layer == "parse":
         text = serialize(doc)
         return lambda: parse(text)
@@ -107,7 +122,14 @@ CASES = [
     for shape in ("cycle", "perm", "circles", "windows")
 ] + [
     (layer, shape)
-    for layer in ("realize", "identity", "compose", "canonicalize")
+    for layer in (
+        "realize",
+        "identity",
+        "compose",
+        "canonicalize",
+        "boundary_permutation",
+        "pullback",
+    )
     for shape in ("cycle", "perm", "circles")
 ]
 
