@@ -457,7 +457,13 @@ def stabilize(c: Cobordism) -> Cobordism:
     comps = list(c.components)
     for pos, comp in enumerate(comps):
         if OutClosed(1) in comp.boundary:
+            # Its circles were checked when ``comp`` was built, and the new
+            # ones are windows, so the grown component is assembled directly:
+            # checking every circle again makes k calls quadratic in k.
             windows = tuple(Window(b) for b in sorted(c.target.branes))
-            comps[pos] = Component(comp.genus + 1, comp.boundary + windows)
+            grown = object.__new__(Component)
+            object.__setattr__(grown, "genus", comp.genus + 1)
+            object.__setattr__(grown, "boundary", comp.boundary + windows)
+            comps[pos] = grown
             return Cobordism(c.source, c.target, comps)
     raise CompositionError("no component holds outgoing circle 1")

@@ -664,8 +664,8 @@ def serialize(doc: Document) -> str:
 # template's first slot takes the separator before the node: "[" or "{"
 # for the first item of an array or object, "," for the others.  Each
 # integer and string goes through ``_decimal`` or ``_string``, which raise
-# ``InvalidValueError`` for a value of any other type; ``canonicalize``
-# has already rejected a ``rev`` that is not a ``bool``.
+# ``InvalidValueError`` for a value of any other type; a ``rev`` is a
+# ``bool``, as the ``IntervalRef`` constructor tests.
 #
 # ``from_json`` reads each node with ``dict.get`` and tests each value by
 # exact type, as ``json.loads`` gives it.  Where a test fails, the reader

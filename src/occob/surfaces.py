@@ -9,6 +9,13 @@ circle is one of four kinds:
 * ``Window(b)``: a free boundary circle lying entirely on brane ``b``.
 * ``Mixed(cycle)``: alternates interval references and free arcs.
 
+Each constructor tests its slots by exact type and raises
+``InvalidValueError`` on a value of any other: an index is an ``int``, a
+``rev`` flag a ``bool``, a brane a ``str``, a mixed entry an
+``IntervalRef`` or an ``Arc``, and a component's boundary circle one of
+the four kinds.  So ``validate`` and the readers after it meet only
+values of these types, and check structure alone.
+
 Mixed cycles are stored in the boundary orientation induced by the
 surface.  An ``IntervalRef`` records which side and entry it attaches to
 and a ``rev`` flag saying in which order the traversal meets the interval
@@ -82,6 +89,10 @@ class IntervalRef:
     def __init__(self, side: str, index: int, rev: bool):
         if side != IN and side != OUT:
             raise InvalidValueError(f"side must be {IN!r} or {OUT!r}, got {side!r}")
+        if type(index) is not int:
+            raise wrong_type(int, index)
+        if type(rev) is not bool:
+            raise wrong_type(bool, rev)
         object.__setattr__(self, "side", side)
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "rev", rev)
@@ -95,29 +106,49 @@ def out_ref(index: int, rev: bool = False) -> IntervalRef:
     return IntervalRef(OUT, index, rev)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Arc:
     """A free boundary arc lying on a single brane."""
 
     brane: str
 
+    def __init__(self, brane: str):
+        if type(brane) is not str:
+            raise wrong_type(str, brane)
+        object.__setattr__(self, "brane", brane)
+
 
 MixedEntry = Union[IntervalRef, Arc]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class InClosed:
     index: int
 
+    def __init__(self, index: int):
+        if type(index) is not int:
+            raise wrong_type(int, index)
+        object.__setattr__(self, "index", index)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class OutClosed:
     index: int
 
+    def __init__(self, index: int):
+        if type(index) is not int:
+            raise wrong_type(int, index)
+        object.__setattr__(self, "index", index)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class Window:
     brane: str
+
+    def __init__(self, brane: str):
+        if type(brane) is not str:
+            raise wrong_type(str, brane)
+        object.__setattr__(self, "brane", brane)
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,6 +166,11 @@ class Mixed:
             cycle = tuple(cycle)
         except TypeError as exc:
             raise not_iterable("mixed entries", exc) from None
+        for e in cycle:
+            if type(e) is not IntervalRef and type(e) is not Arc:
+                raise InvalidValueError(
+                    f"{type(e).__name__} is neither an interval reference nor an arc"
+                )
         object.__setattr__(self, "cycle", cycle)
 
     def refs(self) -> tuple[IntervalRef, ...]:
@@ -142,6 +178,7 @@ class Mixed:
 
 
 BoundaryCircle = Union[InClosed, OutClosed, Window, Mixed]
+_CIRCLE_KINDS = frozenset({InClosed, OutClosed, Window, Mixed})
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -165,6 +202,11 @@ class Component:
             boundary = tuple(boundary)
         except TypeError as exc:
             raise not_iterable("boundary circles", exc) from None
+        for circ in boundary:
+            if type(circ) not in _CIRCLE_KINDS:
+                raise InvalidValueError(
+                    f"{type(circ).__name__} is not a kind of boundary circle"
+                )
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "boundary", boundary)
 
@@ -217,18 +259,13 @@ def _shown_int(n) -> str:
         return f"<an integer of {n.bit_length()} bits>"
 
 
-def _not_a_circle(circ) -> str:
-    return f"{type(circ).__name__} is not a kind of boundary circle"
-
-
 def validate(c: Cobordism) -> list[Violation]:
     """Check structural validity; an empty list means valid.
 
     One walk over the components checks every boundary circle, and one
-    walk over each mixed cycle checks alternation, entry kinds, index
-    ranges, brane membership and arc labels together.  Circles, entries
-    and indices are tested by exact type: an index that is not exactly an
-    ``int``, such as ``True``, is out of range and uses no entry.
+    walk over each mixed cycle checks alternation, index ranges, brane
+    membership and arc labels together.  The constructors have already
+    tested every slot's type, so only structure is checked here.
 
     Reported in this order: differing brane sets; then per component an
     empty boundary, and per circle in turn what is wrong with it (see
@@ -261,24 +298,18 @@ def validate(c: Cobordism) -> list[Violation]:
             if kind is InClosed or kind is OutClosed:
                 side, entries, uses = sides[kind]
                 i = circ.index
-                if (
-                    type(i) is int
-                    and 0 < i <= len(entries)
-                    and isinstance(entries[i - 1], Circle)
-                ):
+                if 0 < i <= len(entries) and isinstance(entries[i - 1], Circle):
                     uses[i] += 1
                     continue
                 at = _shown_int(i)
                 found = [("index-range", f"{side} has no circle at position {at}")]
             elif kind is Window:
-                if isinstance(circ.brane, str) and circ.brane in branes:
+                if circ.brane in branes:
                     continue
                 message = f"window brane {circ.brane!r} not declared"
                 found = [("unknown-brane", message)]
-            elif kind is Mixed:
-                found = _mixed_findings(circ.cycle, sides, branes)
             else:
-                found = [("kind", _not_a_circle(circ))]
+                found = _mixed_findings(circ.cycle, sides, branes)
             if found:
                 where = f"component {ci}, circle {bi}"
                 v.extend(Violation(rule, where, message) for rule, message in found)
@@ -301,29 +332,21 @@ def validate(c: Cobordism) -> list[Violation]:
 def _mixed_findings(cyc: tuple, sides: dict, branes) -> list[tuple[str, str]]:
     """What is wrong with one mixed cycle, as (rule, message) pairs in the
     order reported: its length, its alternation, each entry in cycle order
-    (kind, index range, undeclared arc brane), a missing interval
-    reference, and, only when the cycle is otherwise sound, arc labels that
-    differ from the interval endpoints they touch.  Each reference in range
-    is counted as a use in ``sides``."""
+    (index range, undeclared arc brane), a missing interval reference,
+    and, only when the cycle is otherwise sound, arc labels that differ
+    from the interval endpoints they touch.  Each reference in range is
+    counted as a use in ``sides``."""
     n = len(cyc)
     found = []  # per entry, in cycle order
     arcs = []  # arc labels, reported only when the cycle is otherwise sound
     refs = 0
     adjacent = False  # two references next to each other
-    ok_refs = True  # every entry is an arc or a reference in range
+    ok_refs = True  # every reference is in range
     # Each entry with the entries before and after it on the cycle.
-    for k, before, e, after in zip(
-        range(1, n + 1), cyc[-1:] + cyc[:-1], cyc, cyc[1:] + cyc[:1]
-    ):
+    for before, e, after in zip(cyc[-1:] + cyc[:-1], cyc, cyc[1:] + cyc[:1]):
         if type(e) is Arc:
-            if not (isinstance(e.brane, str) and e.brane in branes):
+            if e.brane not in branes:
                 found.append(("unknown-brane", f"arc brane {e.brane!r} not declared"))
-            continue
-        if type(e) is not IntervalRef:
-            kind = type(e).__name__
-            message = f"{kind} is neither an interval reference nor an arc"
-            found.append(("kind", f"entry {k}: {message}"))
-            ok_refs = False
             continue
         refs += 1
         if type(after) is IntervalRef:
@@ -331,9 +354,7 @@ def _mixed_findings(cyc: tuple, sides: dict, branes) -> list[tuple[str, str]]:
         side, entries, uses = sides[e.side]
         i = e.index
         if not (
-            type(i) is int
-            and 0 < i <= len(entries)
-            and isinstance(interval := entries[i - 1], Interval)
+            0 < i <= len(entries) and isinstance(interval := entries[i - 1], Interval)
         ):
             at = _shown_int(i)
             found.append(("index-range", f"{side} has no interval at position {at}"))
@@ -399,7 +420,7 @@ def window_vector(c: Cobordism) -> dict[str, int]:
     for comp in c.components:
         for circ in comp.boundary:
             if isinstance(circ, Window):
-                if not (isinstance(circ.brane, str) and circ.brane in counts):
+                if circ.brane not in counts:
                     raise InvalidCobordismError(
                         f"window brane {circ.brane!r} not declared"
                     )
@@ -506,34 +527,18 @@ _KIND_NAMES = {InClosed: "in", OutClosed: "out", Window: "window", Mixed: "mixed
 def component_summary(comp: Component) -> ComponentSummary:
     """Genus, windows per brane, boundary kinds and Euler characteristic of
     one component, invariant under boundary reordering and cycle rotation.
-
-    A boundary element that is not one of the four circle kinds, and a
-    window brane that is not a ``str`` where it cannot be counted or
-    sorted, raise ``InvalidCobordismError``.
     """
     if type(comp) is not Component:
         raise wrong_type(Component, comp)
     windows: Counter[str] = Counter()
     kinds: Counter[str] = Counter()
-    try:
-        for circ in comp.boundary:
-            kind = _KIND_NAMES.get(type(circ))
-            if kind is None:
-                raise InvalidCobordismError(_not_a_circle(circ))
-            kinds[kind] += 1
-            if isinstance(circ, Window):
-                windows[circ.brane] += 1
-        window_counts = tuple(sorted(windows.items()))
-    except TypeError:  # an unhashable brane, or one that does not compare
-        bad = next(
-            c.brane
-            for c in comp.boundary
-            if isinstance(c, Window) and not isinstance(c.brane, str)
-        )
-        raise InvalidCobordismError(f"window brane {bad!r} is not a str") from None
+    for circ in comp.boundary:
+        kinds[_KIND_NAMES[type(circ)]] += 1
+        if isinstance(circ, Window):
+            windows[circ.brane] += 1
     return ComponentSummary(
         comp.genus,
-        window_counts,
+        tuple(sorted(windows.items())),
         tuple(sorted(kinds.items())),
         euler_char(comp),
     )
@@ -549,11 +554,7 @@ def invariant_summary(c: Cobordism) -> InvariantSummary:
     """
     if type(c) is not Cobordism:
         raise wrong_type(Cobordism, c)
-    try:
-        summaries = sorted(map(component_summary, c.components))
-    except TypeError:  # window branes of two types: window_vector names one
-        window_vector(c)
-        raise
+    summaries = sorted(map(component_summary, c.components))
     return InvariantSummary(
         components=tuple(summaries),
         window_vector=tuple(window_vector(c).items()),

@@ -13,7 +13,9 @@ n-cycle; ``perm``, n intervals joined in pairs, so that sigma has n / 2
 cycles; and ``circles``, n circles.  The fourth, ``windows``, is one
 component of genus n with n windows over two branes, built directly, has
 no object of n entries, so ``realize``, ``identity``, ``compose``,
-``canonicalize``, ``boundary_permutation`` and ``pullback`` skip it.  A
+``canonicalize``, ``boundary_permutation`` and ``pullback`` skip it.
+Apart from the documents, ``stabilize`` runs k = n times on one circle
+over two branes, so that its boundary grows to 2n + 2 circles.  A
 count does not depend on the host or on other load, unlike a time.  Each
 doubling of n may multiply the count by at most 2.3, which leaves room
 for an n log n sort; a quadratic path in Python multiplies it by about 4.
@@ -27,7 +29,7 @@ import sys
 
 import pytest
 
-from occob.calculus import compose, identity, pullback, realize
+from occob.calculus import compose, identity, pullback, realize, stabilize
 from occob.classify import canonicalize
 from occob.dsl import CobordismDef, Document, from_json, parse, serialize, to_json
 from occob.objects import STAR, Circle, GeneralObject, Interval, Permutation
@@ -137,5 +139,21 @@ CASES = [
 @pytest.mark.parametrize("layer, shape", CASES)
 def test_each_doubling_of_n_at_most_doubles_the_lines_run(layer, shape):
     counts = [_lines_run(_call(layer, _document(shape, n))) for n in SIZES]
+    ratios = [round(b / a, 3) for a, b in zip(counts, counts[1:])]
+    assert max(ratios) <= MAX_RATIO, (counts, ratios)
+
+
+def test_stabilizing_k_times_is_linear_in_k():
+    """Each call adds a handle and two windows in a constant number of
+    lines: checking every circle of the grown boundary again would make
+    the count quadratic in k."""
+    circle = realize(GeneralObject(("a", "b"), [Circle()]))
+
+    def stabilize_k_times(k: int):
+        c = circle
+        for _ in range(k):
+            c = stabilize(c)
+
+    counts = [_lines_run(lambda: stabilize_k_times(n)) for n in SIZES]
     ratios = [round(b / a, 3) for a, b in zip(counts, counts[1:])]
     assert max(ratios) <= MAX_RATIO, (counts, ratios)

@@ -3,9 +3,11 @@
 Both must return the same violations, in the same order, on sampled
 cobordisms, on reordered and rotated copies of them, and on mutants that
 break each rule.  The mutants here are one or two edits of a sampled
-cobordism; every index they write is a plain ``int``.  The one intended
-difference, an index that is not exactly an ``int``, is pinned in
-``test_surfaces.py``.
+cobordism; every index they write is a plain ``int``.  The reference's
+``kind`` rule no longer fires: the constructors refuse a value of the
+wrong kind before ``validate`` could meet it, which
+``test_a_wrong_kind_is_refused_before_validate`` checks on the edits
+that once made it fire.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import random
 
 import pytest
 
+from occob.errors import InvalidValueError
 from occob.objects import Circle, GeneralObject, Interval
 from occob.sampling import sample_cobordism, shuffled
 from occob.surfaces import (
@@ -105,14 +108,6 @@ def index_out_of_range(rng: random.Random, c: Cobordism) -> Cobordism | None:
     return _with_component(c, ci, boundary)
 
 
-def window_in_cycle(rng: random.Random, c: Cobordism) -> Cobordism | None:
-    spots = _mixed_positions(c, lambda e: True)
-    if not spots:
-        return None
-    wrong = rng.choice([Window(rng.choice(sorted(c.source.branes))), InClosed(1)])
-    return _edit_entry(c, rng.choice(spots), lambda e: (wrong,))
-
-
 def arcs_side_by_side(rng: random.Random, c: Cobordism) -> Cobordism | None:
     spots = _mixed_positions(c, lambda e: isinstance(e, Arc))
     if not spots:
@@ -136,14 +131,6 @@ def undeclared_brane(rng: random.Random, c: Cobordism) -> Cobordism | None:
     return _with_component(c, ci, c.components[ci].boundary + (Window("z"),))
 
 
-def arc_as_circle(rng: random.Random, c: Cobordism) -> Cobordism | None:
-    if not c.components:
-        return None
-    ci = rng.randrange(len(c.components))
-    wrong = rng.choice([Arc(rng.choice(sorted(c.source.branes))), "circle"])
-    return _with_component(c, ci, c.components[ci].boundary + (wrong,))
-
-
 def other_branes(rng: random.Random, c: Cobordism) -> Cobordism | None:
     t = c.target
     wider = GeneralObject(t.branes | {"z"}, t.entries, t.sigma)
@@ -157,11 +144,9 @@ MUTATIONS = [
     duplicate_reference,
     duplicate_circle,
     index_out_of_range,
-    window_in_cycle,
     arcs_side_by_side,
     empty_component,
     undeclared_brane,
-    arc_as_circle,
     other_branes,
 ]
 
@@ -196,7 +181,6 @@ def test_mutants_validate_as_the_reference_does(rng, branes):
     rules = {
         "brane-set",
         "empty-boundary",
-        "kind",
         "index-range",
         "unknown-brane",
         "alternation",
@@ -207,12 +191,40 @@ def test_mutants_validate_as_the_reference_does(rng, branes):
     assert fired == rules
 
 
+@pytest.mark.parametrize("branes", BRANE_SETS, ids=["*", "ab", "abc"])
+def test_a_wrong_kind_is_refused_before_validate(rng, branes):
+    """A circle in a mixed cycle, and an arc or a str among a component's
+    circles: the edits that once made ``validate`` report ``kind`` now
+    raise ``InvalidValueError`` where the cycle or component is built."""
+    tried = 0
+    for _ in range(100):
+        c = sample_cobordism(rng, branes, max_new_intervals=4)
+        brane = rng.choice(sorted(c.source.branes))
+        spots = _mixed_positions(c, lambda e: True)
+        if spots:
+            wrong = rng.choice([Window(brane), InClosed(1)])
+            with pytest.raises(InvalidValueError, match="neither"):
+                _edit_entry(c, rng.choice(spots), lambda e: (wrong,))
+            tried += 1
+        if c.components:
+            ci = rng.randrange(len(c.components))
+            wrong = rng.choice([Arc(brane), "circle"])
+            with pytest.raises(InvalidValueError, match="not a kind of boundary"):
+                _with_component(c, ci, c.components[ci].boundary + (wrong,))
+            tried += 1
+    assert tried > 100
+
+
 def test_arbitrary_cycles_validate_as_the_reference_does(rng):
-    """Cycles of 0 to 6 entries drawn from arcs, references in and out of
-    range, and wrong kinds, on objects over {a, b}: every length and order
-    of entries, not only a sampled surface edited once or twice."""
+    """Cycles of 0 to 6 entries drawn from arcs and references in and out
+    of range, on objects over {a, b}: every length and order of entries,
+    not only a sampled surface edited once or twice.  An entry of another
+    kind is refused by ``Mixed``."""
     branes = ("a", "b")
-    pool = [Arc("a"), Arc("b"), Arc("z"), Window("a"), InClosed(1)]
+    for wrong in (Window("a"), InClosed(1)):
+        with pytest.raises(InvalidValueError, match="neither"):
+            Mixed((Arc("a"), wrong))
+    pool = [Arc("a"), Arc("b"), Arc("z")]
     pool += [
         IntervalRef(side, i, rev)
         for side in ("in", "out")
@@ -230,4 +242,4 @@ def test_arbitrary_cycles_validate_as_the_reference_does(rng):
         )
         ci = rng.randrange(len(c.components))
         fired |= assert_same(_with_component(c, ci, c.components[ci].boundary + cycles))
-    assert {"alternation", "arc-brane", "kind", "index-range"} <= fired
+    assert {"alternation", "arc-brane", "index-range"} <= fired
