@@ -651,11 +651,13 @@ def test_a_non_entry_in_a_mixed_cycle_is_refused_where_it_is_built(bad):
 
 
 @pytest.mark.parametrize("brane", [[1], 1, None], ids=repr)
-def test_a_brane_that_is_not_a_str_is_refused(brane):
+def test_validate_reports_a_brane_that_is_not_a_str_as_unknown(brane):
+    """``validate`` never meets such a brane: ``Window`` and ``Arc`` refuse it."""
     message = f"^expected a str, got {type(brane).__name__}$"
-    for make in (Window, Arc):
-        with pytest.raises(InvalidValueError, match=message):
-            make(brane)
+    with pytest.raises(InvalidValueError, match=message):
+        validate(Cobordism(EMPTY, EMPTY, (Component(0, (Window(brane),)),)))
+    with pytest.raises(InvalidValueError, match=message):
+        validate(_to_circle(Mixed((in_ref(1), Arc(brane))), OutClosed(1)))
 
 
 @pytest.mark.parametrize(
@@ -800,6 +802,18 @@ def test_an_unhashable_label_is_named_as_not_declared(label):
     message = f"entry 2: brane {label!r} not in ['*']"
     with pytest.raises(InvalidValueError, match=f"^{re.escape(message)}$"):
         GeneralObject(STAR_SET, [Circle(), Interval(STAR, label)])
+
+
+@pytest.mark.parametrize(
+    "boundary, bad",
+    [(lambda: (Window(["a"]),), ["a"]), (lambda: (Window(STAR), Window(1)), 1)],
+    ids=["unhashable", "two types"],
+)
+def test_component_summary_names_a_window_brane_that_is_not_a_str(boundary, bad):
+    """``component_summary`` never meets such a brane: ``Window`` names its type."""
+    message = f"expected a str, got {type(bad).__name__}"
+    with pytest.raises(InvalidValueError, match=f"^{re.escape(message)}$"):
+        component_summary(Component(0, boundary()))
 
 
 @pytest.mark.parametrize(
