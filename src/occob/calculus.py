@@ -29,6 +29,7 @@ from occob.surfaces import (
     MixedEntry,
     OutClosed,
     Window,
+    _grown,
     boundary_permutation,
     euler_char,
 )
@@ -457,13 +458,7 @@ def stabilize(c: Cobordism) -> Cobordism:
     comps = list(c.components)
     for pos, comp in enumerate(comps):
         if OutClosed(1) in comp.boundary:
-            # Its circles were checked when ``comp`` was built, and the new
-            # ones are windows, so the grown component is assembled directly:
-            # checking every circle again makes k calls quadratic in k.
             windows = tuple(Window(b) for b in sorted(c.target.branes))
-            grown = object.__new__(Component)
-            object.__setattr__(grown, "genus", comp.genus + 1)
-            object.__setattr__(grown, "boundary", comp.boundary + windows)
-            comps[pos] = grown
+            comps[pos] = _grown(comp, windows)
             return Cobordism(c.source, c.target, comps)
     raise CompositionError("no component holds outgoing circle 1")

@@ -189,6 +189,9 @@ class _Builder:
 
     def __init__(self, branes: list[str], where, text: str = ""):
         self.text = text
+        # A str subclass, which ``from_json`` accepts, is kept as the str it
+        # holds: ``Arc`` and ``Window`` take an exact ``str``.
+        branes = list(map(str.__str__, branes))
         if not branes:
             self.fail(where, "the brane list is empty")
         dup = sorted(b for b, n in Counter(branes).items() if n > 1)
@@ -205,9 +208,10 @@ class _Builder:
         _fail(where, message, cls, **kwargs)
 
     def brane(self, label: str, where) -> str:
+        """The declared label equal to ``label``: an exact ``str``."""
         if label not in self.doc.branes:
             self.fail(where, f"brane {label!r} is not declared")
-        return label
+        return self.arc[label].brane
 
     def new_name(self, what: str, name: str, where) -> None:
         """Reject a second ``what`` ("object" or "cobordism") called ``name``."""

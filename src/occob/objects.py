@@ -45,7 +45,7 @@ class Interval:
 Entry = Union[Circle, Interval]
 
 
-_ONLY_INT = frozenset({int}).issuperset
+_ONLY_INT, _ONLY_STR = frozenset({int}).issuperset, frozenset({str}).issuperset
 
 
 def _checked_items(d: dict) -> list[tuple[int, int]]:
@@ -62,7 +62,9 @@ def _checked_items(d: dict) -> list[tuple[int, int]]:
             raise InvalidValueError(f"permutation entries must be integers, got {x!r}")
     if values != keys:
         raise InvalidValueError(f"not a bijection: domain {keys} versus image {values}")
-    return items
+    # An int subclass, such as an ``IntEnum`` member, is kept as the int it
+    # holds, so each index taken from the permutation is an exact ``int``.
+    return [(int.__int__(k), int.__int__(v)) for k, v in items]
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -82,7 +84,7 @@ class Permutation:
             raise InvalidValueError(f"not a permutation: {exc}") from None
         # One C call per test: keys and values all exactly int, and the
         # values the keys again.  Anything else takes the checks below,
-        # which accept an int subclass other than bool.
+        # which accept an int subclass other than bool as the int it holds.
         if (
             _ONLY_INT(map(type, d))
             and _ONLY_INT(map(type, d.values()))
@@ -232,6 +234,10 @@ class GeneralObject:
                 raise InvalidValueError(
                     f"brane labels must be nonempty strings, got {b!r}"
                 )
+        if not _ONLY_STR(map(type, brane_set)):
+            # A str subclass is kept as the str it holds, so each arc and
+            # window built from the brane set has an exact ``str`` brane.
+            brane_set = frozenset(map(str.__str__, brane_set))
         try:
             entry_tuple = tuple(entries)
         except TypeError as exc:

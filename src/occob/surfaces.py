@@ -211,6 +211,19 @@ class Component:
         object.__setattr__(self, "boundary", boundary)
 
 
+def _grown(comp: Component, windows: tuple[Window, ...]) -> Component:
+    """``comp`` with one more handle and ``windows`` after its boundary.
+
+    The circles of ``comp`` were checked when it was built, and each of
+    ``windows`` is a ``Window``, so no check runs: checking every circle
+    again makes k calls of ``calculus.stabilize`` quadratic in k.
+    """
+    grown = object.__new__(Component)
+    object.__setattr__(grown, "genus", comp.genus + 1)
+    object.__setattr__(grown, "boundary", comp.boundary + windows)
+    return grown
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class Cobordism:
     """A surface from ``source`` to ``target``, component by component."""

@@ -222,6 +222,10 @@ def test_dict_and_str_subclasses():
     rng = random.Random(5)
     for k in range(120):
         data = document_to_dict(sample_document(rng, ("a", "b")))
+        if k % 3 == 0:
+            # Unfaulted, the subclassed document reads as the plain one does.
+            doc = from_json(_subclassed(data))
+            assert doc.cobordisms and repr(doc) == repr(from_json(data))
         for _ in range(k % 3):
             _fault(rng, data)
         assert_same(from_json, reference_from_json, _subclassed(data))
