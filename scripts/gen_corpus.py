@@ -18,15 +18,17 @@ from pathlib import Path
 
 from occob import calculus
 from occob.dsl import CobordismDef, Document, parse, serialize
+from occob.errors import DslSyntaxError
 from occob.objects import STAR, Circle, GeneralObject, Interval, Permutation
 from occob.sampling import sample_document
 from occob.surfaces import (
+    IN,
+    OUT,
     Arc,
+    Closed,
     Cobordism,
     Component,
-    InClosed,
     Mixed,
-    OutClosed,
     Window,
     in_ref,
     out_ref,
@@ -49,8 +51,8 @@ def ref_interfaces() -> Document:
         Component(0, (Mixed((in_ref(1), Arc(STAR), out_ref(3), Arc(STAR))),)),
         Component(1, (Mixed((in_ref(2), Arc(STAR), in_ref(3), Arc(STAR))),)),
         Component(0, (Mixed((in_ref(5), Arc(STAR), out_ref(4), Arc(STAR))),)),
-        Component(0, (InClosed(4), OutClosed(1))),
-        Component(2, (OutClosed(2), OutClosed(5), Window(STAR))),
+        Component(0, (Closed(IN, 4), Closed(OUT, 1))),
+        Component(2, (Closed(OUT, 2), Closed(OUT, 5), Window(STAR))),
     )
     cob = Cobordism(src, tgt, comps)
     doc = Document(branes=frozenset({STAR}))
@@ -252,55 +254,52 @@ MALFORMED = {
 }
 
 
-def main() -> int:
-    roundtrip = ROOT / "corpus" / "roundtrip"
-    malformed = ROOT / "corpus" / "malformed"
-    roundtrip.mkdir(parents=True, exist_ok=True)
-    malformed.mkdir(parents=True, exist_ok=True)
+def corpus_files() -> dict[str, str]:
+    """Every corpus file as its path under corpus/ and its text.
 
-    written = []
+    Self-checks the texts first: every roundtrip file is canonical, and
+    every malformed file fails to parse with a position.
+    """
+    files = {}
     for name, build in HANDMADE.items():
         doc = build()
         for cdef in doc.cobordisms.values():
             problems = validate(cdef.cobordism)
             if problems:
                 raise SystemExit(f"{name}: {problems}")
-        text = serialize(doc)
-        (roundtrip / name).write_text(text, encoding="utf-8")
-        written.append(name)
+        files[f"roundtrip/{name}"] = serialize(doc)
 
     brane_pools = [(STAR,), ("a", "b"), ("a", "b", "c"), ("left", "right")]
-    needed = 50 - len(written)
+    needed = 50 - len(files)
     for k in range(needed):
         rng = random.Random(1000 + k)
         doc = sample_document(rng, branes=brane_pools[k % len(brane_pools)])
-        name = f"sampled_{k:02d}.occ"
-        (roundtrip / name).write_text(serialize(doc), encoding="utf-8")
-        written.append(name)
+        files[f"roundtrip/sampled_{k:02d}.occ"] = serialize(doc)
+
+    for path, text in files.items():
+        if serialize(parse(text)) != text:
+            raise SystemExit(f"{path} is not canonical")
 
     for name, text in MALFORMED.items():
-        (malformed / name).write_text(text, encoding="utf-8")
-
-    # Self-check: every roundtrip file is canonical, every malformed file
-    # fails to parse.
-    for name in written:
-        text = (roundtrip / name).read_text(encoding="utf-8")
-        again = serialize(parse(text))
-        if again != text:
-            raise SystemExit(f"{name} is not canonical")
-    from occob.errors import DslSyntaxError
-
-    for name in MALFORMED:
-        text = (malformed / name).read_text(encoding="utf-8")
         try:
             parse(text)
         except DslSyntaxError as exc:
-            if exc.line is None:
+            if not exc.line:
                 raise SystemExit(f"{name}: diagnostic lacks a position")
         else:
             raise SystemExit(f"{name} unexpectedly parsed")
+        files[f"malformed/{name}"] = text
+    return files
 
-    print(f"wrote {len(written)} roundtrip files, {len(MALFORMED)} malformed files")
+
+def main() -> int:
+    files = corpus_files()
+    for path, text in files.items():
+        target = ROOT / "corpus" / path
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(text, encoding="utf-8")
+    roundtrip = len(files) - len(MALFORMED)
+    print(f"wrote {roundtrip} roundtrip files, {len(MALFORMED)} malformed files")
     return 0
 
 

@@ -25,15 +25,14 @@ from occob.surfaces import (
     OUT,
     Arc,
     BoundaryCircle,
+    Closed,
     Cobordism,
     Component,
     ComponentSummary,
-    InClosed,
     IntervalRef,
     InvariantSummary,
     Mixed,
     MixedEntry,
-    OutClosed,
     Violation,
     Window,
     boundary_permutation,
@@ -78,8 +77,7 @@ __all__ = [
     "GeneralObject",
     "Arc",
     "IntervalRef",
-    "InClosed",
-    "OutClosed",
+    "Closed",
     "Window",
     "Mixed",
     "MixedEntry",

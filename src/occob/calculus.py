@@ -21,13 +21,12 @@ from occob.surfaces import (
     OUT,
     Arc,
     BoundaryCircle,
+    Closed,
     Cobordism,
     Component,
-    InClosed,
     IntervalRef,
     Mixed,
     MixedEntry,
-    OutClosed,
     Window,
     _grown,
     boundary_permutation,
@@ -56,7 +55,7 @@ def _cylinder(obj: GeneralObject, target: GeneralObject, tmap) -> Cobordism:
     comps = []
     for i, e in enumerate(obj.entries, start=1):
         if isinstance(e, Circle):
-            comps.append(Component(0, (InClosed(i), OutClosed(tmap(i)))))
+            comps.append(Component(0, (Closed(IN, i), Closed(OUT, tmap(i)))))
         else:
             square = Mixed((
                 IntervalRef(OUT, tmap(i), False),
@@ -153,13 +152,9 @@ def compose(second: Cobordism, first: Cobordism) -> Cobordism:
     kept: list[list[BoundaryCircle]] = []  # piece -> circles kept
     for pid, comp in enumerate(pieces):
         if pid < n_first:
-            glued_closed, circle_piece, side, nodes = (
-                OutClosed, out_circle_piece, OUT, out_nodes
-            )
+            circle_piece, side, nodes = out_circle_piece, OUT, out_nodes
         else:
-            glued_closed, circle_piece, side, nodes = (
-                InClosed, in_circle_piece, IN, in_nodes
-            )
+            circle_piece, side, nodes = in_circle_piece, IN, in_nodes
         stay: list[BoundaryCircle] = []
         for circ in comp.boundary:
             if isinstance(circ, Mixed):
@@ -174,7 +169,7 @@ def compose(second: Cobordism, first: Cobordism) -> Cobordism:
                 for node, entry in enumerate(cycle, base):
                     if isinstance(entry, IntervalRef) and entry.side == side:
                         nodes[entry.index] = node
-            elif isinstance(circ, glued_closed):
+            elif isinstance(circ, Closed) and circ.side == side:
                 circle_piece[circ.index] = pid
             else:
                 stay.append(circ)
@@ -315,10 +310,8 @@ def _fuse_arcs(seq: list[MixedEntry]) -> BoundaryCircle:
 
 
 def _shift_circle(circ: BoundaryCircle, s_off: int, t_off: int) -> BoundaryCircle:
-    if isinstance(circ, InClosed):
-        return InClosed(circ.index + s_off)
-    if isinstance(circ, OutClosed):
-        return OutClosed(circ.index + t_off)
+    if isinstance(circ, Closed):
+        return Closed(circ.side, circ.index + (s_off if circ.side == IN else t_off))
     if isinstance(circ, Window):
         return circ
     cycle = tuple(
@@ -368,7 +361,7 @@ def realize(obj: GeneralObject) -> Cobordism:
     """
     if type(obj) is not GeneralObject:
         raise wrong_type(GeneralObject, obj)
-    boundary: list[BoundaryCircle] = [InClosed(i) for i in obj.circle_indices]
+    boundary: list[BoundaryCircle] = [Closed(IN, i) for i in obj.circle_indices]
     arcs = {b: Arc(b) for b in obj.branes}
     at = obj.entries  # sigma permutes the positions of intervals only
     for cyc in obj.sigma.cycles():
@@ -384,7 +377,7 @@ def realize(obj: GeneralObject) -> Cobordism:
             entries.append(IntervalRef(IN, x, True))
             entries.append(arcs[left])
         boundary.append(Mixed(entries))
-    boundary.append(OutClosed(1))
+    boundary.append(Closed(OUT, 1))
     target = GeneralObject(obj.branes, (Circle(),))
     return Cobordism(obj, target, (Component(0, tuple(boundary)),))
 
@@ -436,7 +429,7 @@ def make_T(branes: Iterable[str]) -> Cobordism:
     """
     obj = GeneralObject(branes, (Circle(),))
     windows = tuple(Window(b) for b in sorted(obj.branes))
-    comp = Component(1, (InClosed(1), OutClosed(1)) + windows)
+    comp = Component(1, (Closed(IN, 1), Closed(OUT, 1)) + windows)
     return Cobordism(obj, obj, (comp,))
 
 
@@ -445,10 +438,10 @@ def stabilize(c: Cobordism) -> Cobordism:
 
     Requires target equal to the single-circle object.  The closed form of
     ``compose(make_T(c.target.branes), c)``, equal to it up to
-    ``canonicalize``: the component holding ``OutClosed(1)`` gains one
+    ``canonicalize``: the component holding ``Closed(OUT, 1)`` gains one
     genus and one window per brane, appended after its boundary circles,
     whose order is kept; every other component is returned as it is.
-    Any other target, or no component holding ``OutClosed(1)``, raises
+    Any other target, or no component holding ``Closed(OUT, 1)``, raises
     ``CompositionError``.
     """
     if type(c) is not Cobordism:
@@ -457,7 +450,7 @@ def stabilize(c: Cobordism) -> Cobordism:
         raise CompositionError("stabilize requires the single-circle target object")
     comps = list(c.components)
     for pos, comp in enumerate(comps):
-        if OutClosed(1) in comp.boundary:
+        if Closed(OUT, 1) in comp.boundary:
             windows = tuple(Window(b) for b in sorted(c.target.branes))
             comps[pos] = _grown(comp, windows)
             return Cobordism(c.source, c.target, comps)

@@ -22,12 +22,11 @@ from occob.surfaces import (
     IN,
     Arc,
     BoundaryCircle,
+    Closed,
     Cobordism,
     Component,
-    InClosed,
     IntervalRef,
     Mixed,
-    OutClosed,
     Window,
     in_b_subcategory,
 )
@@ -79,10 +78,8 @@ def _mixed_key(cycle: tuple) -> tuple[tuple, int]:
 def _circle_key(circ: BoundaryCircle) -> tuple:
     if isinstance(circ, Mixed):
         return _mixed_key(circ.cycle)[0]
-    if isinstance(circ, InClosed):
-        return (0, circ.index)
-    if isinstance(circ, OutClosed):
-        return (1, circ.index)
+    if isinstance(circ, Closed):
+        return (0 if circ.side == IN else 1, circ.index)
     return (2, circ.brane)
 
 

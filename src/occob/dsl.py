@@ -47,12 +47,11 @@ from occob.surfaces import (
     IN,
     OUT,
     Arc,
+    Closed,
     Cobordism,
     Component,
-    InClosed,
     IntervalRef,
     Mixed,
-    OutClosed,
     Window,
     validate,
 )
@@ -470,7 +469,7 @@ class _Parser:
                     index = self.integer(k + 1)
                 if toks[k + 2] != ";":
                     self.expected("';'", k + 2)
-                boundary.append(InClosed(index) if t == "in" else OutClosed(index))
+                boundary.append(Closed(t, index))
                 k += 3
             elif t == "window":
                 b = toks[k + 1]
@@ -555,6 +554,8 @@ def parse(text: str) -> Document:
 
 def parse_cycles(text: str) -> list[tuple[int, ...]]:
     """Parse standalone cycle notation, e.g. ``(2 3)(4)`` or ``id``."""
+    if type(text) is not str:
+        raise wrong_type(str, text)
     p = _Parser(text)
     out = p.cycles()
     if p.peek():
@@ -586,10 +587,8 @@ def _fmt_mixed_entry(e, single: bool) -> str:
 
 
 def _fmt_bline(circ, single: bool) -> str:
-    if isinstance(circ, InClosed):
-        return f"in {_decimal(circ.index)};"
-    if isinstance(circ, OutClosed):
-        return f"out {_decimal(circ.index)};"
+    if isinstance(circ, Closed):
+        return f"{circ.side} {_decimal(circ.index)};"
     if isinstance(circ, Window):
         return f"window{_fmt_brane(circ.brane, single)};"
     inner = ", ".join(_fmt_mixed_entry(e, single) for e in circ.cycle)
@@ -706,7 +705,7 @@ _COBORDISM = """%s
 _COMPONENT = """%s
         {
           "boundary": """
-_IN_OUT = """%s
+_CLOSED = """%s
             {
               "index": %s,
               "type": "%s"
@@ -776,10 +775,8 @@ def to_json(doc: Document) -> str:
             w(_COMPONENT % csep)
             bsep = "["
             for circ in comp.boundary:
-                if isinstance(circ, InClosed):
-                    w(_IN_OUT % (bsep, _decimal(circ.index), "in"))
-                elif isinstance(circ, OutClosed):
-                    w(_IN_OUT % (bsep, _decimal(circ.index), "out"))
+                if isinstance(circ, Closed):
+                    w(_CLOSED % (bsep, _decimal(circ.index), circ.side))
                 elif isinstance(circ, Window):
                     w(_WINDOW % (bsep, _string(circ.brane)))
                 else:
@@ -1007,7 +1004,7 @@ def _read_components(build: _Builder, spec: dict, where: tuple) -> list:
                 index = circ.get("index")
                 if type(index) is not int or index < 0:
                     _field(circ, "index", int, (*where, "components", c, "boundary", j))
-                circles.append(InClosed(index) if kind == "in" else OutClosed(index))
+                circles.append(Closed(kind, index))
             elif kind == "window":
                 brane = circ.get("brane")
                 window = windows.get(brane) if type(brane) is str else None

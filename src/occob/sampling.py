@@ -24,12 +24,11 @@ from occob.surfaces import (
     IN,
     OUT,
     Arc,
+    Closed,
     Cobordism,
     Component,
-    InClosed,
     IntervalRef,
     Mixed,
-    OutClosed,
     Window,
     default_rev,
 )
@@ -266,7 +265,7 @@ def sample_cobordism(
             else:
                 side, i = b
                 i = position[side][i] if i < 0 else i
-                boundary.append(InClosed(i) if side == IN else OutClosed(i))
+                boundary.append(Closed(side, i))
         components.append(Component(rng.randint(0, max_genus), boundary))
     return Cobordism(src, tgt, components)
 

@@ -2,19 +2,20 @@
 
 A cobordism is stored as a list of connected components.  Each component
 is a nonnegative genus plus a list of boundary circles, and each boundary
-circle is one of four kinds:
+circle is one of three kinds:
 
-* ``InClosed(i)``: glued to circle ``i`` of the source object.
-* ``OutClosed(i)``: glued to circle ``i`` of the target object.
+* ``Closed(side, i)``: glued to circle ``i`` of the source object when
+  ``side`` is ``IN``, of the target object when it is ``OUT``.
 * ``Window(b)``: a free boundary circle lying entirely on brane ``b``.
 * ``Mixed(cycle)``: alternates interval references and free arcs.
 
 Each constructor tests its slots by exact type and raises
-``InvalidValueError`` on a value of any other: an index is an ``int``, a
-``rev`` flag a ``bool``, a brane a ``str``, a mixed entry an
-``IntervalRef`` or an ``Arc``, and a component's boundary circle one of
-the four kinds.  So ``validate`` and the readers after it meet only
-values of these types, and check structure alone.
+``InvalidValueError`` on a value of any other: a side is ``IN`` or
+``OUT`` (kept as the module's constant), an index an ``int``, a ``rev``
+flag a ``bool``, a brane a ``str``, a mixed entry an ``IntervalRef`` or
+an ``Arc``, and a component's boundary circle one of the three kinds.  So
+``validate`` and the readers after it meet only values of these types,
+and check structure alone.
 
 Mixed cycles are stored in the boundary orientation induced by the
 surface.  An ``IntervalRef`` records which side and entry it attaches to
@@ -46,8 +47,7 @@ __all__ = [
     "IntervalRef",
     "Arc",
     "MixedEntry",
-    "InClosed",
-    "OutClosed",
+    "Closed",
     "Window",
     "Mixed",
     "BoundaryCircle",
@@ -87,7 +87,11 @@ class IntervalRef:
     rev: bool
 
     def __init__(self, side: str, index: int, rev: bool):
-        if side != IN and side != OUT:
+        if side == IN:
+            side = IN
+        elif side == OUT:
+            side = OUT
+        else:
             raise InvalidValueError(f"side must be {IN!r} or {OUT!r}, got {side!r}")
         if type(index) is not int:
             raise wrong_type(int, index)
@@ -122,22 +126,22 @@ MixedEntry = Union[IntervalRef, Arc]
 
 
 @dataclass(frozen=True, slots=True, init=False)
-class InClosed:
+class Closed:
+    """A closed boundary circle glued to circle ``index`` of one side."""
+
+    side: str
     index: int
 
-    def __init__(self, index: int):
+    def __init__(self, side: str, index: int):
+        if side == IN:
+            side = IN
+        elif side == OUT:
+            side = OUT
+        else:
+            raise InvalidValueError(f"side must be {IN!r} or {OUT!r}, got {side!r}")
         if type(index) is not int:
             raise wrong_type(int, index)
-        object.__setattr__(self, "index", index)
-
-
-@dataclass(frozen=True, slots=True, init=False)
-class OutClosed:
-    index: int
-
-    def __init__(self, index: int):
-        if type(index) is not int:
-            raise wrong_type(int, index)
+        object.__setattr__(self, "side", side)
         object.__setattr__(self, "index", index)
 
 
@@ -177,8 +181,8 @@ class Mixed:
         return tuple(e for e in self.cycle if isinstance(e, IntervalRef))
 
 
-BoundaryCircle = Union[InClosed, OutClosed, Window, Mixed]
-_CIRCLE_KINDS = frozenset({InClosed, OutClosed, Window, Mixed})
+BoundaryCircle = Union[Closed, Window, Mixed]
+_CIRCLE_KINDS = frozenset({Closed, Window, Mixed})
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -298,18 +302,18 @@ def validate(c: Cobordism) -> list[Violation]:
     branes = source.branes | target.branes
     # Per side, its entries and how many boundary circles use each of them:
     # an index in range and at an entry of the right kind is one use.  Looked
-    # up by the side of a reference or the kind of a closed circle.
+    # up by the side of a reference or a closed circle.
     ins = ("source", source.entries, [0] * (len(source.entries) + 1))
     outs = ("target", target.entries, [0] * (len(target.entries) + 1))
-    sides = {IN: ins, OUT: outs, InClosed: ins, OutClosed: outs}
+    sides = {IN: ins, OUT: outs}
     for ci, comp in enumerate(c.components, start=1):
         if not comp.boundary:
             message = "component has no boundary circles"
             v.append(Violation("empty-boundary", f"component {ci}", message))
         for bi, circ in enumerate(comp.boundary, start=1):
             kind = type(circ)
-            if kind is InClosed or kind is OutClosed:
-                side, entries, uses = sides[kind]
+            if kind is Closed:
+                side, entries, uses = sides[circ.side]
                 i = circ.index
                 if 0 < i <= len(entries) and isinstance(entries[i - 1], Circle):
                     uses[i] += 1
@@ -499,7 +503,7 @@ def in_b_subcategory(c: Cobordism) -> bool:
     for comp in c.components:
         has_out = False
         for circ in comp.boundary:
-            if isinstance(circ, OutClosed):
+            if isinstance(circ, Closed) and circ.side == OUT:
                 has_out = True
             elif isinstance(circ, Mixed):
                 if any(r.side == OUT for r in circ.refs()):
@@ -534,9 +538,6 @@ class InvariantSummary:
     b_subcategory: bool
 
 
-_KIND_NAMES = {InClosed: "in", OutClosed: "out", Window: "window", Mixed: "mixed"}
-
-
 def component_summary(comp: Component) -> ComponentSummary:
     """Genus, windows per brane, boundary kinds and Euler characteristic of
     one component, invariant under boundary reordering and cycle rotation.
@@ -546,9 +547,13 @@ def component_summary(comp: Component) -> ComponentSummary:
     windows: Counter[str] = Counter()
     kinds: Counter[str] = Counter()
     for circ in comp.boundary:
-        kinds[_KIND_NAMES[type(circ)]] += 1
-        if isinstance(circ, Window):
+        if isinstance(circ, Closed):
+            kinds[circ.side] += 1
+        elif isinstance(circ, Window):
+            kinds["window"] += 1
             windows[circ.brane] += 1
+        else:
+            kinds["mixed"] += 1
     return ComponentSummary(
         comp.genus,
         tuple(sorted(windows.items())),

@@ -32,11 +32,10 @@ from occob.surfaces import (
     IN,
     OUT,
     Arc,
+    Closed,
     Component,
-    InClosed,
     IntervalRef,
     Mixed,
-    OutClosed,
     Window,
     default_rev,
 )
@@ -220,7 +219,7 @@ class ReferenceParser:
             self.advance()
             index = self.expect_int()
             self.expect(";")
-            return InClosed(index) if t == "in" else OutClosed(index)
+            return Closed(IN, index) if t == "in" else Closed(OUT, index)
         if t == "window":
             self.advance()
             brane = self.optional_brane(context="window")
@@ -365,9 +364,9 @@ def _mixed_entry_from_json(build: _Builder, where: tuple, data: dict):
 def _circle_from_json(build: _Builder, where: tuple, data: dict):
     kind = _field(data, "type", str, where)
     if kind == "in":
-        return InClosed(_field(data, "index", int, where))
+        return Closed(IN, _field(data, "index", int, where))
     if kind == "out":
-        return OutClosed(_field(data, "index", int, where))
+        return Closed(OUT, _field(data, "index", int, where))
     if kind == "window":
         return Window(_json_brane(build, data, where))
     if kind == "mixed":

@@ -10,7 +10,7 @@ from __future__ import annotations
 from occob.classify import canonicalize
 from occob.dsl import Document
 from occob.objects import Circle
-from occob.surfaces import Arc, InClosed, OutClosed, Window
+from occob.surfaces import IN, OUT, Arc, Closed, Window
 
 
 def _entry_to_json(e) -> dict:
@@ -26,9 +26,9 @@ def _mixed_entry_to_json(e) -> dict:
 
 
 def _circle_to_json(circ) -> dict:
-    if isinstance(circ, InClosed):
+    if isinstance(circ, Closed) and circ.side == IN:
         return {"type": "in", "index": circ.index}
-    if isinstance(circ, OutClosed):
+    if isinstance(circ, Closed) and circ.side == OUT:
         return {"type": "out", "index": circ.index}
     if isinstance(circ, Window):
         return {"type": "window", "brane": circ.brane}

@@ -15,11 +15,10 @@ from occob.objects import Circle, GeneralObject, Interval
 from occob.surfaces import (
     IN,
     Arc,
+    Closed,
     Cobordism,
-    InClosed,
     IntervalRef,
     Mixed,
-    OutClosed,
     Violation,
     Window,
 )
@@ -88,8 +87,8 @@ def reference_validate(c: Cobordism) -> list[Violation]:
             )
         for bi, circ in enumerate(comp.boundary, start=1):
             where = f"{comp_where}, circle {bi}"
-            if isinstance(circ, (InClosed, OutClosed)):
-                incoming = isinstance(circ, InClosed)
+            if isinstance(circ, Closed):
+                incoming = circ.side == IN
                 (in_circles if incoming else out_circles)[circ.index] += 1
                 obj = c.source if incoming else c.target
                 if not isinstance(_entry_at(obj, circ.index), Circle):

@@ -35,12 +35,13 @@ from occob.sampling import (
     shuffled,
 )
 from occob.surfaces import (
+    IN,
+    OUT,
     Arc,
+    Closed,
     Cobordism,
     Component,
-    InClosed,
     Mixed,
-    OutClosed,
     Window,
     euler_total,
     in_b_subcategory,
@@ -219,7 +220,7 @@ def brute_force_to_circle(kinds: str, max_g: int, max_w: int):
         sigma = Permutation(dict(zip(positions, perm)))
         for g in range(max_g + 1):
             for w in range(max_w + 1):
-                boundary: list = [InClosed(i) for i in obj.circle_indices]
+                boundary: list = [Closed(IN, i) for i in obj.circle_indices]
                 for cyc in sigma.cycles():
                     cycle: list = []
                     for x in cyc:
@@ -227,7 +228,7 @@ def brute_force_to_circle(kinds: str, max_g: int, max_w: int):
                         cycle.append(Arc(STAR))
                     boundary.append(Mixed(tuple(cycle)))
                 boundary.extend(Window(STAR) for _ in range(w))
-                boundary.append(OutClosed(1))
+                boundary.append(Closed(OUT, 1))
                 cob = Cobordism(obj, tgt, (Component(g, tuple(boundary)),))
                 wv = tuple(sorted(window_vector(cob).items()))
                 family.append((cob, (g, wv, sigma)))
@@ -257,7 +258,7 @@ def test_criterion_6_classification_oracle():
 
 def test_criterion_7_b_condition():
     rng = random.Random(701)
-    cap = Cobordism(star_obj("O"), star_obj(""), (Component(0, (InClosed(1),)),))
+    cap = Cobordism(star_obj("O"), star_obj(""), (Component(0, (Closed(IN, 1),)),))
     in_b_subcategory(cap)  # warmup
     with criterion(7, "b-flag cap test and closure under compose/tensor", 5.0):
         assert not in_b_subcategory(cap)
@@ -301,7 +302,7 @@ def one_cycle_document(n: int):
     c = star_obj("O")
     cycle = [e for i in range(1, n + 1) for e in (in_ref(i), Arc(STAR))]
     cycle = cycle[n:] + cycle[:n]
-    cob = Cobordism(x, c, (Component(0, (Mixed(cycle), OutClosed(1))),))
+    cob = Cobordism(x, c, (Component(0, (Mixed(cycle), Closed(OUT, 1))),))
     return Document(STAR_SET, {"C": c, "X": x}, {"R": CobordismDef("X", "C", cob)})
 
 
@@ -318,7 +319,7 @@ def test_criterion_9_canonical_text_of_a_long_cycle():
 def test_criterion_10_validate_many_circles():
     n = 5000
     source = star_obj("O" * n)
-    boundary = [InClosed(i) for i in range(1, n + 1)] + [OutClosed(1)]
+    boundary = [Closed(IN, i) for i in range(1, n + 1)] + [Closed(OUT, 1)]
     cob = Cobordism(source, star_obj("O"), (Component(0, boundary),))
     validate(identity(star_obj("OO")))  # warmup
     with criterion(10, "validate a cobordism with 5000 incoming circles", 1.0):

@@ -32,9 +32,12 @@ import pytest
 import occob
 from conftest import AB, STAR_SET, labeled_obj, star_obj
 from occob import (
+    IN,
+    OUT,
     STAR,
     Arc,
     Circle,
+    Closed,
     ClosedComponentError,
     Cobordism,
     CobordismDef,
@@ -44,7 +47,6 @@ from occob import (
     DslSyntaxError,
     DslValidationError,
     GeneralObject,
-    InClosed,
     InfeasibleObjectError,
     Interval,
     IntervalRef,
@@ -52,7 +54,6 @@ from occob import (
     InvalidValueError,
     Mixed,
     OcError,
-    OutClosed,
     Permutation,
     Window,
     boundary_permutation,
@@ -123,12 +124,12 @@ def _empty_cycle() -> Cobordism:
 
 
 def _huge_genus() -> Cobordism:
-    return Cobordism(ONE, ONE, (Component(HUGE, (InClosed(1), OutClosed(1))),))
+    return Cobordism(ONE, ONE, (Component(HUGE, (Closed(IN, 1), Closed(OUT, 1))),))
 
 
 def _cap() -> Cobordism:
     """A disc from one circle to nothing: gluing it on top closes a surface."""
-    return Cobordism(ONE, EMPTY, (Component(0, (InClosed(1),)),))
+    return Cobordism(ONE, EMPTY, (Component(0, (Closed(IN, 1),)),))
 
 
 def _split(*circles) -> Cobordism:
@@ -229,13 +230,13 @@ BAD_VALUES: dict[str, list[tuple[str, object, type[OcError]]]] = {
         ("int brane", lambda: Window(1), InvalidValueError),
         ("unhashable brane", lambda: Window(["a"]), InvalidValueError),
     ],
-    "InClosed": [
-        ("bool index", lambda: InClosed(True), InvalidValueError),
-        ("str index", lambda: InClosed("1"), InvalidValueError),
-    ],
-    "OutClosed": [
-        ("float index", lambda: OutClosed(1.0), InvalidValueError),
-        ("bool index", lambda: OutClosed(False), InvalidValueError),
+    "Closed": [
+        ("in, bool index", lambda: Closed(IN, True), InvalidValueError),
+        ("in, str index", lambda: Closed(IN, "1"), InvalidValueError),
+        ("out, float index", lambda: Closed(OUT, 1.0), InvalidValueError),
+        ("out, bool index", lambda: Closed(OUT, False), InvalidValueError),
+        ("bad side", lambda: Closed("sideways", 1), InvalidValueError),
+        ("None side", lambda: Closed(None, 1), InvalidValueError),
     ],
     "Mixed": [
         (
@@ -250,7 +251,7 @@ BAD_VALUES: dict[str, list[tuple[str, object, type[OcError]]]] = {
         ("negative genus", lambda: Component(-1), InvalidValueError),
         (
             "an entry used as a circle",
-            lambda: Component(0, (OutClosed(1), in_ref(1))),
+            lambda: Component(0, (Closed(OUT, 1), in_ref(1))),
             InvalidValueError,
         ),
         ("an int used as a circle", lambda: Component(0, [1]), InvalidValueError),
@@ -319,7 +320,7 @@ BAD_VALUES: dict[str, list[tuple[str, object, type[OcError]]]] = {
         ),
         (
             "source interval on no circle",
-            lambda: boundary_permutation(_to_circle(OutClosed(1))),
+            lambda: boundary_permutation(_to_circle(Closed(OUT, 1))),
             InvalidCobordismError,
         ),
     ],
@@ -471,7 +472,7 @@ BAD_VALUES: dict[str, list[tuple[str, object, type[OcError]]]] = {
 
 WRONG_TYPES: dict[str, list[tuple[str, object]]] = {
     "Component": [
-        ("bool genus", lambda: Component(True, (InClosed(1),))),
+        ("bool genus", lambda: Component(True, (Closed(IN, 1),))),
         ("str genus", lambda: Component("1")),
         ("float genus", lambda: Component(1.0)),
         ("int boundary", lambda: Component(0, 1)),
@@ -623,14 +624,14 @@ ILL_KINDED = [
     1.5,
     True,
     {},
-    (InClosed(1),),
+    (Closed(IN, 1),),
     [Window(STAR)],
     Arc(STAR),
     in_ref(1),
     out_ref(1),
     Circle(),
     Interval(STAR, STAR),
-    Component(0, (InClosed(1),)),
+    Component(0, (Closed(IN, 1),)),
 ]
 
 
@@ -638,11 +639,11 @@ ILL_KINDED = [
 def test_an_ill_kinded_circle_is_refused_where_it_is_built(bad):
     message = f"{type(bad).__name__} is not a kind of boundary circle"
     with pytest.raises(InvalidValueError, match=f"^{re.escape(message)}$"):
-        Component(0, (InClosed(1), OutClosed(1), bad))
+        Component(0, (Closed(IN, 1), Closed(OUT, 1), bad))
 
 
 @pytest.mark.parametrize(
-    "bad", [1, None, Window(STAR), InClosed(1), Mixed(())], ids=repr
+    "bad", [1, None, Window(STAR), Closed(IN, 1), Mixed(())], ids=repr
 )
 def test_a_non_entry_in_a_mixed_cycle_is_refused_where_it_is_built(bad):
     message = f"{type(bad).__name__} is neither an interval reference nor an arc"
@@ -661,7 +662,7 @@ def test_validate_reports_a_brane_that_is_not_a_str_as_unknown(brane):
 
 @pytest.mark.parametrize(
     "circle",
-    [InClosed(HUGE), Mixed((in_ref(HUGE), Arc(STAR)))],
+    [Closed(IN, HUGE), Mixed((in_ref(HUGE), Arc(STAR)))],
     ids=["closed", "mixed"],
 )
 def test_validate_shows_an_overlong_index_by_its_size(circle):
@@ -689,10 +690,10 @@ def _per_reader(readers: list[str], cases: list) -> list:
     ),
 )
 def test_an_index_of_the_wrong_type_is_not_written(index):
-    """No writer meets such an index: ``InClosed`` refuses it."""
+    """No writer meets such an index: ``Closed`` refuses it."""
     name = type(index).__name__
     with pytest.raises(InvalidValueError, match=f"^expected an int, got {name}$"):
-        InClosed(index)
+        Closed(IN, index)
 
 
 @pytest.mark.parametrize(
@@ -769,7 +770,7 @@ def test_to_json_writes_only_a_bool_rev():
                     f"{type(kind).__name__} is neither an interval reference nor an arc",
                     id=type(kind).__name__,
                 )
-                for kind in (InClosed(1), Window(STAR), Mixed(()))
+                for kind in (Closed(IN, 1), Window(STAR), Mixed(()))
             ),
         ],
     ),
@@ -786,7 +787,7 @@ def test_a_mixed_entry_of_the_wrong_kind_is_an_invalid_cobordism(entry, message)
 # beside one that is.
 INCOMPARABLE = {
     "closed indices": lambda: Cobordism(
-        ONE, ONE, (Component(0, (InClosed("x"), InClosed(1))),)
+        ONE, ONE, (Component(0, (Closed(IN, "x"), Closed(IN, 1))),)
     ),
     "reference indices": lambda: _to_circle(
         Mixed((in_ref(1), Arc(STAR), in_ref("x"), Arc(STAR)))
@@ -797,7 +798,7 @@ INCOMPARABLE = {
     "window branes": lambda: Cobordism(
         EMPTY, EMPTY, (Component(0, (Window(1), Window(STAR))),)
     ),
-    "components": lambda: _split(InClosed("x"), InClosed(1)),
+    "components": lambda: _split(Closed(IN, "x"), Closed(IN, 1)),
 }
 
 
@@ -860,6 +861,30 @@ def test_an_int_subclass_index_is_kept_as_the_int_it_holds():
     assert from_json(to_json(doc)).objects == {"o": obj}
 
 
+class _Side(str):
+    """A side that formats as something other than the side it holds."""
+
+    def __format__(self, spec):
+        return "zz"
+
+
+def test_a_str_subclass_side_is_kept_as_the_side_it_holds():
+    """So both writers write the side itself, and both readers read it back."""
+    assert IntervalRef(_Side(OUT), 1, False).side is OUT
+    assert Closed(_Side(IN), 1).side is IN
+    obj = GeneralObject(STAR_SET, [Circle(), Interval(STAR, STAR)])
+    to_target = IntervalRef(_Side(OUT), 2, False)
+    to_source = IntervalRef(_Side(IN), 2, True)
+    square = Mixed((to_target, Arc(STAR), to_source, Arc(STAR)))
+    annulus = (Closed(_Side(IN), 1), Closed(_Side(OUT), 1))
+    c = Cobordism(obj, obj, (Component(0, annulus), Component(0, (square,))))
+    assert validate(c) == []
+    doc = _document(c)
+    assert serialize(parse(serialize(doc))) == serialize(doc)
+    assert serialize(from_json(to_json(doc))) == serialize(doc)
+    assert is_isomorphic(parse(serialize(doc)).cobordisms["c"].cobordism, identity(obj))
+
+
 @pytest.mark.parametrize(
     "boundary, bad",
     [(lambda: (Window(["a"]),), ["a"]), (lambda: (Window(STAR), Window(1)), 1)],
@@ -874,7 +899,7 @@ def test_component_summary_names_a_window_brane_that_is_not_a_str(boundary, bad)
 
 @pytest.mark.parametrize(
     "circle",
-    [InClosed(HUGE), OutClosed(HUGE), Mixed((in_ref(HUGE), Arc(STAR)))],
+    [Closed(IN, HUGE), Closed(OUT, HUGE), Mixed((in_ref(HUGE), Arc(STAR)))],
     ids=["in", "out", "interval-ref"],
 )
 @pytest.mark.parametrize("write", [serialize, to_json])

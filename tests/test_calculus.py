@@ -36,12 +36,13 @@ from occob.sampling import (
     shuffled,
 )
 from occob.surfaces import (
+    IN,
+    OUT,
     Arc,
+    Closed,
     Cobordism,
     Component,
-    InClosed,
     Mixed,
-    OutClosed,
     euler_total,
     in_ref,
     out_ref,
@@ -66,7 +67,7 @@ class TestIdentity:
 
     def test_annulus_for_circles(self):
         ident = identity(star_obj("O"))
-        assert ident.components[0].boundary == (InClosed(1), OutClosed(1))
+        assert ident.components[0].boundary == (Closed(IN, 1), Closed(OUT, 1))
 
     def test_validates(self, rng):
         for _ in range(10):
@@ -153,8 +154,8 @@ class TestCompose:
     def test_closed_component_raises(self):
         circ = star_obj("O")
         nil = star_obj("")
-        cap = Cobordism(circ, nil, (Component(0, (InClosed(1),)),))
-        cocap = Cobordism(nil, circ, (Component(0, (OutClosed(1),)),))
+        cap = Cobordism(circ, nil, (Component(0, (Closed(IN, 1),)),))
+        cocap = Cobordism(nil, circ, (Component(0, (Closed(OUT, 1),)),))
         with pytest.raises(ClosedComponentError):
             compose(cap, cocap)
 
@@ -189,8 +190,8 @@ class TestCompose:
 
     def test_unattached_middle_circle_raises(self):
         circ = star_obj("O")
-        cap = Cobordism(circ, circ, (Component(0, (InClosed(1),)),))
-        cocap = Cobordism(circ, circ, (Component(0, (OutClosed(1),)),))
+        cap = Cobordism(circ, circ, (Component(0, (Closed(IN, 1),)),))
+        cocap = Cobordism(circ, circ, (Component(0, (Closed(OUT, 1),)),))
         with pytest.raises(CompositionError, match="circle 1 .* first factor"):
             compose(identity(circ), cap)
         with pytest.raises(CompositionError, match="circle 1 .* second factor"):
@@ -261,8 +262,8 @@ class TestRealize:
         assert comp.genus == 0
         kinds = [type(b).__name__ for b in comp.boundary]
         assert kinds.count("Mixed") == 2
-        assert kinds.count("InClosed") == 1
-        assert kinds.count("OutClosed") == 1
+        assert kinds.count("Closed") == 2
+        assert Closed(IN, 1) in comp.boundary and Closed(OUT, 1) in comp.boundary
         assert boundary_permutation(r) == obj.sigma
 
     def test_boundary_count_equals_c_number(self):
@@ -435,7 +436,7 @@ class TestStabilizer:
 
     def test_stabilize_needs_the_outgoing_circle(self):
         circ = star_obj("O")
-        cap = Cobordism(circ, circ, (Component(0, (InClosed(1),)),))
+        cap = Cobordism(circ, circ, (Component(0, (Closed(IN, 1),)),))
         with pytest.raises(CompositionError, match="outgoing circle 1"):
             stabilize(cap)
 
@@ -455,7 +456,7 @@ class TestStabilizer:
                     assert canonicalize(closed) == canonicalize(glued)
                     assert len(closed.components) == len(before.components)
                     for old, new in zip(before.components, closed.components):
-                        if OutClosed(1) not in old.boundary:
+                        if Closed(OUT, 1) not in old.boundary:
                             assert new is old
 
 

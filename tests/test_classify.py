@@ -33,12 +33,13 @@ from occob.errors import (
 from occob.objects import STAR, GeneralObject, Interval, Permutation
 from occob.sampling import sample_cobordism, sample_object, shuffled
 from occob.surfaces import (
+    IN,
+    OUT,
     Arc,
+    Closed,
     Cobordism,
     Component,
-    InClosed,
     Mixed,
-    OutClosed,
     Window,
     in_b_subcategory,
     in_ref,
@@ -403,7 +404,7 @@ def brute_force_to_circle(entries_kinds: str, max_g: int, max_w: int):
         sigma = Permutation(dict(zip(positions, perm)))
         for g in range(max_g + 1):
             for w in range(max_w + 1):
-                boundary: list = [InClosed(i) for i in obj.circle_indices]
+                boundary: list = [Closed(IN, i) for i in obj.circle_indices]
                 for cyc in sigma.cycles():
                     cycle = []
                     for x in cyc:
@@ -411,7 +412,7 @@ def brute_force_to_circle(entries_kinds: str, max_g: int, max_w: int):
                         cycle.append(Arc(STAR))
                     boundary.append(Mixed(tuple(cycle)))
                 boundary.extend(Window(STAR) for _ in range(w))
-                boundary.append(OutClosed(1))
+                boundary.append(Closed(OUT, 1))
                 cob = Cobordism(obj, tgt, (Component(g, tuple(boundary)),))
                 assert validate(cob) == []
                 wv = tuple(sorted(window_vector(cob).items()))

@@ -23,13 +23,12 @@ from occob.surfaces import (
     OUT,
     Arc,
     BoundaryCircle,
+    Closed,
     Cobordism,
     Component,
-    InClosed,
     IntervalRef,
     Mixed,
     MixedEntry,
-    OutClosed,
     Window,
     euler_char,
 )
@@ -58,9 +57,9 @@ def reference_compose(second: Cobordism, first: Cobordism) -> Cobordism:
     for pid, comp in enumerate(pieces):
         from_first = pid < n_first
         for bpos, circ in enumerate(comp.boundary):
-            if from_first and isinstance(circ, OutClosed):
+            if from_first and isinstance(circ, Closed) and circ.side == OUT:
                 out_circle_piece[circ.index] = pid
-            elif not from_first and isinstance(circ, InClosed):
+            elif not from_first and isinstance(circ, Closed) and circ.side == IN:
                 in_circle_piece[circ.index] = pid
             if not isinstance(circ, Mixed):
                 continue
@@ -121,9 +120,10 @@ def reference_compose(second: Cobordism, first: Cobordism) -> Cobordism:
     for pid, comp in enumerate(pieces):
         cls = uf.find(pid)
         chi[cls] = chi.get(cls, 0) + euler_char(comp)
-        glued_closed = OutClosed if pid < n_first else InClosed
+        glued_side = OUT if pid < n_first else IN
         for circ in comp.boundary:
-            if not isinstance(circ, (Mixed, glued_closed)):
+            glued = isinstance(circ, Closed) and circ.side == glued_side
+            if not (isinstance(circ, Mixed) or glued):
                 kept.setdefault(cls, []).append(circ)
     for pid in splices:
         cls = uf.find(pid)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import importlib.util
 import itertools
 import json
 import random
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS, STAR_SET, star_obj
+from conftest import CORPUS, REPO, STAR_SET, star_obj
 from occob.calculus import compose, identity, realize, stabilize
 from occob.dsl import (
     _KEYWORDS,
@@ -32,12 +33,11 @@ from occob.errors import DslError, DslSyntaxError, DslValidationError, InvalidVa
 from occob.objects import STAR, Circle, GeneralObject, Interval, Permutation
 from occob.sampling import sample_document
 from occob.surfaces import (
+    Closed,
     Cobordism,
     Component,
-    InClosed,
     IntervalRef,
     Mixed,
-    OutClosed,
     validate,
 )
 from reference_dsl import _is_name, outcome, reference_parse
@@ -396,8 +396,8 @@ def _refuses_a_true(rng: random.Random, c: Cobordism) -> bool:
         if comp.genus == 1:
             makers.append(lambda boundary=comp.boundary: Component(True, boundary))
         for circ in comp.boundary:
-            if isinstance(circ, (InClosed, OutClosed)) and circ.index == 1:
-                makers.append(lambda kind=type(circ): kind(True))
+            if isinstance(circ, Closed) and circ.index == 1:
+                makers.append(lambda side=circ.side: Closed(side, True))
             elif isinstance(circ, Mixed):
                 makers += [
                     lambda e=e: IntervalRef(e.side, True, e.rev)
@@ -721,6 +721,12 @@ class TestParseCycles:
             parse_cycles(f"(2 {LONG})")
         assert (err.value.line, err.value.column) == (1, 4)
 
+    @pytest.mark.parametrize("text", [5, None, b"(1 2)"], ids=repr)
+    def test_rejects_a_value_that_is_not_a_str(self, text):
+        message = f"^expected a str, got {type(text).__name__}$"
+        with pytest.raises(InvalidValueError, match=message):
+            parse_cycles(text)
+
 
 class TestCorpus:
     def test_roundtrip_files_are_canonical(self):
@@ -751,7 +757,24 @@ class TestCorpus:
         for path in files:
             with pytest.raises(DslSyntaxError) as err:
                 parse(path.read_text(encoding="utf-8"))
-            assert err.value.line is not None, path.name
+            assert err.value.line, path.name
+
+    def test_the_generator_reproduces_the_checked_in_corpus(self):
+        """``scripts/gen_corpus.py`` writes these files byte for byte."""
+        script = REPO / "scripts" / "gen_corpus.py"
+        spec = importlib.util.spec_from_file_location("gen_corpus", script)
+        gen_corpus = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen_corpus)
+        generated = {
+            path: text.encode("utf-8")
+            for path, text in gen_corpus.corpus_files().items()
+        }
+        checked_in = {
+            path.relative_to(CORPUS).as_posix(): path.read_bytes()
+            for kind in ("roundtrip", "malformed")
+            for path in (CORPUS / kind).iterdir()
+        }
+        assert generated == checked_in
 
 
 @settings(max_examples=200, deadline=None)

@@ -34,10 +34,11 @@ from occob.classify import canonicalize
 from occob.dsl import CobordismDef, Document, from_json, parse, serialize, to_json
 from occob.objects import STAR, Circle, GeneralObject, Interval, Permutation
 from occob.surfaces import (
+    IN,
+    OUT,
+    Closed,
     Cobordism,
     Component,
-    InClosed,
-    OutClosed,
     Window,
     boundary_permutation,
     validate,
@@ -52,7 +53,7 @@ def _document(shape: str, n: int) -> Document:
         branes = ("a", "b")
         c1 = GeneralObject(branes, [Circle()])
         windows = [Window(branes[i % 2]) for i in range(n)]
-        c = Cobordism(c1, c1, [Component(n, [InClosed(1), OutClosed(1), *windows])])
+        c = Cobordism(c1, c1, [Component(n, [Closed(IN, 1), Closed(OUT, 1), *windows])])
         doc = Document(branes=frozenset(branes), objects={"C": c1})
         doc.cobordisms["R"] = CobordismDef("C", "C", c)
         return doc

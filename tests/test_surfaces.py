@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from conftest import AB, STAR_SET, labeled_obj, star_obj
@@ -10,13 +12,14 @@ from occob.errors import CompositionError, InvalidValueError, OcError
 from occob.objects import STAR, GeneralObject
 from occob.sampling import sample_cobordism, shuffled
 from occob.surfaces import (
+    IN,
+    OUT,
     Arc,
+    Closed,
     Cobordism,
     Component,
-    InClosed,
     IntervalRef,
     Mixed,
-    OutClosed,
     Window,
     boundary_permutation,
     component_summary,
@@ -39,6 +42,15 @@ def rules(violations) -> set[str]:
     return {v.rule for v in violations}
 
 
+# Each constructor of a slot that holds an index, called with the index alone.
+INDEXED = [
+    pytest.param(partial(Closed, IN), id="Closed-in"),
+    pytest.param(partial(Closed, OUT), id="Closed-out"),
+    in_ref,
+    out_ref,
+]
+
+
 class TestConstruction:
     def test_ref_defaults_differ_by_side(self):
         assert in_ref(1).rev is True
@@ -46,7 +58,7 @@ class TestConstruction:
 
     def test_component_rejects_negative_genus(self):
         with pytest.raises(ValueError):
-            Component(-1, (InClosed(1),))
+            Component(-1, (Closed(IN, 1),))
 
     def test_empty_boundary_is_a_violation(self):
         c = Cobordism(star_obj(""), star_obj(""), (Component(0, ()),))
@@ -56,14 +68,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             IntervalRef("sideways", 1, False)
 
-    @pytest.mark.parametrize("make", [InClosed, OutClosed, in_ref, out_ref])
+    @pytest.mark.parametrize("make", INDEXED)
     def test_a_non_integer_index_is_refused(self, make):
         for index in ("1", 1.0, None):
             message = f"^expected an int, got {type(index).__name__}$"
             with pytest.raises(InvalidValueError, match=message):
                 make(index)
 
-    @pytest.mark.parametrize("make", [InClosed, OutClosed, in_ref, out_ref])
+    @pytest.mark.parametrize("make", INDEXED)
     def test_a_bool_index_is_refused(self, make):
         with pytest.raises(InvalidValueError, match="^expected an int, got bool$"):
             make(True)
@@ -71,7 +83,7 @@ class TestConstruction:
 
 class TestValidate:
     def test_annulus_is_clean(self):
-        c = single(star_obj("O"), star_obj("O"), Component(0, (InClosed(1), OutClosed(1))))
+        c = single(star_obj("O"), star_obj("O"), Component(0, (Closed(IN, 1), Closed(OUT, 1))))
         assert validate(c) == []
 
     def test_brane_set_mismatch(self):
@@ -83,18 +95,18 @@ class TestValidate:
         assert "brane-set" in rules(validate(c))
 
     def test_index_out_of_range(self):
-        c = single(star_obj("O"), star_obj("O"), Component(0, (InClosed(3), OutClosed(1))))
+        c = single(star_obj("O"), star_obj("O"), Component(0, (Closed(IN, 3), Closed(OUT, 1))))
         assert "index-range" in rules(validate(c))
 
     def test_circle_index_must_point_at_circle_entry(self):
-        c = single(star_obj("I"), star_obj("O"), Component(0, (InClosed(1), OutClosed(1))))
+        c = single(star_obj("I"), star_obj("O"), Component(0, (Closed(IN, 1), Closed(OUT, 1))))
         assert "index-range" in rules(validate(c))
 
     def test_unknown_window_brane(self):
         c = single(
             star_obj("O"),
             star_obj("O"),
-            Component(0, (InClosed(1), OutClosed(1), Window("z"))),
+            Component(0, (Closed(IN, 1), Closed(OUT, 1), Window("z"))),
         )
         assert "unknown-brane" in rules(validate(c))
 
@@ -145,12 +157,12 @@ class TestValidate:
     def test_missing_and_duplicate_use(self):
         src = star_obj("OI")
         tgt = star_obj("")
-        missing = single(src, tgt, Component(0, (InClosed(1),)))
+        missing = single(src, tgt, Component(0, (Closed(IN, 1),)))
         assert "missing-use" in rules(validate(missing))
         dup = single(
             src,
             tgt,
-            Component(0, (InClosed(1), InClosed(1))),
+            Component(0, (Closed(IN, 1), Closed(IN, 1))),
             Component(0, (Mixed((in_ref(2), Arc(STAR))),)),
         )
         assert "duplicate-use" in rules(validate(dup))
@@ -181,8 +193,8 @@ class TestValidate:
 
 class TestNumbers:
     def test_euler_char(self):
-        assert euler_char(Component(1, (InClosed(1), OutClosed(1), Window(STAR)))) == -3
-        assert euler_char(Component(0, (InClosed(1), OutClosed(1)))) == 0
+        assert euler_char(Component(1, (Closed(IN, 1), Closed(OUT, 1), Window(STAR)))) == -3
+        assert euler_char(Component(0, (Closed(IN, 1), Closed(OUT, 1)))) == 0
 
     def test_genus_from_euler(self):
         assert _genus(-3, 3) == 1
@@ -200,7 +212,7 @@ class TestNumbers:
         c = single(
             src,
             labeled_obj(AB, []),
-            Component(0, (InClosed(1), Window("a"))),
+            Component(0, (Closed(IN, 1), Window("a"))),
         )
         assert window_vector(c) == {"a": 1, "b": 0}
 
@@ -208,21 +220,21 @@ class TestNumbers:
         c = single(
             star_obj("OO"),
             star_obj(""),
-            Component(0, (InClosed(1),)),
-            Component(1, (InClosed(2),)),
+            Component(0, (Closed(IN, 1),)),
+            Component(1, (Closed(IN, 2),)),
         )
         assert euler_total(c) == 1 + (-1)
 
 
 class TestBoundaryPermutation:
     def test_requires_single_circle_target(self):
-        c = single(star_obj("O"), star_obj("OO"), Component(0, (InClosed(1), OutClosed(1), OutClosed(2))))
+        c = single(star_obj("O"), star_obj("OO"), Component(0, (Closed(IN, 1), Closed(OUT, 1), Closed(OUT, 2))))
         with pytest.raises(ValueError):
             boundary_permutation(c)
 
     @pytest.mark.parametrize("target", ["", "OO", "I"])
     def test_other_targets_are_an_oc_error(self, target):
-        c = single(star_obj("O"), star_obj(target), Component(0, (InClosed(1),)))
+        c = single(star_obj("O"), star_obj(target), Component(0, (Closed(IN, 1),)))
         with pytest.raises(OcError):
             boundary_permutation(c)
 
@@ -234,10 +246,10 @@ class TestBoundaryPermutation:
             Component(
                 0,
                 (
-                    InClosed(1),
+                    Closed(IN, 1),
                     Mixed((in_ref(2), Arc(STAR), in_ref(3), Arc(STAR))),
                     Mixed((in_ref(4), Arc(STAR))),
-                    OutClosed(1),
+                    Closed(OUT, 1),
                 ),
             ),
         )
@@ -247,11 +259,11 @@ class TestBoundaryPermutation:
 
 class TestBFlag:
     def test_cap_is_flagged(self):
-        cap = single(star_obj("O"), star_obj(""), Component(0, (InClosed(1),)))
+        cap = single(star_obj("O"), star_obj(""), Component(0, (Closed(IN, 1),)))
         assert not in_b_subcategory(cap)
 
     def test_cocap_is_fine(self):
-        cocap = single(star_obj(""), star_obj("O"), Component(0, (OutClosed(1),)))
+        cocap = single(star_obj(""), star_obj("O"), Component(0, (Closed(OUT, 1),)))
         assert in_b_subcategory(cocap)
 
     def test_mixed_with_out_ref_counts_as_outgoing(self):
@@ -267,8 +279,8 @@ class TestBFlag:
         c = single(
             star_obj("OO"),
             star_obj("O"),
-            Component(0, (InClosed(1), OutClosed(1))),
-            Component(0, (InClosed(2), Window(STAR))),
+            Component(0, (Closed(IN, 1), Closed(OUT, 1))),
+            Component(0, (Closed(IN, 2), Window(STAR))),
         )
         assert not in_b_subcategory(c)
 
@@ -279,8 +291,8 @@ class TestSummary:
         c = single(
             src,
             labeled_obj(AB, []),
-            Component(2, (InClosed(1), Window("b"))),
-            Component(0, (InClosed(2), Window("a"), Window("a"))),
+            Component(2, (Closed(IN, 1), Window("b"))),
+            Component(0, (Closed(IN, 2), Window("a"), Window("a"))),
         )
         s = invariant_summary(c)
         assert s.component_count == 2
@@ -288,7 +300,7 @@ class TestSummary:
         assert dict(s.window_vector) == {"a": 2, "b": 1}
 
     def test_component_summary(self):
-        comp = Component(1, (InClosed(1), Window("b"), Window("b"), OutClosed(1)))
+        comp = Component(1, (Closed(IN, 1), Window("b"), Window("b"), Closed(OUT, 1)))
         s = component_summary(comp)
         assert s.euler == euler_char(comp) == -4
         assert s.windows == (("b", 2),)

@@ -22,12 +22,11 @@ from occob.sampling import sample_cobordism, shuffled
 from occob.surfaces import (
     IN,
     Arc,
+    Closed,
     Cobordism,
     Component,
-    InClosed,
     IntervalRef,
     Mixed,
-    OutClosed,
     Window,
     validate,
 )
@@ -72,7 +71,7 @@ def duplicate_reference(rng: random.Random, c: Cobordism) -> Cobordism | None:
 
 
 def duplicate_circle(rng: random.Random, c: Cobordism) -> Cobordism | None:
-    spots = _circle_positions(c, (InClosed, OutClosed))
+    spots = _circle_positions(c, Closed)
     if not spots:
         return None
     ci, bi = rng.choice(spots)
@@ -90,7 +89,7 @@ def _bad_index(rng: random.Random, obj: GeneralObject, wrong_kind) -> int:
 
 def index_out_of_range(rng: random.Random, c: Cobordism) -> Cobordism | None:
     refs = _mixed_positions(c, lambda e: isinstance(e, IntervalRef))
-    closed = _circle_positions(c, (InClosed, OutClosed))
+    closed = _circle_positions(c, Closed)
     if refs and (not closed or rng.random() < 0.5):
 
         def pushed(e):
@@ -103,8 +102,8 @@ def index_out_of_range(rng: random.Random, c: Cobordism) -> Cobordism | None:
     ci, bi = rng.choice(closed)
     boundary = list(c.components[ci].boundary)
     circ = boundary[bi]
-    obj = c.source if isinstance(circ, InClosed) else c.target
-    boundary[bi] = type(circ)(_bad_index(rng, obj, Interval))
+    obj = c.source if circ.side == IN else c.target
+    boundary[bi] = Closed(circ.side, _bad_index(rng, obj, Interval))
     return _with_component(c, ci, boundary)
 
 
@@ -202,7 +201,7 @@ def test_a_wrong_kind_is_refused_before_validate(rng, branes):
         brane = rng.choice(sorted(c.source.branes))
         spots = _mixed_positions(c, lambda e: True)
         if spots:
-            wrong = rng.choice([Window(brane), InClosed(1)])
+            wrong = rng.choice([Window(brane), Closed(IN, 1)])
             with pytest.raises(InvalidValueError, match="neither"):
                 _edit_entry(c, rng.choice(spots), lambda e: (wrong,))
             tried += 1
@@ -221,7 +220,7 @@ def test_arbitrary_cycles_validate_as_the_reference_does(rng):
     not only a sampled surface edited once or twice.  An entry of another
     kind is refused by ``Mixed``."""
     branes = ("a", "b")
-    for wrong in (Window("a"), InClosed(1)):
+    for wrong in (Window("a"), Closed(IN, 1)):
         with pytest.raises(InvalidValueError, match="neither"):
             Mixed((Arc("a"), wrong))
     pool = [Arc("a"), Arc("b"), Arc("z")]
