@@ -85,6 +85,11 @@ RULE_TEXTS = {
     ),
     "unknown-brane": _text(_CIRCLES, "in 1; out 1; window z", "branes a, b;\n"),
     "empty-boundary": _text("object s = [];\nobject t = [];", ""),
+    # Circles are numbered with the windows after the others, whatever
+    # the order of the lines: the bad mixed circle is circle 2.
+    "alternation after a window": _text(
+        "object s = [I(*,*)];\nobject t = [];", "window; mixed [in 1, arc]; mixed [arc]"
+    ),
 }
 
 

@@ -29,7 +29,6 @@ from occob.surfaces import (
     Cobordism,
     Component,
     Mixed,
-    Window,
     in_ref,
     out_ref,
     validate,
@@ -52,7 +51,7 @@ def ref_interfaces() -> Document:
         Component(1, (Mixed((in_ref(2), Arc(STAR), in_ref(3), Arc(STAR))),)),
         Component(0, (Mixed((in_ref(5), Arc(STAR), out_ref(4), Arc(STAR))),)),
         Component(0, (Closed(IN, 4), Closed(OUT, 1))),
-        Component(2, (Closed(OUT, 2), Closed(OUT, 5), Window(STAR))),
+        Component(2, (Closed(OUT, 2), Closed(OUT, 5)), [(STAR, 1)]),
     )
     cob = Cobordism(src, tgt, comps)
     doc = Document(branes=frozenset({STAR}))
@@ -83,9 +82,7 @@ def ref_windows() -> Document:
     obj = star_obj("I", "I", sigma=sigma)
     base = calculus.realize(obj)
     comp = base.components[0]
-    decorated = Component(
-        comp.genus, comp.boundary + (Window(STAR), Window(STAR), Window(STAR))
-    )
+    decorated = Component(comp.genus, comp.circles, [(STAR, 3)])
     doc = Document(branes=frozenset({STAR}))
     doc.objects["pair"] = obj
     doc.objects["circle"] = star_obj("O")

@@ -27,10 +27,7 @@ from occob.surfaces import (
     IntervalRef,
     Mixed,
     MixedEntry,
-    Window,
-    _grown,
     boundary_permutation,
-    euler_char,
 )
 
 __all__ = [
@@ -141,7 +138,7 @@ def compose(second: Cobordism, first: Cobordism) -> Cobordism:
     # Index every glued closed circle by its piece, and number every
     # mixed-cycle entry 0..N-1 in (piece, circle, entry) order: node x is
     # entries[x], followed on its cycle by node succ[x], on piece owner[x].
-    # The other circles of each piece are kept as they are.
+    # The other circles and the windows of each piece are kept as they are.
     out_circle_piece: dict[int, int] = {}  # middle circle -> piece in first
     in_circle_piece: dict[int, int] = {}  # middle circle -> piece in second
     entries: list[MixedEntry] = []
@@ -156,7 +153,7 @@ def compose(second: Cobordism, first: Cobordism) -> Cobordism:
         else:
             circle_piece, side, nodes = in_circle_piece, IN, in_nodes
         stay: list[BoundaryCircle] = []
-        for circ in comp.boundary:
+        for circ in comp.circles:
             if isinstance(circ, Mixed):
                 cycle = circ.cycle
                 if not cycle:
@@ -203,9 +200,24 @@ def compose(second: Cobordism, first: Cobordism) -> Cobordism:
     # A class is named by its least piece, so classes come up in order.
     root = [uf.find(pid) for pid in range(len(pieces))]
 
+    # Assemble class by class, each window capped off, which keeps the genus.
+    chi: dict[int, int] = {}
+    boundary: dict[int, list[BoundaryCircle]] = {}
+    windows: dict[int, list[tuple[str, int]]] = {}
+    for pid, comp in enumerate(pieces):
+        cls = root[pid]
+        if cls == pid:
+            chi[cls], boundary[cls] = 0, kept[pid]
+        else:
+            boundary[cls] += kept[pid]
+        chi[cls] += 2 - 2 * comp.genus - len(comp.circles)
+        if comp.windows:
+            windows.setdefault(cls, []).extend(comp.windows)
+    for pid in splices:
+        chi[root[pid]] -= 1
+
     # Trace the glued boundary: walk successor links, crossing each glued
     # interval onto the other surface.  Runs of arcs then fuse into one.
-    traced: dict[int, list[BoundaryCircle]] = {}
     start = visited.find(0)
     while start >= 0:
         seq: list[MixedEntry] = []
@@ -218,31 +230,22 @@ def compose(second: Cobordism, first: Cobordism) -> Cobordism:
                 cur = succ[partner[cur]]
             if cur == start:
                 break
-        traced.setdefault(root[owner[start]], []).append(_fuse_arcs(seq))
+        cls = root[owner[start]]
+        if type(fused := _fuse_arcs(seq)) is Mixed:
+            boundary[cls].append(fused)
+        else:  # a window born, capped as the others are
+            windows.setdefault(cls, []).append((fused, 1))
+            chi[cls] += 1
         start = visited.find(0, start + 1)
-
-    # Assemble the result components class by class.
-    chi: dict[int, int] = {}
-    boundary: dict[int, list[BoundaryCircle]] = {}
-    for pid, comp in enumerate(pieces):
-        cls = root[pid]
-        if cls == pid:
-            chi[cls] = euler_char(comp)
-            boundary[cls] = kept[pid]
-        else:
-            chi[cls] += euler_char(comp)
-            boundary[cls] += kept[pid]
-    for pid in splices:
-        chi[root[pid]] -= 1
 
     components = []
     for cls, circles in boundary.items():
-        circles += traced.get(cls, ())
-        if not circles:
+        if not circles and cls not in windows:
             raise ClosedComponentError(
                 "gluing closed a component off from all boundary"
             )
-        components.append(Component(_genus(chi[cls], len(circles)), circles))
+        genus = _genus(chi[cls], len(circles))
+        components.append(Component(genus, circles, windows.get(cls, ())))
     return Cobordism(first.source, second.target, components)
 
 
@@ -270,12 +273,12 @@ def _attached(table: dict, kind: str, i: int, factor: str):
     return table[i]
 
 
-def _fuse_arcs(seq: list[MixedEntry]) -> BoundaryCircle:
+def _fuse_arcs(seq: list[MixedEntry]) -> Mixed | str:
     """Collapse runs of adjacent arcs in a traced cycle.
 
     The cycle is read from its first interval reference.  A cycle with no
-    interval reference left becomes a window.  The arcs of a run must all
-    carry one brane.
+    interval reference left becomes a window, returned as its brane.  The
+    arcs of a run must all carry one brane.
     """
     for shift, e in enumerate(seq):
         if isinstance(e, IntervalRef):
@@ -286,7 +289,7 @@ def _fuse_arcs(seq: list[MixedEntry]) -> BoundaryCircle:
             raise CompositionError(
                 f"arc branes disagree on a glued free circle: {sorted(branes)}"
             )
-        return Window(branes.pop())
+        return branes.pop()
     rotated = seq[shift:] + seq[:shift]
     out: list[MixedEntry] = []
     for k, e in enumerate(rotated):
@@ -312,8 +315,6 @@ def _fuse_arcs(seq: list[MixedEntry]) -> BoundaryCircle:
 def _shift_circle(circ: BoundaryCircle, s_off: int, t_off: int) -> BoundaryCircle:
     if isinstance(circ, Closed):
         return Closed(circ.side, circ.index + (s_off if circ.side == IN else t_off))
-    if isinstance(circ, Window):
-        return circ
     cycle = tuple(
         IntervalRef(e.side, e.index + (s_off if e.side == IN else t_off), e.rev)
         if isinstance(e, IntervalRef)
@@ -333,7 +334,8 @@ def tensor(a: Cobordism, b: Cobordism) -> Cobordism:
     shifted = (
         Component(
             comp.genus,
-            tuple(_shift_circle(circ, s_off, t_off) for circ in comp.boundary),
+            tuple(_shift_circle(circ, s_off, t_off) for circ in comp.circles),
+            comp.windows,
         )
         for comp in b.components
     )
@@ -428,8 +430,7 @@ def make_T(branes: Iterable[str]) -> Cobordism:
     Euler characteristic is ``-2 - len(branes)``.
     """
     obj = GeneralObject(branes, (Circle(),))
-    windows = tuple(Window(b) for b in sorted(obj.branes))
-    comp = Component(1, (Closed(IN, 1), Closed(OUT, 1)) + windows)
+    comp = Component(1, (Closed(IN, 1), Closed(OUT, 1)), ((b, 1) for b in obj.branes))
     return Cobordism(obj, obj, (comp,))
 
 
@@ -439,10 +440,10 @@ def stabilize(c: Cobordism) -> Cobordism:
     Requires target equal to the single-circle object.  The closed form of
     ``compose(make_T(c.target.branes), c)``, equal to it up to
     ``canonicalize``: the component holding ``Closed(OUT, 1)`` gains one
-    genus and one window per brane, appended after its boundary circles,
-    whose order is kept; every other component is returned as it is.
-    Any other target, or no component holding ``Closed(OUT, 1)``, raises
-    ``CompositionError``.
+    genus and one window per brane, added to its counts in time linear in
+    its circles and branes, so k steps take time linear in k; every other
+    component is returned as it is.  Any other target, or no component
+    holding ``Closed(OUT, 1)``, raises ``CompositionError``.
     """
     if type(c) is not Cobordism:
         raise wrong_type(Cobordism, c)
@@ -450,8 +451,8 @@ def stabilize(c: Cobordism) -> Cobordism:
         raise CompositionError("stabilize requires the single-circle target object")
     comps = list(c.components)
     for pos, comp in enumerate(comps):
-        if Closed(OUT, 1) in comp.boundary:
-            windows = tuple(Window(b) for b in sorted(c.target.branes))
-            comps[pos] = _grown(comp, windows)
+        if Closed(OUT, 1) in comp.circles:
+            windows = comp.windows + tuple((b, 1) for b in c.target.branes)
+            comps[pos] = Component(comp.genus + 1, comp.circles, windows)
             return Cobordism(c.source, c.target, comps)
     raise CompositionError("no component holds outgoing circle 1")

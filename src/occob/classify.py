@@ -11,7 +11,7 @@ isomorphism becomes equality of canonical keys.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import product, repeat
 from operator import itemgetter
 
 from occob.calculus import realize
@@ -27,7 +27,6 @@ from occob.surfaces import (
     Component,
     IntervalRef,
     Mixed,
-    Window,
     in_b_subcategory,
 )
 
@@ -78,13 +77,20 @@ def _mixed_key(cycle: tuple) -> tuple[tuple, int]:
 def _circle_key(circ: BoundaryCircle) -> tuple:
     if isinstance(circ, Mixed):
         return _mixed_key(circ.cycle)[0]
-    if isinstance(circ, Closed):
-        return (0 if circ.side == IN else 1, circ.index)
-    return (2, circ.brane)
+    return (0 if circ.side == IN else 1, circ.index)
+
+
+def _windowed(keys: tuple, windows: tuple) -> tuple:
+    """Sorted circle keys with (2, brane) per window, between closed and mixed."""
+    if not windows:
+        return keys
+    cut = sum(k[0] < 2 for k in keys)
+    spliced = tuple(k for b, n in windows for k in repeat((2, b), n))
+    return keys[:cut] + spliced + keys[cut:]
 
 
 def _component_key(comp: Component) -> tuple:
-    return (comp.genus, tuple(sorted(map(_circle_key, comp.boundary))))
+    return (comp.genus, comp.windows, sorted(map(_circle_key, comp.circles)))
 
 
 def _object_key(obj: GeneralObject) -> tuple:
@@ -121,7 +127,7 @@ def canonicalize(c: Cobordism) -> CanonicalForm:
     keyed = []
     for comp in c.components:
         circles = []
-        for circ in comp.boundary:
+        for circ in comp.circles:
             if isinstance(circ, Mixed):
                 key, best = _mixed_key(circ.cycle)
                 if best:
@@ -130,8 +136,9 @@ def canonicalize(c: Cobordism) -> CanonicalForm:
                 key = _circle_key(circ)
             circles.append((key, circ))
         circles.sort(key=_first)
-        comp_key = (comp.genus, tuple(k for k, _ in circles))
-        keyed.append((comp_key, Component(comp.genus, (circ for _, circ in circles))))
+        key = (comp.genus, _windowed(tuple(k for k, _ in circles), comp.windows))
+        comp = Component(comp.genus, (circ for _, circ in circles), comp.windows)
+        keyed.append((key, comp))
     keyed.sort(key=_first)
     canonical = Cobordism(c.source, c.target, (comp for _, comp in keyed))
     key = (_object_key(c.source), _object_key(c.target), tuple(k for k, _ in keyed))
@@ -174,8 +181,8 @@ def enumerate_classes(
     the given bounds.
 
     Such a cobordism is determined up to isomorphism by its genus and
-    window vector, so representatives are built directly: the canonical
-    minimal realizer with extra genus and windows.  The list has exactly
+    window vector (math/0510664), so each is built as the circles of the
+    canonical minimal realizer with the genus and windows set: exactly
     ``(max_genus + 1) * (max_windows + 1) ** len(obj.branes)`` entries,
     ordered by genus then window vector.  A bound that is not an ``int``
     (a bool is not) or is negative raises ``InvalidValueError``.
@@ -183,26 +190,18 @@ def enumerate_classes(
     _check_bounds(max_genus, max_windows)
     base = canonicalize(realize(obj))
     source_key, target_key, ((_, keys),) = base.key
-    boundary = base.cobordism.components[0].boundary
-    # Window keys (2, brane) sort after the closed circles (0 and 1) and
-    # before the mixed ones (3), so adding windows to the canonical
-    # realizer keeps it canonical when they go in at that cut, by brane.
-    cut = sum(1 for k in keys if k[0] < 2)
+    circles = base.cobordism.components[0].circles
     branes = sorted(obj.branes)
-    splices = []
-    for counts in product(range(max_windows + 1), repeat=len(branes)):
-        windows = tuple(Window(b) for b, n in zip(branes, counts) for _ in range(n))
-        splices.append((
-            boundary[:cut] + windows + boundary[cut:],
-            keys[:cut] + tuple(map(_circle_key, windows)) + keys[cut:],
-        ))
+    grid = product(range(max_windows + 1), repeat=len(branes))
+    windowed = [tuple(zip(branes, counts)) for counts in grid]
+    vectors = [(w, _windowed(keys, w)) for w in windowed]
     return [
         CanonicalForm(
             (source_key, target_key, ((g, circle_keys),)),
-            Cobordism(obj, base.cobordism.target, (Component(g, circles),)),
+            Cobordism(obj, base.cobordism.target, (Component(g, circles, windows),)),
         )
         for g in range(max_genus + 1)
-        for circles, circle_keys in splices
+        for windows, circle_keys in vectors
     ]
 
 

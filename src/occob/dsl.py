@@ -36,12 +36,12 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, repeat
 from typing import NoReturn
 
 from occob.classify import canonicalize
 from occob.errors import DslError, DslSyntaxError, DslValidationError, InvalidValueError
-from occob.errors import wrong_type
+from occob.errors import not_iterable, wrong_type
 from occob.objects import STAR, Circle, GeneralObject, Interval, Permutation
 from occob.surfaces import (
     IN,
@@ -52,7 +52,6 @@ from occob.surfaces import (
     Component,
     IntervalRef,
     Mixed,
-    Window,
     validate,
 )
 
@@ -180,16 +179,16 @@ class _Builder:
     """Checks front-end values while assembling them into ``doc``.
 
     ``text`` is the document text that token indices refer to.  The front
-    ends take each arc and window from ``arc`` and ``window``, which hold
-    one value per declared brane, and each interval from ``intervals``,
-    which holds per declared left label one value per right label met.
-    Each table has exactly the declared labels as keys.
+    ends take each arc from ``arc``, which holds one value per declared
+    brane, and each interval from ``intervals``, which holds per declared
+    left label one value per right label met.  Each table has exactly the
+    declared labels as keys.
     """
 
     def __init__(self, branes: list[str], where, text: str = ""):
         self.text = text
         # A str subclass, which ``from_json`` accepts, is kept as the str it
-        # holds: ``Arc`` and ``Window`` take an exact ``str``.
+        # holds: ``Arc`` and a window count take an exact ``str``.
         branes = list(map(str.__str__, branes))
         if not branes:
             self.fail(where, "the brane list is empty")
@@ -198,7 +197,6 @@ class _Builder:
             self.fail(where, f"brane {dup[0]!r} declared twice")
         self.doc = Document(branes=frozenset(branes))
         self.arc = {b: Arc(b) for b in branes}
-        self.window = {b: Window(b) for b in branes}
         self.intervals: dict[str, dict[str, Interval]] = {b: {} for b in branes}
 
     def fail(self, where, message: str, cls=DslSyntaxError, **kwargs):
@@ -458,8 +456,8 @@ class _Parser:
         genus = self.integer(self.pos)
         self.pos += 1
         self.expect(";")
-        toks, windows, single = self.toks, self.build.window, self.single_brane
-        boundary = []
+        toks, arcs, single = self.toks, self.build.arc, self.single_brane
+        boundary, windows = [], []
         k = self.pos
         while (t := toks[k]) != "}":
             if t == "in" or t == "out":
@@ -473,19 +471,18 @@ class _Parser:
                 k += 3
             elif t == "window":
                 b = toks[k + 1]
-                window = windows.get(b)
-                if window is not None:
+                if b in arcs:
                     k += 2
                 elif b == ";" or b == "," or b == "]":
                     if not single:
                         self.fail("window needs a brane label", k + 1)
-                    window = windows[STAR]
+                    b = STAR
                     k += 1
                 else:
                     self.bad_brane(k + 1)
                 if toks[k] != ";":
                     self.expected("';'", k)
-                boundary.append(window)
+                windows.append((b, 1))
                 k += 1
             elif t == "mixed":
                 if toks[k + 1] != "[":
@@ -504,7 +501,7 @@ class _Parser:
             else:
                 self.expected("a boundary line", k)
         self.pos = k + 1
-        return Component(genus, boundary)
+        return Component(genus, boundary, windows)
 
     def mentries(self) -> list:
         """``mentry ("," mentry)*``."""
@@ -589,10 +586,17 @@ def _fmt_mixed_entry(e, single: bool) -> str:
 def _fmt_bline(circ, single: bool) -> str:
     if isinstance(circ, Closed):
         return f"{circ.side} {_decimal(circ.index)};"
-    if isinstance(circ, Window):
-        return f"window{_fmt_brane(circ.brane, single)};"
+    if isinstance(circ, str):
+        return f"window{_fmt_brane(circ, single)};"
     inner = ", ".join(_fmt_mixed_entry(e, single) for e in circ.cycle)
     return f"mixed [{inner}];"
+
+
+def _written(comp: Component) -> tuple:
+    """A canonical component's closed circles, a brane per window, mixed circles."""
+    cut = sum(type(circ) is Closed for circ in comp.circles)
+    windows = tuple(w for b, n in comp.windows for w in repeat(b, n))
+    return comp.circles[:cut] + windows + comp.circles[cut:]
 
 
 def _decimal(n: int) -> str:
@@ -623,15 +627,35 @@ def _sorted_names(names, what: str, brane: bool = False) -> list[str]:
     return sorted([_name(name, what, brane) for name in names])
 
 
+def _check_writable(doc: Document) -> None:
+    """Raise ``InvalidValueError`` unless ``doc`` holds what the writers
+    read: iterable branes, and dicts of exactly ``GeneralObject`` and
+    ``CobordismDef`` values.  A ``Document`` is filled after it is built,
+    so its slots are checked here rather than by its constructor."""
+    if type(doc) is not Document:
+        raise wrong_type(Document, doc)
+    try:
+        iter(doc.branes)
+    except TypeError as exc:
+        raise not_iterable("brane labels", exc) from None
+    if type(doc.objects) is not dict or type(doc.cobordisms) is not dict:
+        raise wrong_type(dict, doc.objects, doc.cobordisms)
+    for obj in doc.objects.values():
+        if type(obj) is not GeneralObject:
+            raise wrong_type(GeneralObject, obj)
+    for d in doc.cobordisms.values():
+        if type(d) is not CobordismDef:
+            raise wrong_type(CobordismDef, d)
+
+
 def serialize(doc: Document) -> str:
     """Deterministic canonical text: sorted names, canonical cobordisms.
 
     Serializing, parsing, and serializing again is byte-stable.  A brane,
-    object or cobordism name that ``parse`` would not read back raises
-    ``InvalidValueError``.
+    object or cobordism name that ``parse`` would not read back, or a
+    document slot of the wrong type, raises ``InvalidValueError``.
     """
-    if type(doc) is not Document:
-        raise wrong_type(Document, doc)
+    _check_writable(doc)
     single = doc.branes == frozenset({STAR})
     blocks: list[str] = []
     branes = _sorted_names(doc.branes, "a brane label", brane=True)
@@ -650,7 +674,7 @@ def serialize(doc: Document) -> str:
         for comp in canonical.components:
             lines.append("  component {")
             lines.append(f"    genus {_decimal(comp.genus)};")
-            for circ in comp.boundary:
+            for circ in _written(comp):
                 lines.append("    " + _fmt_bline(circ, single))
             lines.append("  }")
         lines.append("}")
@@ -750,10 +774,10 @@ def to_json(doc: Document) -> str:
     """Stable JSON encoding mirroring the text format.
 
     The text is exactly that of ``json.dumps(data, indent=2,
-    sort_keys=True)`` for the document's data.
+    sort_keys=True)`` for the document's data.  Raises as ``serialize``
+    does.
     """
-    if type(doc) is not Document:
-        raise wrong_type(Document, doc)
+    _check_writable(doc)
     # Canonicalize first: an invalid cobordism raises before anything of
     # the document is written.
     forms = {
@@ -774,11 +798,11 @@ def to_json(doc: Document) -> str:
         for comp in forms[name].components:
             w(_COMPONENT % csep)
             bsep = "["
-            for circ in comp.boundary:
+            for circ in _written(comp):
                 if isinstance(circ, Closed):
                     w(_CLOSED % (bsep, _decimal(circ.index), circ.side))
-                elif isinstance(circ, Window):
-                    w(_WINDOW % (bsep, _string(circ.brane)))
+                elif isinstance(circ, str):
+                    w(_WINDOW % (bsep, _string(circ)))
                 else:
                     w(_MIXED % bsep)
                     esep = "["
@@ -958,7 +982,7 @@ def _read_object(build: _Builder, spec: dict, where: tuple) -> tuple[list, list]
 
 def _read_components(build: _Builder, spec: dict, where: tuple) -> list:
     """The components of the cobordism ``spec`` at ``where``."""
-    arcs, windows = build.arc, build.window
+    arcs = build.arc
     comps = spec.get("components", [])
     if type(comps) is not list or not _ONLY_DICT(map(type, comps)):
         comps = _array(spec, "components", dict, where)
@@ -969,7 +993,7 @@ def _read_components(build: _Builder, spec: dict, where: tuple) -> list:
             _field(comp, "genus", int, (*where, "components", c))
         if type(boundary) is not list or not _ONLY_DICT(map(type, boundary)):
             boundary = _array(comp, "boundary", dict, (*where, "components", c))
-        circles = []
+        circles, windows = [], []
         for j, circ in enumerate(boundary):
             kind = circ.get("type")
             if kind == "mixed":
@@ -1007,17 +1031,15 @@ def _read_components(build: _Builder, spec: dict, where: tuple) -> list:
                 circles.append(Closed(kind, index))
             elif kind == "window":
                 brane = circ.get("brane")
-                window = windows.get(brane) if type(brane) is str else None
-                if window is None:
+                if type(brane) is not str or brane not in arcs:
                     at = (*where, "components", c, "boundary", j)
                     brane = build.brane(_field(circ, "brane", str, at), at + ("brane",))
-                    window = windows[brane]
-                circles.append(window)
+                windows.append((brane, 1))
             else:
                 at = (*where, "components", c, "boundary", j)
                 kind = _field(circ, "type", str, at)
                 _fail(at + ("type",), f"unknown boundary circle type {kind!r}")
-        out.append(Component(genus, circles))
+        out.append(Component(genus, circles, windows))
     return out
 
 

@@ -34,12 +34,22 @@ class Circle:
     """A closed entry.  Carries no labels."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Interval:
-    """An open entry with brane labels at its left and right endpoints."""
+    """An open entry with brane labels at its left and right endpoints.
+
+    A ``str`` subclass label is kept as the ``str`` it holds, so both
+    writers write the label itself; ``GeneralObject`` checks the labels.
+    """
 
     left: str
     right: str
+
+    def __init__(self, left: str, right: str):
+        for name, label in (("left", left), ("right", right)):
+            if isinstance(label, str):
+                label = str.__str__(label)
+            object.__setattr__(self, name, label)
 
 
 Entry = Union[Circle, Interval]
@@ -288,17 +298,6 @@ class GeneralObject:
             i for i, e in enumerate(self.entries, start=1) if isinstance(e, Circle)
         )
 
-    def interval(self, index: int) -> Interval:
-        """The interval entry at 1-based position ``index``."""
-        if not 1 <= index <= len(self.entries):
-            raise InvalidValueError(
-                f"index {index} out of range 1..{len(self.entries)}"
-            )
-        e = self.entries[index - 1]
-        if not isinstance(e, Interval):
-            raise InvalidValueError(f"entry {index} is a circle, not an interval")
-        return e
-
     @property
     def c_number(self) -> int:
         """Circle count plus cycle count of sigma plus one.
@@ -320,6 +319,8 @@ class GeneralObject:
         concatenated entries.  So it is assembled directly, and no check
         runs.  Different brane sets raise ``InvalidValueError``.
         """
+        if type(other) is not GeneralObject:
+            raise wrong_type(GeneralObject, other)
         if self.branes != other.branes:
             raise InvalidValueError(
                 f"brane sets differ: {sorted(self.branes)} versus "

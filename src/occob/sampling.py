@@ -29,7 +29,6 @@ from occob.surfaces import (
     Component,
     IntervalRef,
     Mixed,
-    Window,
     default_rev,
 )
 
@@ -140,7 +139,7 @@ def sample_cobordism(
         for i in obj.circle_indices:
             closed.append((side, i))
         for i in obj.interval_indices:
-            iv = obj.interval(i)
+            iv = obj.entries[i - 1]
             slots.append(_Slot(side, i, iv.left, iv.right))
     for side in derivable:
         for _ in range(rng.randint(0, max_new_intervals)):
@@ -183,6 +182,7 @@ def sample_cobordism(
 
     # Assign arc labels; pending interval labels are filled from them.
     comp_boundary: list[list] = [[] for _ in range(n_comp)]
+    comp_windows: list[list[tuple[str, int]]] = [[] for _ in range(n_comp)]
     for ci in range(n_comp):
         for item in comp_closed[ci]:
             comp_boundary[ci].append(item)
@@ -201,14 +201,14 @@ def sample_cobordism(
             comp_boundary[ci].append(("mixed", cyc, arcs))
         for _ in range(2):
             if rng.random() < 0.2:
-                comp_boundary[ci].append(("window", rng.choice(branes)))
+                comp_windows[ci].append((rng.choice(branes), 1))
 
     # Guards: no empty component, and no component whose whole boundary
     # could be consumed by a single closed-circle gluing pass.
     for ci in range(n_comp):
         kinds = {b[0] for b in comp_boundary[ci]}
-        if not kinds or kinds == {IN} or kinds == {OUT}:
-            comp_boundary[ci].append(("window", rng.choice(branes)))
+        if not comp_windows[ci] and (not kinds or kinds == {IN} or kinds == {OUT}):
+            comp_windows[ci].append((rng.choice(branes), 1))
         if ensure_b:
             has_out = any(
                 b[0] == OUT
@@ -248,12 +248,10 @@ def sample_cobordism(
     tgt = target if target is not None else sides_objects[OUT]
 
     components = []
-    for ci in range(n_comp):
+    for ci, windows in enumerate(comp_windows):
         boundary = []
         for b in comp_boundary[ci]:
-            if b[0] == "window":
-                boundary.append(Window(b[1]))
-            elif b[0] == "mixed":
+            if b[0] == "mixed":
                 cyc, arcs = b[1], b[2]
                 entries = []
                 for slot, arc in zip(cyc, arcs):
@@ -266,7 +264,7 @@ def sample_cobordism(
                 side, i = b
                 i = position[side][i] if i < 0 else i
                 boundary.append(Closed(side, i))
-        components.append(Component(rng.randint(0, max_genus), boundary))
+        components.append(Component(rng.randint(0, max_genus), boundary, windows))
     return Cobordism(src, tgt, components)
 
 
@@ -297,14 +295,15 @@ def shuffled(rng: random.Random, c: Cobordism) -> Cobordism:
     comps = []
     for comp in c.components:
         boundary = []
-        for circ in comp.boundary:
+        for circ in comp.circles:
             if isinstance(circ, Mixed):
-                n = len(circ.cycle)
-                k = rng.randrange(n)
+                k = rng.randrange(len(circ.cycle))
                 circ = Mixed(circ.cycle[k:] + circ.cycle[:k])
             boundary.append(circ)
+        # Windows hold places in the shuffle, so it draws from rng as before.
+        boundary += [None] * sum(n for _, n in comp.windows)
         rng.shuffle(boundary)
-        comps.append(Component(comp.genus, boundary))
+        comps.append(Component(comp.genus, filter(None, boundary), comp.windows))
     rng.shuffle(comps)
     return Cobordism(c.source, c.target, comps)
 

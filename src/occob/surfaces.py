@@ -1,21 +1,20 @@
 """Combinatorial surfaces between labeled 1-manifolds.
 
 A cobordism is stored as a list of connected components.  Each component
-is a nonnegative genus plus a list of boundary circles, and each boundary
-circle is one of three kinds:
+is a nonnegative genus, its windows (free boundary circles on one brane,
+counted per brane) and its other boundary circles, of two kinds:
 
 * ``Closed(side, i)``: glued to circle ``i`` of the source object when
   ``side`` is ``IN``, of the target object when it is ``OUT``.
-* ``Window(b)``: a free boundary circle lying entirely on brane ``b``.
 * ``Mixed(cycle)``: alternates interval references and free arcs.
 
 Each constructor tests its slots by exact type and raises
 ``InvalidValueError`` on a value of any other: a side is ``IN`` or
 ``OUT`` (kept as the module's constant), an index an ``int``, a ``rev``
 flag a ``bool``, a brane a ``str``, a mixed entry an ``IntervalRef`` or
-an ``Arc``, and a component's boundary circle one of the three kinds.  So
-``validate`` and the readers after it meet only values of these types,
-and check structure alone.
+an ``Arc``, a component's boundary circle one of the two kinds, and a
+window count a ``(str, int)`` pair.  So ``validate`` and the readers
+after it meet only values of these types, and check structure alone.
 
 Mixed cycles are stored in the boundary orientation induced by the
 surface.  An ``IntervalRef`` records which side and entry it attaches to
@@ -27,8 +26,8 @@ defaults to True for incoming references and False for outgoing ones;
 all constructors in ``calculus`` emit these defaults.
 
 The Euler characteristic of a component with genus g and b boundary
-circles is 2 - 2g - b, and the composition machinery recovers genus from
-that identity after gluing.
+circles (windows included) is 2 - 2g - b, and the composition machinery
+recovers genus from that identity after gluing.
 """
 
 from __future__ import annotations
@@ -181,51 +180,66 @@ class Mixed:
         return tuple(e for e in self.cycle if isinstance(e, IntervalRef))
 
 
-BoundaryCircle = Union[Closed, Window, Mixed]
-_CIRCLE_KINDS = frozenset({Closed, Window, Mixed})
+BoundaryCircle = Union[Closed, Mixed]
+_CIRCLE_KINDS = frozenset({Closed, Mixed})
 
 
 @dataclass(frozen=True, slots=True, init=False)
 class Component:
-    """A connected piece: orientable genus plus boundary circles.
-
-    An empty boundary is representable (a closed surface) but rejected by
-    ``validate``, since a closed component carries no anchoring data.
-    """
+    """A connected piece: orientable genus, boundary circles and windows as
+    sorted ``(brane, count)`` pairs, summed per brane, without zeros.  An
+    empty boundary is representable (a closed surface) but rejected by
+    ``validate``, since a closed component carries no anchoring data."""
 
     genus: int
-    boundary: tuple[BoundaryCircle, ...]
+    circles: tuple[BoundaryCircle, ...]
+    windows: tuple[tuple[str, int], ...]
 
-    def __init__(self, genus: int, boundary=()):
+    def __init__(self, genus: int, circles=(), windows=()):
         if type(genus) is not int or genus < 0:
-            raise InvalidValueError(
-                f"genus must be a nonnegative int, got {type(genus).__name__} "
-                f"{_shown_int(genus)}"
-            )
+            raise _bad_count("genus", genus)
         try:
-            boundary = tuple(boundary)
+            circles = tuple(circles)
         except TypeError as exc:
             raise not_iterable("boundary circles", exc) from None
-        for circ in boundary:
+        for circ in circles:
             if type(circ) not in _CIRCLE_KINDS:
                 raise InvalidValueError(
                     f"{type(circ).__name__} is not a kind of boundary circle"
                 )
+        if windows or type(windows) is not tuple:
+            windows = _window_counts(windows)
         object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "boundary", boundary)
+        object.__setattr__(self, "circles", circles)
+        object.__setattr__(self, "windows", windows)
+
+    @property
+    def boundary(self) -> tuple[BoundaryCircle | Window, ...]:
+        """The circles, then one ``Window`` per window in brane order."""
+        windows = (Window(b) for b, n in self.windows for _ in range(n))
+        return self.circles + tuple(windows)
 
 
-def _grown(comp: Component, windows: tuple[Window, ...]) -> Component:
-    """``comp`` with one more handle and ``windows`` after its boundary.
+def _window_counts(pairs) -> tuple[tuple[str, int], ...]:
+    counts: dict[str, int] = {}
+    try:
+        for brane, n in pairs:
+            if type(brane) is not str:
+                raise wrong_type(str, brane)
+            if type(n) is not int or n < 0:
+                raise _bad_count("a window count", n)
+            if n:
+                counts[brane] = counts.get(brane, 0) + n
+    except InvalidValueError:
+        raise
+    except (TypeError, ValueError) as exc:  # not an iterable of pairs
+        raise not_iterable("(brane, count) pairs", exc) from None
+    return tuple(sorted(counts.items()))
 
-    The circles of ``comp`` were checked when it was built, and each of
-    ``windows`` is a ``Window``, so no check runs: checking every circle
-    again makes k calls of ``calculus.stabilize`` quadratic in k.
-    """
-    grown = object.__new__(Component)
-    object.__setattr__(grown, "genus", comp.genus + 1)
-    object.__setattr__(grown, "boundary", comp.boundary + windows)
-    return grown
+
+def _bad_count(what: str, n) -> InvalidValueError:
+    shown = f"{type(n).__name__} {_shown_int(n)}"
+    return InvalidValueError(f"{what} must be a nonnegative int, got {shown}")
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -285,8 +299,8 @@ def validate(c: Cobordism) -> list[Violation]:
     tested every slot's type, so only structure is checked here.
 
     Reported in this order: differing brane sets; then per component an
-    empty boundary, and per circle in turn what is wrong with it (see
-    ``_mixed_findings`` for a mixed circle); last, every source circle,
+    empty boundary, and per circle in turn, numbered as in ``boundary``,
+    what is wrong with it (see ``_mixed_findings``); last, every source circle,
     target circle, source interval and target interval, in that order,
     not used by exactly one boundary circle.  An index too long to write
     in decimal is shown by its size.
@@ -307,12 +321,11 @@ def validate(c: Cobordism) -> list[Violation]:
     outs = ("target", target.entries, [0] * (len(target.entries) + 1))
     sides = {IN: ins, OUT: outs}
     for ci, comp in enumerate(c.components, start=1):
-        if not comp.boundary:
+        if not comp.circles and not comp.windows:
             message = "component has no boundary circles"
             v.append(Violation("empty-boundary", f"component {ci}", message))
-        for bi, circ in enumerate(comp.boundary, start=1):
-            kind = type(circ)
-            if kind is Closed:
+        for bi, circ in enumerate(comp.circles, start=1):
+            if type(circ) is Closed:
                 side, entries, uses = sides[circ.side]
                 i = circ.index
                 if 0 < i <= len(entries) and isinstance(entries[i - 1], Circle):
@@ -320,16 +333,18 @@ def validate(c: Cobordism) -> list[Violation]:
                     continue
                 at = _shown_int(i)
                 found = [("index-range", f"{side} has no circle at position {at}")]
-            elif kind is Window:
-                if circ.brane in branes:
-                    continue
-                message = f"window brane {circ.brane!r} not declared"
-                found = [("unknown-brane", message)]
             else:
                 found = _mixed_findings(circ.cycle, sides, branes)
             if found:
                 where = f"component {ci}, circle {bi}"
                 v.extend(Violation(rule, where, message) for rule, message in found)
+        bi = len(comp.circles)
+        for brane, n in comp.windows:
+            bi += n
+            if brane not in branes:
+                message = f"window brane {brane!r} not declared"
+                where = (f"component {ci}, circle {k + 1}" for k in range(bi - n, bi))
+                v.extend(Violation("unknown-brane", w, message) for w in where)
     # uses[0] stays 0: a side's entries are each used once when the rest are 1.
     if any(uses.count(1) < len(entries) for _, entries, uses in (ins, outs)):
         for what, entry_kind in (("circle", Circle), ("interval", Interval)):
@@ -417,7 +432,7 @@ def euler_char(comp: Component) -> int:
     """Euler characteristic 2 - 2g - b of one component."""
     if type(comp) is not Component:
         raise wrong_type(Component, comp)
-    return 2 - 2 * comp.genus - len(comp.boundary)
+    return 2 - 2 * comp.genus - len(comp.circles) - sum(n for _, n in comp.windows)
 
 
 def euler_total(c: Cobordism) -> int:
@@ -435,13 +450,10 @@ def window_vector(c: Cobordism) -> dict[str, int]:
         raise wrong_type(Cobordism, c)
     counts = {b: 0 for b in sorted(c.source.branes | c.target.branes)}
     for comp in c.components:
-        for circ in comp.boundary:
-            if isinstance(circ, Window):
-                if circ.brane not in counts:
-                    raise InvalidCobordismError(
-                        f"window brane {circ.brane!r} not declared"
-                    )
-                counts[circ.brane] += 1
+        for brane, n in comp.windows:
+            if brane not in counts:
+                raise InvalidCobordismError(f"window brane {brane!r} not declared")
+            counts[brane] += n
     return counts
 
 
@@ -469,7 +481,7 @@ def boundary_permutation(c: Cobordism) -> Permutation:
         )
     mapping: dict[int, int] = {}
     for comp in c.components:
-        for circ in comp.boundary:
+        for circ in comp.circles:
             if not isinstance(circ, Mixed):
                 continue
             refs = circ.refs()
@@ -501,14 +513,11 @@ def in_b_subcategory(c: Cobordism) -> bool:
     if type(c) is not Cobordism:
         raise wrong_type(Cobordism, c)
     for comp in c.components:
-        has_out = False
-        for circ in comp.boundary:
-            if isinstance(circ, Closed) and circ.side == OUT:
-                has_out = True
-            elif isinstance(circ, Mixed):
-                if any(r.side == OUT for r in circ.refs()):
-                    has_out = True
-        if not has_out:
+        for circ in comp.circles:
+            sided = (circ,) if type(circ) is Closed else circ.refs()
+            if any(x.side == OUT for x in sided):
+                break
+        else:
             return False
     return True
 
@@ -544,21 +553,11 @@ def component_summary(comp: Component) -> ComponentSummary:
     """
     if type(comp) is not Component:
         raise wrong_type(Component, comp)
-    windows: Counter[str] = Counter()
-    kinds: Counter[str] = Counter()
-    for circ in comp.boundary:
-        if isinstance(circ, Closed):
-            kinds[circ.side] += 1
-        elif isinstance(circ, Window):
-            kinds["window"] += 1
-            windows[circ.brane] += 1
-        else:
-            kinds["mixed"] += 1
+    kinds = Counter(c.side if type(c) is Closed else "mixed" for c in comp.circles)
+    if comp.windows:
+        kinds["window"] = sum(n for _, n in comp.windows)
     return ComponentSummary(
-        comp.genus,
-        tuple(sorted(windows.items())),
-        tuple(sorted(kinds.items())),
-        euler_char(comp),
+        comp.genus, comp.windows, tuple(sorted(kinds.items())), euler_char(comp)
     )
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from occob.objects import STAR, Circle, GeneralObject, Interval, Permutation
+from occob.surfaces import Component, Window
 
 REPO = Path(__file__).resolve().parents[1]
 CORPUS = REPO / "corpus"
@@ -44,6 +45,15 @@ def labeled_obj(branes, spec, cycles=None) -> GeneralObject:
     if cycles is not None:
         sigma = Permutation.from_cycles(cycles, positions)
     return GeneralObject(frozenset(branes), entries, sigma)
+
+
+def from_boundary(genus: int, boundary) -> Component:
+    """The component that ``Component.boundary`` shows as ``boundary``: each
+    ``Window`` in it counts one window, and the rest are its circles."""
+    boundary = tuple(boundary)
+    circles = [circ for circ in boundary if type(circ) is not Window]
+    windows = [(circ.brane, 1) for circ in boundary if type(circ) is Window]
+    return Component(genus, circles, windows)
 
 
 @pytest.fixture

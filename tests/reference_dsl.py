@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 
+from conftest import from_boundary
 from occob.dsl import (
     _KEYWORDS,
     Document,
@@ -209,7 +210,7 @@ class ReferenceParser:
         while self.peek() != "}":
             boundary.append(self.bline())
         self.expect("}")
-        return Component(genus, boundary)
+        return from_boundary(genus, boundary)
 
     def bline(self):
         t = self.peek()
@@ -419,7 +420,7 @@ def reference_from_json(source: str | dict) -> Document:
             for key in ("source", "target")
         )
         components = [
-            Component(
+            from_boundary(
                 _field(comp, "genus", int, w),
                 [
                     _circle_from_json(build, cw, circ)

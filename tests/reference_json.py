@@ -38,6 +38,13 @@ def _circle_to_json(circ) -> dict:
     }
 
 
+def _written_rank(circ) -> int:
+    """Where a circle of a canonical component is written: its closed
+    circles, then its windows, then its mixed circles, each in the order
+    that ``boundary`` shows them."""
+    return 0 if isinstance(circ, Closed) else 1 if isinstance(circ, Window) else 2
+
+
 def document_to_dict(doc: Document) -> dict:
     return {
         "format": 1,
@@ -57,7 +64,8 @@ def document_to_dict(doc: Document) -> dict:
                     {
                         "genus": comp.genus,
                         "boundary": [
-                            _circle_to_json(circ) for circ in comp.boundary
+                            _circle_to_json(circ)
+                            for circ in sorted(comp.boundary, key=_written_rank)
                         ],
                     }
                     for comp in canonicalize(d.cobordism).cobordism.components

@@ -42,7 +42,6 @@ from occob.surfaces import (
     Cobordism,
     Component,
     Mixed,
-    Window,
     euler_total,
     in_b_subcategory,
     in_ref,
@@ -227,9 +226,8 @@ def brute_force_to_circle(kinds: str, max_g: int, max_w: int):
                         cycle.append(in_ref(x))
                         cycle.append(Arc(STAR))
                     boundary.append(Mixed(tuple(cycle)))
-                boundary.extend(Window(STAR) for _ in range(w))
                 boundary.append(Closed(OUT, 1))
-                cob = Cobordism(obj, tgt, (Component(g, tuple(boundary)),))
+                cob = Cobordism(obj, tgt, (Component(g, boundary, [(STAR, w)]),))
                 wv = tuple(sorted(window_vector(cob).items()))
                 family.append((cob, (g, wv, sigma)))
     return family

@@ -104,7 +104,7 @@ def _to_circle(*boundary) -> Cobordism:
 
 
 def _undeclared_window() -> Cobordism:
-    return Cobordism(EMPTY, EMPTY, (Component(0, (Window("z"),)),))
+    return Cobordism(EMPTY, EMPTY, (Component(0, (), [("z", 1)]),))
 
 
 def _document(c: Cobordism) -> Document:
@@ -130,6 +130,11 @@ def _huge_genus() -> Cobordism:
 def _cap() -> Cobordism:
     """A disc from one circle to nothing: gluing it on top closes a surface."""
     return Cobordism(ONE, EMPTY, (Component(0, (Closed(IN, 1),)),))
+
+
+def _windows(*pairs) -> Component:
+    """A component with the window counts ``pairs`` and no other circle."""
+    return Component(0, (), pairs)
 
 
 def _split(*circles) -> Cobordism:
@@ -201,8 +206,6 @@ BAD_VALUES: dict[str, list[tuple[str, object, type[OcError]]]] = {
             lambda: GeneralObject(STAR_SET, [Circle()], Permutation.identity([1])),
             InvalidValueError,
         ),
-        ("interval out of range", lambda: ONE.interval(9), InvalidValueError),
-        ("interval at a circle", lambda: ONE.interval(1), InvalidValueError),
         (
             "tensor over other branes",
             lambda: ONE.tensor(GeneralObject(AB, [])),
@@ -255,6 +258,31 @@ BAD_VALUES: dict[str, list[tuple[str, object, type[OcError]]]] = {
             InvalidValueError,
         ),
         ("an int used as a circle", lambda: Component(0, [1]), InvalidValueError),
+        (
+            "a window among the circles",
+            lambda: Component(0, (Closed(OUT, 1), Window(STAR))),
+            InvalidValueError,
+        ),
+        (
+            "a window count of 3 items",
+            lambda: Component(0, (), [(STAR, 1, 1)]),
+            InvalidValueError,
+        ),
+        (
+            "a negative window count",
+            lambda: Component(0, (), [(STAR, -1)]),
+            InvalidValueError,
+        ),
+        (
+            "a bool window count",
+            lambda: Component(0, (), [(STAR, True)]),
+            InvalidValueError,
+        ),
+        (
+            "a str window count",
+            lambda: Component(0, (), [(STAR, "1")]),
+            InvalidValueError,
+        ),
     ],
     "window_vector": [
         (
@@ -270,8 +298,8 @@ BAD_VALUES: dict[str, list[tuple[str, object, type[OcError]]]] = {
             InvalidCobordismError,
         ),
         # From here to the end of the component_summary cases, no call
-        # reaches the summary: the Component or Window constructor refuses
-        # the value first.
+        # reaches the summary: the Component constructor refuses the value
+        # first.
         (
             "an arc where a circle goes",
             lambda: invariant_summary(_to_circle(Arc(STAR))),
@@ -279,7 +307,9 @@ BAD_VALUES: dict[str, list[tuple[str, object, type[OcError]]]] = {
         ),
         (
             "window branes of two types on two components",
-            lambda: invariant_summary(_split(Window(STAR), Window(1))),
+            lambda: invariant_summary(
+                Cobordism(EMPTY, EMPTY, [_windows((STAR, 1)), _windows((1, 1))])
+            ),
             InvalidValueError,
         ),
     ],
@@ -296,12 +326,12 @@ BAD_VALUES: dict[str, list[tuple[str, object, type[OcError]]]] = {
         ),
         (
             "unhashable window brane",
-            lambda: component_summary(Component(0, (Window(["a"]),))),
+            lambda: component_summary(_windows((["a"], 1))),
             InvalidValueError,
         ),
         (
             "window branes of two types",
-            lambda: component_summary(Component(0, (Window(STAR), Window(1)))),
+            lambda: component_summary(_windows((STAR, 1), (1, 1))),
             InvalidValueError,
         ),
     ],
@@ -446,6 +476,17 @@ BAD_VALUES: dict[str, list[tuple[str, object, type[OcError]]]] = {
             lambda: serialize(_document(_huge_genus())),
             InvalidValueError,
         ),
+        (
+            "an int object",
+            lambda: serialize(Document(branes=STAR_SET, objects={"a": 5})),
+            InvalidValueError,
+        ),
+        (
+            "an int cobordism",
+            lambda: serialize(Document(branes=STAR_SET, cobordisms={"c": 5})),
+            InvalidValueError,
+        ),
+        ("int branes", lambda: serialize(Document(branes=5)), InvalidValueError),
     ],
     "to_json": [
         (
@@ -458,6 +499,17 @@ BAD_VALUES: dict[str, list[tuple[str, object, type[OcError]]]] = {
             lambda: to_json(_document(_huge_genus())),
             InvalidValueError,
         ),
+        (
+            "an int object",
+            lambda: to_json(Document(branes=STAR_SET, objects={"a": 5})),
+            InvalidValueError,
+        ),
+        (
+            "an int cobordism",
+            lambda: to_json(Document(branes=STAR_SET, cobordisms={"c": 5})),
+            InvalidValueError,
+        ),
+        ("int branes", lambda: to_json(Document(branes=5)), InvalidValueError),
     ],
     "from_json": [
         ("not JSON", lambda: from_json("{"), DslSyntaxError),
@@ -476,6 +528,8 @@ WRONG_TYPES: dict[str, list[tuple[str, object]]] = {
         ("str genus", lambda: Component("1")),
         ("float genus", lambda: Component(1.0)),
         ("int boundary", lambda: Component(0, 1)),
+        ("int windows", lambda: Component(0, (), 1)),
+        ("a window count that is not a pair", lambda: Component(0, (), [STAR])),
     ],
     "Cobordism": [
         ("int objects", lambda: Cobordism(1, 2)),
@@ -488,6 +542,7 @@ WRONG_TYPES: dict[str, list[tuple[str, object]]] = {
         ("an unhashable label", lambda: GeneralObject([["a"]])),
         ("int entries", lambda: GeneralObject(STAR_SET, 1)),
         ("sigma not a permutation", lambda: GeneralObject(STAR_SET, [], {})),
+        ("tensor with an int", lambda: ONE.tensor(5)),
     ],
     "Mixed": [("an int", lambda: Mixed(1))],
     "validate": [("a str", lambda: validate("x"))],
@@ -795,9 +850,7 @@ INCOMPARABLE = {
     "arc branes": lambda: _to_circle(
         Mixed((Arc(1), Arc(STAR), in_ref(1), Arc(STAR)))
     ),
-    "window branes": lambda: Cobordism(
-        EMPTY, EMPTY, (Component(0, (Window(1), Window(STAR))),)
-    ),
+    "window branes": lambda: Cobordism(EMPTY, EMPTY, (_windows((1, 1), (STAR, 1)),)),
     "components": lambda: _split(Closed(IN, "x"), Closed(IN, 1)),
 }
 
@@ -861,8 +914,8 @@ def test_an_int_subclass_index_is_kept_as_the_int_it_holds():
     assert from_json(to_json(doc)).objects == {"o": obj}
 
 
-class _Side(str):
-    """A side that formats as something other than the side it holds."""
+class _Shown(str):
+    """A str that formats as something other than the str it holds."""
 
     def __format__(self, spec):
         return "zz"
@@ -870,13 +923,13 @@ class _Side(str):
 
 def test_a_str_subclass_side_is_kept_as_the_side_it_holds():
     """So both writers write the side itself, and both readers read it back."""
-    assert IntervalRef(_Side(OUT), 1, False).side is OUT
-    assert Closed(_Side(IN), 1).side is IN
+    assert IntervalRef(_Shown(OUT), 1, False).side is OUT
+    assert Closed(_Shown(IN), 1).side is IN
     obj = GeneralObject(STAR_SET, [Circle(), Interval(STAR, STAR)])
-    to_target = IntervalRef(_Side(OUT), 2, False)
-    to_source = IntervalRef(_Side(IN), 2, True)
+    to_target = IntervalRef(_Shown(OUT), 2, False)
+    to_source = IntervalRef(_Shown(IN), 2, True)
     square = Mixed((to_target, Arc(STAR), to_source, Arc(STAR)))
-    annulus = (Closed(_Side(IN), 1), Closed(_Side(OUT), 1))
+    annulus = (Closed(_Shown(IN), 1), Closed(_Shown(OUT), 1))
     c = Cobordism(obj, obj, (Component(0, annulus), Component(0, (square,))))
     assert validate(c) == []
     doc = _document(c)
@@ -885,13 +938,27 @@ def test_a_str_subclass_side_is_kept_as_the_side_it_holds():
     assert is_isomorphic(parse(serialize(doc)).cobordisms["c"].cobordism, identity(obj))
 
 
+def test_a_str_subclass_interval_label_is_kept_as_the_label_it_holds():
+    """So both writers write the label itself, and both readers read it back."""
+    interval = Interval(_Shown("a"), "b")
+    assert type(interval.left) is str and interval == Interval("a", "b")
+    obj = GeneralObject({"a", "b"}, [interval])
+    doc = Document(branes=frozenset({"a", "b"}), objects={"o": obj})
+    assert parse(serialize(doc)).objects == {"o": obj}
+    assert from_json(to_json(doc)).objects == {"o": obj}
+
+
 @pytest.mark.parametrize(
     "boundary, bad",
-    [(lambda: (Window(["a"]),), ["a"]), (lambda: (Window(STAR), Window(1)), 1)],
+    [
+        (lambda: _windows((["a"], 1)), ["a"]),
+        (lambda: _windows((STAR, 1), (1, 1)), 1),
+    ],
     ids=["unhashable", "two types"],
 )
 def test_component_summary_names_a_window_brane_that_is_not_a_str(boundary, bad):
-    """``component_summary`` never meets such a brane: ``Window`` names its type."""
+    """``component_summary`` never meets such a brane: ``Component`` names
+    its type."""
     message = f"expected a str, got {type(bad).__name__}"
     with pytest.raises(InvalidValueError, match=f"^{re.escape(message)}$"):
         boundary()

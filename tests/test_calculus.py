@@ -430,6 +430,16 @@ class TestStabilizer:
             assert comp.genus == k
             assert window_vector(cur) == {STAR: k}
 
+    def test_a_thousand_steps_keep_the_circles_and_count_the_windows(self):
+        realizer = realize(GeneralObject(AB, [Circle()]))
+        cur = realizer
+        for _ in range(1000):
+            cur = stabilize(cur)
+        (comp,) = cur.components
+        assert comp.genus == 1000
+        assert comp.circles == realizer.components[0].circles
+        assert comp.windows == (("a", 1000), ("b", 1000))
+
     def test_stabilize_needs_single_circle_target(self):
         with pytest.raises(CompositionError):
             stabilize(identity(star_obj("OO")))

@@ -40,7 +40,6 @@ from occob.surfaces import (
     Cobordism,
     Component,
     Mixed,
-    Window,
     in_b_subcategory,
     in_ref,
     validate,
@@ -82,7 +81,7 @@ class TestCanonicalize:
         bumped = Cobordism(
             ann.source,
             ann.target,
-            (Component(1, ann.components[0].boundary),),
+            (Component(1, ann.components[0].circles),),
         )
         assert canonicalize(ann) != canonicalize(bumped)
 
@@ -188,8 +187,8 @@ class TestIsIsomorphic:
 
     def test_window_brane_matters(self):
         src = GeneralObject(AB, ())
-        base = Component(0, (Window("a"),))
-        other = Component(0, (Window("b"),))
+        base = Component(0, (), [("a", 1)])
+        other = Component(0, (), [("b", 1)])
         ca = Cobordism(src, src, (base,))
         cb = Cobordism(src, src, (other,))
         assert not is_isomorphic(ca, cb)
@@ -202,11 +201,11 @@ def _changed(rng: random.Random, c: Cobordism) -> list[Cobordism]:
         return []
     k = rng.randrange(len(c.components))
     comp = c.components[k]
-    window = Window(sorted(c.source.branes)[0])
+    window = (sorted(c.source.branes)[0], 1)
     out = []
     for changed in (
-        Component(comp.genus + 1, comp.boundary),
-        Component(comp.genus, comp.boundary + (window,)),
+        Component(comp.genus + 1, comp.circles, comp.windows),
+        Component(comp.genus, comp.circles, comp.windows + (window,)),
     ):
         comps = list(c.components)
         comps[k] = changed
@@ -245,9 +244,8 @@ class TestEnumerate:
 
 def _decorated(base: Cobordism, genus: int, wvec: dict[str, int]) -> Cobordism:
     comp = base.components[0]
-    windows = tuple(Window(b) for b in sorted(wvec) for _ in range(wvec[b]))
     return Cobordism(
-        base.source, base.target, (Component(genus, comp.boundary + windows),)
+        base.source, base.target, (Component(genus, comp.circles, wvec.items()),)
     )
 
 
@@ -411,9 +409,8 @@ def brute_force_to_circle(entries_kinds: str, max_g: int, max_w: int):
                         cycle.append(in_ref(x))
                         cycle.append(Arc(STAR))
                     boundary.append(Mixed(tuple(cycle)))
-                boundary.extend(Window(STAR) for _ in range(w))
                 boundary.append(Closed(OUT, 1))
-                cob = Cobordism(obj, tgt, (Component(g, tuple(boundary)),))
+                cob = Cobordism(obj, tgt, (Component(g, boundary, [(STAR, w)]),))
                 assert validate(cob) == []
                 wv = tuple(sorted(window_vector(cob).items()))
                 out.append((cob, (g, wv, sigma)))

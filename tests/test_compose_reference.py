@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from conftest import from_boundary
 from occob.calculus import _attached, _genus, _UnionFind, compose
 from occob.errors import ClosedComponentError, CompositionError
 from occob.objects import STAR
@@ -25,7 +26,6 @@ from occob.surfaces import (
     BoundaryCircle,
     Closed,
     Cobordism,
-    Component,
     IntervalRef,
     Mixed,
     MixedEntry,
@@ -137,7 +137,7 @@ def reference_compose(second: Cobordism, first: Cobordism) -> Cobordism:
                 "gluing closed a component off from all boundary"
             )
         genus = _genus(chi[cls], len(boundary))
-        components.append(Component(genus, tuple(boundary)))
+        components.append(from_boundary(genus, boundary))
     return Cobordism(first.source, second.target, tuple(components))
 
 
@@ -211,7 +211,7 @@ def _edit_entry(c: Cobordism, where: tuple[int, int, int], edit) -> Cobordism:
     cycle = comp.boundary[bi].cycle
     boundary = list(comp.boundary)
     boundary[bi] = Mixed(cycle[:ei] + edit(cycle[ei]) + cycle[ei + 1 :])
-    comps[ci] = Component(comp.genus, boundary)
+    comps[ci] = from_boundary(comp.genus, boundary)
     return Cobordism(c.source, c.target, comps)
 
 

@@ -119,12 +119,6 @@ class TestGeneralObject:
                 assert hash(got) == hash(want)
                 assert repr(got) == repr(want)
 
-    def test_interval_accessor(self):
-        obj = labeled_obj(AB, ["O", "a:b"])
-        assert obj.interval(2) == Interval("a", "b")
-        with pytest.raises(ValueError):
-            obj.interval(1)
-
 
 @given(
     st.lists(st.sampled_from("OI"), max_size=6).map("".join),

@@ -11,9 +11,10 @@ benchmark's ``large_interfaces`` workload, each an object of n entries
 with its realizer as the cobordism: ``cycle``, n intervals joined by one
 n-cycle; ``perm``, n intervals joined in pairs, so that sigma has n / 2
 cycles; and ``circles``, n circles.  The fourth, ``windows``, is one
-component of genus n with n windows over two branes, built directly, has
-no object of n entries, so ``realize``, ``identity``, ``compose``,
-``canonicalize``, ``boundary_permutation`` and ``pullback`` skip it.
+component of genus n with n windows over two branes, built directly from
+its window counts.  It has no object of n entries, so ``realize``,
+``identity``, ``compose``, ``boundary_permutation`` and ``pullback`` skip
+it.
 Apart from the documents, ``stabilize`` runs k = n times on one circle
 over two branes, so that its boundary grows to 2n + 2 circles.  A
 count does not depend on the host or on other load, unlike a time.  Each
@@ -39,7 +40,6 @@ from occob.surfaces import (
     Closed,
     Cobordism,
     Component,
-    Window,
     boundary_permutation,
     validate,
 )
@@ -52,8 +52,8 @@ def _document(shape: str, n: int) -> Document:
     if shape == "windows":
         branes = ("a", "b")
         c1 = GeneralObject(branes, [Circle()])
-        windows = [Window(branes[i % 2]) for i in range(n)]
-        c = Cobordism(c1, c1, [Component(n, [Closed(IN, 1), Closed(OUT, 1), *windows])])
+        windows = [("a", n - n // 2), ("b", n // 2)]
+        c = Cobordism(c1, c1, [Component(n, [Closed(IN, 1), Closed(OUT, 1)], windows)])
         doc = Document(branes=frozenset(branes), objects={"C": c1})
         doc.cobordisms["R"] = CobordismDef("C", "C", c)
         return doc
@@ -134,7 +134,7 @@ CASES = [
         "pullback",
     )
     for shape in ("cycle", "perm", "circles")
-]
+] + [("canonicalize", "windows")]
 
 
 @pytest.mark.parametrize("layer, shape", CASES)
@@ -145,9 +145,9 @@ def test_each_doubling_of_n_at_most_doubles_the_lines_run(layer, shape):
 
 
 def test_stabilizing_k_times_is_linear_in_k():
-    """Each call adds a handle and two windows in a constant number of
-    lines: checking every circle of the grown boundary again would make
-    the count quadratic in k."""
+    """Each call adds a handle and one to each of two window counts in a
+    constant number of lines: copying or checking every window again
+    would make the count quadratic in k."""
     circle = realize(GeneralObject(("a", "b"), [Circle()]))
 
     def stabilize_k_times(k: int):

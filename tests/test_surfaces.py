@@ -60,6 +60,28 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Component(-1, (Closed(IN, 1),))
 
+    def test_windows_given_in_either_brane_order_are_equal(self):
+        circles = (Closed(IN, 1), Closed(OUT, 1))
+        ab = Component(1, circles, [("a", 2), ("b", 1)])
+        ba = Component(1, circles, [("b", 1), ("a", 2)])
+        assert ab == ba and hash(ab) == hash(ba)
+        assert ab.windows == ba.windows == (("a", 2), ("b", 1))
+
+    def test_window_pairs_add_up_and_zeros_are_dropped(self):
+        comp = Component(0, (), [("b", 1), ("a", 0), ("b", 2)])
+        assert comp.windows == (("b", 3),)
+        assert Component(0, (), [("a", 0)]) == Component(0, ())
+
+    def test_boundary_shows_the_circles_then_one_window_each(self):
+        comp = Component(0, (Closed(OUT, 1), Closed(IN, 1)), [("b", 1), ("a", 2)])
+        assert comp.boundary == (
+            Closed(OUT, 1), Closed(IN, 1), Window("a"), Window("a"), Window("b")
+        )
+
+    def test_a_window_among_the_circles_is_refused(self):
+        with pytest.raises(InvalidValueError, match="^Window is not a kind of boundary"):
+            Component(0, (Closed(IN, 1), Window("a")))
+
     def test_empty_boundary_is_a_violation(self):
         c = Cobordism(star_obj(""), star_obj(""), (Component(0, ()),))
         assert rules(validate(c)) == {"empty-boundary"}
@@ -106,9 +128,18 @@ class TestValidate:
         c = single(
             star_obj("O"),
             star_obj("O"),
-            Component(0, (Closed(IN, 1), Closed(OUT, 1), Window("z"))),
+            Component(0, (Closed(IN, 1), Closed(OUT, 1)), [("z", 1)]),
         )
         assert "unknown-brane" in rules(validate(c))
+
+    def test_windows_are_numbered_after_the_other_circles(self):
+        comp = Component(0, (Closed(IN, 1), Closed(OUT, 1)), [("z", 2), ("*", 1)])
+        c = single(star_obj("O"), star_obj("O"), comp)
+        # As ``boundary`` shows them: circle 3 is the window on "*".
+        assert [v.where for v in validate(c)] == [
+            "component 1, circle 4",
+            "component 1, circle 5",
+        ]
 
     def test_alternation_rejects_adjacent_refs(self):
         c = single(
@@ -193,7 +224,8 @@ class TestValidate:
 
 class TestNumbers:
     def test_euler_char(self):
-        assert euler_char(Component(1, (Closed(IN, 1), Closed(OUT, 1), Window(STAR)))) == -3
+        annulus = (Closed(IN, 1), Closed(OUT, 1))
+        assert euler_char(Component(1, annulus, [(STAR, 1)])) == -3
         assert euler_char(Component(0, (Closed(IN, 1), Closed(OUT, 1)))) == 0
 
     def test_genus_from_euler(self):
@@ -212,7 +244,7 @@ class TestNumbers:
         c = single(
             src,
             labeled_obj(AB, []),
-            Component(0, (Closed(IN, 1), Window("a"))),
+            Component(0, (Closed(IN, 1),), [("a", 1)]),
         )
         assert window_vector(c) == {"a": 1, "b": 0}
 
@@ -280,7 +312,7 @@ class TestBFlag:
             star_obj("OO"),
             star_obj("O"),
             Component(0, (Closed(IN, 1), Closed(OUT, 1))),
-            Component(0, (Closed(IN, 2), Window(STAR))),
+            Component(0, (Closed(IN, 2),), [(STAR, 1)]),
         )
         assert not in_b_subcategory(c)
 
@@ -291,8 +323,8 @@ class TestSummary:
         c = single(
             src,
             labeled_obj(AB, []),
-            Component(2, (Closed(IN, 1), Window("b"))),
-            Component(0, (Closed(IN, 2), Window("a"), Window("a"))),
+            Component(2, (Closed(IN, 1),), [("b", 1)]),
+            Component(0, (Closed(IN, 2),), [("a", 2)]),
         )
         s = invariant_summary(c)
         assert s.component_count == 2
@@ -300,7 +332,7 @@ class TestSummary:
         assert dict(s.window_vector) == {"a": 2, "b": 1}
 
     def test_component_summary(self):
-        comp = Component(1, (Closed(IN, 1), Window("b"), Window("b"), Closed(OUT, 1)))
+        comp = Component(1, (Closed(IN, 1), Closed(OUT, 1)), [("b", 2)])
         s = component_summary(comp)
         assert s.euler == euler_char(comp) == -4
         assert s.windows == (("b", 2),)

@@ -16,6 +16,7 @@ import random
 
 import pytest
 
+from conftest import from_boundary
 from occob.errors import InvalidValueError
 from occob.objects import Circle, GeneralObject, Interval
 from occob.sampling import sample_cobordism, shuffled
@@ -24,7 +25,6 @@ from occob.surfaces import (
     Arc,
     Closed,
     Cobordism,
-    Component,
     IntervalRef,
     Mixed,
     Window,
@@ -43,7 +43,7 @@ from test_compose_reference import (
 
 def _with_component(c: Cobordism, ci: int, boundary) -> Cobordism:
     comps = list(c.components)
-    comps[ci] = Component(comps[ci].genus, boundary)
+    comps[ci] = from_boundary(comps[ci].genus, boundary)
     return Cobordism(c.source, c.target, comps)
 
 
