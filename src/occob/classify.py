@@ -82,8 +82,6 @@ def _circle_key(circ: BoundaryCircle) -> tuple:
 
 def _windowed(keys: tuple, windows: tuple) -> tuple:
     """Sorted circle keys with (2, brane) per window, between closed and mixed."""
-    if not windows:
-        return keys
     cut = sum(k[0] < 2 for k in keys)
     spliced = tuple(k for b, n in windows for k in repeat((2, b), n))
     return keys[:cut] + spliced + keys[cut:]
@@ -136,7 +134,8 @@ def canonicalize(c: Cobordism) -> CanonicalForm:
                 key = _circle_key(circ)
             circles.append((key, circ))
         circles.sort(key=_first)
-        key = (comp.genus, _windowed(tuple(k for k, _ in circles), comp.windows))
+        keys = tuple(k for k, _ in circles)
+        key = (comp.genus, _windowed(keys, comp.windows) if comp.windows else keys)
         comp = Component(comp.genus, (circ for _, circ in circles), comp.windows)
         keyed.append((key, comp))
     keyed.sort(key=_first)
@@ -173,6 +172,12 @@ def _check_bounds(max_genus: int, max_windows: int) -> None:
         raise InvalidValueError("bounds must be nonnegative")
 
 
+def _window_grid(obj: GeneralObject, max_windows: int) -> list[tuple]:
+    branes = sorted(obj.branes)
+    grid = product(range(max_windows + 1), repeat=len(branes))
+    return [tuple(zip(branes, counts)) for counts in grid]
+
+
 def enumerate_classes(
     obj: GeneralObject, max_genus: int, max_windows: int
 ) -> list[CanonicalForm]:
@@ -191,10 +196,7 @@ def enumerate_classes(
     base = canonicalize(realize(obj))
     source_key, target_key, ((_, keys),) = base.key
     circles = base.cobordism.components[0].circles
-    branes = sorted(obj.branes)
-    grid = product(range(max_windows + 1), repeat=len(branes))
-    windowed = [tuple(zip(branes, counts)) for counts in grid]
-    vectors = [(w, _windowed(keys, w)) for w in windowed]
+    vectors = [(w, _windowed(keys, w)) for w in _window_grid(obj, max_windows)]
     return [
         CanonicalForm(
             (source_key, target_key, ((g, circle_keys),)),
@@ -230,9 +232,5 @@ def strata_table(
     _check_bounds(max_genus, max_windows)
     in_b = in_b_subcategory(realize(obj))
     c = obj.c_number
-    branes = sorted(obj.branes)
-    vectors = [
-        tuple(zip(branes, counts))
-        for counts in product(range(max_windows + 1), repeat=len(branes))
-    ]
+    vectors = _window_grid(obj, max_windows)
     return [StrataRow(g, w, c, in_b) for g in range(max_genus + 1) for w in vectors]

@@ -594,7 +594,9 @@ def _fmt_bline(circ, single: bool) -> str:
 
 def _written(comp: Component) -> tuple:
     """A canonical component's closed circles, a brane per window, mixed circles."""
-    cut = sum(type(circ) is Closed for circ in comp.circles)
+    if not comp.windows:
+        return comp.circles
+    cut = list(map(type, comp.circles)).count(Closed)
     windows = tuple(w for b, n in comp.windows for w in repeat(b, n))
     return comp.circles[:cut] + windows + comp.circles[cut:]
 

@@ -70,6 +70,7 @@ __all__ = [
 
 IN = "in"
 OUT = "out"
+_set = object.__setattr__  # looked up once: slots are set on every gluing
 
 
 def default_rev(side: str) -> bool:
@@ -96,9 +97,9 @@ class IntervalRef:
             raise wrong_type(int, index)
         if type(rev) is not bool:
             raise wrong_type(bool, rev)
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "rev", rev)
+        _set(self, "side", side)
+        _set(self, "index", index)
+        _set(self, "rev", rev)
 
 
 def in_ref(index: int, rev: bool = True) -> IntervalRef:
@@ -118,7 +119,7 @@ class Arc:
     def __init__(self, brane: str):
         if type(brane) is not str:
             raise wrong_type(str, brane)
-        object.__setattr__(self, "brane", brane)
+        _set(self, "brane", brane)
 
 
 MixedEntry = Union[IntervalRef, Arc]
@@ -140,8 +141,8 @@ class Closed:
             raise InvalidValueError(f"side must be {IN!r} or {OUT!r}, got {side!r}")
         if type(index) is not int:
             raise wrong_type(int, index)
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "index", index)
+        _set(self, "side", side)
+        _set(self, "index", index)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -151,7 +152,7 @@ class Window:
     def __init__(self, brane: str):
         if type(brane) is not str:
             raise wrong_type(str, brane)
-        object.__setattr__(self, "brane", brane)
+        _set(self, "brane", brane)
 
 
 @dataclass(frozen=True, slots=True)
@@ -174,7 +175,7 @@ class Mixed:
                 raise InvalidValueError(
                     f"{type(e).__name__} is neither an interval reference nor an arc"
                 )
-        object.__setattr__(self, "cycle", cycle)
+        _set(self, "cycle", cycle)
 
     def refs(self) -> tuple[IntervalRef, ...]:
         return tuple(e for e in self.cycle if isinstance(e, IntervalRef))
@@ -209,9 +210,9 @@ class Component:
                 )
         if windows or type(windows) is not tuple:
             windows = _window_counts(windows)
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "circles", circles)
-        object.__setattr__(self, "windows", windows)
+        _set(self, "genus", genus)
+        _set(self, "circles", circles)
+        _set(self, "windows", windows)
 
     @property
     def boundary(self) -> tuple[BoundaryCircle | Window, ...]:
@@ -260,9 +261,9 @@ class Cobordism:
         for comp in components:
             if type(comp) is not Component:
                 raise wrong_type(Component, comp)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "components", components)
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "components", components)
 
 
 # ---------------------------------------------------------------------------
@@ -554,8 +555,7 @@ def component_summary(comp: Component) -> ComponentSummary:
     if type(comp) is not Component:
         raise wrong_type(Component, comp)
     kinds = Counter(c.side if type(c) is Closed else "mixed" for c in comp.circles)
-    if comp.windows:
-        kinds["window"] = sum(n for _, n in comp.windows)
+    kinds += Counter(window=sum(n for _, n in comp.windows))
     return ComponentSummary(
         comp.genus, comp.windows, tuple(sorted(kinds.items())), euler_char(comp)
     )
