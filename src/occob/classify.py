@@ -22,7 +22,6 @@ from occob.surfaces import (
     IN,
     Arc,
     BoundaryCircle,
-    Closed,
     Cobordism,
     Component,
     IntervalRef,

@@ -555,7 +555,8 @@ def component_summary(comp: Component) -> ComponentSummary:
     if type(comp) is not Component:
         raise wrong_type(Component, comp)
     kinds = Counter(c.side if type(c) is Closed else "mixed" for c in comp.circles)
-    kinds += Counter(window=sum(n for _, n in comp.windows))
+    if comp.windows:
+        kinds["window"] = sum(n for _, n in comp.windows)
     return ComponentSummary(
         comp.genus, comp.windows, tuple(sorted(kinds.items())), euler_char(comp)
     )

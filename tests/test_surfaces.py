@@ -79,7 +79,8 @@ class TestConstruction:
         )
 
     def test_a_window_among_the_circles_is_refused(self):
-        with pytest.raises(InvalidValueError, match="^Window is not a kind of boundary"):
+        message = "^Window is not a kind of boundary circle$"
+        with pytest.raises(InvalidValueError, match=message):
             Component(0, (Closed(IN, 1), Window("a")))
 
     def test_empty_boundary_is_a_violation(self):
