@@ -135,8 +135,8 @@ def canonicalize(c: Cobordism) -> CanonicalForm:
         circles.sort(key=_first)
         keys = tuple(k for k, _ in circles)
         key = (comp.genus, _windowed(keys, comp.windows) if comp.windows else keys)
-        comp = Component(comp.genus, (circ for _, circ in circles), comp.windows)
-        keyed.append((key, comp))
+        ordered = Component(comp.genus, (circ for _, circ in circles), comp.windows)
+        keyed.append((key, ordered))
     keyed.sort(key=_first)
     canonical = Cobordism(c.source, c.target, (comp for _, comp in keyed))
     key = (_object_key(c.source), _object_key(c.target), tuple(k for k, _ in keyed))

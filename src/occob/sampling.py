@@ -300,7 +300,7 @@ def shuffled(rng: random.Random, c: Cobordism) -> Cobordism:
                 k = rng.randrange(len(circ.cycle))
                 circ = Mixed(circ.cycle[k:] + circ.cycle[:k])
             boundary.append(circ)
-        # Windows hold places in the shuffle, so it draws from rng as before.
+        # Windows hold places too, so the rng draws follow the whole boundary.
         boundary += [None] * sum(n for _, n in comp.windows)
         rng.shuffle(boundary)
         comps.append(Component(comp.genus, filter(None, boundary), comp.windows))
