@@ -1,7 +1,10 @@
 """Seeded random instances for tests, experiments, and corpus generation.
 
 All samplers take a ``random.Random`` and are deterministic given its
-state.  Sampled cobordisms always validate, always use the default
+state.  The draws they make, and their order, are part of their contract:
+the ``gluing_stream`` benchmark inputs and ``scripts/gen_corpus.py``
+depend on them, so a change must return equal values from generators in
+equal states.  Sampled cobordisms always validate, always use the default
 traversal flags, and never leave a component with glueable boundary only
 (so composing sampled factors never closes a component off from all
 boundary).
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from occob.dsl import CobordismDef, Document
 from occob.errors import InvalidValueError
@@ -54,6 +57,8 @@ def sample_object(
     that each interval's left label equals its image's right label.
     """
     branes = tuple(sorted(branes))
+    if not branes:
+        raise InvalidValueError("the brane set must be nonempty")
     k = rng.randint(0, max_intervals)
     circles = rng.randint(0, max_circles)
     kinds = ["I"] * k + ["O"] * circles
@@ -72,27 +77,32 @@ def sample_object(
 
 
 @dataclass
-class _Slot:
-    """One interval attachment being assembled; labels may be pending."""
+class _Ref:
+    """A circle or an interval being assembled, its labels in the order the
+    boundary meets them; a new entry's index is drawn with its side's order."""
 
     side: str
-    index: int  # -k for the k-th new entry on a derived side
-    left: str | None
-    right: str | None
+    index: int
+    circle: bool = False
+    first: str | None = None
+    second: str | None = None
 
-    def met(self, which: str) -> str | None:
-        # Incoming references are traversed reversed: met order (right, left).
-        rev = default_rev(self.side)
-        if (which == "first") == rev:
-            return self.right
-        return self.left
 
-    def set_met(self, which: str, brane: str) -> None:
-        rev = default_rev(self.side)
-        if (which == "first") == rev:
-            self.right = brane
-        else:
-            self.left = brane
+def _met(side: str, a: str | None, b: str | None) -> tuple:
+    """``(left, right)`` in met order, or back: incoming ones are reversed."""
+    return (b, a) if default_rev(side) else (a, b)
+
+
+@dataclass
+class _Part:
+    """One component being assembled.  Its boundary is ``circles``, then the
+    mixed ``cycles`` cut from ``slots``, then ``tail``."""
+
+    circles: list[_Ref] = field(default_factory=list)
+    slots: list[_Ref] = field(default_factory=list)
+    cycles: list[list[_Ref]] = field(default_factory=list)
+    windows: list[tuple[str, int]] = field(default_factory=list)
+    tail: list[_Ref] = field(default_factory=list)
 
 
 def sample_cobordism(
@@ -106,166 +116,104 @@ def sample_cobordism(
     max_genus: int = 3,
     ensure_b: bool = False,
 ) -> Cobordism:
+    """A valid cobordism drawn from ``rng`` over ``branes``, with 1 to
+    ``max_components`` components, each of genus at most ``max_genus``.
+
+    A fixed ``source`` or ``target`` (not both) brings its own branes, and
+    the other side is derived: it gets up to ``max_new_intervals`` new
+    intervals and ``max_new_circles`` new circles, and more intervals where
+    a mixed cycle needs them.  ``ensure_b`` (with a derived target) gives
+    each component an outgoing circle or interval, as the b-subcategory asks.
+    """
     if source is not None and target is not None:
         raise InvalidValueError("fix at most one side; the other is derived")
-    if source is not None:
-        branes = source.branes
-    if target is not None:
-        branes = target.branes
-    branes = tuple(sorted(branes))
-    derivable = tuple(
-        side for side, obj in ((IN, source), (OUT, target)) if obj is None
-    )
+    objects = {IN: source, OUT: target}
+    derivable = tuple(side for side in (IN, OUT) if objects[side] is None)
     if ensure_b and OUT not in derivable:
         raise InvalidValueError("ensure_b needs a derived target")
+    circles: list[_Ref] = []
+    slots: list[_Ref] = []
+    for side, obj in objects.items():
+        if obj is not None:
+            branes = obj.branes
+            circles += [_Ref(side, i, True) for i in obj.circle_indices]
+            for i in obj.interval_indices:
+                iv = obj.entries[i - 1]
+                slots.append(_Ref(side, i, False, *_met(side, iv.left, iv.right)))
+    branes = tuple(sorted(branes))
+    if not branes:
+        raise InvalidValueError("the brane set must be nonempty")
+    new: dict[str, list[_Ref]] = {IN: [], OUT: []}
 
-    slots: list[_Slot] = []
-    closed: list[tuple[str, int]] = []
-    new_entries: dict[str, list[str]] = {IN: [], OUT: []}
+    def new_entry(side: str, circle: bool = False) -> _Ref:
+        new[side].append(_Ref(side, 0, circle))
+        return new[side][-1]
 
-    def new_interval(side: str) -> _Slot:
-        new_entries[side].append("I")
-        s = _Slot(side, -len(new_entries[side]), None, None)
-        slots.append(s)
-        return s
-
-    def new_circle(side: str) -> tuple[str, int]:
-        new_entries[side].append("O")
-        return (side, -len(new_entries[side]))
-
-    for side, obj in ((IN, source), (OUT, target)):
-        if obj is None:
-            continue
-        for i in obj.circle_indices:
-            closed.append((side, i))
-        for i in obj.interval_indices:
-            iv = obj.entries[i - 1]
-            slots.append(_Slot(side, i, iv.left, iv.right))
     for side in derivable:
         for _ in range(rng.randint(0, max_new_intervals)):
-            new_interval(side)
+            slots.append(new_entry(side))
         for _ in range(rng.randint(0, max_new_circles)):
-            closed.append(new_circle(side))
+            circles.append(new_entry(side, True))
+    parts = [_Part() for _ in range(rng.randint(1, max_components))]
+    for ref in circles + slots:
+        part = parts[rng.randrange(len(parts))]
+        (part.circles if ref.circle else part.slots).append(ref)
 
-    n_comp = rng.randint(1, max_components)
-    comp_closed: list[list[tuple[str, int]]] = [[] for _ in range(n_comp)]
-    comp_slots: list[list[_Slot]] = [[] for _ in range(n_comp)]
-    for c in closed:
-        comp_closed[rng.randrange(n_comp)].append(c)
-    for s in slots:
-        comp_slots[rng.randrange(n_comp)].append(s)
-
-    # Group each component's slots into mixed cycles.  A label clash
-    # between fixed neighbours is repaired by inserting a derived
-    # interval between them; a few extras are inserted for variety.
-    comp_cycles: list[list[list[_Slot]]] = []
-    for ci in range(n_comp):
-        group = comp_slots[ci][:]
-        rng.shuffle(group)
-        cycles: list[list[_Slot]] = []
-        while group:
-            size = rng.randint(1, len(group))
-            cycles.append(group[:size])
-            group = group[size:]
-        repaired = []
-        for cyc in cycles:
-            out: list[_Slot] = []
-            for pos, slot in enumerate(cyc):
-                out.append(slot)
-                nxt = cyc[(pos + 1) % len(cyc)]
-                a, b = slot.met("second"), nxt.met("first")
-                clash = a is not None and b is not None and a != b
-                if clash or rng.random() < 0.15:
-                    out.append(new_interval(rng.choice(derivable)))
-            repaired.append(out)
-        comp_cycles.append(repaired)
-
-    # Assign arc labels; pending interval labels are filled from them.
-    comp_boundary: list[list] = [[] for _ in range(n_comp)]
-    comp_windows: list[list[tuple[str, int]]] = [[] for _ in range(n_comp)]
-    for ci in range(n_comp):
-        for item in comp_closed[ci]:
-            comp_boundary[ci].append(item)
-        for cyc in comp_cycles[ci]:
-            arcs: list[str] = []
-            for pos, slot in enumerate(cyc):
-                nxt = cyc[(pos + 1) % len(cyc)]
-                brane = slot.met("second")
-                if brane is None:
-                    brane = nxt.met("first")
-                if brane is None:
-                    brane = rng.choice(branes)
-                slot.set_met("second", brane)
-                nxt.set_met("first", brane)
-                arcs.append(brane)
-            comp_boundary[ci].append(("mixed", cyc, arcs))
+    # Cut each component's slots into cycles, then insert a derived interval
+    # between fixed labels that clash, and a few more for variety.
+    for part in parts:
+        cut, rest = [], part.slots
+        rng.shuffle(rest)
+        while rest:
+            size = rng.randint(1, len(rest))
+            cut.append(rest[:size])
+            rest = rest[size:]
+        for cyc in cut:
+            part.cycles.append([])
+            for slot, nxt in zip(cyc, cyc[1:] + cyc[:1]):
+                part.cycles[-1].append(slot)
+                a, b = slot.second, nxt.first
+                if (a is not None and b is not None and a != b) or rng.random() < 0.15:
+                    part.cycles[-1].append(new_entry(rng.choice(derivable)))
+    # Each arc takes the label one of its ends has, else a drawn one.
+    for part in parts:
+        for cyc in part.cycles:
+            for slot, nxt in zip(cyc, cyc[1:] + cyc[:1]):
+                arc = slot.second if slot.second is not None else nxt.first
+                slot.second = nxt.first = rng.choice(branes) if arc is None else arc
         for _ in range(2):
             if rng.random() < 0.2:
-                comp_windows[ci].append((rng.choice(branes), 1))
-
+                part.windows.append((rng.choice(branes), 1))
     # Guards: no empty component, and no component whose whole boundary
     # could be consumed by a single closed-circle gluing pass.
-    for ci in range(n_comp):
-        kinds = {b[0] for b in comp_boundary[ci]}
-        if not comp_windows[ci] and (not kinds or kinds == {IN} or kinds == {OUT}):
-            comp_windows[ci].append((rng.choice(branes), 1))
-        if ensure_b:
-            has_out = any(
-                b[0] == OUT
-                or (b[0] == "mixed" and any(s.side == OUT for s in b[1]))
-                for b in comp_boundary[ci]
-            )
-            if not has_out:
-                comp_boundary[ci].append(new_circle(OUT))
+    for part in parts:
+        sides = {ref.side for ref in part.circles}
+        if not part.windows and not part.cycles and len(sides) < 2:
+            part.windows.append((rng.choice(branes), 1))
+        if ensure_b and OUT not in sides | {s.side for c in part.cycles for s in c}:
+            part.tail.append(new_entry(OUT, True))
 
-    # Materialize derived objects: shuffle entry positions, read labels.
-    position: dict[str, dict[int, int]] = {}
-    sides_objects: dict[str, GeneralObject] = {}
+    # Draw the order of each side's new entries; build the derived objects.
     for side in (IN, OUT):
-        kinds = new_entries[side]
-        order = list(range(1, len(kinds) + 1))
+        order = list(range(len(new[side])))
         rng.shuffle(order)
-        position[side] = {-(k + 1): order[k] for k in range(len(kinds))}
-        if side not in derivable:
-            continue
-        entries: list = [None] * len(kinds)
-        for k, kind in enumerate(kinds):
-            entries[order[k] - 1] = kind
-        for s in slots:
-            if s.side == side and s.index < 0:
-                s.index = position[side][s.index]
-        for s in slots:
-            if s.side == side:
-                if s.left is None:
-                    s.left = rng.choice(branes)
-                if s.right is None:
-                    s.right = rng.choice(branes)
-                entries[s.index - 1] = Interval(s.left, s.right)
-        entries = [Circle() if e == "O" else e for e in entries]
-        sides_objects[side] = GeneralObject(branes, entries)
-
-    src = source if source is not None else sides_objects[IN]
-    tgt = target if target is not None else sides_objects[OUT]
-
+        entries: list = [None] * len(order)
+        for ref, k in zip(new[side], order):
+            ref.index = k + 1
+            labels = _met(side, ref.first, ref.second)
+            entries[k] = Circle() if ref.circle else Interval(*labels)
+        if objects[side] is None:
+            objects[side] = GeneralObject(branes, entries)
     components = []
-    for ci, windows in enumerate(comp_windows):
-        boundary = []
-        for b in comp_boundary[ci]:
-            if b[0] == "mixed":
-                cyc, arcs = b[1], b[2]
-                entries = []
-                for slot, arc in zip(cyc, arcs):
-                    entries.append(
-                        IntervalRef(slot.side, slot.index, default_rev(slot.side))
-                    )
-                    entries.append(Arc(arc))
-                boundary.append(Mixed(entries))
-            else:
-                side, i = b
-                i = position[side][i] if i < 0 else i
-                boundary.append(Closed(side, i))
-        components.append(Component(rng.randint(0, max_genus), boundary, windows))
-    return Cobordism(src, tgt, components)
+    for part in parts:
+        boundary = [Closed(ref.side, ref.index) for ref in part.circles]
+        for cyc in part.cycles:
+            refs = [IntervalRef(s.side, s.index, default_rev(s.side)) for s in cyc]
+            arcs = [Arc(s.second) for s in cyc]
+            boundary.append(Mixed([e for pair in zip(refs, arcs) for e in pair]))
+        boundary += [Closed(ref.side, ref.index) for ref in part.tail]
+        components.append(Component(rng.randint(0, max_genus), boundary, part.windows))
+    return Cobordism(objects[IN], objects[OUT], components)
 
 
 def sample_composable_pair(

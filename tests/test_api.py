@@ -401,6 +401,11 @@ BAD_VALUES: dict[str, list[tuple[str, object, type[OcError]]]] = {
             lambda: is_morphism(identity(IV), ONE, IV),
             CompositionError,
         ),
+        (
+            "target does not match",
+            lambda: is_morphism(identity(IV), IV, ONE),
+            CompositionError,
+        ),
     ],
     "make_T": [
         ("no branes", lambda: make_T([]), InvalidValueError),
@@ -487,6 +492,16 @@ BAD_VALUES: dict[str, list[tuple[str, object, type[OcError]]]] = {
             InvalidValueError,
         ),
         ("int branes", lambda: serialize(Document(branes=5)), InvalidValueError),
+        (
+            "a list of objects",
+            lambda: serialize(Document(branes=STAR_SET, objects=[])),
+            InvalidValueError,
+        ),
+        (
+            "a list of cobordisms",
+            lambda: serialize(Document(branes=STAR_SET, cobordisms=[])),
+            InvalidValueError,
+        ),
     ],
     "to_json": [
         (
@@ -510,6 +525,16 @@ BAD_VALUES: dict[str, list[tuple[str, object, type[OcError]]]] = {
             InvalidValueError,
         ),
         ("int branes", lambda: to_json(Document(branes=5)), InvalidValueError),
+        (
+            "a list of objects",
+            lambda: to_json(Document(branes=STAR_SET, objects=[])),
+            InvalidValueError,
+        ),
+        (
+            "a list of cobordisms",
+            lambda: to_json(Document(branes=STAR_SET, cobordisms=[])),
+            InvalidValueError,
+        ),
     ],
     "from_json": [
         ("not JSON", lambda: from_json("{"), DslSyntaxError),
@@ -519,6 +544,8 @@ BAD_VALUES: dict[str, list[tuple[str, object, type[OcError]]]] = {
             lambda: from_json(f'{{"format": {LONG}}}'),
             DslSyntaxError,
         ),
+        ("a top-level array", lambda: from_json("[1, 2]"), DslSyntaxError),
+        ("a top-level number", lambda: from_json("5"), DslSyntaxError),
     ],
 }
 

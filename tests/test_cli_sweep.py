@@ -1,0 +1,39 @@
+"""The output of ``scripts/cli_sweep.py``, pinned by its sha256 and line count.
+
+The sweep prints every CLI command's output over the corpus, so a change
+that alters any of it changes the digest.  Such a change must update the
+digest here and say so in CHANGES.md.  The digest does not depend on
+``PYTHONHASHSEED`` or on where the repository is checked out, but the
+argparse help text and the interpreter's int digit-limit message differ
+between Python versions, so it is pinned for Python 3.11 only.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+from conftest import REPO
+
+SHA256 = "3efff47808eb3adbd1d929cffb693801b92f211d245949d08dc3758b4f5020d1"
+LINES = 306_671
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="argparse help and the int digit-limit text differ by Python version",
+)
+def test_the_sweep_output_is_unchanged():
+    paths = [str(REPO / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "cli_sweep.py")],
+        capture_output=True, cwd=REPO, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()[-2000:]
+    assert proc.stdout.count(b"\n") == LINES
+    assert hashlib.sha256(proc.stdout).hexdigest() == SHA256
