@@ -7,11 +7,20 @@ two mixed boundary cycles (or resplits one), and a spliced cycle left
 with no interval references collapses to a window.  The Euler
 characteristic of a glued component is the sum over its pieces minus the
 number of glued intervals, which recovers the genus.
+
+Only what the middle object touches is traced: a mixed circle with no
+glued reference passes through as the same object, and so does every
+closed circle that is not glued (a mixed circle stored from an arc, or
+with arcs to fuse, is rewritten as a traced one is).  The glued result
+is assembled from these checked parts and from traced cycles whose
+entries were checked, so ``compose`` (and ``tensor``, for its shifted
+components) builds it without running the constructors' checks again;
+see ``surfaces``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from occob.errors import ClosedComponentError, CompositionError, InfeasibleObjectError
 from occob.errors import wrong_type
@@ -27,6 +36,10 @@ from occob.surfaces import (
     IntervalRef,
     Mixed,
     MixedEntry,
+    _cobordism,
+    _component,
+    _mixed,
+    _window_counts,
     boundary_permutation,
 )
 
@@ -93,26 +106,6 @@ def swap_cobordism(a: GeneralObject, b: GeneralObject) -> Cobordism:
 # composition
 
 
-class _UnionFind:
-    """Forest with path compression over integer ids."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 def compose(second: Cobordism, first: Cobordism) -> Cobordism:
     """Glue ``first`` then ``second`` along their shared middle object.
 
@@ -121,6 +114,12 @@ def compose(second: Cobordism, first: Cobordism) -> Cobordism:
     ``CompositionError`` on an interface mismatch or incoherent traversal
     flags, and ``ClosedComponentError`` if gluing would close a component
     off from all boundary.
+
+    Only the mixed circles that reference the middle object are traced.
+    Every other circle passes through as the same object, in the place
+    the trace would have put it (a mixed one whose arcs still need fusing
+    is fused as a traced one is).  The result is assembled from these
+    checked parts without running the constructors' checks again.
     """
     if type(second) is not Cobordism or type(first) is not Cobordism:
         raise wrong_type(Cobordism, second, first)
@@ -129,16 +128,17 @@ def compose(second: Cobordism, first: Cobordism) -> Cobordism:
             "interface mismatch: target of the first factor differs from "
             "source of the second"
         )
-    middle = first.target
 
     pieces = first.components + second.components
     n_first = len(first.components)
-    uf = _UnionFind(len(pieces))
 
-    # Index every glued closed circle by its piece, and number every
-    # mixed-cycle entry 0..N-1 in (piece, circle, entry) order: node x is
-    # entries[x], followed on its cycle by node succ[x], on piece owner[x].
-    # The other circles and the windows of each piece are kept as they are.
+    # Index every glued closed circle by its piece.  Number the entries of
+    # every mixed cycle with a glued reference 0..N-1 in (piece, circle,
+    # entry) order: node x is entries[x], followed on its cycle by node
+    # succ[x], on piece owner[x].  Any other mixed cycle gets no node: it
+    # passes with the node number its first entry would take, and the rest
+    # of each piece's circles are kept.  Per piece: its Euler characteristic
+    # (windows left out on both sides of ``_genus``) and its windows.
     out_circle_piece: dict[int, int] = {}  # middle circle -> piece in first
     in_circle_piece: dict[int, int] = {}  # middle circle -> piece in second
     entries: list[MixedEntry] = []
@@ -146,47 +146,64 @@ def compose(second: Cobordism, first: Cobordism) -> Cobordism:
     owner: list[int] = []
     out_nodes: dict[int, int] = {}  # middle interval -> node in first
     in_nodes: dict[int, int] = {}  # middle interval -> node in second
-    kept: list[list[BoundaryCircle]] = []  # piece -> circles kept
+    passing: list[tuple[int, int, Mixed | None]] = []  # (node, piece, circle)
+    kept: list[list[BoundaryCircle]] = []
+    chi: list[int] = []
+    windows: list = []  # a checked tuple, or a list of pairs still to count
+    circle_piece, side, nodes = out_circle_piece, OUT, out_nodes
     for pid, comp in enumerate(pieces):
-        if pid < n_first:
-            circle_piece, side, nodes = out_circle_piece, OUT, out_nodes
-        else:
+        if pid == n_first:
             circle_piece, side, nodes = in_circle_piece, IN, in_nodes
         stay: list[BoundaryCircle] = []
         for circ in comp.circles:
-            if isinstance(circ, Mixed):
-                cycle = circ.cycle
-                if not cycle:
-                    continue
-                base = len(entries)
+            if type(circ) is Closed:
+                if circ.side == side:
+                    circle_piece[circ.index] = pid
+                else:
+                    stay.append(circ)
+                continue
+            cycle = circ.cycle
+            base = len(entries)
+            glued = False
+            for node, entry in enumerate(cycle, base):
+                if type(entry) is IntervalRef and entry.side == side:
+                    nodes[entry.index] = node
+                    glued = True
+            if glued:
                 entries += cycle
                 owner += [pid] * len(cycle)
                 succ += range(base + 1, base + len(cycle))
                 succ.append(base)
-                for node, entry in enumerate(cycle, base):
-                    if isinstance(entry, IntervalRef) and entry.side == side:
-                        nodes[entry.index] = node
-            elif isinstance(circ, Closed) and circ.side == side:
-                circle_piece[circ.index] = pid
-            else:
-                stay.append(circ)
+            elif cycle:  # an empty cycle is dropped
+                passing.append((base, pid, circ))
         kept.append(stay)
+        chi.append(2 - 2 * comp.genus - len(comp.circles))
+        windows.append(comp.windows)
 
-    # Glue closed circles: merge the components; assembly drops the pair.
-    for i in middle.circle_indices:
-        uf.union(
-            _attached(out_circle_piece, "circle", i, "first"),
-            _attached(in_circle_piece, "circle", i, "second"),
-        )
+    # One scan of the middle object: glue its circles, which merges their
+    # pieces, and list its intervals, so every circle is glued before any
+    # interval.
+    joins: list[tuple[int, int]] = []
+    intervals: list[int] = []
+    for i, e in enumerate(first.target.entries, start=1):
+        if isinstance(e, Circle):
+            a = out_circle_piece.get(i, -1)
+            b = in_circle_piece.get(i, -1)
+            if a < 0 or b < 0:
+                raise _unattached("circle", i, "second" if a >= 0 else "first")
+            joins.append((a, b))
+        else:
+            intervals.append(i)
 
     # Glue intervals: pair the two references, merge, count the splice.
     # A paired node counts as visited: the trace steps over it.
     partner = [-1] * len(entries)
     visited = bytearray(len(entries))
-    splices: list[int] = []
-    for i in middle.interval_indices:
-        a = _attached(out_nodes, "interval", i, "first")
-        b = _attached(in_nodes, "interval", i, "second")
+    for i in intervals:
+        a = out_nodes.get(i, -1)
+        b = in_nodes.get(i, -1)
+        if a < 0 or b < 0:
+            raise _unattached("interval", i, "second" if a >= 0 else "first")
         if entries[a].rev == entries[b].rev:
             raise CompositionError(
                 f"incoherent traversal of glued interval {i}: both sides "
@@ -195,58 +212,88 @@ def compose(second: Cobordism, first: Cobordism) -> Cobordism:
         partner[a] = b
         partner[b] = a
         visited[a] = visited[b] = 1
-        uf.union(owner[a], owner[b])
-        splices.append(owner[a])
-    # A class is named by its least piece, so classes come up in order.
-    root = [uf.find(pid) for pid in range(len(pieces))]
+        joins.append((owner[a], owner[b]))
+        chi[owner[a]] -= 1
 
-    # Assemble class by class, each window capped off, which keeps the genus.
-    chi: dict[int, int] = {}
-    boundary: dict[int, list[BoundaryCircle]] = {}
-    windows: dict[int, list[tuple[str, int]]] = {}
-    for pid, comp in enumerate(pieces):
-        cls = root[pid]
-        if cls == pid:
-            chi[cls], boundary[cls] = 0, kept[pid]
-        else:
-            boundary[cls] += kept[pid]
-        chi[cls] += 2 - 2 * comp.genus - len(comp.circles)
-        if comp.windows:
-            windows.setdefault(cls, []).extend(comp.windows)
-    for pid in splices:
-        chi[root[pid]] -= 1
+    # Union-find over the pieces, halving paths.  A class is named by its
+    # least piece, so root[x] <= x throughout, and one pass upward sets every
+    # root and gathers each class's kept circles, chi and windows into it.
+    root = list(range(len(pieces)))
+    for a, b in joins:
+        while root[a] != a:
+            root[a] = a = root[root[a]]
+        while root[b] != b:
+            root[b] = b = root[root[b]]
+        if a < b:
+            root[b] = a
+        elif b < a:
+            root[a] = b
+    for pid, up in enumerate(root):
+        if up != pid:
+            cls = root[pid] = root[up]
+            kept[cls] += kept[pid]
+            chi[cls] += chi[pid]
+            if w := windows[pid]:
+                have = windows[cls]
+                windows[cls] = [*have, *w] if have else w
 
     # Trace the glued boundary: walk successor links, crossing each glued
-    # interval onto the other surface.  Runs of arcs then fuse into one.
+    # interval onto the other surface, starting from each node not yet
+    # visited in turn.  A passing circle comes out where its first node
+    # would have been.  Runs of arcs then fuse into one.
+    end = len(entries)
+    passing.append((end + 1, 0, None))
+    k = 0
     start = visited.find(0)
-    while start >= 0:
-        seq: list[MixedEntry] = []
-        cur = start
-        while True:
-            visited[cur] = 1
-            seq.append(entries[cur])
-            cur = succ[cur]
-            while partner[cur] >= 0:
-                cur = succ[partner[cur]]
-            if cur == start:
-                break
-        cls = root[owner[start]]
+    if start < 0:
+        start = end
+    while True:
+        at, pid, circ = passing[k]
+        if at <= start:
+            k += 1
+            cls = root[pid]
+            seq = circ.cycle
+            if Arc not in map(type, seq[::2]):  # nothing to fuse
+                kept[cls].append(circ)
+                continue
+        elif start == end:
+            break
+        else:
+            seq = []
+            cur = start
+            while True:
+                visited[cur] = 1
+                seq.append(entries[cur])
+                cur = succ[cur]
+                while partner[cur] >= 0:
+                    cur = succ[partner[cur]]
+                if cur == start:
+                    break
+            cls = root[owner[start]]
+            start = visited.find(0, start + 1)
+            if start < 0:
+                start = end
         if type(fused := _fuse_arcs(seq)) is Mixed:
-            boundary[cls].append(fused)
+            kept[cls].append(fused)
         else:  # a window born, capped as the others are
-            windows.setdefault(cls, []).append((fused, 1))
+            windows[cls] = [*windows[cls], (fused, 1)]
             chi[cls] += 1
-        start = visited.find(0, start + 1)
 
+    # Assemble class by class, each window capped off, which keeps the genus.
     components = []
-    for cls, circles in boundary.items():
-        if not circles and cls not in windows:
+    for cls, up in enumerate(root):
+        if up != cls:
+            continue
+        circles, w = kept[cls], windows[cls]
+        if not circles and not w:
             raise ClosedComponentError(
                 "gluing closed a component off from all boundary"
             )
         genus = _genus(chi[cls], len(circles))
-        components.append(Component(genus, circles, windows.get(cls, ())))
-    return Cobordism(first.source, second.target, components)
+        if type(w) is list:
+            w = _window_counts(w)
+        components.append(_component(genus, tuple(circles), w))
+    return _cobordism(first.source, second.target, tuple(components))
 
 
 def _genus(chi: int, boundary_count: int) -> int:
@@ -264,16 +311,11 @@ def _genus(chi: int, boundary_count: int) -> int:
     return twice // 2
 
 
-def _attached(table: dict, kind: str, i: int, factor: str):
-    """Where middle ``kind`` ``i`` attaches to a factor, or a ``CompositionError``."""
-    if i not in table:
-        raise CompositionError(
-            f"middle {kind} {i} is not attached to the {factor} factor"
-        )
-    return table[i]
+def _unattached(kind: str, i: int, factor: str) -> CompositionError:
+    return CompositionError(f"middle {kind} {i} is not attached to the {factor} factor")
 
 
-def _fuse_arcs(seq: list[MixedEntry]) -> Mixed | str:
+def _fuse_arcs(seq: Sequence[MixedEntry]) -> Mixed | str:
     """Collapse runs of adjacent arcs in a traced cycle.
 
     The cycle is read from its first interval reference.  A cycle with no
@@ -281,7 +323,7 @@ def _fuse_arcs(seq: list[MixedEntry]) -> Mixed | str:
     arcs of a run must all carry one brane.
     """
     for shift, e in enumerate(seq):
-        if isinstance(e, IntervalRef):
+        if type(e) is IntervalRef:
             break
     else:
         branes = {e.brane for e in seq}
@@ -292,20 +334,22 @@ def _fuse_arcs(seq: list[MixedEntry]) -> Mixed | str:
         return branes.pop()
     rotated = seq[shift:] + seq[:shift]
     out: list[MixedEntry] = []
+    last = e
     for k, e in enumerate(rotated):
-        if isinstance(e, IntervalRef) or isinstance(out[-1], IntervalRef):
+        if type(e) is IntervalRef or type(last) is IntervalRef:
             out.append(e)
-        elif e.brane != out[-1].brane:
+            last = e
+        elif e.brane != last.brane:
             lo = hi = k
-            while not isinstance(rotated[lo - 1], IntervalRef):
+            while type(rotated[lo - 1]) is not IntervalRef:
                 lo -= 1
-            while hi < len(rotated) and not isinstance(rotated[hi], IntervalRef):
+            while hi < len(rotated) and type(rotated[hi]) is not IntervalRef:
                 hi += 1
             branes = sorted({a.brane for a in rotated[lo:hi]})
             raise CompositionError(
                 f"arc branes disagree across a glued interval: {branes}"
             )
-    return Mixed(out)
+    return _mixed(tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -325,21 +369,25 @@ def _shift_circle(circ: BoundaryCircle, s_off: int, t_off: int) -> BoundaryCircl
 
 
 def tensor(a: Cobordism, b: Cobordism) -> Cobordism:
-    """Place side by side: concatenate components, shifting b's indices."""
+    """Place side by side: concatenate components, shifting b's indices.
+
+    Each shifted component is assembled from its checked genus and window
+    counts and its rebuilt circles, without the constructor's checks.
+    """
     if type(a) is not Cobordism or type(b) is not Cobordism:
         raise wrong_type(Cobordism, a, b)
     source = a.source.tensor(b.source)
     target = a.target.tensor(b.target)
     s_off, t_off = len(a.source.entries), len(a.target.entries)
-    shifted = (
-        Component(
+    shifted = tuple(
+        _component(
             comp.genus,
             tuple(_shift_circle(circ, s_off, t_off) for circ in comp.circles),
             comp.windows,
         )
         for comp in b.components
     )
-    return Cobordism(source, target, tuple(a.components) + tuple(shifted))
+    return Cobordism(source, target, a.components + shifted)
 
 
 # ---------------------------------------------------------------------------

@@ -280,6 +280,14 @@ class GeneralObject:
         object.__setattr__(self, "entries", entry_tuple)
         object.__setattr__(self, "sigma", sigma)
 
+    def __repr__(self) -> str:
+        # The branes sorted, so that the repr does not depend on the hash seed.
+        branes = ", ".join(map(repr, sorted(self.branes)))
+        return (
+            f"GeneralObject(branes=frozenset({{{branes}}}), "
+            f"entries={self.entries!r}, sigma={self.sigma!r})"
+        )
+
     # -- queries ---------------------------------------------------------
 
     def __len__(self) -> int:

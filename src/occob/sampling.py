@@ -12,6 +12,11 @@ boundary).
 A cobordism can be sampled against a fixed interface: pass ``source`` or
 ``target`` (not both) and the other object is derived from the sampled
 surface, its interval labels read off the adjacent arcs.
+
+A bad argument raises ``InvalidValueError`` before any draw: a bound
+that is not exactly an ``int``, or is negative (``max_components`` below
+one), and brane labels that are not an iterable of nonempty strings, or
+are empty.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from occob.dsl import CobordismDef, Document
-from occob.errors import InvalidValueError
+from occob.errors import InvalidValueError, not_iterable, wrong_type
 from occob.objects import STAR, Circle, GeneralObject, Interval, Permutation
 from occob.surfaces import (
     IN,
@@ -56,9 +61,9 @@ def sample_object(
     The permutation is sampled first; interval labels are then chosen so
     that each interval's left label equals its image's right label.
     """
-    branes = tuple(sorted(branes))
-    if not branes:
-        raise InvalidValueError("the brane set must be nonempty")
+    _check_bound("max_circles", max_circles)
+    _check_bound("max_intervals", max_intervals)
+    branes = _brane_labels(branes)
     k = rng.randint(0, max_intervals)
     circles = rng.randint(0, max_circles)
     kinds = ["I"] * k + ["O"] * circles
@@ -74,6 +79,29 @@ def sample_object(
         for i, kind in enumerate(kinds, start=1)
     ]
     return GeneralObject(branes, entries, sigma)
+
+
+def _check_bound(name: str, n: int, least: int = 0) -> None:
+    if type(n) is not int:
+        raise wrong_type(int, n)
+    if n < least:
+        raise InvalidValueError(f"{name} must be at least {least}")
+
+
+def _brane_labels(branes: Iterable[str]) -> tuple[str, ...]:
+    """The labels sorted, which is the order the draws choose from."""
+    try:
+        labels = tuple(branes)
+    except TypeError as exc:
+        raise not_iterable("brane labels", exc) from None
+    if not labels:
+        raise InvalidValueError("the brane set must be nonempty")
+    for b in labels:
+        if not isinstance(b, str):
+            raise wrong_type(str, b)
+        if not b:
+            raise InvalidValueError("brane labels must be nonempty strings")
+    return tuple(sorted(labels))
 
 
 @dataclass
@@ -131,6 +159,10 @@ def sample_cobordism(
     derivable = tuple(side for side in (IN, OUT) if objects[side] is None)
     if ensure_b and OUT not in derivable:
         raise InvalidValueError("ensure_b needs a derived target")
+    _check_bound("max_components", max_components, 1)
+    _check_bound("max_new_intervals", max_new_intervals)
+    _check_bound("max_new_circles", max_new_circles)
+    _check_bound("max_genus", max_genus)
     circles: list[_Ref] = []
     slots: list[_Ref] = []
     for side, obj in objects.items():
@@ -140,9 +172,7 @@ def sample_cobordism(
             for i in obj.interval_indices:
                 iv = obj.entries[i - 1]
                 slots.append(_Ref(side, i, False, *_met(side, iv.left, iv.right)))
-    branes = tuple(sorted(branes))
-    if not branes:
-        raise InvalidValueError("the brane set must be nonempty")
+    branes = _brane_labels(branes)
     new: dict[str, list[_Ref]] = {IN: [], OUT: []}
 
     def new_entry(side: str, circle: bool = False) -> _Ref:

@@ -16,6 +16,15 @@ an ``Arc``, a component's boundary circle one of the two kinds, and a
 window count a ``(str, int)`` pair.  So ``validate`` and the readers
 after it meet only values of these types, and check structure alone.
 
+Three private assemblers, ``_mixed``, ``_component`` and ``_cobordism``,
+set the slots of a ``Mixed``, a ``Component`` and a ``Cobordism`` with no
+test, as ``GeneralObject.tensor`` does for an object.  They take a slot
+only in the form the constructor stores it (tuples, windows as sorted
+counts per brane), built from values that were themselves constructed.
+They are used in ``calculus`` alone, and only there: for the components
+and the cobordism that ``compose`` returns, for the ``Mixed`` circle of
+``_fuse_arcs``, and for the shifted components of ``tensor``.
+
 Mixed cycles are stored in the boundary orientation induced by the
 surface.  An ``IntervalRef`` records which side and entry it attaches to
 and a ``rev`` flag saying in which order the traversal meets the interval
@@ -71,6 +80,7 @@ __all__ = [
 IN = "in"
 OUT = "out"
 _set = object.__setattr__  # looked up once: slots are set on every gluing
+_new = object.__new__
 
 
 def default_rev(side: str) -> bool:
@@ -264,6 +274,38 @@ class Cobordism:
         _set(self, "source", source)
         _set(self, "target", target)
         _set(self, "components", components)
+
+
+# ---------------------------------------------------------------------------
+# unchecked assembly: every slot given must already be a checked value
+
+
+def _mixed(cycle: tuple[MixedEntry, ...]) -> Mixed:
+    circ = _new(Mixed)
+    _set(circ, "cycle", cycle)
+    return circ
+
+
+def _component(
+    genus: int,
+    circles: tuple[BoundaryCircle, ...],
+    windows: tuple[tuple[str, int], ...],
+) -> Component:
+    comp = _new(Component)
+    _set(comp, "genus", genus)
+    _set(comp, "circles", circles)
+    _set(comp, "windows", windows)
+    return comp
+
+
+def _cobordism(
+    source: GeneralObject, target: GeneralObject, components: tuple[Component, ...]
+) -> Cobordism:
+    c = _new(Cobordism)
+    _set(c, "source", source)
+    _set(c, "target", target)
+    _set(c, "components", components)
+    return c
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import AB, STAR_SET, labeled_obj, star_obj
+from conftest import AB, REPO, STAR_SET, labeled_obj, star_obj
 from occob.objects import STAR, Circle, GeneralObject, Interval, Permutation
 from occob.sampling import sample_object
 
@@ -118,6 +121,35 @@ class TestGeneralObject:
                 assert got == want
                 assert hash(got) == hash(want)
                 assert repr(got) == repr(want)
+
+    def test_repr_lists_the_branes_sorted_in_any_process(self):
+        """A frozenset shows its items in hash order, which differs between
+        processes; the repr sorts them and still evaluates to the object."""
+        code = (
+            "from occob.objects import *\n"
+            "obj = GeneralObject('lmnrabcdxyz', [Interval('x', 'a'), Circle()])\n"
+            "print(repr(obj))\n"
+            "assert eval(repr(obj)) == obj\n"
+        )
+        paths = [str(REPO / "src"), os.environ.get("PYTHONPATH")]
+        shown = set()
+        for seed in ("0", "1"):
+            env = {
+                **os.environ,
+                "PYTHONHASHSEED": seed,
+                "PYTHONPATH": os.pathsep.join(filter(None, paths)),
+            }
+            proc = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, env=env, timeout=60
+            )
+            assert proc.returncode == 0, proc.stderr.decode()
+            shown.add(proc.stdout.decode().strip())
+        branes = ", ".join(repr(b) for b in "abcdlmnrxyz")
+        assert shown == {
+            f"GeneralObject(branes=frozenset({{{branes}}}), "
+            "entries=(Interval(left='x', right='a'), Circle()), "
+            "sigma=Permutation({1: 1}))"
+        }
 
 
 @given(

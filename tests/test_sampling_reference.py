@@ -5,7 +5,9 @@ From generators in equal states both must return cobordisms with equal
 ``repr`` and leave the generators in equal states, so they made the same
 draws.  The calls cover three brane sets, a free surface and a fixed
 source or target, ``ensure_b`` on and off, and a spread of the ``max_*``
-bounds; the two argument errors must be the same and draw nothing.
+bounds; the two argument errors must be the same and draw nothing.  A bad
+bound or brane set must raise ``InvalidValueError`` before any draw, in
+``sample_object`` too.
 """
 
 from __future__ import annotations
@@ -87,3 +89,35 @@ def test_an_empty_brane_set_is_refused_before_any_draw(sample):
     got = outcome(sample, 5, branes=())
     message = "the brane set must be nonempty"
     assert got == ((InvalidValueError, message), random.Random(5).getstate())
+
+
+@pytest.mark.parametrize(
+    "sample, kw",
+    [
+        (sample_cobordism, {"max_components": 0}),
+        (sample_cobordism, {"max_genus": -1}),
+        (sample_cobordism, {"max_new_intervals": -1}),
+        (sample_cobordism, {"max_new_circles": -1}),
+        (sample_cobordism, {"max_genus": 1.5}),
+        (sample_cobordism, {"max_components": True}),
+        (sample_cobordism, {"branes": 5}),
+        (sample_cobordism, {"branes": None}),
+        (sample_cobordism, {"branes": ("a", 1)}),
+        (sample_cobordism, {"branes": ("a", "")}),
+        pytest.param(
+            sample_cobordism, {"branes": (10**5000,)}, id="sample_cobordism-a huge int"
+        ),
+        (sample_object, {"max_circles": -1}),
+        (sample_object, {"max_intervals": -1}),
+        (sample_object, {"max_intervals": "2"}),
+        (sample_object, {"branes": 5}),
+        (sample_object, {"branes": None}),
+        (sample_object, {"branes": ("a", 1)}),
+    ],
+    ids=lambda x: getattr(x, "__name__", None)
+    or ",".join(f"{k}={v!r}" for k, v in x.items()),
+)
+def test_a_bad_bound_or_brane_set_is_refused_before_any_draw(sample, kw):
+    (kind, _), state = outcome(sample, 11, **kw)
+    assert kind is InvalidValueError
+    assert state == random.Random(11).getstate()

@@ -16,7 +16,9 @@ its window counts.  It has no object of n entries, so ``realize``,
 ``identity``, ``compose``, ``boundary_permutation`` and ``pullback`` skip
 it.
 Apart from the documents, ``stabilize`` runs k = n times on one circle
-over two branes, so that its boundary grows to 2n + 2 circles.  A
+over two branes, so that its boundary grows to 2n + 2 circles, and
+``compose`` glues the identity of one circle onto n caps over n
+intervals and one disk, so that n pieces touch no middle entry.  A
 count does not depend on the host or on other load, unlike a time.  Each
 doubling of n may multiply the count by at most 2.3, which leaves room
 for an n log n sort; a quadratic path in Python multiplies it by about 4.
@@ -37,10 +39,13 @@ from occob.objects import STAR, Circle, GeneralObject, Interval, Permutation
 from occob.surfaces import (
     IN,
     OUT,
+    Arc,
     Closed,
     Cobordism,
     Component,
+    Mixed,
     boundary_permutation,
+    in_ref,
     validate,
 )
 
@@ -156,5 +161,23 @@ def test_stabilizing_k_times_is_linear_in_k():
             c = stabilize(c)
 
     counts = [_lines_run(lambda: stabilize_k_times(n)) for n in SIZES]
+    ratios = [round(b / a, 3) for a, b in zip(counts, counts[1:])]
+    assert max(ratios) <= MAX_RATIO, (counts, ratios)
+
+
+def test_composing_past_pieces_the_middle_does_not_touch_is_linear():
+    """The first factor is n caps ``mixed [in i, arc *]`` over n intervals
+    and one disk holding ``out 1``; only the disk meets the middle circle,
+    so each cap passes through in a constant number of lines."""
+    c1 = GeneralObject({STAR}, [Circle()])
+    ident = identity(c1)
+
+    def glue(n: int):
+        x = GeneralObject({STAR}, [Interval(STAR, STAR)] * n)
+        caps = [Component(0, [Mixed([in_ref(i), Arc(STAR)])]) for i in range(1, n + 1)]
+        first = Cobordism(x, c1, caps + [Component(0, [Closed(OUT, 1)])])
+        return lambda: compose(ident, first)
+
+    counts = [_lines_run(glue(n)) for n in SIZES]
     ratios = [round(b / a, 3) for a, b in zip(counts, counts[1:])]
     assert max(ratios) <= MAX_RATIO, (counts, ratios)
