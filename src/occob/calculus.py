@@ -20,11 +20,12 @@ see ``surfaces``.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from occob.errors import ClosedComponentError, CompositionError, InfeasibleObjectError
 from occob.errors import wrong_type
-from occob.objects import Circle, GeneralObject, Permutation
+from occob.objects import Circle, GeneralObject, Permutation, _wrong_domain
 from occob.surfaces import (
     IN,
     OUT,
@@ -38,9 +39,11 @@ from occob.surfaces import (
     MixedEntry,
     _cobordism,
     _component,
+    _covering,
     _mixed,
+    _outgoing_left,
     _window_counts,
-    boundary_permutation,
+    boundary_permutation,  # reached through this module by the CLI and others
 )
 
 __all__ = [
@@ -205,10 +208,7 @@ def compose(second: Cobordism, first: Cobordism) -> Cobordism:
         if a < 0 or b < 0:
             raise _unattached("interval", i, "second" if a >= 0 else "first")
         if entries[a].rev == entries[b].rev:
-            raise CompositionError(
-                f"incoherent traversal of glued interval {i}: both sides "
-                "meet its endpoints in the same order"
-            )
+            raise _incoherent(i)
         partner[a] = b
         partner[b] = a
         visited[a] = visited[b] = 1
@@ -286,33 +286,52 @@ def compose(second: Cobordism, first: Cobordism) -> Cobordism:
             continue
         circles, w = kept[cls], windows[cls]
         if not circles and not w:
-            raise ClosedComponentError(
-                "gluing closed a component off from all boundary"
-            )
-        genus = _genus(chi[cls], len(circles))
+            raise _closed_off()
+        genus = _genus(chi[cls], len(circles), w)
         if type(w) is list:
             w = _window_counts(w)
         components.append(_component(genus, tuple(circles), w))
     return _cobordism(first.source, second.target, tuple(components))
 
 
-def _genus(chi: int, boundary_count: int) -> int:
-    """Recover genus from Euler characteristic and boundary circle count.
+def _genus(chi: int, boundary_count: int, windows=()) -> int:
+    """Recover genus from Euler characteristic and boundary circle count,
+    both with the windows (``(brane, count)`` pairs) left out.
 
     Raises ``CompositionError`` when no orientable surface fits, i.e. when
-    2 - chi - b is negative or odd.
+    2 - chi - b is negative or odd.  Its message counts the windows in
+    both numbers, as the surface has them.
     """
     twice = 2 - chi - boundary_count
     if twice < 0 or twice % 2 != 0:
+        w = sum(n for _, n in windows)
         raise CompositionError(
-            f"no orientable genus fits euler characteristic {chi} with "
-            f"{boundary_count} boundary circles"
+            f"no orientable genus fits euler characteristic {chi - w} with "
+            f"{boundary_count + w} boundary circles"
         )
     return twice // 2
 
 
 def _unattached(kind: str, i: int, factor: str) -> CompositionError:
     return CompositionError(f"middle {kind} {i} is not attached to the {factor} factor")
+
+
+def _incoherent(i: int) -> CompositionError:
+    return CompositionError(
+        f"incoherent traversal of glued interval {i}: both sides meet its "
+        "endpoints in the same order"
+    )
+
+
+def _closed_off() -> ClosedComponentError:
+    return ClosedComponentError("gluing closed a component off from all boundary")
+
+
+_FREE, _ACROSS = "on a glued free circle", "across a glued interval"
+
+
+def _disagree(branes: set[str], where: str) -> CompositionError:
+    return CompositionError(f"arc branes disagree {where}: {sorted(branes)}")
 
 
 def _fuse_arcs(seq: Sequence[MixedEntry]) -> Mixed | str:
@@ -328,9 +347,7 @@ def _fuse_arcs(seq: Sequence[MixedEntry]) -> Mixed | str:
     else:
         branes = {e.brane for e in seq}
         if len(branes) != 1:
-            raise CompositionError(
-                f"arc branes disagree on a glued free circle: {sorted(branes)}"
-            )
+            raise _disagree(branes, _FREE)
         return branes.pop()
     rotated = seq[shift:] + seq[:shift]
     out: list[MixedEntry] = []
@@ -345,10 +362,7 @@ def _fuse_arcs(seq: Sequence[MixedEntry]) -> Mixed | str:
                 lo -= 1
             while hi < len(rotated) and type(rotated[hi]) is not IntervalRef:
                 hi += 1
-            branes = sorted({a.brane for a in rotated[lo:hi]})
-            raise CompositionError(
-                f"arc branes disagree across a glued interval: {branes}"
-            )
+            raise _disagree({a.brane for a in rotated[lo:hi]}, _ACROSS)
     return _mixed(tuple(out))
 
 
@@ -411,11 +425,28 @@ def realize(obj: GeneralObject) -> Cobordism:
     """
     if type(obj) is not GeneralObject:
         raise wrong_type(GeneralObject, obj)
+    at = obj.entries  # sigma permutes the positions of intervals only
+    _check_coherent(at, obj.sigma)
     boundary: list[BoundaryCircle] = [Closed(IN, i) for i in obj.circle_indices]
     arcs = {b: Arc(b) for b in obj.branes}
-    at = obj.entries  # sigma permutes the positions of intervals only
     for cyc in obj.sigma.cycles():
         entries: list[MixedEntry] = []
+        for x in cyc:
+            entries.append(IntervalRef(IN, x, True))
+            entries.append(arcs[at[x - 1].left])
+        boundary.append(Mixed(entries))
+    boundary.append(Closed(OUT, 1))
+    target = GeneralObject(obj.branes, (Circle(),))
+    return Cobordism(obj, target, (Component(0, tuple(boundary)),))
+
+
+def _check_coherent(at: tuple, sigma: Permutation) -> None:
+    """Raise ``InfeasibleObjectError`` if some interval ``x`` of ``at`` leaves
+    on another brane than ``sigma(x)`` is entered on, naming the first such
+    step of ``sigma``'s cycles as ``realize`` meets them."""
+    if all(at[x - 1].left == at[y - 1].right for x, y in sigma.pairs):
+        return
+    for cyc in sigma.cycles():
         for x, nxt in zip(cyc, cyc[1:] + cyc[:1]):
             left, right = at[x - 1].left, at[nxt - 1].right
             if left != right:
@@ -424,29 +455,151 @@ def realize(obj: GeneralObject) -> Cobordism:
                     f"brane {left!r} but interval {nxt} is entered on brane "
                     f"{right!r}"
                 )
-            entries.append(IntervalRef(IN, x, True))
-            entries.append(arcs[left])
-        boundary.append(Mixed(entries))
-    boundary.append(Closed(OUT, 1))
-    target = GeneralObject(obj.branes, (Circle(),))
-    return Cobordism(obj, target, (Component(0, tuple(boundary)),))
+
+
+_side = attrgetter("side")
 
 
 def pullback(c: Cobordism, tau: Permutation) -> Permutation:
     """Pull a permutation on the target intervals back along ``c``.
 
-    Computed by gluing the realizer of the target (re-anchored to carry
-    ``tau``) on top of ``c`` and reading off the boundary permutation of
-    the glued surface.  The result does not depend on which realizer of
-    ``tau`` is used; stabilized realizers give the same answer.
+    Equal to the boundary permutation of the realizer of the target,
+    re-anchored to carry ``tau``, glued on top of ``c`` (any realizer of
+    ``tau``, stabilized or not, gives the same), but found by walking
+    ``c``'s mixed circles, with no realizer built and nothing glued.  The
+    realizer joins outgoing interval ``y`` to ``tau(y)`` by one arc on
+    ``y``'s left brane, so the walk leaves ``c`` at outgoing reference
+    ``y`` and goes on after outgoing reference ``tau(y)``; each incoming
+    interval maps to the next incoming interval met.  Each outgoing
+    reference is crossed once, so the walk is linear.
+
+    It raises what the glued path raised, with the same messages:
+    ``InvalidValueError`` for ``tau`` on another domain than the target
+    intervals, ``InfeasibleObjectError`` for a cycle of ``tau`` that is
+    not brane-coherent, ``CompositionError`` for a target circle or
+    interval ``c`` does not attach, an outgoing reference with ``rev``
+    set or arcs on two branes where they would be joined,
+    ``ClosedComponentError`` for an empty component, and
+    ``InvalidCobordismError`` for an outgoing reference left unglued (a
+    target interval referenced twice) or source intervals not covered.
     """
     if type(c) is not Cobordism:
         raise wrong_type(Cobordism, c)
     if type(tau) is not Permutation:
         raise wrong_type(Permutation, tau)
-    anchored = GeneralObject(c.target.branes, c.target.entries, tau)
-    rebased = Cobordism(c.source, anchored, c.components)
-    return boundary_permutation(compose(realize(anchored), rebased))
+    target = c.target
+    at, positions = target.entries, target.interval_indices
+    if tau.domain != positions:
+        raise _wrong_domain(tau, positions)
+    _check_coherent(at, tau)
+
+    # A mixed cycle with no outgoing reference whose entries alternate from
+    # a reference maps each reference to the next: compose passes it through
+    # untouched.  A cycle of arcs alone is kept aside.  Number the entries
+    # of every other mixed cycle 0..N-1 in (component, circle, entry) order,
+    # as compose does: node x is entries[x], followed on its cycle by node
+    # succ[x].  As in compose, a target interval is glued at the last
+    # outgoing reference to it.
+    image: dict[int, int] = {}
+    entries: list[MixedEntry] = []
+    succ: list[int] = []
+    ins: list[int] = []  # nodes of incoming references
+    outs: dict[int, int] = {}  # outgoing index -> node of its last reference
+    n_out = 0
+    arcs_only: list[tuple[MixedEntry, ...]] = []
+    held: set[int] = set()  # target circles held by a closed circle
+    for comp in c.components:
+        for circ in comp.circles:
+            if type(circ) is Closed:
+                if circ.side == OUT:
+                    held.add(circ.index)
+                continue
+            cycle = circ.cycle
+            refs = cycle[::2]
+            if (
+                Arc not in map(type, refs)
+                and OUT not in map(_side, refs)
+                and IntervalRef not in map(type, cycle[1::2])
+            ):
+                for r, r_next in zip(refs, refs[1:] + refs[:1]):
+                    image[r.index] = r_next.index
+                continue
+            if IntervalRef not in map(type, cycle):
+                arcs_only.append(cycle)
+                continue
+            base = len(entries)
+            for node, entry in enumerate(cycle, base):
+                if type(entry) is IntervalRef:
+                    if entry.side == IN:
+                        ins.append(node)
+                    else:
+                        outs[entry.index] = node
+                        n_out += 1
+            entries += cycle
+            succ += range(base + 1, base + len(cycle))
+            succ.append(base)
+
+    # The checks compose makes on the middle object, in its order.
+    for i in target.circle_indices:
+        if i not in held:
+            raise _unattached("circle", i, "first")
+    for y in positions:
+        a = outs.get(y, -1)
+        if a < 0:
+            raise _unattached("interval", y, "first")
+        if entries[a].rev:
+            raise _incoherent(y)
+
+    # Leaving c at glued node outs[y], the walk comes back after outs[tau(y)].
+    # Any other outgoing reference is a stray: a walk stops there, as at an
+    # incoming reference, so it cannot cycle.
+    jump = [-1] * len(entries)
+    for y, t in tau.pairs:
+        jump[outs[y]] = succ[outs[t]]
+    strays = []
+    if n_out > len(positions):
+        strays = [
+            x
+            for x, e in enumerate(entries)
+            if type(e) is IntervalRef and e.side == OUT and jump[x] < 0
+        ]
+    crossed = bytearray(len(entries))
+
+    def run(cur: int) -> tuple[int, set[str]]:
+        """Where a walk from node ``cur`` stops, at a reference or back at
+        its start, and the branes of the arcs met, the realizer's too."""
+        branes = set()
+        while True:
+            e = entries[cur]
+            if type(e) is Arc:
+                branes.add(e.brane)
+                cur = succ[cur]
+            elif jump[cur] < 0 or crossed[cur]:
+                return cur, branes
+            else:
+                crossed[cur] = 1
+                branes.add(at[e.index - 1].left)
+                cur = jump[cur]
+
+    # Errors come in the glued path's order: arcs its trace fused, then an
+    # empty component, then an outgoing reference it left in the boundary.
+    for x in ins + strays:
+        stop, branes = run(succ[x])
+        if len(branes) > 1:
+            raise _disagree(branes, _ACROSS)
+        image[entries[x].index] = entries[stop].index
+    # A glued reference not crossed lies on a glued circle of arcs alone.
+    for y in positions:
+        if not crossed[outs[y]] and len(branes := run(outs[y])[1]) > 1:
+            raise _disagree(branes, _FREE)
+    for cycle in arcs_only:
+        if len(branes := {e.brane for e in cycle}) > 1:
+            raise _disagree(branes, _FREE)
+    if any(not comp.circles and not comp.windows for comp in c.components):
+        raise _closed_off()
+    if strays:
+        raise _outgoing_left()
+    return _covering(image, c.source)
 
 
 def is_morphism(c: Cobordism, src: GeneralObject, tgt: GeneralObject) -> bool:

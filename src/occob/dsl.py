@@ -41,7 +41,7 @@ from typing import NoReturn
 
 from occob.classify import canonicalize
 from occob.errors import DslError, DslSyntaxError, DslValidationError, InvalidValueError
-from occob.errors import not_iterable, wrong_type
+from occob.errors import not_iterable, shown, wrong_type
 from occob.objects import STAR, Circle, GeneralObject, Interval, Permutation
 from occob.surfaces import (
     IN,
@@ -879,7 +879,7 @@ _REQUIRED = object()
 def _shown(value) -> str:
     if type(value) in (dict, list):
         return _JSON_KINDS[type(value)]
-    return json.dumps(value, default=repr)
+    return shown(value, lambda v: json.dumps(v, default=repr))
 
 
 def _field(data, key, kind: type, where: tuple, default=_REQUIRED):
@@ -1064,7 +1064,7 @@ def from_json(source: str | dict) -> Document:
         _fail((), f"expected an object, got {_shown(data)}")
     fmt = _field(data, "format", int, ())
     if fmt != 1:
-        _fail(("format",), f"unsupported format {fmt}")
+        _fail(("format",), f"unsupported format {shown(fmt, str)}")
     labels = _field(data, "branes", list, (), [STAR])
     if not _ONLY_STR(map(type, labels)):
         labels = _array(data, "branes", str, ())

@@ -68,6 +68,21 @@ def wrong_type(kind: type, *values) -> InvalidValueError:
     )
 
 
+def shown(value, form=repr) -> str:
+    """``form(value)``, as an error message shows a caller's value.
+
+    Where that raises, the value is described instead: an int too long for
+    the interpreter to write in decimal by its size, anything else by its
+    type.  So building a message cannot fail, whatever the value.
+    """
+    try:
+        return form(value)
+    except Exception:  # the message must be built, whatever the value raised
+        if isinstance(value, int):
+            return f"<an integer of {int.bit_length(value)} bits>"
+        return f"<a {type(value).__name__} that cannot be shown>"
+
+
 def not_iterable(what: str, exc: TypeError) -> InvalidValueError:
     """The error for a constructor that could not read its collection of
     ``what``, as ``exc`` says: not iterable, or an unhashable label."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
-from occob.errors import InvalidValueError, not_iterable, wrong_type
+from occob.errors import InvalidValueError, not_iterable, shown, wrong_type
 
 __all__ = [
     "STAR",
@@ -209,7 +209,16 @@ class Permutation:
 
 
 def _undeclared(pos: int, side, brane_set: frozenset) -> InvalidValueError:
-    return InvalidValueError(f"entry {pos}: brane {side!r} not in {sorted(brane_set)}")
+    return InvalidValueError(
+        f"entry {pos}: brane {shown(side)} not in {sorted(brane_set)}"
+    )
+
+
+def _wrong_domain(sigma: Permutation, positions: tuple) -> InvalidValueError:
+    return InvalidValueError(
+        f"sigma domain {shown(list(sigma.domain))} does not match interval "
+        f"positions {list(positions)}"
+    )
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -242,7 +251,7 @@ class GeneralObject:
         for b in brane_set:
             if not isinstance(b, str) or not b:
                 raise InvalidValueError(
-                    f"brane labels must be nonempty strings, got {b!r}"
+                    f"brane labels must be nonempty strings, got {shown(b)}"
                 )
         if not _ONLY_STR(map(type, brane_set)):
             # A str subclass is kept as the str it holds, so each arc and
@@ -260,7 +269,7 @@ class GeneralObject:
                             raise _undeclared(pos, side, brane_set)
                 elif not isinstance(e, Circle):
                     raise InvalidValueError(
-                        f"entry {pos}: not a Circle or Interval: {e!r}"
+                        f"entry {pos}: not a Circle or Interval: {shown(e)}"
                     )
         except TypeError:  # an unhashable label, the ``side`` at ``pos``
             raise _undeclared(pos, side, brane_set) from None
@@ -272,10 +281,7 @@ class GeneralObject:
         elif type(sigma) is not Permutation:
             raise wrong_type(Permutation, sigma)
         elif sigma.domain != interval_positions:
-            raise InvalidValueError(
-                f"sigma domain {list(sigma.domain)} does not match interval "
-                f"positions {list(interval_positions)}"
-            )
+            raise _wrong_domain(sigma, interval_positions)
         object.__setattr__(self, "branes", brane_set)
         object.__setattr__(self, "entries", entry_tuple)
         object.__setattr__(self, "sigma", sigma)

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from occob.errors import InvalidCobordismError, InvalidValueError
-from occob.errors import not_iterable, wrong_type
+from occob.errors import not_iterable, shown, wrong_type
 from occob.objects import Circle, GeneralObject, Interval, Permutation
 
 __all__ = [
@@ -102,7 +102,8 @@ class IntervalRef:
         elif side == OUT:
             side = OUT
         else:
-            raise InvalidValueError(f"side must be {IN!r} or {OUT!r}, got {side!r}")
+            message = f"side must be {IN!r} or {OUT!r}, got {shown(side)}"
+            raise InvalidValueError(message)
         if type(index) is not int:
             raise wrong_type(int, index)
         if type(rev) is not bool:
@@ -148,7 +149,8 @@ class Closed:
         elif side == OUT:
             side = OUT
         else:
-            raise InvalidValueError(f"side must be {IN!r} or {OUT!r}, got {side!r}")
+            message = f"side must be {IN!r} or {OUT!r}, got {shown(side)}"
+            raise InvalidValueError(message)
         if type(index) is not int:
             raise wrong_type(int, index)
         _set(self, "side", side)
@@ -249,8 +251,8 @@ def _window_counts(pairs) -> tuple[tuple[str, int], ...]:
 
 
 def _bad_count(what: str, n) -> InvalidValueError:
-    shown = f"{type(n).__name__} {_shown_int(n)}"
-    return InvalidValueError(f"{what} must be a nonnegative int, got {shown}")
+    got = f"{type(n).__name__} {shown(n, str)}"
+    return InvalidValueError(f"{what} must be a nonnegative int, got {got}")
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -324,15 +326,6 @@ class Violation:
         return f"{self.where}: [{self.rule}] {self.message}"
 
 
-def _shown_int(n) -> str:
-    """An index or genus as a message shows it: an integer too long for
-    the interpreter to write in decimal is shown by its size."""
-    try:
-        return str(n)
-    except ValueError:
-        return f"<an integer of {n.bit_length()} bits>"
-
-
 def validate(c: Cobordism) -> list[Violation]:
     """Check structural validity; an empty list means valid.
 
@@ -374,7 +367,7 @@ def validate(c: Cobordism) -> list[Violation]:
                 if 0 < i <= len(entries) and isinstance(entries[i - 1], Circle):
                     uses[i] += 1
                     continue
-                at = _shown_int(i)
+                at = shown(i, str)
                 found = [("index-range", f"{side} has no circle at position {at}")]
             else:
                 found = _mixed_findings(circ.cycle, sides, branes)
@@ -431,7 +424,7 @@ def _mixed_findings(cyc: tuple, sides: dict, branes) -> list[tuple[str, str]]:
         if not (
             0 < i <= len(entries) and isinstance(interval := entries[i - 1], Interval)
         ):
-            at = _shown_int(i)
+            at = shown(i, str)
             found.append(("index-range", f"{side} has no interval at position {at}"))
             ok_refs = False
             continue
@@ -530,15 +523,21 @@ def boundary_permutation(c: Cobordism) -> Permutation:
             refs = circ.refs()
             for r, r_next in zip(refs, refs[1:] + refs[:1]):
                 if r.side != IN or r_next.side != IN:
-                    raise InvalidCobordismError(
-                        "a mixed circle references an outgoing interval"
-                    )
+                    raise _outgoing_left()
                 mapping[r.index] = r_next.index
+    return _covering(mapping, c.source)
+
+
+def _outgoing_left() -> InvalidCobordismError:
+    return InvalidCobordismError("a mixed circle references an outgoing interval")
+
+
+def _covering(mapping: dict[int, int], source: GeneralObject) -> Permutation:
+    """``mapping`` as a permutation of ``source``'s intervals, which its
+    domain must be, else ``InvalidCobordismError``."""
     sigma = Permutation(mapping)
-    if sigma.domain != c.source.interval_indices:
-        raise InvalidCobordismError(
-            "mixed circles do not cover the source intervals"
-        )
+    if sigma.domain != source.interval_indices:
+        raise InvalidCobordismError("mixed circles do not cover the source intervals")
     return sigma
 
 

@@ -92,10 +92,51 @@ LONG = "1" * 5000  # past the interpreter's int conversion limit
 HUGE = 10**5000  # an int the interpreter will not write in decimal
 
 
-def _square(rev_in: bool = True) -> Cobordism:
-    """The identity on one interval, with a choice of incoming traversal."""
-    square = Mixed((out_ref(1), Arc(STAR), in_ref(1, rev_in), Arc(STAR)))
+def _square(rev_in: bool = True, out_rev: bool = False) -> Cobordism:
+    """The identity on one interval, with a choice of traversals."""
+    square = Mixed((out_ref(1, out_rev), Arc(STAR), in_ref(1, rev_in), Arc(STAR)))
     return Cobordism(IV, IV, (Component(0, (square,)),))
+
+
+_AA = GeneralObject(AB, [Interval("a", "a")])
+_AB_TWICE = labeled_obj(AB, ["a:b", "a:b"])
+
+
+def _aa_square(before: str, after: str) -> Cobordism:
+    """The identity on ``I(a, a)`` with the arcs beside ``out 1`` on the
+    branes given."""
+    square = Mixed((out_ref(1), Arc(after), in_ref(1), Arc(before)))
+    return Cobordism(_AA, _AA, (Component(0, (square,)),))
+
+
+def _aa_cap(brane: str) -> Cobordism:
+    """A disc from nothing to ``I(a, a)``, its arc on ``brane``."""
+    cap = Component(0, (Mixed((out_ref(1), Arc(brane))),))
+    return Cobordism(GeneralObject(AB, []), _AA, (cap,))
+
+
+def _cap_onto(target: GeneralObject) -> Cobordism:
+    """A disc on one source circle, to ``target``: nothing reaches it."""
+    return Cobordism(ONE, target, (Component(0, (Closed(IN, 1),)),))
+
+
+def _with_empty(c: Cobordism) -> Cobordism:
+    return Cobordism(c.source, c.target, c.components + (Component(0),))
+
+
+def _to_windows(source: GeneralObject) -> Cobordism:
+    """One component with a window and no other circle: no mixed circle
+    covers ``source``'s intervals."""
+    return Cobordism(source, EMPTY, (Component(0, (), [(STAR, 1)]),))
+
+
+def _twice_out() -> Cobordism:
+    """``[I] -> [I, I]`` with ``out 1`` on two mixed circles."""
+    circles = (
+        Mixed((in_ref(1), Arc(STAR), out_ref(1), Arc(STAR), out_ref(2), Arc(STAR))),
+        Mixed((out_ref(1), Arc(STAR))),
+    )
+    return Cobordism(IV, star_obj("II"), (Component(0, circles),))
 
 
 def _to_circle(*boundary) -> Cobordism:
@@ -211,11 +252,36 @@ BAD_VALUES: dict[str, list[tuple[str, object, type[OcError]]]] = {
             lambda: ONE.tensor(GeneralObject(AB, [])),
             InvalidValueError,
         ),
+        (
+            "a brane too long to print",
+            lambda: GeneralObject((HUGE,)),
+            InvalidValueError,
+        ),
+        (
+            "a label too long to print",
+            lambda: GeneralObject(STAR_SET, [Interval(HUGE, STAR)]),
+            InvalidValueError,
+        ),
+        (
+            "an entry too long to print",
+            lambda: GeneralObject(STAR_SET, [HUGE]),
+            InvalidValueError,
+        ),
+        (
+            "sigma on a domain too long to print",
+            lambda: GeneralObject(STAR_SET, [], Permutation({HUGE: HUGE})),
+            InvalidValueError,
+        ),
     ],
     "IntervalRef": [
         ("unknown side", lambda: IntervalRef("up", 1, False), InvalidValueError),
         ("str index", lambda: IntervalRef("in", "1", True), InvalidValueError),
         ("rev=1", lambda: IntervalRef("out", 1, 1), InvalidValueError),
+        (
+            "a side too long to print",
+            lambda: IntervalRef(HUGE, 1, False),
+            InvalidValueError,
+        ),
     ],
     "in_ref": [
         ("bool index", lambda: in_ref(True), InvalidValueError),
@@ -240,6 +306,7 @@ BAD_VALUES: dict[str, list[tuple[str, object, type[OcError]]]] = {
         ("out, bool index", lambda: Closed(OUT, False), InvalidValueError),
         ("bad side", lambda: Closed("sideways", 1), InvalidValueError),
         ("None side", lambda: Closed(None, 1), InvalidValueError),
+        ("a side too long to print", lambda: Closed(HUGE, 1), InvalidValueError),
     ],
     "Mixed": [
         (
@@ -281,6 +348,11 @@ BAD_VALUES: dict[str, list[tuple[str, object, type[OcError]]]] = {
         (
             "a str window count",
             lambda: Component(0, (), [(STAR, "1")]),
+            InvalidValueError,
+        ),
+        (
+            "a genus holding an int too long to print",
+            lambda: Component([HUGE]),
             InvalidValueError,
         ),
     ],
@@ -394,6 +466,51 @@ BAD_VALUES: dict[str, list[tuple[str, object, type[OcError]]]] = {
             lambda: pullback(identity(IV), Permutation.identity([5])),
             InvalidValueError,
         ),
+        (
+            "tau not brane-coherent",
+            lambda: pullback(identity(_AB_TWICE), Permutation({1: 2, 2: 1})),
+            InfeasibleObjectError,
+        ),
+        (
+            "a target circle not attached",
+            lambda: pullback(_cap_onto(ONE), Permutation()),
+            CompositionError,
+        ),
+        (
+            "a target interval not attached",
+            lambda: pullback(_cap_onto(IV), Permutation.identity([1])),
+            CompositionError,
+        ),
+        (
+            "an outgoing reference with rev set",
+            lambda: pullback(_square(out_rev=True), Permutation.identity([1])),
+            CompositionError,
+        ),
+        (
+            "an arc off the brane of the outgoing interval beside it",
+            lambda: pullback(_aa_square("a", "b"), Permutation.identity([1])),
+            CompositionError,
+        ),
+        (
+            "arcs on two branes round a glued circle",
+            lambda: pullback(_aa_cap("b"), Permutation.identity([1])),
+            CompositionError,
+        ),
+        (
+            "an empty component",
+            lambda: pullback(_with_empty(identity(IV)), Permutation.identity([1])),
+            ClosedComponentError,
+        ),
+        (
+            "a source interval not covered",
+            lambda: pullback(_to_windows(IV), Permutation()),
+            InvalidCobordismError,
+        ),
+        (
+            "a target interval referenced twice",
+            lambda: pullback(_twice_out(), Permutation.identity([1, 2])),
+            InvalidCobordismError,
+        ),
     ],
     "is_morphism": [
         (
@@ -409,6 +526,7 @@ BAD_VALUES: dict[str, list[tuple[str, object, type[OcError]]]] = {
     ],
     "make_T": [
         ("no branes", lambda: make_T([]), InvalidValueError),
+        ("a brane too long to print", lambda: make_T([HUGE]), InvalidValueError),
     ],
     "stabilize": [
         (
@@ -546,6 +664,12 @@ BAD_VALUES: dict[str, list[tuple[str, object, type[OcError]]]] = {
         ),
         ("a top-level array", lambda: from_json("[1, 2]"), DslSyntaxError),
         ("a top-level number", lambda: from_json("5"), DslSyntaxError),
+        ("an int too long to print", lambda: from_json(HUGE), DslSyntaxError),
+        (
+            "a format too long to print",
+            lambda: from_json({"format": HUGE}),
+            DslSyntaxError,
+        ),
     ],
 }
 

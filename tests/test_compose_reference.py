@@ -424,12 +424,6 @@ def test_a_piece_with_no_glued_circle_passes_through_as_it_is():
     assert got.circles[1] is u  # the same object, not a copy
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the kernel's genus error leaves a class's windows out of both "
-    "the Euler characteristic and the circle count it shows; the reference "
-    "counts them in both",
-)
 def test_a_genus_error_beside_windows_reads_as_the_reference_does():
     u, _, _ = UNTOUCHED["an empty cycle"]
     piece = Component(1, [Closed(OUT, 1), GLUED, u], [("b", 2)])

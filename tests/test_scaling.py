@@ -18,7 +18,8 @@ it.
 Apart from the documents, ``stabilize`` runs k = n times on one circle
 over two branes, so that its boundary grows to 2n + 2 circles, and
 ``compose`` glues the identity of one circle onto n caps over n
-intervals and one disk, so that n pieces touch no middle entry.  A
+intervals and one disk, so that n pieces touch no middle entry, and
+``pullback`` walks across n glued intervals on one circle.  A
 count does not depend on the host or on other load, unlike a time.  Each
 doubling of n may multiply the count by at most 2.3, which leaves room
 for an n log n sort; a quadratic path in Python multiplies it by about 4.
@@ -46,6 +47,7 @@ from occob.surfaces import (
     Mixed,
     boundary_permutation,
     in_ref,
+    out_ref,
     validate,
 )
 
@@ -179,5 +181,28 @@ def test_composing_past_pieces_the_middle_does_not_touch_is_linear():
         return lambda: compose(ident, first)
 
     counts = [_lines_run(glue(n)) for n in SIZES]
+    ratios = [round(b / a, 3) for a, b in zip(counts, counts[1:])]
+    assert max(ratios) <= MAX_RATIO, (counts, ratios)
+
+
+def test_one_walk_across_n_glued_intervals_is_linear():
+    """One component ``mixed [in 1, arc, out 1, arc, ..., out n, arc]``
+    from ``[I]`` to ``[I] * n``, and ``tau`` the identity: the walk from
+    ``in 1`` crosses all n outgoing intervals before it comes back."""
+    star = Arc(STAR)
+    one = GeneralObject({STAR}, [Interval(STAR, STAR)])
+
+    def pull(n: int):
+        cycle = [in_ref(1), star]
+        for y in range(1, n + 1):
+            cycle += [out_ref(y), star]
+        target = GeneralObject({STAR}, [Interval(STAR, STAR)] * n)
+        c = Cobordism(one, target, [Component(0, [Mixed(cycle)])])
+        assert validate(c) == []
+        tau = Permutation.identity(range(1, n + 1))
+        assert pullback(c, tau) == one.sigma
+        return lambda: pullback(c, tau)
+
+    counts = [_lines_run(pull(n)) for n in SIZES]
     ratios = [round(b / a, 3) for a, b in zip(counts, counts[1:])]
     assert max(ratios) <= MAX_RATIO, (counts, ratios)
