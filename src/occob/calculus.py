@@ -13,9 +13,11 @@ glued reference passes through as the same object, and so does every
 closed circle that is not glued (a mixed circle stored from an arc, or
 with arcs to fuse, is rewritten as a traced one is).  The glued result
 is assembled from these checked parts and from traced cycles whose
-entries were checked, so ``compose`` (and ``tensor``, for its shifted
-components) builds it without running the constructors' checks again;
-see ``surfaces``.
+entries were checked, without running the constructors' checks again.
+So is every other cobordism this module derives from checked values:
+the cylinders of ``identity`` and ``swap_cobordism``, the shifted
+circles of ``tensor``, the realizer and the stabilized component; see
+``surfaces``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Iterable, Sequence
 
 from occob.errors import ClosedComponentError, CompositionError, InfeasibleObjectError
 from occob.errors import wrong_type
-from occob.objects import Circle, GeneralObject, Permutation, _wrong_domain
+from occob.objects import Circle, GeneralObject, Permutation, _object, _wrong_domain
 from occob.surfaces import (
     IN,
     OUT,
@@ -37,11 +39,13 @@ from occob.surfaces import (
     IntervalRef,
     Mixed,
     MixedEntry,
+    _closed,
     _cobordism,
     _component,
     _covering,
     _mixed,
     _outgoing_left,
+    _ref,
     _window_counts,
     boundary_permutation,  # reached through this module by the CLI and others
 )
@@ -68,16 +72,12 @@ def _cylinder(obj: GeneralObject, target: GeneralObject, tmap) -> Cobordism:
     comps = []
     for i, e in enumerate(obj.entries, start=1):
         if isinstance(e, Circle):
-            comps.append(Component(0, (Closed(IN, i), Closed(OUT, tmap(i)))))
+            circles = (_closed(IN, i), _closed(OUT, tmap(i)))
         else:
-            square = Mixed((
-                IntervalRef(OUT, tmap(i), False),
-                arcs[e.right],
-                IntervalRef(IN, i, True),
-                arcs[e.left],
-            ))
-            comps.append(Component(0, (square,)))
-    return Cobordism(obj, target, tuple(comps))
+            outgoing, incoming = _ref(OUT, tmap(i), False), _ref(IN, i, True)
+            circles = (_mixed((outgoing, arcs[e.right], incoming, arcs[e.left])),)
+        comps.append(_component(0, circles, ()))
+    return _cobordism(obj, target, tuple(comps))
 
 
 def identity(obj: GeneralObject) -> Cobordism:
@@ -371,22 +371,22 @@ def _fuse_arcs(seq: Sequence[MixedEntry]) -> Mixed | str:
 
 
 def _shift_circle(circ: BoundaryCircle, s_off: int, t_off: int) -> BoundaryCircle:
-    if isinstance(circ, Closed):
-        return Closed(circ.side, circ.index + (s_off if circ.side == IN else t_off))
+    if type(circ) is Closed:
+        return _closed(circ.side, circ.index + (s_off if circ.side == IN else t_off))
     cycle = tuple(
-        IntervalRef(e.side, e.index + (s_off if e.side == IN else t_off), e.rev)
-        if isinstance(e, IntervalRef)
+        _ref(e.side, e.index + (s_off if e.side == IN else t_off), e.rev)
+        if type(e) is IntervalRef
         else e
         for e in circ.cycle
     )
-    return Mixed(cycle)
+    return _mixed(cycle)
 
 
 def tensor(a: Cobordism, b: Cobordism) -> Cobordism:
     """Place side by side: concatenate components, shifting b's indices.
 
-    Each shifted component is assembled from its checked genus and window
-    counts and its rebuilt circles, without the constructor's checks.
+    The shifted circles, b's components and the result are assembled from
+    checked parts, without the constructors' checks.
     """
     if type(a) is not Cobordism or type(b) is not Cobordism:
         raise wrong_type(Cobordism, a, b)
@@ -401,7 +401,7 @@ def tensor(a: Cobordism, b: Cobordism) -> Cobordism:
         )
         for comp in b.components
     )
-    return Cobordism(source, target, a.components + shifted)
+    return _cobordism(source, target, a.components + shifted)
 
 
 # ---------------------------------------------------------------------------
@@ -427,17 +427,17 @@ def realize(obj: GeneralObject) -> Cobordism:
         raise wrong_type(GeneralObject, obj)
     at = obj.entries  # sigma permutes the positions of intervals only
     _check_coherent(at, obj.sigma)
-    boundary: list[BoundaryCircle] = [Closed(IN, i) for i in obj.circle_indices]
+    boundary: list[BoundaryCircle] = [_closed(IN, i) for i in obj.circle_indices]
     arcs = {b: Arc(b) for b in obj.branes}
     for cyc in obj.sigma.cycles():
         entries: list[MixedEntry] = []
         for x in cyc:
-            entries.append(IntervalRef(IN, x, True))
+            entries.append(_ref(IN, x, True))
             entries.append(arcs[at[x - 1].left])
-        boundary.append(Mixed(entries))
-    boundary.append(Closed(OUT, 1))
-    target = GeneralObject(obj.branes, (Circle(),))
-    return Cobordism(obj, target, (Component(0, tuple(boundary)),))
+        boundary.append(_mixed(tuple(entries)))
+    boundary.append(_closed(OUT, 1))
+    target = _object(obj.branes, (Circle(),), ())
+    return _cobordism(obj, target, (_component(0, tuple(boundary), ()),))
 
 
 def _check_coherent(at: tuple, sigma: Permutation) -> None:
@@ -641,19 +641,24 @@ def stabilize(c: Cobordism) -> Cobordism:
     Requires target equal to the single-circle object.  The closed form of
     ``compose(make_T(c.target.branes), c)``, equal to it up to
     ``canonicalize``: the component holding ``Closed(OUT, 1)`` gains one
-    genus and one window per brane, added to its counts in time linear in
-    its circles and branes, so k steps take time linear in k; every other
-    component is returned as it is.  Any other target, or no component
-    holding ``Closed(OUT, 1)``, raises ``CompositionError``.
+    genus and one window per brane, added to its counts in one pass in
+    time linear in its circles and branes, so k steps take time linear in
+    k; every other component is returned as it is.  Any other target, or
+    no component holding ``Closed(OUT, 1)``, raises ``CompositionError``.
     """
     if type(c) is not Cobordism:
         raise wrong_type(Cobordism, c)
-    if c.target.entries != (Circle(),):
+    target = c.target
+    if len(target.entries) != 1 or type(target.entries[0]) is not Circle:
         raise CompositionError("stabilize requires the single-circle target object")
     comps = list(c.components)
     for pos, comp in enumerate(comps):
-        if Closed(OUT, 1) in comp.circles:
-            windows = comp.windows + tuple((b, 1) for b in c.target.branes)
-            comps[pos] = Component(comp.genus + 1, comp.circles, windows)
-            return Cobordism(c.source, c.target, comps)
+        for circ in comp.circles:
+            if type(circ) is Closed and circ.index == 1 and circ.side == OUT:
+                counts = dict(comp.windows)
+                for b in target.branes:
+                    counts[b] = counts.get(b, 0) + 1
+                windows = tuple(sorted(counts.items()))
+                comps[pos] = _component(comp.genus + 1, comp.circles, windows)
+                return _cobordism(c.source, target, tuple(comps))
     raise CompositionError("no component holds outgoing circle 1")

@@ -26,6 +26,9 @@ from occob.surfaces import (
     Component,
     IntervalRef,
     Mixed,
+    _cobordism,
+    _component,
+    _mixed,
     in_b_subcategory,
 )
 
@@ -117,7 +120,8 @@ def canonicalize(c: Cobordism) -> CanonicalForm:
     and its sorted circle keys.  On valid input the result is idempotent,
     and invariant under any reordering of components or boundary circles
     and any rotation of mixed cycles.  A mixed cycle without a unique
-    least interval reference raises ``InvalidCobordismError``.
+    least interval reference raises ``InvalidCobordismError``.  The
+    result is assembled from ``c``'s parts without the constructors' checks.
     """
     if type(c) is not Cobordism:
         raise wrong_type(Cobordism, c)
@@ -125,20 +129,20 @@ def canonicalize(c: Cobordism) -> CanonicalForm:
     for comp in c.components:
         circles = []
         for circ in comp.circles:
-            if isinstance(circ, Mixed):
+            if type(circ) is Mixed:
                 key, best = _mixed_key(circ.cycle)
                 if best:
-                    circ = Mixed(circ.cycle[best:] + circ.cycle[:best])
+                    circ = _mixed(circ.cycle[best:] + circ.cycle[:best])
             else:
                 key = _circle_key(circ)
             circles.append((key, circ))
         circles.sort(key=_first)
         keys = tuple(k for k, _ in circles)
         key = (comp.genus, _windowed(keys, comp.windows) if comp.windows else keys)
-        ordered = Component(comp.genus, (circ for _, circ in circles), comp.windows)
-        keyed.append((key, ordered))
+        ordered = tuple(circ for _, circ in circles)
+        keyed.append((key, _component(comp.genus, ordered, comp.windows)))
     keyed.sort(key=_first)
-    canonical = Cobordism(c.source, c.target, (comp for _, comp in keyed))
+    canonical = _cobordism(c.source, c.target, tuple(comp for _, comp in keyed))
     key = (_object_key(c.source), _object_key(c.target), tuple(k for k, _ in keyed))
     return CanonicalForm(key, canonical)
 
@@ -188,18 +192,23 @@ def enumerate_classes(
     window vector (math/0510664), so each is built as the circles of the
     canonical minimal realizer with the genus and windows set: exactly
     ``(max_genus + 1) * (max_windows + 1) ** len(obj.branes)`` entries,
-    ordered by genus then window vector.  A bound that is not an ``int``
-    (a bool is not) or is negative raises ``InvalidValueError``.
+    ordered by genus then window vector, each assembled from the checked
+    realizer without the constructors' checks.  A bound that is not an
+    ``int`` (a bool is not) or is negative raises ``InvalidValueError``.
     """
     _check_bounds(max_genus, max_windows)
     base = canonicalize(realize(obj))
     source_key, target_key, ((_, keys),) = base.key
-    circles = base.cobordism.components[0].circles
-    vectors = [(w, _windowed(keys, w)) for w in _window_grid(obj, max_windows)]
+    target, circles = base.cobordism.target, base.cobordism.components[0].circles
+    # A component stores its windows without the grid's zero counts.
+    vectors = [
+        (tuple(p for p in w if p[1]), _windowed(keys, w))
+        for w in _window_grid(obj, max_windows)
+    ]
     return [
         CanonicalForm(
             (source_key, target_key, ((g, circle_keys),)),
-            Cobordism(obj, base.cobordism.target, (Component(g, circles, windows),)),
+            _cobordism(obj, target, (_component(g, circles, windows),)),
         )
         for g in range(max_genus + 1)
         for windows, circle_keys in vectors

@@ -42,7 +42,7 @@ from typing import NoReturn
 from occob.classify import canonicalize
 from occob.errors import DslError, DslSyntaxError, DslValidationError, InvalidValueError
 from occob.errors import not_iterable, shown, wrong_type
-from occob.objects import STAR, Circle, GeneralObject, Interval, Permutation
+from occob.objects import STAR, Circle, GeneralObject, Interval, Permutation, _object
 from occob.surfaces import (
     IN,
     OUT,
@@ -50,8 +50,11 @@ from occob.surfaces import (
     Closed,
     Cobordism,
     Component,
-    IntervalRef,
-    Mixed,
+    _closed,
+    _cobordism,
+    _component,
+    _mixed,
+    _ref,
     validate,
 )
 
@@ -159,6 +162,10 @@ def _locate(text: str, k: int) -> tuple[int, int]:
 # takes the location ``where`` of the value: for text the index of its
 # token, or for JSON the tuple of keys and indices leading to it.  Either
 # becomes a line and column or a path only when an error is raised.
+# The front ends check each value where they read it, and store a side as
+# the constant ``IN`` or ``OUT``, so what they build is assembled without
+# the constructors' checks (see ``surfaces``); ``Permutation.from_cycles``
+# and ``validate`` still run on it.
 
 
 def _fail(where: tuple, message: str, cls: type[DslError] = DslSyntaxError, **kwargs):
@@ -173,6 +180,11 @@ def _fail(where: tuple, message: str, cls: type[DslError] = DslSyntaxError, **kw
 
 # The one circle entry, shared by every document.
 _CIRCLE_ENTRY = Circle()
+
+
+def _tally(branes: list[str]) -> tuple[tuple[str, int], ...]:
+    """The brane of each window read, counted as a component stores them."""
+    return tuple(sorted(Counter(branes).items())) if branes else ()
 
 
 class _Builder:
@@ -222,23 +234,23 @@ class _Builder:
 
     def add_object(self, name: str, entries: list, cycles, where) -> None:
         """Define ``name``; ``cycles`` None means the identity sigma."""
-        sigma = None
+        positions = tuple(
+            i for i, e in enumerate(entries, start=1) if type(e) is Interval
+        )
+        pairs = tuple(zip(positions, positions))
         if cycles is not None:
-            positions = tuple(
-                i for i, e in enumerate(entries, start=1) if isinstance(e, Interval)
-            )
             try:
-                sigma = Permutation.from_cycles(cycles, positions)
+                pairs = Permutation.from_cycles(cycles, positions).pairs
             except InvalidValueError as exc:
                 self.fail(where, f"object {name!r}: {exc}", DslValidationError)
-        self.doc.objects[name] = GeneralObject(self.doc.branes, entries, sigma)
+        self.doc.objects[name] = _object(self.doc.branes, tuple(entries), pairs)
 
     def add_cobordism(
         self, name: str, where, source: str, target: str, components: list
     ) -> None:
         """Define ``name`` between the already resolved objects, if valid."""
         objects = self.doc.objects
-        cob = Cobordism(objects[source], objects[target], components)
+        cob = _cobordism(objects[source], objects[target], tuple(components))
         violations = validate(cob)
         if violations:
             listing = "; ".join(str(v) for v in violations[:4])
@@ -467,7 +479,7 @@ class _Parser:
                     index = self.integer(k + 1)
                 if toks[k + 2] != ";":
                     self.expected("';'", k + 2)
-                boundary.append(Closed(t, index))
+                boundary.append(_closed(IN if t == IN else OUT, index))
                 k += 3
             elif t == "window":
                 b = toks[k + 1]
@@ -482,7 +494,7 @@ class _Parser:
                     self.bad_brane(k + 1)
                 if toks[k] != ";":
                     self.expected("';'", k)
-                windows.append((b, 1))
+                windows.append(b)
                 k += 1
             elif t == "mixed":
                 if toks[k + 1] != "[":
@@ -494,14 +506,14 @@ class _Parser:
                     self.expected("']'", k)
                 if toks[k + 1] != ";":
                     self.expected("';'", k + 1)
-                boundary.append(Mixed(cycle))
+                boundary.append(_mixed(tuple(cycle)))
                 k += 2
             elif _is_word(t):
                 self.fail(f"expected 'in', 'out', 'window', or 'mixed', got {t!r}", k)
             else:
                 self.expected("a boundary line", k)
         self.pos = k + 1
-        return Component(genus, boundary, windows)
+        return _component(genus, tuple(boundary), _tally(windows))
 
     def mentries(self) -> list:
         """``mentry ("," mentry)*``."""
@@ -516,10 +528,11 @@ class _Parser:
                 except ValueError:  # not an integer literal, or past the digit limit
                     index = self.integer(k + 1)
                 rev = t == IN  # default_rev(t), inline
+                side = IN if rev else OUT
                 if toks[k + 2] == "rev":
                     rev = not rev
                     k += 1
-                out.append(IntervalRef(t, index, rev))
+                out.append(_ref(side, index, rev))
                 k += 2
             elif t == "arc":
                 b = toks[k + 1]
@@ -1020,28 +1033,28 @@ def _read_components(build: _Builder, spec: dict, where: tuple) -> list:
                             at = (*where, "components", c, "boundary", j, "entries", i)
                             _field(e, "rev", bool, at, rev)
                             _field(e, "index", int, at)
-                        cycle.append(IntervalRef(side, index, rev))
+                        cycle.append(_ref(IN if side == IN else OUT, index, rev))
                     else:
                         at = (*where, "components", c, "boundary", j, "entries", i)
                         side = _field(e, "type", str, at)
                         _fail(at + ("type",), f"unknown mixed entry type {side!r}")
-                circles.append(Mixed(cycle))
+                circles.append(_mixed(tuple(cycle)))
             elif kind == "in" or kind == "out":
                 index = circ.get("index")
                 if type(index) is not int or index < 0:
                     _field(circ, "index", int, (*where, "components", c, "boundary", j))
-                circles.append(Closed(kind, index))
+                circles.append(_closed(IN if kind == IN else OUT, index))
             elif kind == "window":
                 brane = circ.get("brane")
                 if type(brane) is not str or brane not in arcs:
                     at = (*where, "components", c, "boundary", j)
                     brane = build.brane(_field(circ, "brane", str, at), at + ("brane",))
-                windows.append((brane, 1))
+                windows.append(brane)
             else:
                 at = (*where, "components", c, "boundary", j)
                 kind = _field(circ, "type", str, at)
                 _fail(at + ("type",), f"unknown boundary circle type {kind!r}")
-        out.append(Component(genus, circles, windows))
+        out.append(_component(genus, tuple(circles), _tally(windows)))
     return out
 
 

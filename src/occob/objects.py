@@ -27,6 +27,8 @@ __all__ = [
 
 #: Brane label used when no brane set is declared (single-brane mode).
 STAR = "*"
+_set = object.__setattr__
+_new = object.__new__
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,7 +51,7 @@ class Interval:
         for name, label in (("left", left), ("right", right)):
             if isinstance(label, str):
                 label = str.__str__(label)
-            object.__setattr__(self, name, label)
+            _set(self, name, label)
 
 
 Entry = Union[Circle, Interval]
@@ -69,9 +71,11 @@ def _checked_items(d: dict) -> list[tuple[int, int]]:
     keys = [k for k, _ in items]
     for x in keys + values:
         if not isinstance(x, int) or isinstance(x, bool):
-            raise InvalidValueError(f"permutation entries must be integers, got {x!r}")
+            message = f"permutation entries must be integers, got {shown(x)}"
+            raise InvalidValueError(message)
     if values != keys:
-        raise InvalidValueError(f"not a bijection: domain {keys} versus image {values}")
+        message = f"not a bijection: domain {shown(keys)} versus image {shown(values)}"
+        raise InvalidValueError(message)
     # An int subclass, such as an ``IntEnum`` member, is kept as the int it
     # holds, so each index taken from the permutation is an exact ``int``.
     return [(int.__int__(k), int.__int__(v)) for k, v in items]
@@ -103,7 +107,7 @@ class Permutation:
             items = sorted(d.items())
         else:
             items = _checked_items(d)
-        object.__setattr__(self, "pairs", tuple(items))
+        _set(self, "pairs", tuple(items))
 
     # -- construction ----------------------------------------------------
 
@@ -133,11 +137,12 @@ class Permutation:
                 for x in cyc:
                     if x not in dom:
                         raise InvalidValueError(
-                            f"cycle element {x} outside domain {sorted(dom)}"
+                            f"cycle element {shown(x, str)} outside domain "
+                            f"{shown(sorted(dom))}"
                         )
                     if x in seen:
                         raise InvalidValueError(
-                            f"element {x} listed twice in cycle notation"
+                            f"element {shown(x, str)} listed twice in cycle notation"
                         )
                     seen.add(x)
                 for a, b in zip(cyc, cyc[1:] + cyc[:1]):
@@ -161,7 +166,9 @@ class Permutation:
         for k, v in self.pairs:
             if k == i:
                 return v
-        raise InvalidValueError(f"{i} not in permutation domain {list(self.domain)}")
+        raise InvalidValueError(
+            f"{shown(i, str)} not in permutation domain {shown(list(self.domain))}"
+        )
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -282,9 +289,9 @@ class GeneralObject:
             raise wrong_type(Permutation, sigma)
         elif sigma.domain != interval_positions:
             raise _wrong_domain(sigma, interval_positions)
-        object.__setattr__(self, "branes", brane_set)
-        object.__setattr__(self, "entries", entry_tuple)
-        object.__setattr__(self, "sigma", sigma)
+        _set(self, "branes", brane_set)
+        _set(self, "entries", entry_tuple)
+        _set(self, "sigma", sigma)
 
     def __repr__(self) -> str:
         # The branes sorted, so that the repr does not depend on the hash seed.
@@ -341,14 +348,23 @@ class GeneralObject:
                 f"{sorted(other.branes)}"
             )
         n = len(self.entries)
-        sigma = object.__new__(Permutation)
-        object.__setattr__(
-            sigma,
-            "pairs",
-            self.sigma.pairs + tuple((k + n, v + n) for k, v in other.sigma.pairs),
-        )
-        joined = object.__new__(GeneralObject)
-        object.__setattr__(joined, "branes", self.branes)
-        object.__setattr__(joined, "entries", self.entries + other.entries)
-        object.__setattr__(joined, "sigma", sigma)
-        return joined
+        pairs = self.sigma.pairs + tuple((k + n, v + n) for k, v in other.sigma.pairs)
+        return _object(self.branes, self.entries + other.entries, pairs)
+
+
+def _object(
+    branes: frozenset[str],
+    entries: tuple[Entry, ...],
+    pairs: tuple[tuple[int, int], ...],
+) -> GeneralObject:
+    """The object with these slots, assembled with no check: ``branes`` a
+    nonempty frozenset of exact ``str`` labels that holds every label of
+    ``entries``, and ``pairs`` the sorted pairs of a permutation of exactly
+    the interval positions of ``entries``, as ``GeneralObject`` stores them."""
+    sigma = _new(Permutation)
+    _set(sigma, "pairs", pairs)
+    obj = _new(GeneralObject)
+    _set(obj, "branes", branes)
+    _set(obj, "entries", entries)
+    _set(obj, "sigma", sigma)
+    return obj

@@ -16,14 +16,18 @@ an ``Arc``, a component's boundary circle one of the two kinds, and a
 window count a ``(str, int)`` pair.  So ``validate`` and the readers
 after it meet only values of these types, and check structure alone.
 
-Three private assemblers, ``_mixed``, ``_component`` and ``_cobordism``,
-set the slots of a ``Mixed``, a ``Component`` and a ``Cobordism`` with no
-test, as ``GeneralObject.tensor`` does for an object.  They take a slot
-only in the form the constructor stores it (tuples, windows as sorted
-counts per brane), built from values that were themselves constructed.
-They are used in ``calculus`` alone, and only there: for the components
-and the cobordism that ``compose`` returns, for the ``Mixed`` circle of
-``_fuse_arcs``, and for the shifted components of ``tensor``.
+One rule says where values are checked: a constructor checks what a
+caller hands in, and what the library derives from checked values is
+assembled without checking it again.  The private assemblers ``_ref``,
+``_closed``, ``_mixed``, ``_component`` and ``_cobordism`` here, and
+``objects._object``, set the slots of a value with no test.  They take
+each slot only in the form its constructor stores it: a tuple for every
+sequence, a side as the constant ``IN`` or ``OUT`` (not a ``str`` equal
+to it), and windows as sorted ``(brane, count)`` pairs with no zero
+count.  They are used by the readers, on values the document builder has
+checked (``dsl``); by ``compose``, ``tensor``, ``realize``,
+``stabilize``, ``identity`` and ``swap_cobordism`` (``calculus``); and by
+``canonicalize`` and ``enumerate_classes`` (``classify``).
 
 Mixed cycles are stored in the boundary orientation induced by the
 surface.  An ``IntervalRef`` records which side and entry it attaches to
@@ -280,6 +284,21 @@ class Cobordism:
 
 # ---------------------------------------------------------------------------
 # unchecked assembly: every slot given must already be a checked value
+
+
+def _ref(side: str, index: int, rev: bool) -> IntervalRef:
+    ref = _new(IntervalRef)
+    _set(ref, "side", side)
+    _set(ref, "index", index)
+    _set(ref, "rev", rev)
+    return ref
+
+
+def _closed(side: str, index: int) -> Closed:
+    circ = _new(Closed)
+    _set(circ, "side", side)
+    _set(circ, "index", index)
+    return circ
 
 
 def _mixed(cycle: tuple[MixedEntry, ...]) -> Mixed:

@@ -223,6 +223,26 @@ BAD_VALUES: dict[str, list[tuple[str, object, type[OcError]]]] = {
             lambda: Permutation.from_cycles(3, {1}),
             InvalidValueError,
         ),
+        (
+            "a key too long to print",
+            lambda: Permutation({HUGE: 1}),
+            InvalidValueError,
+        ),
+        (
+            "a list holding an int too long to print",
+            lambda: Permutation({1: [HUGE]}),
+            InvalidValueError,
+        ),
+        (
+            "a cycle element too long to print",
+            lambda: Permutation.from_cycles([[HUGE]], [1]),
+            InvalidValueError,
+        ),
+        (
+            "a call on an int too long to print",
+            lambda: Permutation()(HUGE),
+            InvalidValueError,
+        ),
     ],
     "GeneralObject": [
         ("no branes", lambda: GeneralObject([]), InvalidValueError),

@@ -22,7 +22,7 @@ import random
 
 import pytest
 
-from conftest import from_boundary
+from conftest import assert_checked, from_boundary
 from occob.calculus import compose, identity, tensor
 from occob.errors import ClosedComponentError, CompositionError
 from occob.objects import STAR, Circle, GeneralObject, Interval
@@ -240,17 +240,6 @@ def assert_same(second: Cobordism, first: Cobordism) -> str:
     if got[0] == "ok":
         assert_checked(compose(second, first))
     return got[0]
-
-
-def assert_checked(c: Cobordism) -> None:
-    """``c`` equals its rebuild through the checked constructors, so no part
-    of it holds a value, or a container, that a constructor would not."""
-    for comp in c.components:
-        for circ in comp.circles:
-            if type(circ) is Mixed:
-                assert Mixed(circ.cycle) == circ
-        assert Component(comp.genus, comp.circles, comp.windows) == comp
-    assert Cobordism(c.source, c.target, c.components) == c
 
 
 # -- mutations of a valid factor --------------------------------------------

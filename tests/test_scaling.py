@@ -5,16 +5,18 @@
 that ``realize`` and ``identity`` run on the document's object of n
 entries, that ``compose`` runs gluing the realizer to the identity on that
 object, that ``canonicalize`` and ``boundary_permutation`` run on the
-realizer, and that ``pullback`` runs pulling the object's sigma back along
-its identity, for n = 100, 200, 400 and 800.  Three shapes follow the
+realizer, that ``pullback`` runs pulling the object's sigma back along
+its identity, that ``tensor`` runs placing the realizer beside itself and
+that ``swap_cobordism`` runs on the object and itself, for n = 100, 200,
+400 and 800.  Three shapes follow the
 benchmark's ``large_interfaces`` workload, each an object of n entries
 with its realizer as the cobordism: ``cycle``, n intervals joined by one
 n-cycle; ``perm``, n intervals joined in pairs, so that sigma has n / 2
 cycles; and ``circles``, n circles.  The fourth, ``windows``, is one
 component of genus n with n windows over two branes, built directly from
 its window counts.  It has no object of n entries, so ``realize``,
-``identity``, ``compose``, ``boundary_permutation`` and ``pullback`` skip
-it.
+``identity``, ``compose``, ``boundary_permutation``, ``pullback``,
+``tensor`` and ``swap_cobordism`` skip it.
 Apart from the documents, ``stabilize`` runs k = n times on one circle
 over two branes, so that its boundary grows to 2n + 2 circles, and
 ``compose`` glues the identity of one circle onto n caps over n
@@ -33,7 +35,15 @@ import sys
 
 import pytest
 
-from occob.calculus import compose, identity, pullback, realize, stabilize
+from occob.calculus import (
+    compose,
+    identity,
+    pullback,
+    realize,
+    stabilize,
+    swap_cobordism,
+    tensor,
+)
 from occob.classify import canonicalize
 from occob.dsl import CobordismDef, Document, from_json, parse, serialize, to_json
 from occob.objects import STAR, Circle, GeneralObject, Interval, Permutation
@@ -116,6 +126,12 @@ def _call(layer: str, doc: Document):
         x = doc.objects["X"]
         ident = identity(x)
         return lambda: pullback(ident, x.sigma)
+    if layer == "tensor":
+        r = doc.cobordisms["R"].cobordism
+        return lambda: tensor(r, r)
+    if layer == "swap_cobordism":
+        x = doc.objects["X"]
+        return lambda: swap_cobordism(x, x)
     if layer == "parse":
         text = serialize(doc)
         return lambda: parse(text)
@@ -139,6 +155,8 @@ CASES = [
         "canonicalize",
         "boundary_permutation",
         "pullback",
+        "tensor",
+        "swap_cobordism",
     )
     for shape in ("cycle", "perm", "circles")
 ] + [("canonicalize", "windows")]
