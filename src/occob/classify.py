@@ -10,6 +10,7 @@ isomorphism becomes equality of canonical keys.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from itertools import product, repeat
 from operator import itemgetter
@@ -168,11 +169,22 @@ def is_isomorphic(a: Cobordism, b: Cobordism) -> bool:
 # enumeration
 
 
-def _check_bounds(max_genus: int, max_windows: int) -> None:
+def _check_bounds(obj: GeneralObject, max_genus: int, max_windows: int) -> None:
+    """Check the object, then the bounds, then that the grid of
+    ``(max_genus + 1) * (max_windows + 1) ** len(obj.branes)`` rows has at
+    most ``sys.maxsize``: each factor is tested before it is multiplied in,
+    so no huge int is raised to a power."""
+    if type(obj) is not GeneralObject:
+        raise wrong_type(GeneralObject, obj)
     if type(max_genus) is not int or type(max_windows) is not int:
         raise wrong_type(int, max_genus, max_windows)
     if max_genus < 0 or max_windows < 0:
         raise InvalidValueError("bounds must be nonnegative")
+    rows = 1
+    for factor in (max_genus + 1, *repeat(max_windows + 1, len(obj.branes))):
+        if factor > sys.maxsize or rows * factor > sys.maxsize:
+            raise InvalidValueError(f"bounds give more than {sys.maxsize} classes")
+        rows *= factor
 
 
 def _window_grid(obj: GeneralObject, max_windows: int) -> list[tuple]:
@@ -194,9 +206,10 @@ def enumerate_classes(
     ``(max_genus + 1) * (max_windows + 1) ** len(obj.branes)`` entries,
     ordered by genus then window vector, each assembled from the checked
     realizer without the constructors' checks.  A bound that is not an
-    ``int`` (a bool is not) or is negative raises ``InvalidValueError``.
+    ``int`` (a bool is not) or is negative raises ``InvalidValueError``, as
+    do bounds that give more than ``sys.maxsize`` entries.
     """
-    _check_bounds(max_genus, max_windows)
+    _check_bounds(obj, max_genus, max_windows)
     base = canonicalize(realize(obj))
     source_key, target_key, ((_, keys),) = base.key
     target, circles = base.cobordism.target, base.cobordism.components[0].circles
@@ -235,9 +248,7 @@ def strata_table(
     table; so is the b column, whether the realizer keeps outgoing boundary
     on every component (always true), which extra genus or windows keep.
     """
-    if type(obj) is not GeneralObject:
-        raise wrong_type(GeneralObject, obj)
-    _check_bounds(max_genus, max_windows)
+    _check_bounds(obj, max_genus, max_windows)
     in_b = in_b_subcategory(realize(obj))
     c = obj.c_number
     vectors = _window_grid(obj, max_windows)

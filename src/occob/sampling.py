@@ -13,15 +13,18 @@ A cobordism can be sampled against a fixed interface: pass ``source`` or
 ``target`` (not both) and the other object is derived from the sampled
 surface, its interval labels read off the adjacent arcs.
 
-A bad argument raises ``InvalidValueError`` before any draw: a bound
-that is not exactly an ``int``, or is negative (``max_components`` below
-one), and brane labels that are not an iterable of nonempty strings, or
-are empty.
+A bad argument raises ``InvalidValueError`` before any draw: a ``rng``
+that is not a ``random.Random``, a bound that is not exactly an ``int``,
+is negative (``max_components`` and a chain's ``length`` below one) or
+is past ``sys.maxsize``, brane labels that are not an iterable of
+nonempty strings, or are empty, and a fixed side or a cobordism to
+shuffle of the wrong type.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -61,6 +64,7 @@ def sample_object(
     The permutation is sampled first; interval labels are then chosen so
     that each interval's left label equals its image's right label.
     """
+    _check_rng(rng)
     _check_bound("max_circles", max_circles)
     _check_bound("max_intervals", max_intervals)
     branes = _brane_labels(branes)
@@ -81,11 +85,18 @@ def sample_object(
     return GeneralObject(branes, entries, sigma)
 
 
+def _check_rng(rng: random.Random) -> None:
+    if not isinstance(rng, random.Random):
+        raise wrong_type(random.Random, rng)
+
+
 def _check_bound(name: str, n: int, least: int = 0) -> None:
     if type(n) is not int:
         raise wrong_type(int, n)
     if n < least:
         raise InvalidValueError(f"{name} must be at least {least}")
+    if n > sys.maxsize:
+        raise InvalidValueError(f"{name} must be at most {sys.maxsize}")
 
 
 def _brane_labels(branes: Iterable[str]) -> tuple[str, ...]:
@@ -153,6 +164,10 @@ def sample_cobordism(
     a mixed cycle needs them.  ``ensure_b`` (with a derived target) gives
     each component an outgoing circle or interval, as the b-subcategory asks.
     """
+    _check_rng(rng)
+    for obj in (source, target):
+        if obj is not None and type(obj) is not GeneralObject:
+            raise wrong_type(GeneralObject, obj)
     if source is not None and target is not None:
         raise InvalidValueError("fix at most one side; the other is derived")
     objects = {IN: source, OUT: target}
@@ -259,6 +274,8 @@ def sample_composable_chain(
     rng: random.Random, branes: Iterable[str] = (STAR,), length: int = 3, **kw
 ) -> list[Cobordism]:
     """Cobordisms ``[c1, .., cn]`` with each ``ck.target == c(k+1).source``."""
+    _check_rng(rng)
+    _check_bound("length", length, 1)
     chain = [sample_cobordism(rng, branes=branes, **kw)]
     for _ in range(length - 1):
         chain.append(
@@ -270,6 +287,9 @@ def sample_composable_chain(
 def shuffled(rng: random.Random, c: Cobordism) -> Cobordism:
     """The same cobordism with every representation freedom re-rolled:
     components and boundary circles reordered, mixed cycles rotated."""
+    _check_rng(rng)
+    if type(c) is not Cobordism:
+        raise wrong_type(Cobordism, c)
     comps = []
     for comp in c.components:
         boundary = []
@@ -292,8 +312,12 @@ def sample_document(
     n_cobordisms: int = 2,
 ) -> Document:
     """A document holding sampled cobordisms and their interface objects."""
+    _check_rng(rng)
+    _check_bound("n_cobordisms", n_cobordisms)
     if branes is None:
         branes = rng.choice([(STAR,), ("a", "b"), ("l", "m", "r")])
+    else:
+        branes = _brane_labels(branes)
     doc = Document(branes=frozenset(branes))
     for k in range(n_cobordisms):
         cob = sample_cobordism(rng, branes=branes)

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +51,7 @@ from occob.surfaces import (
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 _INCOHERENT = labeled_obj(AB, ["a:b", "a:b"], cycles=[[1, 2]])
+HUGE = 10**5000  # an int the interpreter will not write in decimal
 
 
 def full_min_rotation(cycle: tuple) -> tuple:
@@ -291,6 +294,19 @@ class TestEnumerateAgainstReference:
             enumerate_classes(star_obj("O"), *bounds)
         with pytest.raises(OcError):
             strata_table(star_obj("O"), *bounds)
+
+    # Over two branes, (isqrt(maxsize) + 1) ** 2 rows is past sys.maxsize.
+    @pytest.mark.parametrize(
+        "bounds",
+        [(sys.maxsize, 0), (0, sys.maxsize), (0, math.isqrt(sys.maxsize)), (HUGE, HUGE)],
+    )
+    def test_a_grid_of_more_than_maxsize_rows_is_refused(self, bounds):
+        obj = labeled_obj(AB, ["a:a", "b:b"])
+        message = "^bounds give more than"
+        with pytest.raises(InvalidValueError, match=message):
+            enumerate_classes(obj, *bounds)
+        with pytest.raises(InvalidValueError, match=message):
+            strata_table(obj, *bounds)
 
 
 class TestStrata:

@@ -288,6 +288,14 @@ class TestClassify:
         assert exit_.value.code == 2
         assert "non-negative integer" in capsys.readouterr().err
 
+    def test_a_grid_too_large_to_build_exits_1(self, capsys):
+        path = str(CORPUS / "roundtrip" / "ref_interfaces.occ")
+        argv = ["classify", "-G", "0", "-W", "99999999999999999999", path, "five"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestStabilize:
     def test_repeated(self, doc_path, capsys):

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS, REPO, STAR_SET, star_obj
+from occob import dsl
 from occob.calculus import compose, identity, realize, stabilize
 from occob.dsl import (
     _KEYWORDS,
@@ -65,6 +66,20 @@ class TestParseBasics:
     def test_comments_and_whitespace(self):
         text = "# leading note\nobject a = [ O ] ; # trailing\n\n"
         assert "a" in parse(text).objects
+
+    @pytest.mark.parametrize("labels", ["ab", "abcdef"])
+    def test_windows_are_counted_per_brane(self, labels):
+        order = labels[::-1] + labels[:2]
+        text = (
+            f"branes {', '.join(labels)};\nobject c = [O];\n"
+            "cobordism t : c -> c {\n  component {\n    genus 0;\n    in 1;\n"
+            + "".join(f"    window {b};\n" for b in order)
+            + "    out 1;\n  }\n}\n"
+        )
+        counts = tuple((b, 1 + (b in labels[:2])) for b in labels)
+        doc = parse(text)
+        for read in (doc, from_json(to_json(doc))):
+            assert read.cobordisms["t"].cobordism.components[0].windows == counts
 
     def test_sigma_id(self):
         doc = parse("object a = [I(*,*)] sigma id;")
@@ -281,6 +296,12 @@ TOKEN_POSITIONS = [
     # where a trailing comment starts.
     ("a # comment", [("WORD", "a", 1, 1), ("EOF", "", 1, 3)]),
     ("a\n  # c", [("WORD", "a", 1, 1), ("EOF", "", 2, 3)]),
+    # One blank-free chunk that holds several tokens.
+    (
+        "s->t",
+        [("WORD", "s", 1, 1), ("ARROW", "->", 1, 2), ("WORD", "t", 1, 4), ("EOF", "", 1, 5)],
+    ),
+    ("12ab", [("INT", "12", 1, 1), ("WORD", "ab", 1, 3), ("EOF", "", 1, 5)]),
 ]
 
 TOKEN_ERRORS = [
@@ -291,6 +312,12 @@ TOKEN_ERRORS = [
     ("a\x0bb", 1, 2, "unexpected character"),
     ("a\n\x0c", 2, 1, "unexpected character"),
     ("a \xa0", 1, 3, "unexpected character"),
+    # Characters the split path must refuse: blanks to ``str.split`` that
+    # the grammar rejects, and characters that start no token.
+    ("a\x1cb", 1, 2, "unexpected character"),
+    ("a\x1fb", 1, 2, "unexpected character"),
+    ("x>y", 1, 2, "unexpected character"),
+    ("a\x7f", 1, 2, "unexpected character"),
 ]
 
 
@@ -320,7 +347,7 @@ _ROUNDTRIP_TEXTS = [
 ]
 _JUNK = (
     " \t\r\n\x0b\x0c\xa0\u2028\N{SUPERSCRIPT TWO}\N{ROMAN NUMERAL TWELVE}"
-    "\N{ARABIC-INDIC DIGIT THREE}\xe9#->*_,;:=[]{}()aIO019"
+    "\N{ARABIC-INDIC DIGIT THREE}\xe9#->*_,;:=[]{}()aIO019\x1c\x1f\x7f>!-"
 )
 
 
@@ -735,6 +762,17 @@ class TestCorpus:
         for path in files:
             text = path.read_text(encoding="utf-8")
             assert serialize(parse(text)) == text, path.name
+
+    def test_roundtrip_files_never_reach_the_regex_tokenizer(self, monkeypatch):
+        """Every corpus text takes the split path of ``_tokenize``."""
+
+        class _NoFindall:
+            def findall(self, text):
+                raise AssertionError("the findall path was taken")
+
+        monkeypatch.setattr(dsl, "_TOKEN", _NoFindall())
+        for text in _ROUNDTRIP_TEXTS:
+            assert serialize(parse(text)) == text
 
     def test_every_prefix_parses_or_raises_a_dsl_error(self):
         """Lookahead in the parser never reads past the end of input, and

@@ -13,9 +13,7 @@ value of each kind that reaches past the first checks (an object, its
 identity, a permutation, a document and a random generator).  No small
 int is in the pool: a bound such as ``enumerate_classes``' genus would
 count up to it.  A call that runs past a deadline counts as a leak, so a
-value that makes a call run on cannot stall the test.  The known leaks
-are not messages but values used before any check; each is a strict
-``xfail``, so mending one makes its case fail until the mark goes.
+value that makes a call run on cannot stall the test.
 """
 
 from __future__ import annotations
@@ -145,28 +143,7 @@ def sweep() -> tuple[dict[str, str | None], float]:
     return leaks, time.perf_counter() - start
 
 
-# Leaks that are not messages: a value used before any check.
-_UNCHECKED = {
-    "enumerate_classes": "OverflowError on bounds too large for its grid",
-    "strata_table": "OverflowError on bounds too large for its grid",
-    "sample_object": "rng not checked to be a random.Random",
-    "sample_cobordism": "rng, source and target not checked",
-    "sample_composable_pair": "rng not checked",
-    "sample_composable_chain": "rng not checked; a huge length runs on",
-    "sample_document": "rng, branes and n_cobordisms not checked",
-    "shuffled": "c not checked to be a Cobordism",
-}
-
-
-@pytest.mark.parametrize(
-    "name",
-    [
-        pytest.param(name, marks=pytest.mark.xfail(strict=True, reason=why))
-        if (why := _UNCHECKED.get(name))
-        else name
-        for name, _ in CALLABLES
-    ],
-)
+@pytest.mark.parametrize("name", [name for name, _ in CALLABLES])
 def test_hostile_values_raise_only_oc_errors(sweep, name):
     leaks, _ = sweep
     assert leaks[name] is None

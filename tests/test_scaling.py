@@ -25,6 +25,8 @@ intervals and one disk, so that n pieces touch no middle entry, and
 count does not depend on the host or on other load, unlike a time.  Each
 doubling of n may multiply the count by at most 2.3, which leaves room
 for an n log n sort; a quadratic path in Python multiplies it by about 4.
+The tokenizer is held to more: on the texts of the ``cycle``, ``perm``
+and ``circles`` documents its count may grow by at most 1.1 per doubling.
 Work inside a single C call, such as ``x in tuple`` or ``sorted``, runs
 no Python lines and so is not counted.
 """
@@ -45,7 +47,15 @@ from occob.calculus import (
     tensor,
 )
 from occob.classify import canonicalize
-from occob.dsl import CobordismDef, Document, from_json, parse, serialize, to_json
+from occob.dsl import (
+    CobordismDef,
+    Document,
+    _tokenize,
+    from_json,
+    parse,
+    serialize,
+    to_json,
+)
 from occob.objects import STAR, Circle, GeneralObject, Interval, Permutation
 from occob.surfaces import (
     IN,
@@ -167,6 +177,17 @@ def test_each_doubling_of_n_at_most_doubles_the_lines_run(layer, shape):
     counts = [_lines_run(_call(layer, _document(shape, n))) for n in SIZES]
     ratios = [round(b / a, 3) for a, b in zip(counts, counts[1:])]
     assert max(ratios) <= MAX_RATIO, (counts, ratios)
+
+
+@pytest.mark.parametrize("shape", ["cycle", "perm", "circles"])
+def test_tokenizing_a_document_runs_a_fixed_number_of_lines(shape):
+    """A document text of ASCII words, integers and symbols is cut into
+    tokens and checked inside a few C calls, not a Python step per token
+    or per distinct token."""
+    texts = [serialize(_document(shape, n)) for n in SIZES]
+    counts = [_lines_run(lambda: _tokenize(text)) for text in texts]
+    ratios = [round(b / a, 3) for a, b in zip(counts, counts[1:])]
+    assert max(ratios) <= 1.1, (counts, ratios)
 
 
 def test_stabilizing_k_times_is_linear_in_k():
