@@ -11,13 +11,9 @@ number of glued intervals, which recovers the genus.
 Only what the middle object touches is traced: a mixed circle with no
 glued reference passes through as the same object, and so does every
 closed circle that is not glued (a mixed circle stored from an arc, or
-with arcs to fuse, is rewritten as a traced one is).  The glued result
-is assembled from these checked parts and from traced cycles whose
-entries were checked, without running the constructors' checks again.
-So is every other cobordism this module derives from checked values:
-the cylinders of ``identity`` and ``swap_cobordism``, the shifted
-circles of ``tensor``, the realizer and the stabilized component; see
-``surfaces``.
+with arcs to fuse, is rewritten as a traced one is).  What this module
+derives from checked values is assembled unchecked, by the rule stated
+in ``surfaces``.
 """
 
 from __future__ import annotations

@@ -10,7 +10,6 @@ isomorphism becomes equality of canonical keys.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from itertools import product, repeat
 from operator import itemgetter
@@ -41,6 +40,12 @@ __all__ = [
     "enumerate_classes",
     "strata_table",
 ]
+
+# The most classes a grid may hold, as the grid is built whole; and the
+# most windows enumerate_classes may spell out in the keys of its window
+# vectors, as a class key holds one (2, brane) per window.
+_MAX_CLASSES = 2**16
+_MAX_KEYED_WINDOWS = 2**21
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +177,8 @@ def is_isomorphic(a: Cobordism, b: Cobordism) -> bool:
 def _check_bounds(obj: GeneralObject, max_genus: int, max_windows: int) -> None:
     """Check the object, then the bounds, then that the grid of
     ``(max_genus + 1) * (max_windows + 1) ** len(obj.branes)`` rows has at
-    most ``sys.maxsize``: each factor is tested before it is multiplied in,
-    so no huge int is raised to a power."""
+    most ``_MAX_CLASSES``: each factor is tested before it is multiplied
+    in, so no huge int is raised to a power."""
     if type(obj) is not GeneralObject:
         raise wrong_type(GeneralObject, obj)
     if type(max_genus) is not int or type(max_windows) is not int:
@@ -182,8 +187,8 @@ def _check_bounds(obj: GeneralObject, max_genus: int, max_windows: int) -> None:
         raise InvalidValueError("bounds must be nonnegative")
     rows = 1
     for factor in (max_genus + 1, *repeat(max_windows + 1, len(obj.branes))):
-        if factor > sys.maxsize or rows * factor > sys.maxsize:
-            raise InvalidValueError(f"bounds give more than {sys.maxsize} classes")
+        if factor > _MAX_CLASSES or rows * factor > _MAX_CLASSES:
+            raise InvalidValueError(f"bounds give more than {_MAX_CLASSES} classes")
         rows *= factor
 
 
@@ -207,9 +212,15 @@ def enumerate_classes(
     ordered by genus then window vector, each assembled from the checked
     realizer without the constructors' checks.  A bound that is not an
     ``int`` (a bool is not) or is negative raises ``InvalidValueError``, as
-    do bounds that give more than ``sys.maxsize`` entries.
+    do bounds that give more than 2**16 = 65,536 entries, or window vectors
+    with more than 2**21 windows in all, before anything is built.
     """
     _check_bounds(obj, max_genus, max_windows)
+    # Over the (max_windows + 1) ** k vectors each brane averages half the bound.
+    k = len(obj.branes)
+    if (max_windows + 1) ** k * k * max_windows // 2 > _MAX_KEYED_WINDOWS:
+        message = f"bounds give more than {_MAX_KEYED_WINDOWS} windows in all"
+        raise InvalidValueError(message)
     base = canonicalize(realize(obj))
     source_key, target_key, ((_, keys),) = base.key
     target, circles = base.cobordism.target, base.cobordism.components[0].circles
@@ -247,6 +258,7 @@ def strata_table(
     class representative built.  The c-number column is constant down the
     table; so is the b column, whether the realizer keeps outgoing boundary
     on every component (always true), which extra genus or windows keep.
+    Bounds are refused as by ``enumerate_classes``, at the same 65,536 rows.
     """
     _check_bounds(obj, max_genus, max_windows)
     in_b = in_b_subcategory(realize(obj))

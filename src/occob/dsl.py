@@ -63,8 +63,6 @@ __all__ = [
     "CobordismDef",
     "parse",
     "serialize",
-    "parse_cycles",
-    "is_name",
     "to_json",
     "from_json",
 ]

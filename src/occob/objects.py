@@ -20,7 +20,6 @@ __all__ = [
     "STAR",
     "Circle",
     "Interval",
-    "Entry",
     "Permutation",
     "GeneralObject",
 ]

@@ -24,10 +24,7 @@ assembled without checking it again.  The private assemblers ``_ref``,
 each slot only in the form its constructor stores it: a tuple for every
 sequence, a side as the constant ``IN`` or ``OUT`` (not a ``str`` equal
 to it), and windows as sorted ``(brane, count)`` pairs with no zero
-count.  They are used by the readers, on values the document builder has
-checked (``dsl``); by ``compose``, ``tensor``, ``realize``,
-``stabilize``, ``identity`` and ``swap_cobordism`` (``calculus``); and by
-``canonicalize`` and ``enumerate_classes`` (``classify``).
+count.
 
 Mixed cycles are stored in the boundary orientation induced by the
 surface.  An ``IntervalRef`` records which side and entry it attaches to
@@ -70,7 +67,6 @@ __all__ = [
     "InvariantSummary",
     "in_ref",
     "out_ref",
-    "default_rev",
     "validate",
     "euler_char",
     "euler_total",
@@ -87,6 +83,15 @@ _set = object.__setattr__  # looked up once: slots are set on every gluing
 _new = object.__new__
 
 
+def _side(side: str) -> str:
+    """The constant ``IN`` or ``OUT`` that ``side`` equals."""
+    if side == IN:
+        return IN
+    if side == OUT:
+        return OUT
+    raise InvalidValueError(f"side must be {IN!r} or {OUT!r}, got {shown(side)}")
+
+
 def default_rev(side: str) -> bool:
     """Default traversal flag: incoming references are reversed."""
     return side == IN
@@ -101,13 +106,7 @@ class IntervalRef:
     rev: bool
 
     def __init__(self, side: str, index: int, rev: bool):
-        if side == IN:
-            side = IN
-        elif side == OUT:
-            side = OUT
-        else:
-            message = f"side must be {IN!r} or {OUT!r}, got {shown(side)}"
-            raise InvalidValueError(message)
+        side = _side(side)
         if type(index) is not int:
             raise wrong_type(int, index)
         if type(rev) is not bool:
@@ -148,13 +147,7 @@ class Closed:
     index: int
 
     def __init__(self, side: str, index: int):
-        if side == IN:
-            side = IN
-        elif side == OUT:
-            side = OUT
-        else:
-            message = f"side must be {IN!r} or {OUT!r}, got {shown(side)}"
-            raise InvalidValueError(message)
+        side = _side(side)
         if type(index) is not int:
             raise wrong_type(int, index)
         _set(self, "side", side)

@@ -840,6 +840,28 @@ def test_wrong_types_name_exports():
     assert set(WRONG_TYPES) <= set(occob.__all__)
 
 
+def test_the_package_exports_what_its_modules_list():
+    """Each module's ``__all__`` is its public surface, and ``occob.__all__``
+    is those lists joined; a name a module keeps out of its list still
+    imports from the module."""
+    from occob import calculus, classify, dsl, errors, objects, surfaces
+    from occob.dsl import is_name, parse_cycles  # noqa: F401
+    from occob.objects import Entry  # noqa: F401
+    from occob.surfaces import default_rev  # noqa: F401
+
+    modules = (errors, objects, surfaces, calculus, classify, dsl)
+    joined = [name for module in modules for name in module.__all__]
+    assert occob.__all__ == joined
+    assert len(set(joined)) == len(joined)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(occob, name) is getattr(module, name)
+    namespace: dict = {}
+    exec("from occob import *", namespace)
+    assert namespace.keys() - {"__builtins__"} == set(joined)
+    assert {"Entry", "default_rev", "is_name", "parse_cycles"}.isdisjoint(joined)
+
+
 # Fourteen values that are not boundary circles, each refused by ``Component``
 # before any entry point can meet it.  ``tensor`` once met such a circle and
 # leaked ``AttributeError``.

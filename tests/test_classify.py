@@ -32,7 +32,7 @@ from occob.errors import (
     OcError,
     wrong_type,
 )
-from occob.objects import STAR, GeneralObject, Interval, Permutation
+from occob.objects import STAR, Circle, GeneralObject, Interval, Permutation
 from occob.sampling import sample_cobordism, sample_object, shuffled
 from occob.surfaces import (
     IN,
@@ -307,6 +307,39 @@ class TestEnumerateAgainstReference:
             enumerate_classes(obj, *bounds)
         with pytest.raises(InvalidValueError, match=message):
             strata_table(obj, *bounds)
+
+    # 2**16 + 1 classes by genus and by windows over one brane, 257 ** 2
+    # over two, and a grid of 10**8 + 1 that would exhaust memory if built.
+    @pytest.mark.parametrize(
+        "obj, bounds",
+        [
+            (star_obj("O"), (2**16, 0)),
+            (star_obj("O"), (0, 2**16)),
+            (labeled_obj(AB, ["a:a", "b:b"]), (0, 256)),
+            (GeneralObject({STAR}, [Circle()]), (0, 10**8)),
+        ],
+    )
+    def test_a_grid_of_more_than_the_cap_is_refused(self, obj, bounds):
+        message = "^bounds give more than 65536 classes$"
+        with pytest.raises(InvalidValueError, match=message):
+            enumerate_classes(obj, *bounds)
+        with pytest.raises(InvalidValueError, match=message):
+            strata_table(obj, *bounds)
+
+    @pytest.mark.parametrize(
+        "obj, bounds",
+        [(star_obj("O"), (0, 2**16 - 1)), (labeled_obj(AB, ["a:a", "b:b"]), (0, 255))],
+    )
+    def test_a_grid_of_exactly_the_cap_is_built(self, obj, bounds):
+        assert len(strata_table(obj, *bounds)) == 2**16
+
+    # Keys for windows 0..2048 over one brane spell out 2049 * 1024 windows,
+    # past 2**21; the table holds no keys and is built.
+    def test_window_vectors_with_too_many_windows_to_key_are_refused(self):
+        message = "^bounds give more than 2097152 windows in all$"
+        with pytest.raises(InvalidValueError, match=message):
+            enumerate_classes(star_obj("O"), 0, 2048)
+        assert len(strata_table(star_obj("O"), 0, 2048)) == 2049
 
 
 class TestStrata:

@@ -290,11 +290,12 @@ class TestClassify:
 
     def test_a_grid_too_large_to_build_exits_1(self, capsys):
         path = str(CORPUS / "roundtrip" / "ref_interfaces.occ")
-        argv = ["classify", "-G", "0", "-W", "99999999999999999999", path, "five"]
-        assert main(argv) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        for windows in ("99999999999999999999", "100000000"):
+            argv = ["classify", "-G", "0", "-W", windows, path, "five"]
+            assert main(argv) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestStabilize:
