@@ -11,7 +11,7 @@ isomorphism becomes equality of canonical keys.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product, repeat
+from itertools import chain, product, repeat
 from operator import itemgetter
 
 from occob.calculus import realize
@@ -42,8 +42,9 @@ __all__ = [
 ]
 
 # The most classes a grid may hold, as the grid is built whole; and the
-# most windows enumerate_classes may spell out in the keys of its window
-# vectors, as a class key holds one (2, brane) per window.
+# most windows a key may spell out, as it holds one (2, brane) per window:
+# in all the window vectors of enumerate_classes, or in one cobordism
+# that canonicalize keys.
 _MAX_CLASSES = 2**16
 _MAX_KEYED_WINDOWS = 2**21
 
@@ -91,7 +92,7 @@ def _circle_key(circ: BoundaryCircle) -> tuple:
 def _windowed(keys: tuple, windows: tuple) -> tuple:
     """Sorted circle keys with (2, brane) per window, between closed and mixed."""
     cut = sum(k[0] < 2 for k in keys)
-    spliced = tuple(k for b, n in windows for k in repeat((2, b), n))
+    spliced = tuple(chain.from_iterable(repeat((2, b), n) for b, n in windows))
     return keys[:cut] + spliced + keys[cut:]
 
 
@@ -126,11 +127,17 @@ def canonicalize(c: Cobordism) -> CanonicalForm:
     and its sorted circle keys.  On valid input the result is idempotent,
     and invariant under any reordering of components or boundary circles
     and any rotation of mixed cycles.  A mixed cycle without a unique
-    least interval reference raises ``InvalidCobordismError``.  The
-    result is assembled from ``c``'s parts without the constructors' checks.
+    least interval reference raises ``InvalidCobordismError``.  A key
+    holds one ``(2, brane)`` entry per window, so a cobordism of more than
+    2**21 windows in all raises ``InvalidValueError``, found from its
+    window counts before any key is built.  The result is assembled from
+    ``c``'s parts without the constructors' checks.
     """
     if type(c) is not Cobordism:
         raise wrong_type(Cobordism, c)
+    if sum(n for comp in c.components for _, n in comp.windows) > _MAX_KEYED_WINDOWS:
+        message = f"cobordism has more than {_MAX_KEYED_WINDOWS} windows in all"
+        raise InvalidValueError(message)
     keyed = []
     for comp in c.components:
         circles = []

@@ -622,29 +622,26 @@ def _fmt_sigma(sigma: Permutation) -> str:
     return "" if sigma.is_identity else " sigma " + sigma.cycle_string()
 
 
-def _fmt_mixed_entry(e, single: bool) -> str:
-    if isinstance(e, Arc):
-        return "arc" + _fmt_brane(e.brane, single)
-    rev = "" if e.rev == (e.side == IN) else " rev"  # default_rev(e.side), inline
-    return f"{e.side} {_decimal(e.index)}{rev}"
+class _Rendered(dict):
+    """Each key's text, made by ``render`` when the key is first looked up.
+
+    A writer keeps one per document, so each brane and side it writes is
+    rendered once, then found by a dict lookup."""
+
+    __slots__ = ("render",)
+
+    def __init__(self, render):
+        self.render = render
+
+    def __missing__(self, key: str) -> str:
+        text = self[key] = self.render(key)
+        return text
 
 
-def _fmt_bline(circ, single: bool) -> str:
-    if isinstance(circ, Closed):
-        return f"{circ.side} {_decimal(circ.index)};"
-    if isinstance(circ, str):
-        return f"window{_fmt_brane(circ, single)};"
-    inner = ", ".join(_fmt_mixed_entry(e, single) for e in circ.cycle)
-    return f"mixed [{inner}];"
-
-
-def _written(comp: Component) -> tuple:
-    """A canonical component's closed circles, a brane per window, mixed circles."""
-    if not comp.windows:
-        return comp.circles
-    cut = list(map(type, comp.circles)).count(Closed)
-    windows = tuple(w for b, n in comp.windows for w in repeat(b, n))
-    return comp.circles[:cut] + windows + comp.circles[cut:]
+def _closed_count(comp: Component) -> int:
+    """How many closed circles lead a canonical component's circles; its
+    windows are written after them, before its mixed circles."""
+    return list(map(type, comp.circles)).count(Closed)
 
 
 def _decimal(n: int) -> str:
@@ -713,6 +710,7 @@ def serialize(doc: Document) -> str:
         obj = doc.objects[name]
         entries = ", ".join(_fmt_entry(e) for e in obj.entries)
         blocks.append(f"object {name} = [{entries}]{_fmt_sigma(obj.sigma)};")
+    arcs = _Rendered(lambda brane: "arc" + _fmt_brane(brane, single))
     for name in _sorted_names(doc.cobordisms, "a cobordism name"):
         d = doc.cobordisms[name]
         source = _name(d.source_name, "an object name")
@@ -722,8 +720,19 @@ def serialize(doc: Document) -> str:
         for comp in canonical.components:
             lines.append("  component {")
             lines.append(f"    genus {_decimal(comp.genus)};")
-            for circ in _written(comp):
-                lines.append("    " + _fmt_bline(circ, single))
+            circles, cut = comp.circles, _closed_count(comp)
+            lines += [f"    {c.side} {_decimal(c.index)};" for c in circles[:cut]]
+            for brane, n in comp.windows:
+                lines += repeat(f"    window{_fmt_brane(brane, single)};", n)
+            for circ in circles[cut:]:
+                entries = []
+                for e in circ.cycle:
+                    if type(e) is Arc:
+                        entries.append(arcs[e.brane])
+                    else:  # " rev" when rev is not default_rev(e.side)
+                        rev = "" if e.rev == (e.side == IN) else " rev"
+                        entries.append(f"{e.side} {_decimal(e.index)}{rev}")
+                lines.append(f"    mixed [{', '.join(entries)}];")
             lines.append("  }")
         lines.append("}")
         blocks.append("\n".join(lines))
@@ -839,6 +848,10 @@ def to_json(doc: Document) -> str:
     out = ['{\n  "branes": ', f"[{','.join(branes)}\n  ]" if branes else "[]"]
     w = out.append
     w(',\n  "cobordisms": ')
+    quoted = _Rendered(_string)
+    # A canonical mixed cycle starts at a reference, so an arc always
+    # follows a ",".
+    arcs = _Rendered(lambda brane: _ARC % (",", _string(brane)))
     sep = "{"
     for name in _sorted_names(forms, "a cobordism name"):
         w(_COBORDISM % (sep, _string(name)))
@@ -846,23 +859,26 @@ def to_json(doc: Document) -> str:
         for comp in forms[name].components:
             w(_COMPONENT % csep)
             bsep = "["
-            for circ in _written(comp):
-                if isinstance(circ, Closed):
-                    w(_CLOSED % (bsep, _decimal(circ.index), circ.side))
-                elif isinstance(circ, str):
-                    w(_WINDOW % (bsep, _string(circ)))
-                else:
-                    w(_MIXED % bsep)
-                    esep = "["
-                    for e in circ.cycle:
-                        if isinstance(e, Arc):
-                            w(_ARC % (esep, _string(e.brane)))
-                        else:
-                            rev = "true" if e.rev else "false"
-                            w(_REF % (esep, _decimal(e.index), rev, _string(e.side)))
+            circles, cut = comp.circles, _closed_count(comp)
+            for circ in circles[:cut]:
+                w(_CLOSED % (bsep, _decimal(circ.index), circ.side))
+                bsep = ","
+            for brane, n in comp.windows:
+                w(_WINDOW % (bsep, quoted[brane]))
+                out += repeat(_WINDOW % (",", quoted[brane]), n - 1)
+                bsep = ","
+            for circ in circles[cut:]:
+                w(_MIXED % bsep)
+                esep = "["
+                for e in circ.cycle:
+                    if type(e) is Arc:
+                        w(arcs[e.brane])
+                    else:
+                        rev = "true" if e.rev else "false"
+                        w(_REF % (esep, _decimal(e.index), rev, quoted[e.side]))
                         esep = ","
-                    w(_close(esep, "\n              ]"))
-                    w(_MIXED_END)
+                w(_close(esep, "\n              ]"))
+                w(_MIXED_END)
                 bsep = ","
             w(_close(bsep, "\n          ]"))
             w(_GENUS % _decimal(comp.genus))

@@ -26,8 +26,14 @@ __all__ = [
 
 #: Brane label used when no brane set is declared (single-brane mode).
 STAR = "*"
-_set = object.__setattr__
 _new = object.__new__
+
+
+def _setters(cls: type) -> tuple:
+    """The setter of each slot of the slotted dataclass ``cls``, in field
+    order: each is its member descriptor's ``__set__``, which sets the slot
+    of a frozen instance without looking the slot up by name."""
+    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,10 +53,10 @@ class Interval:
     right: str
 
     def __init__(self, left: str, right: str):
-        for name, label in (("left", left), ("right", right)):
+        for set_label, label in zip(_interval_labels, (left, right)):
             if isinstance(label, str):
                 label = str.__str__(label)
-            _set(self, name, label)
+            set_label(self, label)
 
 
 Entry = Union[Circle, Interval]
@@ -106,7 +112,7 @@ class Permutation:
             items = sorted(d.items())
         else:
             items = _checked_items(d)
-        _set(self, "pairs", tuple(items))
+        _permutation_pairs(self, tuple(items))
 
     # -- construction ----------------------------------------------------
 
@@ -288,9 +294,9 @@ class GeneralObject:
             raise wrong_type(Permutation, sigma)
         elif sigma.domain != interval_positions:
             raise _wrong_domain(sigma, interval_positions)
-        _set(self, "branes", brane_set)
-        _set(self, "entries", entry_tuple)
-        _set(self, "sigma", sigma)
+        _object_branes(self, brane_set)
+        _object_entries(self, entry_tuple)
+        _object_sigma(self, sigma)
 
     def __repr__(self) -> str:
         # The branes sorted, so that the repr does not depend on the hash seed.
@@ -351,6 +357,11 @@ class GeneralObject:
         return _object(self.branes, self.entries + other.entries, pairs)
 
 
+_interval_labels = _setters(Interval)
+(_permutation_pairs,) = _setters(Permutation)
+_object_branes, _object_entries, _object_sigma = _setters(GeneralObject)
+
+
 def _object(
     branes: frozenset[str],
     entries: tuple[Entry, ...],
@@ -361,9 +372,9 @@ def _object(
     ``entries``, and ``pairs`` the sorted pairs of a permutation of exactly
     the interval positions of ``entries``, as ``GeneralObject`` stores them."""
     sigma = _new(Permutation)
-    _set(sigma, "pairs", pairs)
+    _permutation_pairs(sigma, pairs)
     obj = _new(GeneralObject)
-    _set(obj, "branes", branes)
-    _set(obj, "entries", entries)
-    _set(obj, "sigma", sigma)
+    _object_branes(obj, branes)
+    _object_entries(obj, entries)
+    _object_sigma(obj, sigma)
     return obj

@@ -24,7 +24,10 @@ assembled without checking it again.  The private assemblers ``_ref``,
 each slot only in the form its constructor stores it: a tuple for every
 sequence, a side as the constant ``IN`` or ``OUT`` (not a ``str`` equal
 to it), and windows as sorted ``(brane, count)`` pairs with no zero
-count.
+count.  Assemblers and constructors alike set each slot through its
+member descriptor's ``__set__`` (``objects._setters``), bound once at
+import, so no call looks a slot up by name as ``object.__setattr__``
+does.
 
 Mixed cycles are stored in the boundary orientation induced by the
 surface.  An ``IntervalRef`` records which side and entry it attaches to
@@ -48,7 +51,7 @@ from typing import Union
 
 from occob.errors import InvalidCobordismError, InvalidValueError
 from occob.errors import not_iterable, shown, wrong_type
-from occob.objects import Circle, GeneralObject, Interval, Permutation
+from occob.objects import Circle, GeneralObject, Interval, Permutation, _setters
 
 __all__ = [
     "IN",
@@ -79,7 +82,6 @@ __all__ = [
 
 IN = "in"
 OUT = "out"
-_set = object.__setattr__  # looked up once: slots are set on every gluing
 _new = object.__new__
 
 
@@ -111,9 +113,9 @@ class IntervalRef:
             raise wrong_type(int, index)
         if type(rev) is not bool:
             raise wrong_type(bool, rev)
-        _set(self, "side", side)
-        _set(self, "index", index)
-        _set(self, "rev", rev)
+        _ref_side(self, side)
+        _ref_index(self, index)
+        _ref_rev(self, rev)
 
 
 def in_ref(index: int, rev: bool = True) -> IntervalRef:
@@ -133,7 +135,7 @@ class Arc:
     def __init__(self, brane: str):
         if type(brane) is not str:
             raise wrong_type(str, brane)
-        _set(self, "brane", brane)
+        _arc_brane(self, brane)
 
 
 MixedEntry = Union[IntervalRef, Arc]
@@ -150,8 +152,8 @@ class Closed:
         side = _side(side)
         if type(index) is not int:
             raise wrong_type(int, index)
-        _set(self, "side", side)
-        _set(self, "index", index)
+        _closed_side(self, side)
+        _closed_index(self, index)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -161,7 +163,7 @@ class Window:
     def __init__(self, brane: str):
         if type(brane) is not str:
             raise wrong_type(str, brane)
-        _set(self, "brane", brane)
+        _window_brane(self, brane)
 
 
 @dataclass(frozen=True, slots=True)
@@ -184,7 +186,7 @@ class Mixed:
                 raise InvalidValueError(
                     f"{type(e).__name__} is neither an interval reference nor an arc"
                 )
-        _set(self, "cycle", cycle)
+        _mixed_cycle(self, cycle)
 
     def refs(self) -> tuple[IntervalRef, ...]:
         return tuple(e for e in self.cycle if isinstance(e, IntervalRef))
@@ -219,9 +221,9 @@ class Component:
                 )
         if windows or type(windows) is not tuple:
             windows = _window_counts(windows)
-        _set(self, "genus", genus)
-        _set(self, "circles", circles)
-        _set(self, "windows", windows)
+        _component_genus(self, genus)
+        _component_circles(self, circles)
+        _component_windows(self, windows)
 
     @property
     def boundary(self) -> tuple[BoundaryCircle | Window, ...]:
@@ -270,33 +272,42 @@ class Cobordism:
         for comp in components:
             if type(comp) is not Component:
                 raise wrong_type(Component, comp)
-        _set(self, "source", source)
-        _set(self, "target", target)
-        _set(self, "components", components)
+        _cobordism_source(self, source)
+        _cobordism_target(self, target)
+        _cobordism_components(self, components)
 
 
 # ---------------------------------------------------------------------------
-# unchecked assembly: every slot given must already be a checked value
+# slot setters and unchecked assembly: every slot given to an assembler
+# must already be a checked value
+
+_ref_side, _ref_index, _ref_rev = _setters(IntervalRef)
+(_arc_brane,) = _setters(Arc)
+_closed_side, _closed_index = _setters(Closed)
+(_window_brane,) = _setters(Window)
+(_mixed_cycle,) = _setters(Mixed)
+_component_genus, _component_circles, _component_windows = _setters(Component)
+_cobordism_source, _cobordism_target, _cobordism_components = _setters(Cobordism)
 
 
 def _ref(side: str, index: int, rev: bool) -> IntervalRef:
     ref = _new(IntervalRef)
-    _set(ref, "side", side)
-    _set(ref, "index", index)
-    _set(ref, "rev", rev)
+    _ref_side(ref, side)
+    _ref_index(ref, index)
+    _ref_rev(ref, rev)
     return ref
 
 
 def _closed(side: str, index: int) -> Closed:
     circ = _new(Closed)
-    _set(circ, "side", side)
-    _set(circ, "index", index)
+    _closed_side(circ, side)
+    _closed_index(circ, index)
     return circ
 
 
 def _mixed(cycle: tuple[MixedEntry, ...]) -> Mixed:
     circ = _new(Mixed)
-    _set(circ, "cycle", cycle)
+    _mixed_cycle(circ, cycle)
     return circ
 
 
@@ -306,9 +317,9 @@ def _component(
     windows: tuple[tuple[str, int], ...],
 ) -> Component:
     comp = _new(Component)
-    _set(comp, "genus", genus)
-    _set(comp, "circles", circles)
-    _set(comp, "windows", windows)
+    _component_genus(comp, genus)
+    _component_circles(comp, circles)
+    _component_windows(comp, windows)
     return comp
 
 
@@ -316,9 +327,9 @@ def _cobordism(
     source: GeneralObject, target: GeneralObject, components: tuple[Component, ...]
 ) -> Cobordism:
     c = _new(Cobordism)
-    _set(c, "source", source)
-    _set(c, "target", target)
-    _set(c, "components", components)
+    _cobordism_source(c, source)
+    _cobordism_target(c, target)
+    _cobordism_components(c, components)
     return c
 
 

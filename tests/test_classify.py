@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from occob.classify import (
     is_isomorphic,
     strata_table,
 )
-from occob.dsl import parse
+from occob.dsl import CobordismDef, Document, parse, serialize, to_json
 from occob.errors import (
     CompositionError,
     InfeasibleObjectError,
@@ -44,6 +45,7 @@ from occob.surfaces import (
     Mixed,
     in_b_subcategory,
     in_ref,
+    invariant_summary,
     validate,
     window_vector,
 )
@@ -340,6 +342,53 @@ class TestEnumerateAgainstReference:
         with pytest.raises(InvalidValueError, match=message):
             enumerate_classes(star_obj("O"), 0, 2048)
         assert len(strata_table(star_obj("O"), 0, 2048)) == 2049
+
+
+class TestWindowCap:
+    """A key holds one ``(2, brane)`` entry per window, so ``canonicalize``
+    refuses a cobordism of more than 2**21 windows from its counts, and the
+    writers, which canonicalize first, refuse it with it.  What reads only
+    the counts still answers."""
+
+    MESSAGE = "^cobordism has more than 2097152 windows in all$"
+
+    @staticmethod
+    def _windows(*components) -> Cobordism:
+        empty = GeneralObject(AB, [])
+        return Cobordism(empty, empty, [Component(0, (), w) for w in components])
+
+    @pytest.mark.parametrize(
+        "components",
+        [
+            ([("a", 10**12)],),
+            ([("a", 2**21 + 1)],),
+            ([("a", 2**20), ("b", 2**20 + 1)],),
+            ([("a", 2**20)], [("b", 2**20)], [("a", 1)]),
+        ],
+        ids=["huge", "one-over", "two-branes", "three-components"],
+    )
+    def test_canonicalize_and_the_writers_refuse_at_once(self, components):
+        c = self._windows(*components)
+        doc = Document(branes=frozenset(AB), objects={"E": c.source})
+        doc.cobordisms["c"] = CobordismDef("E", "E", c)
+        for call, arg in ((canonicalize, c), (serialize, doc), (to_json, doc)):
+            start = time.perf_counter()
+            with pytest.raises(InvalidValueError, match=self.MESSAGE):
+                call(arg)
+            assert time.perf_counter() - start < 0.1, call
+
+    def test_counts_are_still_read(self):
+        c = self._windows([("a", 10**12)])
+        assert is_isomorphic(c, c)
+        assert not is_isomorphic(c, self._windows([("a", 10**12 + 1)]))
+        summary = invariant_summary(c)
+        assert summary.window_vector == (("a", 10**12), ("b", 0))
+        assert summary.euler == 2 - 10**12
+
+    def test_exactly_the_cap_is_keyed(self):
+        c = self._windows([("a", 2**20)], [("b", 2**20)])
+        keys = [key for _, key in canonicalize(c).key[2]]
+        assert sorted(map(len, keys)) == [2**20, 2**20]
 
 
 class TestStrata:

@@ -27,6 +27,9 @@ doubling of n may multiply the count by at most 2.3, which leaves room
 for an n log n sort; a quadratic path in Python multiplies it by about 4.
 The tokenizer is held to more: on the texts of the ``cycle``, ``perm``
 and ``circles`` documents its count may grow by at most 1.1 per doubling.
+So are ``serialize``, ``to_json``, ``canonicalize`` and ``validate`` on
+the ``windows`` document, as windows are stored as counts: they work per
+brane, not per window.
 Work inside a single C call, such as ``x in tuple`` or ``sorted``, runs
 no Python lines and so is not counted.
 """
@@ -186,6 +189,16 @@ def test_tokenizing_a_document_runs_a_fixed_number_of_lines(shape):
     or per distinct token."""
     texts = [serialize(_document(shape, n)) for n in SIZES]
     counts = [_lines_run(lambda: _tokenize(text)) for text in texts]
+    ratios = [round(b / a, 3) for a, b in zip(counts, counts[1:])]
+    assert max(ratios) <= 1.1, (counts, ratios)
+
+
+@pytest.mark.parametrize("layer", ["serialize", "to_json", "canonicalize", "validate"])
+def test_windows_are_handled_per_brane_not_per_window(layer):
+    """Each brane's windows are written as one line or JSON node repeated
+    by a C call, keyed as one run of ``(2, brane)`` entries and checked
+    once, so the lines run do not grow with the window count."""
+    counts = [_lines_run(_call(layer, _document("windows", n))) for n in SIZES]
     ratios = [round(b / a, 3) for a, b in zip(counts, counts[1:])]
     assert max(ratios) <= 1.1, (counts, ratios)
 
