@@ -22,7 +22,9 @@ script prints its arguments, exit code, standard output and standard
 error.  ``COLUMNS`` is set to 80 first, since argparse wraps its usage
 and help text at the terminal width.  The output then depends only on
 the corpus and the program, so the
-outputs of two versions of occob can be compared with ``diff``.  It uses
+outputs of two versions of occob can be compared with ``diff``.  Only the
+help block at the top also depends on the Python version, as argparse
+lays out help differently from 3.13 on.  It uses
 the standard library only:
 
     PYTHONPATH=src python scripts/cli_sweep.py > sweep.txt

@@ -11,14 +11,14 @@ number of glued intervals, which recovers the genus.
 Only what the middle object touches is traced: a mixed circle with no
 glued reference passes through as the same object, and so does every
 closed circle that is not glued (a mixed circle stored from an arc, or
-with arcs to fuse, is rewritten as a traced one is).  What this module
-derives from checked values is assembled unchecked, by the rule stated
-in ``surfaces``.
+with arcs to fuse, is rewritten as a traced one is).  ``pullback`` walks
+a cobordism's circles with the same numbering pass, ``_number``, and the
+same pass-through rule.  What this module derives from checked values is
+assembled unchecked, by the rule stated in ``surfaces``.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Iterable, Sequence
 
 from occob.errors import ClosedComponentError, CompositionError, InfeasibleObjectError
@@ -133,11 +133,11 @@ def compose(second: Cobordism, first: Cobordism) -> Cobordism:
 
     # Index every glued closed circle by its piece.  Number the entries of
     # every mixed cycle with a glued reference 0..N-1 in (piece, circle,
-    # entry) order: node x is entries[x], followed on its cycle by node
-    # succ[x], on piece owner[x].  Any other mixed cycle gets no node: it
-    # passes with the node number its first entry would take, and the rest
-    # of each piece's circles are kept.  Per piece: its Euler characteristic
-    # (windows left out on both sides of ``_genus``) and its windows.
+    # entry) order with ``_number``: node x lies on piece owner[x].  Any
+    # other mixed cycle gets no node: it passes with the node number its
+    # first entry would take, and the rest of each piece's circles are
+    # kept.  Per piece: its Euler characteristic (windows left out on both
+    # sides of ``_genus``) and its windows.
     out_circle_piece: dict[int, int] = {}  # middle circle -> piece in first
     in_circle_piece: dict[int, int] = {}  # middle circle -> piece in second
     entries: list[MixedEntry] = []
@@ -162,19 +162,10 @@ def compose(second: Cobordism, first: Cobordism) -> Cobordism:
                     stay.append(circ)
                 continue
             cycle = circ.cycle
-            base = len(entries)
-            glued = False
-            for node, entry in enumerate(cycle, base):
-                if type(entry) is IntervalRef and entry.side == side:
-                    nodes[entry.index] = node
-                    glued = True
-            if glued:
-                entries += cycle
+            if _number(cycle, side, nodes, entries, succ):
                 owner += [pid] * len(cycle)
-                succ += range(base + 1, base + len(cycle))
-                succ.append(base)
             elif cycle:  # an empty cycle is dropped
-                passing.append((base, pid, circ))
+                passing.append((len(entries), pid, circ))
         kept.append(stay)
         chi.append(2 - 2 * comp.genus - len(comp.circles))
         windows.append(comp.windows)
@@ -288,6 +279,25 @@ def compose(second: Cobordism, first: Cobordism) -> Cobordism:
             w = _window_counts(w)
         components.append(_component(genus, tuple(circles), w))
     return _cobordism(first.source, second.target, tuple(components))
+
+
+def _number(cycle: tuple, side: str, nodes: dict, entries: list, succ: list) -> bool:
+    """Number ``cycle``'s entries on from ``len(entries)`` if it has an
+    interval reference on ``side``, and say whether it did: node x is
+    ``entries[x]``, followed on its cycle by node ``succ[x]``, and ``nodes``
+    maps the index of each reference on ``side`` to its node, the last
+    reference to an index winning.  Any other cycle passes through."""
+    base = len(entries)
+    glued = False
+    for node, entry in enumerate(cycle, base):
+        if type(entry) is IntervalRef and entry.side == side:
+            nodes[entry.index] = node
+            glued = True
+    if glued:
+        entries += cycle
+        succ += range(base + 1, base + len(cycle))
+        succ.append(base)
+    return glued
 
 
 def _genus(chi: int, boundary_count: int, windows=()) -> int:
@@ -453,9 +463,6 @@ def _check_coherent(at: tuple, sigma: Permutation) -> None:
                 )
 
 
-_side = attrgetter("side")
-
-
 def pullback(c: Cobordism, tau: Permutation) -> Permutation:
     """Pull a permutation on the target intervals back along ``c``.
 
@@ -467,17 +474,23 @@ def pullback(c: Cobordism, tau: Permutation) -> Permutation:
     ``y``'s left brane, so the walk leaves ``c`` at outgoing reference
     ``y`` and goes on after outgoing reference ``tau(y)``; each incoming
     interval maps to the next incoming interval met.  Each outgoing
-    reference is crossed once, so the walk is linear.
+    reference is crossed once, so the walk is linear.  A circle with no
+    outgoing reference passes through, as in ``compose``: its arcs are
+    fused, and each of its references maps to the next.
 
-    It raises what the glued path raised, with the same messages:
-    ``InvalidValueError`` for ``tau`` on another domain than the target
-    intervals, ``InfeasibleObjectError`` for a cycle of ``tau`` that is
-    not brane-coherent, ``CompositionError`` for a target circle or
-    interval ``c`` does not attach, an outgoing reference with ``rev``
-    set or arcs on two branes where they would be joined,
-    ``ClosedComponentError`` for an empty component, and
-    ``InvalidCobordismError`` for an outgoing reference left unglued (a
-    target interval referenced twice) or source intervals not covered.
+    On every input tested, what the glued path returns ``pullback``
+    returns, and where ``pullback`` raises the glued path raises too; on
+    one defect both raise the same class with the same message, but with
+    defects stacked, they may name different ones, or ``pullback`` may
+    return where the glued path raises.  It raises ``InvalidValueError``
+    for ``tau`` on another domain than the target intervals,
+    ``InfeasibleObjectError`` for a cycle of ``tau`` that is not
+    brane-coherent, ``CompositionError`` for a target circle or interval
+    ``c`` does not attach, an outgoing reference with ``rev`` set or arcs
+    on two branes where they would be joined, ``ClosedComponentError`` for
+    an empty component, and ``InvalidCobordismError`` for an outgoing
+    reference left unglued (a target interval referenced twice) or source
+    intervals not covered.
     """
     if type(c) is not Cobordism:
         raise wrong_type(Cobordism, c)
@@ -489,51 +502,22 @@ def pullback(c: Cobordism, tau: Permutation) -> Permutation:
         raise _wrong_domain(tau, positions)
     _check_coherent(at, tau)
 
-    # A mixed cycle with no outgoing reference whose entries alternate from
-    # a reference maps each reference to the next: compose passes it through
-    # untouched.  A cycle of arcs alone is kept aside.  Number the entries
-    # of every other mixed cycle 0..N-1 in (component, circle, entry) order,
-    # as compose does: node x is entries[x], followed on its cycle by node
-    # succ[x].  As in compose, a target interval is glued at the last
-    # outgoing reference to it.
+    # Number the mixed cycles with an outgoing reference as compose does,
+    # so a target interval is glued at the last outgoing reference to it.
+    # Every other mixed cycle passes through, as in compose.
     image: dict[int, int] = {}
     entries: list[MixedEntry] = []
     succ: list[int] = []
-    ins: list[int] = []  # nodes of incoming references
     outs: dict[int, int] = {}  # outgoing index -> node of its last reference
-    n_out = 0
-    arcs_only: list[tuple[MixedEntry, ...]] = []
+    passing: list[tuple[MixedEntry, ...]] = []
     held: set[int] = set()  # target circles held by a closed circle
     for comp in c.components:
         for circ in comp.circles:
             if type(circ) is Closed:
                 if circ.side == OUT:
                     held.add(circ.index)
-                continue
-            cycle = circ.cycle
-            refs = cycle[::2]
-            if (
-                Arc not in map(type, refs)
-                and OUT not in map(_side, refs)
-                and IntervalRef not in map(type, cycle[1::2])
-            ):
-                for r, r_next in zip(refs, refs[1:] + refs[:1]):
-                    image[r.index] = r_next.index
-                continue
-            if IntervalRef not in map(type, cycle):
-                arcs_only.append(cycle)
-                continue
-            base = len(entries)
-            for node, entry in enumerate(cycle, base):
-                if type(entry) is IntervalRef:
-                    if entry.side == IN:
-                        ins.append(node)
-                    else:
-                        outs[entry.index] = node
-                        n_out += 1
-            entries += cycle
-            succ += range(base + 1, base + len(cycle))
-            succ.append(base)
+            elif not _number(circ.cycle, OUT, outs, entries, succ):
+                passing.append(circ.cycle)
 
     # The checks compose makes on the middle object, in its order.
     for i in target.circle_indices:
@@ -552,13 +536,14 @@ def pullback(c: Cobordism, tau: Permutation) -> Permutation:
     jump = [-1] * len(entries)
     for y, t in tau.pairs:
         jump[outs[y]] = succ[outs[t]]
-    strays = []
-    if n_out > len(positions):
-        strays = [
-            x
-            for x, e in enumerate(entries)
-            if type(e) is IntervalRef and e.side == OUT and jump[x] < 0
-        ]
+    ins: list[int] = []  # nodes of incoming references
+    strays: list[int] = []
+    for x, e in enumerate(entries):
+        if type(e) is IntervalRef:
+            if e.side == IN:
+                ins.append(x)
+            elif jump[x] < 0:
+                strays.append(x)
     crossed = bytearray(len(entries))
 
     def run(cur: int) -> tuple[int, set[str]]:
@@ -588,9 +573,15 @@ def pullback(c: Cobordism, tau: Permutation) -> Permutation:
     for y in positions:
         if not crossed[outs[y]] and len(branes := run(outs[y])[1]) > 1:
             raise _disagree(branes, _FREE)
-    for cycle in arcs_only:
-        if len(branes := {e.brane for e in cycle}) > 1:
-            raise _disagree(branes, _FREE)
+    # A passing cycle's arcs are fused as compose fuses them, which raises
+    # where their branes disagree and keeps its references: each maps to
+    # the next.
+    for cycle in passing:
+        if Arc in map(type, cycle[::2]):
+            _fuse_arcs(cycle)
+        refs = [e for e in cycle if type(e) is IntervalRef]
+        for r, r_next in zip(refs, refs[1:] + refs[:1]):
+            image[r.index] = r_next.index
     if any(not comp.circles and not comp.windows for comp in c.components):
         raise _closed_off()
     if strays:

@@ -2,16 +2,28 @@
 
 The reference glues a realizer of ``tau`` on top of ``c`` and reads the
 permutation off the glued surface; ``pullback`` walks ``c``'s mixed
-circles.  On each input both must return equal permutations or raise the
-same exception class with the same message.  The inputs are sampled
-cobordisms over ``{*}`` and ``{a, b}`` with a ``tau`` drawn at random, so
-that over ``{a, b}`` many are not brane-coherent; mutants of sampled
-cobordisms: an outgoing reference dropped or repeated, an arc dropped, a
-``rev`` flipped, an arc moved to another brane, an empty component added,
-a closed outgoing circle removed and a circle of arcs alone added; and
-hand-built circles that do not alternate from a reference, which
-``pullback`` walks rather than passes through.  Each call runs under a
-deadline, so a walk that does not end fails the test.
+circles.  On each input with at most one defect both must return equal
+permutations or raise the same exception class with the same message.
+The inputs are sampled cobordisms over ``{*}`` and ``{a, b}`` with a
+``tau`` drawn at random, so that over ``{a, b}`` many are not
+brane-coherent; mutants of sampled cobordisms: an outgoing reference
+dropped or repeated, an arc dropped, a ``rev`` flipped, an arc moved to
+another brane, an empty component added, a closed outgoing circle removed
+and a circle of arcs alone added; and hand-built circles that do not
+alternate from a reference, both circles with an outgoing reference,
+which ``pullback`` walks, and circles with none, which pass through as
+in ``compose`` and have their arcs fused: stored from an arc, with a run
+of arcs on one brane or two (one wrapping round the start), with
+adjacent references, and of arcs alone.
+
+With two or three mutants stacked, the two may raise on different
+checks, and ``pullback`` may return where the reference raises.  On those
+inputs the test asserts only that what the reference returns, ``pullback``
+returns, and that where ``pullback`` raises, the reference raises.  Last,
+``pullback`` with the empty ``tau`` must equal ``boundary_permutation`` on
+cobordisms to the one-circle object, whose mixed circles all pass
+through.  Each call runs under a deadline, so a walk that does not end
+fails the test.
 """
 
 from __future__ import annotations
@@ -25,7 +37,7 @@ import pytest
 from occob import calculus
 from occob.calculus import identity, pullback
 from occob.errors import InfeasibleObjectError, InvalidCobordismError, OcError
-from occob.objects import STAR, GeneralObject, Interval, Permutation
+from occob.objects import STAR, Circle, GeneralObject, Interval, Permutation
 from occob.sampling import sample_cobordism, shuffled
 from occob.surfaces import (
     OUT,
@@ -35,6 +47,7 @@ from occob.surfaces import (
     Component,
     IntervalRef,
     Mixed,
+    boundary_permutation,
     in_ref,
     out_ref,
     validate,
@@ -273,6 +286,64 @@ def test_hand_built_circles_pull_back_as_the_reference_does(cycle):
     y = GeneralObject({STAR}, [Interval(STAR, STAR)])
     c = Cobordism(x, y, [Component(0, [Mixed(cycle)])])
     assert type(assert_same(c, Permutation({1: 1}))) is Permutation
+
+
+_A, _B = Arc("a"), Arc("b")
+# Mixed circles from [I(a,a), I(a,a)] to [I(a,a)] with no outgoing reference
+# and not alternating from a reference, beside ``out 1`` on its own circle:
+# they pass through, their arcs fused as compose fuses them.
+PASSING = {
+    "stored from an arc": [[_A, in_ref(1), _A, in_ref(2)]],
+    "an arc run on one brane": [[in_ref(1), _A, _A, in_ref(2), _A]],
+    "an arc run on two branes": [[in_ref(1), _A, _B, in_ref(2), _A]],
+    "a run on two branes round the start": [[_B, in_ref(1), _A, in_ref(2), _A]],
+    "adjacent references": [[in_ref(1), in_ref(2), _A]],
+    "arcs alone on one brane": [[_A, _A], [in_ref(1), _A, in_ref(2), _A]],
+    "arcs alone on two branes": [[_A, _B], [in_ref(1), _A, in_ref(2), _A]],
+}
+
+
+@pytest.mark.parametrize("cycles", PASSING.values(), ids=PASSING)
+def test_passing_circles_pull_back_as_the_reference_does(cycles):
+    interval = Interval("a", "a")
+    x = GeneralObject({"a", "b"}, [interval] * 2)
+    y = GeneralObject({"a", "b"}, [interval])
+    circles = [*map(Mixed, cycles), Mixed([out_ref(1), _A])]
+    assert_same(Cobordism(x, y, [Component(0, circles)]), Permutation({1: 1}))
+
+
+@pytest.mark.parametrize("branes", BRANE_SETS, ids="".join)
+def test_stacked_mutations_never_contradict_the_reference(rng, branes):
+    """With two or three defects at once, the two may fail on different
+    checks, and ``pullback`` may return where the glued path raises.  But
+    what the glued path returns, ``pullback`` returns, and where
+    ``pullback`` raises, the glued path raises too."""
+    returned = raised = 0
+    for _ in range(1000):
+        c = sample_cobordism(rng, branes)
+        bad = c
+        for mutate in rng.sample(MUTATIONS, rng.randint(2, 3)):
+            bad = mutate(rng, bad) or bad
+        tau = random_tau(rng, c) if rng.random() < 0.5 else c.target.sigma
+        got = outcome(pullback, bad, tau)
+        expected = outcome(reference_pullback, bad, tau)
+        if type(expected) is Permutation:
+            returned += 1
+            assert got == expected, (bad, tau)
+        if type(got) is tuple:
+            raised += 1
+            assert type(expected) is tuple, (bad, tau)
+    assert returned and raised
+
+
+def test_the_walk_with_no_glued_interval_is_the_boundary_permutation():
+    """To the one-circle object every mixed circle passes through, so
+    ``pullback`` must read each circle as ``boundary_permutation`` does."""
+    rng = random.Random(5)
+    for k in range(3000):
+        branes = BRANE_SETS[k % 2]
+        c = sample_cobordism(rng, branes, target=GeneralObject(branes, [Circle()]))
+        assert pullback(c, Permutation()) == boundary_permutation(c), c
 
 
 def test_a_target_interval_referenced_twice_is_an_invalid_cobordism():
