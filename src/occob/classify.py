@@ -17,7 +17,7 @@ from operator import itemgetter
 from occob.calculus import realize
 from occob.errors import CompositionError, InvalidCobordismError, InvalidValueError
 from occob.errors import wrong_type
-from occob.objects import Circle, GeneralObject
+from occob.objects import Circle, GeneralObject, _setters
 from occob.surfaces import (
     IN,
     Arc,
@@ -256,6 +256,20 @@ class StrataRow:
     in_b: bool
 
 
+_row_genus, _row_windows, _row_c_number, _row_in_b = _setters(StrataRow)
+
+
+def _row(
+    genus: int, windows: tuple[tuple[str, int], ...], c_number: int, in_b: bool
+) -> StrataRow:
+    row = object.__new__(StrataRow)
+    _row_genus(row, genus)
+    _row_windows(row, windows)
+    _row_c_number(row, c_number)
+    _row_in_b(row, in_b)
+    return row
+
+
 def strata_table(
     obj: GeneralObject, max_genus: int, max_windows: int
 ) -> list[StrataRow]:
@@ -266,9 +280,11 @@ def strata_table(
     table; so is the b column, whether the realizer keeps outgoing boundary
     on every component (always true), which extra genus or windows keep.
     Bounds are refused as by ``enumerate_classes``, at the same 65,536 rows.
+    Each row is assembled from these checked values without the dataclass
+    constructor.
     """
     _check_bounds(obj, max_genus, max_windows)
     in_b = in_b_subcategory(realize(obj))
     c = obj.c_number
     vectors = _window_grid(obj, max_windows)
-    return [StrataRow(g, w, c, in_b) for g in range(max_genus + 1) for w in vectors]
+    return [_row(g, w, c, in_b) for g in range(max_genus + 1) for w in vectors]

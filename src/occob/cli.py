@@ -1,11 +1,17 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 domain failure (invalid data, mismatched
-interfaces, a false query), 2 usage or syntax errors.
+interfaces, a false query), 2 usage or syntax errors.  The ``occob``
+command (``run``) also exits 1, with no traceback, when its standard
+output is closed before all of it is written.
 
 Each subcommand is one ``cmd`` row in ``_build_parser``: name, handler,
-help, operands and options.  ``main`` loads FILE, looks the operands up
-in it and calls the handler with the arguments, document and values.
+help, operands and options.  ``main`` reads an argv that starts with a
+subcommand with that subcommand's own parser, the one the whole parser
+would hand the rest to; any other argv (no subcommand first, or arguments
+left over) goes through the whole parser, which prints the help and usage
+errors.  It then loads FILE, looks the operands up in it and calls the
+handler with the arguments, document and values.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import sys
 
 from occob import calculus, classify
@@ -187,15 +194,17 @@ def _cmd_iso(args, _doc, a, b) -> int:
     return 0 if same else 1
 
 
+def _cells(row: classify.StrataRow) -> list[str]:
+    """One row of the classify table as the text and CSV layouts write it."""
+    counts = [str(n) for _, n in row.windows]
+    return [str(row.genus), *counts, str(row.c_number), "true" if row.in_b else "false"]
+
+
 def _cmd_classify(args, _doc, obj) -> int:
     rows = classify.strata_table(obj, args.G, args.W)
     branes = sorted(obj.branes)
     header = ["g"] + [f"w_{b}" for b in branes] + ["c", "b_flag"]
-    flags = ("false", "true")
-    table = [
-        [row.genus, *[n for _, n in row.windows], row.c_number, flags[row.in_b]]
-        for row in rows
-    ]
+    table = list(map(_cells, rows))
     if args.csv:
         if "\0" in args.csv:  # open() would raise a ValueError
             raise _Usage(f"cannot write {args.csv}: embedded null byte")
@@ -222,7 +231,7 @@ def _cmd_classify(args, _doc, obj) -> int:
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print("\n".join([" ".join(header), *[" ".join(map(str, x)) for x in table]]))
+        print("\n".join([" ".join(header), *map(" ".join, table)]))
     return 0
 
 
@@ -292,11 +301,28 @@ def _build_parser() -> argparse.ArgumentParser:
         },
         emits=True,
     )
+    parser.commands = sub.choices  # name -> subcommand parser, for _parse_argv
     return parser
 
 
+def _parse_argv(argv: list[str] | None) -> argparse.Namespace:
+    """``argv`` (by default ``sys.argv[1:]``) read as the whole parser reads
+    it, by the subcommand's parser where that can be (see the module
+    docstring)."""
+    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_argv(argv)
     handler, operands = args.handler
     try:
         doc = _load(args.file)
@@ -317,7 +343,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:  # console script entry point
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # so a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # As the signal module's note on SIGPIPE does: the reader has gone,
+        # so what is left to flush goes to os.devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -297,15 +297,18 @@ class _Builder:
 # parser
 #
 # Tokens are strings, and the empty string is the end of input.  Errors
-# point at the current token unless they come from the builder, which is
-# handed the index of the token that a value was read from.
+# point at the token that broke the grammar; the builder is handed the
+# index of the token that a value was read from.
 #
-# Each list production reads its items straight from ``self.toks`` by
-# index and checks each token where it reads it.  It calls a method only
-# to raise an error at the token that broke the grammar, or to read an
-# integer literal past the interpreter's digit limit, which ``int()``
-# refuses.  A token past another is read only once that other is known
-# not to be the end of input.
+# Each production, of a statement or of a list, reads its tokens straight
+# from ``self.toks`` by index and checks each token where it reads it.  It
+# calls a method only to raise an error at the token that broke the
+# grammar, to read an integer literal past the interpreter's digit limit,
+# which ``int()`` refuses, or to hand a checked value to the builder or to
+# the production of a list.  A token past another is read only once that
+# other is known not to be the end of input.  ``document`` and ``cobdef``
+# have checked the keyword that starts a statement or a component, so its
+# production reads on from the token after it.
 
 
 class _Parser:
@@ -315,20 +318,12 @@ class _Parser:
         self.toks.append("")
         self.pos = 0
 
-    def peek(self) -> str:
-        return self.toks[self.pos]
-
     def fail(self, message: str, k: int | None = None) -> NoReturn:
         """Raise ``DslSyntaxError`` at token ``k``, by default the current one."""
         raise DslSyntaxError(message, *_locate(self.text, self.pos if k is None else k))
 
     def expected(self, what: str, k: int) -> NoReturn:
         self.fail(f"expected {what}, got {self.toks[k] or 'end of input'!r}", k)
-
-    def expect(self, value: str) -> None:
-        if self.toks[self.pos] != value:
-            self.expected(repr(value), self.pos)
-        self.pos += 1
 
     def integer(self, k: int) -> int:
         """Token ``k`` as an integer, raising unless ``int()`` reads it as one."""
@@ -340,34 +335,30 @@ class _Parser:
         except ValueError:  # longer than the interpreter's digit limit
             self.fail(f"integer literal of {len(t)} digits is too long", k)
 
+    # names ----------------------------------------------------------------
+    #
+    # A name is a word that is not a keyword; a brane label is a name or "*".
+
+    def bad_name(self, what: str, k: int) -> NoReturn:
+        """Raise the error for token ``k``, which is no name."""
+        t = self.toks[k]
+        if t in _KEYWORDS:
+            self.fail(f"keyword {t!r} cannot be used as {what}", k)
+        self.expected(what, k)
+
     def bad_brane(self, k: int) -> NoReturn:
         """Raise the error for token ``k``, which is no declared brane label."""
-        self.pos = k
-        label = self.brane_name()  # raises for a token that is not a name
+        label = self.toks[k]
+        if label != STAR and (label in _KEYWORDS or not _is_word(label)):
+            self.bad_name("a brane label", k)
         self.build.fail(k, f"brane {label!r} is not declared")
-
-    # names ----------------------------------------------------------------
-
-    def name(self, what: str) -> str:
-        t = self.peek()
-        if not _is_word(t):
-            self.fail(f"expected {what}, got {t or 'end of input'!r}")
-        if t in _KEYWORDS:
-            self.fail(f"keyword {t!r} cannot be used as {what}")
-        self.pos += 1
-        return t
-
-    def brane_name(self) -> str:
-        if self.peek() == STAR:
-            self.pos += 1
-            return STAR
-        return self.name("a brane label")
 
     # document -------------------------------------------------------------
 
     def document(self) -> Document:
         self.build = self.branes_decl()
-        while t := self.peek():
+        toks = self.toks
+        while t := toks[self.pos]:
             if t == "object":
                 self.objectdef()
             elif t == "cobordism":
@@ -379,35 +370,57 @@ class _Parser:
         return self.build.doc
 
     def branes_decl(self) -> _Builder:
-        at = self.pos
-        self.single_brane = self.peek() != "branes"
+        """``("branes" label ("," label)* ";")?``."""
+        toks = self.toks
+        at = k = self.pos
+        self.single_brane = toks[k] != "branes"
         if self.single_brane:
             return _Builder([STAR], at, self.text)
-        self.pos += 1
-        labels = [self.brane_name()]
-        while self.peek() == ",":
-            self.pos += 1
-            labels.append(self.brane_name())
-        self.expect(";")
+        labels = []
+        while True:
+            t = toks[k + 1]
+            if t != STAR and (t in _KEYWORDS or not _is_word(t)):
+                self.bad_name("a brane label", k + 1)
+            labels.append(t)
+            k += 2
+            if toks[k] != ",":
+                break
+        if toks[k] != ";":
+            self.expected("';'", k)
+        self.pos = k + 1
         return _Builder(labels, at, self.text)
 
     # objects --------------------------------------------------------------
 
     def objectdef(self) -> None:
-        self.expect("object")
-        at = self.pos
-        name = self.name("an object name")
+        """``"object" NAME "=" "[" entries? "]" ("sigma" cycles)? ";"``."""
+        toks = self.toks
+        at = self.pos + 1
+        name = toks[at]
+        if name in _KEYWORDS or not _is_word(name):
+            self.bad_name("an object name", at)
         self.build.new_name("object", name, at)
-        self.expect("=")
-        self.expect("[")
-        entries = self.entries() if self.peek() != "]" else []
-        self.expect("]")
+        if toks[at + 1] != "=":
+            self.expected("'='", at + 1)
+        if toks[at + 2] != "[":
+            self.expected("'['", at + 2)
+        k = at + 3
+        entries = []
+        if toks[k] != "]":
+            self.pos = k
+            entries = self.entries()
+            k = self.pos
+            if toks[k] != "]":
+                self.expected("']'", k)
         cycles = None
-        sigma_at = self.pos
-        if self.peek() == "sigma":
-            self.pos += 1
+        sigma_at = k = k + 1
+        if toks[k] == "sigma":
+            self.pos = k + 1
             cycles = self.cycles()
-        self.expect(";")
+            k = self.pos
+        if toks[k] != ";":
+            self.expected("';'", k)
+        self.pos = k + 1
         self.build.add_object(name, entries, cycles, sigma_at)
 
     def entries(self) -> list:
@@ -474,36 +487,54 @@ class _Parser:
     # cobordisms -----------------------------------------------------------
 
     def cobdef(self) -> None:
-        self.expect("cobordism")
-        at = self.pos
-        name = self.name("a cobordism name")
+        """``"cobordism" NAME ":" NAME "->" NAME "{" component* "}"``."""
+        toks = self.toks
+        at = self.pos + 1
+        name = toks[at]
+        if name in _KEYWORDS or not _is_word(name):
+            self.bad_name("a cobordism name", at)
         self.build.new_name("cobordism", name, at)
-        self.expect(":")
-        src_at = self.pos
-        source = self.name("a source object name")
-        self.expect("->")
-        tgt_at = self.pos
-        target = self.name("a target object name")
-        source = self.build.object_ref(source, src_at)
-        target = self.build.object_ref(target, tgt_at)
-        self.expect("{")
+        if toks[at + 1] != ":":
+            self.expected("':'", at + 1)
+        source = toks[at + 2]
+        if source in _KEYWORDS or not _is_word(source):
+            self.bad_name("a source object name", at + 2)
+        if toks[at + 3] != "->":
+            self.expected("'->'", at + 3)
+        target = toks[at + 4]
+        if target in _KEYWORDS or not _is_word(target):
+            self.bad_name("a target object name", at + 4)
+        source = self.build.object_ref(source, at + 2)
+        target = self.build.object_ref(target, at + 4)
+        if toks[at + 5] != "{":
+            self.expected("'{'", at + 5)
+        k = at + 6
         comps = []
-        while self.peek() == "component":
+        while toks[k] == "component":
+            self.pos = k
             comps.append(self.component())
-        self.expect("}")
+            k = self.pos
+        if toks[k] != "}":
+            self.expected("'}'", k)
+        self.pos = k + 1
         self.build.add_cobordism(name, at, source, target, comps)
 
     def component(self) -> Component:
         """``"component" "{" "genus" INT ";" bline* "}"``."""
-        self.expect("component")
-        self.expect("{")
-        self.expect("genus")
-        genus = self.integer(self.pos)
-        self.pos += 1
-        self.expect(";")
         toks, arcs, single = self.toks, self.build.arc, self.single_brane
+        k = self.pos + 1
+        if toks[k] != "{":
+            self.expected("'{'", k)
+        if toks[k + 1] != "genus":
+            self.expected("'genus'", k + 1)
+        try:
+            genus = int(toks[k + 2])
+        except ValueError:  # not an integer literal, or past the digit limit
+            genus = self.integer(k + 2)
+        if toks[k + 3] != ";":
+            self.expected("';'", k + 3)
         boundary, windows = [], []
-        k = self.pos
+        k += 4
         while (t := toks[k]) != "}":
             if t == "in" or t == "out":
                 try:
@@ -601,8 +632,8 @@ def parse_cycles(text: str) -> list[tuple[int, ...]]:
         raise wrong_type(str, text)
     p = _Parser(text)
     out = p.cycles()
-    if p.peek():
-        p.fail(f"unexpected trailing input {p.peek()!r}")
+    if t := p.toks[p.pos]:
+        p.fail(f"unexpected trailing input {t!r}")
     return out
 
 

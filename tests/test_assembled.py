@@ -3,16 +3,17 @@ rebuild through those constructors.
 
 The readers assemble the values the document builder has checked, and
 ``compose``, ``identity``, ``swap_cobordism``, ``tensor``, ``realize``,
-``stabilize``, ``canonicalize`` and ``enumerate_classes`` assemble what
-they derive from checked values (see ``surfaces``).  So every part of each
-result is rebuilt through its checked constructor and must come out equal
-(``conftest.assert_checked``, which ``test_compose_reference`` applies to
-``compose`` and ``tensor`` too).  Equality alone misses three forms that a constructor would not
-store, so each is tested too: a side must be the constant ``IN`` or
-``OUT`` itself, since a token or JSON string equal to ``"in"`` is another
-object; a label must be an exact ``str``; and branes a ``frozenset``,
-which equals a ``set``.  A list where a tuple belongs, or a window count
-of zero, makes the rebuild differ.
+``stabilize``, ``canonicalize``, ``enumerate_classes`` and ``strata_table``
+assemble what they derive from checked values (see ``surfaces``).  So
+every part of each result is rebuilt through its checked constructor and
+must come out equal (``conftest.assert_checked``, which
+``test_compose_reference`` applies to ``compose`` and ``tensor`` too).
+Equality alone misses three forms that a constructor would not store, so
+each is tested too: a side must be the constant ``IN`` or ``OUT`` itself,
+since a token or JSON string equal to ``"in"`` is another object; a label
+must be an exact ``str``; and branes a ``frozenset``, which equals a
+``set``.  A list where a tuple belongs, or a window count of zero, makes
+the rebuild differ.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ from occob.calculus import (
     swap_cobordism,
     tensor,
 )
-from occob.classify import canonicalize, enumerate_classes
+from occob.classify import StrataRow, canonicalize, enumerate_classes, strata_table
 from occob.dsl import Document, from_json, parse, to_json
+from occob.errors import InfeasibleObjectError
 from occob.objects import STAR
 from occob.sampling import (
     sample_cobordism,
@@ -121,3 +123,38 @@ def test_canonical_forms_are_assembled_checked(rng, branes):
     for _ in range(5):
         for form in enumerate_classes(sample_object(rng, branes), 1, 2):
             assert_checked(form.cobordism)
+
+
+def assert_row_checked(row: StrataRow) -> None:
+    """``row`` equals its rebuild through the dataclass constructor, with
+    each field of exactly its declared type."""
+    assert type(row) is StrataRow
+    assert type(row.genus) is int and type(row.c_number) is int
+    assert type(row.in_b) is bool
+    assert type(row.windows) is tuple
+    for pair in row.windows:
+        assert type(pair) is tuple and len(pair) == 2
+        assert type(pair[0]) is str and type(pair[1]) is int
+    assert StrataRow(row.genus, row.windows, row.c_number, row.in_b) == row
+
+
+def test_strata_rows_of_corpus_objects_are_assembled_checked():
+    tabled = 0
+    for path in ROUNDTRIP:
+        for obj in parse(path.read_text(encoding="utf-8")).objects.values():
+            try:
+                realize(obj)
+            except InfeasibleObjectError:  # no realizer, so no table
+                continue
+            for row in strata_table(obj, 2, 2):
+                assert_row_checked(row)
+            tabled += 1
+    assert tabled > 20
+
+
+@pytest.mark.parametrize("branes", BRANE_SETS, ids=["*", "ab", "abc"])
+def test_strata_rows_of_sampled_objects_are_assembled_checked(rng, branes):
+    for _ in range(20):
+        obj = sample_object(rng, branes)
+        for row in strata_table(obj, rng.randrange(3), rng.randrange(3)):
+            assert_row_checked(row)

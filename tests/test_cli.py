@@ -499,14 +499,16 @@ class TestParserReuse:
         assert "cobordism X :" in reused[8][1] and "cobordism result :" in reused[9][1]
 
 
-def test_fresh_process_check_exit_codes():
+def _fresh_env() -> dict[str, str]:
     paths = [str(REPO / "src"), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
 
+
+def test_fresh_process_check_exit_codes():
     def check(path):
         return subprocess.run(
             [sys.executable, "-m", "occob.cli", "check", str(path)],
-            capture_output=True, text=True, env=env, timeout=60,
+            capture_output=True, text=True, env=_fresh_env(), timeout=60,
         )
 
     ok = check(CORPUS / "roundtrip" / "ref_stabilizer.occ")
@@ -514,3 +516,25 @@ def test_fresh_process_check_exit_codes():
     bad = check(sorted((CORPUS / "malformed").glob("*.occ"))[0])
     assert bad.returncode == 2
     assert re.search(r"line \d+, column \d+", bad.stderr)
+
+
+def test_fresh_process_exits_1_when_stdout_closes_early():
+    """The reader takes one line and closes the pipe, as ``head -1`` does.
+    The table's 40,401 rows are far beyond the pipe's 64 KiB buffer, so the
+    write fails while the command runs; ``run`` exits 1 without a
+    traceback."""
+    path = CORPUS / "roundtrip" / "ref_interfaces.occ"
+    argv = ["classify", str(path), "five", "-G", "200", "-W", "200"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "occob.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_fresh_env(),
+    )
+    try:
+        assert proc.stdout.readline() == b"g w_* c b_flag\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert b"Traceback" not in proc.stderr.read()
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()

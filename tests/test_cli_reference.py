@@ -6,13 +6,18 @@ handler the new parser stores aside) and reject each refused list with
 the same exit status and message.  Comparing with the reference rather
 than with fixed text keeps the test valid on every Python whose argparse
 words its help and errors differently.
+
+Each list goes through ``_parse_argv``, which ``main`` reads its argv
+with: a list that starts with a subcommand is read by that subcommand's
+parser alone.  So each outcome must also equal the whole parser's, the
+``command`` value included.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from occob.cli import _build_parser
+from occob.cli import _build_parser, _parse_argv
 from reference_cli import reference_parser
 
 COMMANDS = [
@@ -54,6 +59,9 @@ def _accepted():
         for extra in extras:
             yield argv + extra
         yield [command, "--json", *argv[1:]]
+    yield ["check", "f.occ", "--js"]  # an abbreviated option
+    yield ["check", "--", "f.occ"]
+    yield ["compose", "f.occ", "--", "x", "y"]
 
 
 REJECTED = [
@@ -69,26 +77,42 @@ REJECTED = [
     ["pullback", "f.occ", "x"],  # no --tau
     ["sigma", "f.occ", "x", "-o", "glued"],  # -o only on emitting commands
     ["check", "f.occ", "-k", "2"],
+    ["check", "f.occ", "extra"],  # a leftover operand
+    ["--json", "check", "f.occ"],  # an option before the command
+    ["CHECK", "f.occ"],
+    ["chec", "f.occ"],
 ]
+HELP = [["--help"], ["--he"], ["check", "f.occ", "-h"]]
+HELP += [[c, "--help"] for c in COMMANDS]
 
 
-def _outcome(parser, argv, capsys):
+def _outcome(parse_args, argv, capsys):
     """Exit status, parsed values, standard output and standard error."""
     try:
-        values = vars(parser.parse_args(argv))
+        values = vars(parse_args(argv))
     except SystemExit as exc:
         return exc.code, None, *capsys.readouterr()
     values.pop("handler", None)
     return None, values, *capsys.readouterr()
 
 
-@pytest.mark.parametrize(
-    "argv", [["--help"]] + [[c, "--help"] for c in COMMANDS], ids=" ".join
-)
+def _read(argv, capsys):
+    """The outcome of ``main``'s reading of ``argv``, which must be the
+    whole parser's."""
+    new = _outcome(_parse_argv, argv, capsys)
+    assert new == _outcome(_build_parser().parse_args, argv, capsys)
+    return new
+
+
+def _reference(argv, capsys):
+    return _outcome(reference_parser().parse_args, argv, capsys)
+
+
+@pytest.mark.parametrize("argv", HELP, ids=" ".join)
 def test_same_help(argv, capsys):
-    new = _outcome(_build_parser(), argv, capsys)
+    new = _read(argv, capsys)
     assert new[0] == 0 and new[2]
-    assert new == _outcome(reference_parser(), argv, capsys)
+    assert new == _reference(argv, capsys)
 
 
 def test_same_top_level_format_help():
@@ -97,13 +121,13 @@ def test_same_top_level_format_help():
 
 @pytest.mark.parametrize("argv", list(_accepted()), ids=" ".join)
 def test_same_values_on_accepted_arguments(argv, capsys):
-    new = _outcome(_build_parser(), argv, capsys)
+    new = _read(argv, capsys)
     assert new[0] is None and new[1]["command"] == argv[0]
-    assert new == _outcome(reference_parser(), argv, capsys)
+    assert new == _reference(argv, capsys)
 
 
 @pytest.mark.parametrize("argv", REJECTED, ids=" ".join)
 def test_same_refusal_on_rejected_arguments(argv, capsys):
-    new = _outcome(_build_parser(), argv, capsys)
+    new = _read(argv, capsys)
     assert new[0] == 2 and new[3]
-    assert new == _outcome(reference_parser(), argv, capsys)
+    assert new == _reference(argv, capsys)
