@@ -134,18 +134,17 @@ def compose(second: Cobordism, first: Cobordism) -> Cobordism:
     # Index every glued closed circle by its piece.  Number the entries of
     # every mixed cycle with a glued reference 0..N-1 in (piece, circle,
     # entry) order with ``_number``: node x lies on piece owner[x].  Any
-    # other mixed cycle gets no node: it passes with the node number its
-    # first entry would take, and the rest of each piece's circles are
-    # kept.  Per piece: its Euler characteristic (windows left out on both
-    # sides of ``_genus``) and its windows.
+    # other nonempty mixed cycle is one node, the circle itself, its own
+    # successor, and the rest of each piece's circles are kept.  Per piece:
+    # its Euler characteristic (windows left out on both sides of
+    # ``_genus``) and its windows.
     out_circle_piece: dict[int, int] = {}  # middle circle -> piece in first
     in_circle_piece: dict[int, int] = {}  # middle circle -> piece in second
-    entries: list[MixedEntry] = []
+    entries: list = []  # a MixedEntry per node, or a passing Mixed circle
     succ: list[int] = []
     owner: list[int] = []
     out_nodes: dict[int, int] = {}  # middle interval -> node in first
     in_nodes: dict[int, int] = {}  # middle interval -> node in second
-    passing: list[tuple[int, int, Mixed | None]] = []  # (node, piece, circle)
     kept: list[list[BoundaryCircle]] = []
     chi: list[int] = []
     windows: list = []  # a checked tuple, or a list of pairs still to count
@@ -164,8 +163,10 @@ def compose(second: Cobordism, first: Cobordism) -> Cobordism:
             cycle = circ.cycle
             if _number(cycle, side, nodes, entries, succ):
                 owner += [pid] * len(cycle)
-            elif cycle:  # an empty cycle is dropped
-                passing.append((len(entries), pid, circ))
+            elif cycle:  # a passing circle; an empty cycle is dropped
+                succ.append(len(entries))
+                entries.append(circ)
+                owner.append(pid)
         kept.append(stay)
         chi.append(2 - 2 * comp.genus - len(comp.circles))
         windows.append(comp.windows)
@@ -226,26 +227,12 @@ def compose(second: Cobordism, first: Cobordism) -> Cobordism:
 
     # Trace the glued boundary: walk successor links, crossing each glued
     # interval onto the other surface, starting from each node not yet
-    # visited in turn.  A passing circle comes out where its first node
-    # would have been.  Runs of arcs then fuse into one.
-    end = len(entries)
-    passing.append((end + 1, 0, None))
-    k = 0
+    # visited in turn.  A passing circle is its own node, kept as it is
+    # unless it has arcs to fuse.  Runs of arcs then fuse into one.
     start = visited.find(0)
-    if start < 0:
-        start = end
-    while True:
-        at, pid, circ = passing[k]
-        if at <= start:
-            k += 1
-            cls = root[pid]
-            seq = circ.cycle
-            if Arc not in map(type, seq[::2]):  # nothing to fuse
-                kept[cls].append(circ)
-                continue
-        elif start == end:
-            break
-        else:
+    while start >= 0:
+        cls = root[owner[start]]
+        if type(circ := entries[start]) is not Mixed:
             seq = []
             cur = start
             while True:
@@ -256,14 +243,14 @@ def compose(second: Cobordism, first: Cobordism) -> Cobordism:
                     cur = succ[partner[cur]]
                 if cur == start:
                     break
-            cls = root[owner[start]]
-            start = visited.find(0, start + 1)
-            if start < 0:
-                start = end
-        if type(fused := _fuse_arcs(seq)) is Mixed:
-            kept[cls].append(fused)
+            circ = _fuse_arcs(seq)
+        elif Arc in map(type, circ.cycle[::2]):
+            circ = _fuse_arcs(circ.cycle)
+        start = visited.find(0, start + 1)
+        if type(circ) is Mixed:
+            kept[cls].append(circ)
         else:  # a window born, capped as the others are
-            windows[cls] = [*windows[cls], (fused, 1)]
+            windows[cls] = [*windows[cls], (circ, 1)]
             chi[cls] += 1
 
     # Assemble class by class, each window capped off, which keeps the genus.

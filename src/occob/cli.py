@@ -204,7 +204,7 @@ def _cmd_classify(args, _doc, obj) -> int:
     rows = classify.strata_table(obj, args.G, args.W)
     branes = sorted(obj.branes)
     header = ["g"] + [f"w_{b}" for b in branes] + ["c", "b_flag"]
-    table = list(map(_cells, rows))
+    table = list(map(_cells, rows)) if args.csv or not args.json else None
     if args.csv:
         if "\0" in args.csv:  # open() would raise a ValueError
             raise _Usage(f"cannot write {args.csv}: embedded null byte")

@@ -204,20 +204,10 @@ _CIRCLE_ENTRY = Circle()
 
 
 def _tally(branes: list[str]) -> tuple[tuple[str, int], ...]:
-    """The brane of each window read, counted as a component stores them.
-
-    Up to four windows, one ``list.count`` per label takes 0.66x the time
-    of a ``Counter`` over the corpus's window lists (none has more than
-    three).  With every window on its own brane it costs windows times
-    labels, and from about eight windows it is the slower, so ``Counter``
-    counts longer lists.
-    """
+    """The brane of each window read, counted as a component stores them."""
     if not branes:
         return ()
-    if len(branes) > 4:
-        return tuple(sorted(Counter(branes).items()))
-    labels = sorted(set(branes))
-    return tuple(zip(labels, map(branes.count, labels)))
+    return tuple(sorted(Counter(branes).items()))
 
 
 class _Builder:
@@ -703,11 +693,12 @@ def _sorted_names(names, what: str, brane: bool = False) -> list[str]:
     return sorted([_name(name, what, brane) for name in names])
 
 
-def _check_writable(doc: Document) -> None:
-    """Raise ``InvalidValueError`` unless ``doc`` holds what the writers
-    read: iterable branes, and dicts of exactly ``GeneralObject`` and
-    ``CobordismDef`` values.  A ``Document`` is filled after it is built,
-    so its slots are checked here rather than by its constructor."""
+def _check_writable(doc: Document) -> tuple[list[str], list[str], list[str]]:
+    """``doc``'s brane labels, object names and cobordism names, sorted, or
+    ``InvalidValueError`` unless the readers would read ``doc`` back: its
+    slots are checked by type, then its names by ``_name``, then the rules
+    each reader keeps.  A ``Document`` is filled after it is built, so this
+    is where its slots are checked."""
     if type(doc) is not Document:
         raise wrong_type(Document, doc)
     try:
@@ -722,32 +713,56 @@ def _check_writable(doc: Document) -> None:
     for d in doc.cobordisms.values():
         if type(d) is not CobordismDef:
             raise wrong_type(CobordismDef, d)
+        if type(d.cobordism) is not Cobordism:
+            raise wrong_type(Cobordism, d.cobordism)
+    branes = _sorted_names(doc.branes, "a brane label", brane=True)
+    object_names = _sorted_names(doc.objects, "an object name")
+    cobordism_names = _sorted_names(doc.cobordisms, "a cobordism name")
+    if not branes:
+        raise InvalidValueError("a document declares at least one brane label")
+    for a, b in zip(branes, branes[1:]):
+        if a == b:
+            raise InvalidValueError(f"brane {a!r} is declared twice")
+    declared = frozenset(branes)
+    for name in object_names:
+        if doc.objects[name].branes != declared:
+            raise InvalidValueError(
+                f"object {name!r} is over other branes than the document declares"
+            )
+    for name in cobordism_names:
+        d = doc.cobordisms[name]
+        for end, obj in (("source", d.source_name), ("target", d.target_name)):
+            if _name(obj, "an object name") not in doc.objects:
+                raise InvalidValueError(f"cobordism {name!r}: unknown object {obj!r}")
+            if doc.objects[obj] != getattr(d.cobordism, end):
+                message = f"cobordism {name!r}: object {obj!r} is not its {end}"
+                raise InvalidValueError(message)
+    return branes, object_names, cobordism_names
 
 
 def serialize(doc: Document) -> str:
     """Deterministic canonical text: sorted names, canonical cobordisms.
 
-    Serializing, parsing, and serializing again is byte-stable.  A brane,
-    object or cobordism name that ``parse`` would not read back, or a
-    document slot of the wrong type, raises ``InvalidValueError``.
+    Serializing, parsing, and serializing again is byte-stable.  A
+    document that ``parse`` would not read back as itself raises
+    ``InvalidValueError``: a slot of the wrong type, a name outside the
+    grammar, no brane label or one twice, an object over other branes, or
+    an endpoint name that holds no object or not the cobordism's own.
     """
-    _check_writable(doc)
+    branes, object_names, cobordism_names = _check_writable(doc)
     single = doc.branes == frozenset({STAR})
     blocks: list[str] = []
-    branes = _sorted_names(doc.branes, "a brane label", brane=True)
     if not single:
         blocks.append("branes " + ", ".join(branes) + ";")
-    for name in _sorted_names(doc.objects, "an object name"):
+    for name in object_names:
         obj = doc.objects[name]
         entries = ", ".join(_fmt_entry(e) for e in obj.entries)
         blocks.append(f"object {name} = [{entries}]{_fmt_sigma(obj.sigma)};")
     arcs = _Rendered(lambda brane: "arc" + _fmt_brane(brane, single))
-    for name in _sorted_names(doc.cobordisms, "a cobordism name"):
+    for name in cobordism_names:
         d = doc.cobordisms[name]
-        source = _name(d.source_name, "an object name")
-        target = _name(d.target_name, "an object name")
         canonical = canonicalize(d.cobordism).cobordism
-        lines = [f"cobordism {name} : {source} -> {target} {{"]
+        lines = [f"cobordism {name} : {d.source_name} -> {d.target_name} {{"]
         for comp in canonical.components:
             lines.append("  component {")
             lines.append(f"    genus {_decimal(comp.genus)};")
@@ -862,29 +877,26 @@ def to_json(doc: Document) -> str:
     """Stable JSON encoding mirroring the text format.
 
     The text is exactly that of ``json.dumps(data, indent=2,
-    sort_keys=True)`` for the document's data.  Raises as ``serialize``
+    sort_keys=True)`` for the document's data.  A document that
+    ``from_json`` would not read back as itself raises as ``serialize``
     does.
     """
-    _check_writable(doc)
+    branes, object_names, cobordism_names = _check_writable(doc)
     # Canonicalize first: an invalid cobordism raises before anything of
     # the document is written.
     forms = {
         name: canonicalize(d.cobordism).cobordism
         for name, d in doc.cobordisms.items()
     }
-    branes = [
-        f"\n    {_string(b)}"
-        for b in _sorted_names(doc.branes, "a brane label", brane=True)
-    ]
-    out = ['{\n  "branes": ', f"[{','.join(branes)}\n  ]" if branes else "[]"]
-    w = out.append
-    w(',\n  "cobordisms": ')
     quoted = _Rendered(_string)
+    out = ['{\n  "branes": [', ",".join(f"\n    {quoted[b]}" for b in branes)]
+    w = out.append
+    w('\n  ],\n  "cobordisms": ')
     # A canonical mixed cycle starts at a reference, so an arc always
     # follows a ",".
     arcs = _Rendered(lambda brane: _ARC % (",", _string(brane)))
     sep = "{"
-    for name in _sorted_names(forms, "a cobordism name"):
+    for name in cobordism_names:
         w(_COBORDISM % (sep, _string(name)))
         csep = "["
         for comp in forms[name].components:
@@ -916,14 +928,12 @@ def to_json(doc: Document) -> str:
             csep = ","
         d = doc.cobordisms[name]
         w(_close(csep, "\n      ]"))
-        source = _name(d.source_name, "an object name")
-        target = _name(d.target_name, "an object name")
-        w(_ENDPOINTS % (_string(source), _string(target)))
+        w(_ENDPOINTS % (_string(d.source_name), _string(d.target_name)))
         sep = ","
     w(_close(sep, "\n  }"))
     w(',\n  "format": 1,\n  "objects": ')
     sep = "{"
-    for name in _sorted_names(doc.objects, "an object name"):
+    for name in object_names:
         obj = doc.objects[name]
         w(_OBJECT % (sep, _string(name)))
         esep = "["

@@ -12,6 +12,7 @@ from collections import Counter
 import pytest
 
 from conftest import CORPUS, REPO
+from occob import cli
 from occob.cli import _build_parser, main
 from occob.dsl import parse
 
@@ -219,6 +220,10 @@ class TestQueries:
     def test_iso_mismatched_objects_exits_1(self, doc_path, capsys):
         assert main(["iso", doc_path, "T", "P"]) == 1
 
+    def test_iso_json(self, doc_path, capsys):
+        assert main(["iso", doc_path, "T", "T", "--json"]) == 0
+        assert capsys.readouterr() == ('{"format": 1, "isomorphic": true}\n', "")
+
 
 class TestClassify:
     def test_four_rows(self, doc_path, capsys):
@@ -226,6 +231,18 @@ class TestClassify:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].split() == ["g", "w_*", "c", "b_flag"]
         assert len(lines) == 5
+
+    def test_json_renders_no_table(self, doc_path, capsys, monkeypatch):
+        argv = ["classify", doc_path, "c1", "-G", "1", "-W", "1", "--json"]
+        assert main(argv) == 0
+        expected = capsys.readouterr()
+
+        def refuse(row):
+            raise AssertionError("a table row was rendered")
+
+        monkeypatch.setattr(cli, "_cells", refuse)
+        assert main(argv) == 0
+        assert capsys.readouterr() == expected
 
     def test_csv_export(self, doc_path, tmp_path, capsys):
         out_csv = tmp_path / "table.csv"
@@ -326,6 +343,10 @@ class TestStabilize:
 
 
 class TestSwapTensor:
+    def test_unknown_object_exits_1(self, doc_path, capsys):
+        assert main(["swap", doc_path, "nope", "p1"]) == 1
+        assert capsys.readouterr() == ("", "error: no object named 'nope' in the file\n")
+
     def test_swap(self, doc_path, capsys):
         assert main(["swap", doc_path, "p2", "p1"]) == 0
         doc = parse(capsys.readouterr().out)

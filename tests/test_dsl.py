@@ -7,6 +7,7 @@ import importlib.util
 import itertools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -856,3 +857,54 @@ def test_is_name_agrees_with_the_parser(brane):
     texts += sorted(_KEYWORDS) + [Name("ab"), Name("in"), Name("*"), 5, None, b"ab"]
     for text in texts:
         assert is_name(text, brane) == _is_name(text, brane), repr(text)
+
+
+_ONE_A = GeneralObject({"a"}, [Circle()])
+_TWO_A = GeneralObject({"a"}, [Circle(), Circle()])
+
+
+def _between(source: str, target: str, objects: dict) -> Document:
+    cob = identity(_ONE_A)
+    return Document(frozenset({"a"}), objects, {"c": CobordismDef(source, target, cob)})
+
+
+# Documents that both readers refuse, or read as another document, each with
+# the message the writers raise in its place.
+UNWRITABLE = {
+    "no branes": (
+        lambda: Document(branes=frozenset()),
+        "a document declares at least one brane label",
+    ),
+    "a repeated brane": (
+        lambda: Document(branes=["a", "a"]),
+        "brane 'a' is declared twice",
+    ),
+    "an object over undeclared branes": (
+        lambda: Document(frozenset({"a"}), {"o": GeneralObject({"a", "b"}, [])}),
+        "object 'o' is over other branes than the document declares",
+    ),
+    "an unknown endpoint": (
+        lambda: _between("x", "y", {"x": _ONE_A}),
+        "cobordism 'c': unknown object 'y'",
+    ),
+    "an endpoint that is not the cobordism's": (
+        lambda: _between("x", "y", {"x": _ONE_A, "y": _TWO_A}),
+        "cobordism 'c': object 'y' is not its target",
+    ),
+}
+
+
+@pytest.mark.parametrize("writer", [serialize, to_json])
+@pytest.mark.parametrize("form", list(UNWRITABLE))
+def test_writers_refuse_what_the_readers_would_not_read_back(writer, form):
+    make, message = UNWRITABLE[form]
+    with pytest.raises(InvalidValueError, match=f"^{re.escape(message)}$"):
+        writer(make())
+
+
+@pytest.mark.parametrize("writer", [serialize, to_json])
+def test_writers_check_names_before_the_document(writer):
+    """An unhashable label is named by its type, never hashed to find a
+    repeat."""
+    with pytest.raises(InvalidValueError, match="^expected a string, got list$"):
+        writer(Document(branes=[["a"], ["a"]]))
