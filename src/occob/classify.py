@@ -17,7 +17,7 @@ from operator import itemgetter
 from occob.calculus import realize
 from occob.errors import CompositionError, InvalidCobordismError, InvalidValueError
 from occob.errors import wrong_type
-from occob.objects import Circle, GeneralObject, _setters
+from occob.objects import GeneralObject, _setters
 from occob.surfaces import (
     IN,
     Arc,
@@ -100,17 +100,12 @@ def _component_key(comp: Component) -> tuple:
     return (comp.genus, comp.windows, sorted(map(_circle_key, comp.circles)))
 
 
-def _object_key(obj: GeneralObject) -> tuple:
-    entries = tuple(
-        ("O",) if isinstance(e, Circle) else ("I", e.left, e.right)
-        for e in obj.entries
-    )
-    return (tuple(sorted(obj.branes)), entries, obj.sigma.pairs)
-
-
 @dataclass(frozen=True, slots=True)
 class CanonicalForm:
-    """A cobordism rewritten in canonical order plus its hashable key."""
+    """A cobordism rewritten in canonical order plus its hashable key.
+
+    The key holds the source and target objects themselves, which compare
+    and hash by value, then the sorted component keys."""
 
     key: tuple
     cobordism: Cobordism = field(compare=False)
@@ -122,9 +117,9 @@ def canonicalize(c: Cobordism) -> CanonicalForm:
     Requires ``c`` to be valid (``surfaces.validate`` returns no
     violations): each mixed cycle then starts at its least interval
     reference.  Each circle's key is computed once: a mixed circle's is
-    its entry keys, rotated with the cycle.  The key is the two object
-    keys and the sorted component keys, a component's key being its genus
-    and its sorted circle keys.  On valid input the result is idempotent,
+    its entry keys, rotated with the cycle.  The key is ``c``'s source and
+    target objects, held as they are, and the sorted component keys, a
+    component's key being its genus and its sorted circle keys.  On valid input the result is idempotent,
     and invariant under any reordering of components or boundary circles
     and any rotation of mixed cycles.  A mixed cycle without a unique
     least interval reference raises ``InvalidCobordismError``.  A key
@@ -156,7 +151,7 @@ def canonicalize(c: Cobordism) -> CanonicalForm:
         keyed.append((key, _component(comp.genus, ordered, comp.windows)))
     keyed.sort(key=_first)
     canonical = _cobordism(c.source, c.target, tuple(comp for _, comp in keyed))
-    key = (_object_key(c.source), _object_key(c.target), tuple(k for k, _ in keyed))
+    key = (c.source, c.target, tuple(k for k, _ in keyed))
     return CanonicalForm(key, canonical)
 
 
@@ -164,8 +159,7 @@ def is_isomorphic(a: Cobordism, b: Cobordism) -> bool:
     """Do two valid cobordisms between the same objects have one canonical key?
 
     After checking that the sources and the targets are equal, compares
-    the sorted component keys only: no canonical cobordism or object key
-    is built.  A mixed cycle without a unique least interval reference
+    the sorted component keys only: no canonical cobordism is built.  A mixed cycle without a unique least interval reference
     raises ``InvalidCobordismError``, as in ``canonicalize``.
     """
     if type(a) is not Cobordism or type(b) is not Cobordism:
@@ -229,8 +223,8 @@ def enumerate_classes(
         message = f"bounds give more than {_MAX_KEYED_WINDOWS} windows in all"
         raise InvalidValueError(message)
     base = canonicalize(realize(obj))
-    source_key, target_key, ((_, keys),) = base.key
-    target, circles = base.cobordism.target, base.cobordism.components[0].circles
+    _, target, ((_, keys),) = base.key
+    circles = base.cobordism.components[0].circles
     # A component stores its windows without the grid's zero counts.
     vectors = [
         (tuple(p for p in w if p[1]), _windowed(keys, w))
@@ -238,7 +232,7 @@ def enumerate_classes(
     ]
     return [
         CanonicalForm(
-            (source_key, target_key, ((g, circle_keys),)),
+            (obj, target, ((g, circle_keys),)),
             _cobordism(obj, target, (_component(g, circles, windows),)),
         )
         for g in range(max_genus + 1)

@@ -107,7 +107,9 @@ def _cmd_swap(args, _doc, n, m) -> int:
 
 
 def _cmd_stabilize(args, _doc, cob) -> int:
-    for _ in range(args.k):
+    # Each step adds a window, so after this many steps the result has more
+    # windows than either writer takes, and is refused as after all k steps.
+    for _ in range(min(args.k, classify._MAX_KEYED_WINDOWS + 1)):
         cob = calculus.stabilize(cob)
     return _emit_doc(args, cob)
 

@@ -290,15 +290,18 @@ class _Builder:
 # point at the token that broke the grammar; the builder is handed the
 # index of the token that a value was read from.
 #
-# Each production, of a statement or of a list, reads its tokens straight
-# from ``self.toks`` by index and checks each token where it reads it.  It
-# calls a method only to raise an error at the token that broke the
-# grammar, to read an integer literal past the interpreter's digit limit,
-# which ``int()`` refuses, or to hand a checked value to the builder or to
-# the production of a list.  A token past another is read only once that
-# other is known not to be the end of input.  ``document`` and ``cobdef``
-# have checked the keyword that starts a statement or a component, so its
-# production reads on from the token after it.
+# Each production, of a statement or of a list, takes the index of its
+# first token and returns what it read together with the index after it;
+# a statement's production hands what it read to the builder and returns
+# the index alone.  It reads its tokens straight from ``self.toks`` by
+# index and checks each token where it reads it.  It calls a method only
+# to raise an error at the token that broke the grammar, to read an
+# integer literal past the interpreter's digit limit, which ``int()``
+# refuses, or to hand a checked value to the builder or to the production
+# of a list.  A token past another is read only once that other is known
+# not to be the end of input.  ``document`` and ``cobdef`` have checked
+# the keyword that starts a statement or a component, so its production
+# reads on from the token after it.
 
 
 class _Parser:
@@ -306,11 +309,10 @@ class _Parser:
         self.text = text
         self.toks = _tokenize(text)
         self.toks.append("")
-        self.pos = 0
 
-    def fail(self, message: str, k: int | None = None) -> NoReturn:
-        """Raise ``DslSyntaxError`` at token ``k``, by default the current one."""
-        raise DslSyntaxError(message, *_locate(self.text, self.pos if k is None else k))
+    def fail(self, message: str, k: int) -> NoReturn:
+        """Raise ``DslSyntaxError`` at token ``k``."""
+        raise DslSyntaxError(message, *_locate(self.text, k))
 
     def expected(self, what: str, k: int) -> NoReturn:
         self.fail(f"expected {what}, got {self.toks[k] or 'end of input'!r}", k)
@@ -346,26 +348,26 @@ class _Parser:
     # document -------------------------------------------------------------
 
     def document(self) -> Document:
-        self.build = self.branes_decl()
+        self.build, k = self.branes_decl(0)
         toks = self.toks
-        while t := toks[self.pos]:
+        while t := toks[k]:
             if t == "object":
-                self.objectdef()
+                k = self.objectdef(k)
             elif t == "cobordism":
-                self.cobdef()
+                k = self.cobdef(k)
             elif t == "branes":
-                self.fail("a branes declaration must come first")
+                self.fail("a branes declaration must come first", k)
             else:
-                self.fail(f"expected 'object' or 'cobordism', got {t!r}")
+                self.fail(f"expected 'object' or 'cobordism', got {t!r}", k)
         return self.build.doc
 
-    def branes_decl(self) -> _Builder:
+    def branes_decl(self, k: int) -> tuple[_Builder, int]:
         """``("branes" label ("," label)* ";")?``."""
         toks = self.toks
-        at = k = self.pos
+        at = k
         self.single_brane = toks[k] != "branes"
         if self.single_brane:
-            return _Builder([STAR], at, self.text)
+            return _Builder([STAR], at, self.text), k
         labels = []
         while True:
             t = toks[k + 1]
@@ -377,15 +379,14 @@ class _Parser:
                 break
         if toks[k] != ";":
             self.expected("';'", k)
-        self.pos = k + 1
-        return _Builder(labels, at, self.text)
+        return _Builder(labels, at, self.text), k + 1
 
     # objects --------------------------------------------------------------
 
-    def objectdef(self) -> None:
+    def objectdef(self, k: int) -> int:
         """``"object" NAME "=" "[" entries? "]" ("sigma" cycles)? ";"``."""
         toks = self.toks
-        at = self.pos + 1
+        at = k + 1
         name = toks[at]
         if name in _KEYWORDS or not _is_word(name):
             self.bad_name("an object name", at)
@@ -397,27 +398,22 @@ class _Parser:
         k = at + 3
         entries = []
         if toks[k] != "]":
-            self.pos = k
-            entries = self.entries()
-            k = self.pos
+            entries, k = self.entries(k)
             if toks[k] != "]":
                 self.expected("']'", k)
         cycles = None
         sigma_at = k = k + 1
         if toks[k] == "sigma":
-            self.pos = k + 1
-            cycles = self.cycles()
-            k = self.pos
+            cycles, k = self.cycles(k + 1)
         if toks[k] != ";":
             self.expected("';'", k)
-        self.pos = k + 1
         self.build.add_object(name, entries, cycles, sigma_at)
+        return k + 1
 
-    def entries(self) -> list:
+    def entries(self, k: int) -> tuple[list, int]:
         """``entry ("," entry)*``."""
         toks, branes, intervals = self.toks, self.build.doc.branes, self.build.intervals
         out = []
-        k = self.pos
         while True:
             t = toks[k]
             if t == "O":
@@ -444,17 +440,14 @@ class _Parser:
             else:
                 self.expected("'O' or 'I(..)'", k)
             if toks[k] != ",":
-                self.pos = k
-                return out
+                return out, k
             k += 1
 
-    def cycles(self) -> list[tuple[int, ...]]:
+    def cycles(self, k: int) -> tuple[list[tuple[int, ...]], int]:
         """``"id" | ("(" INT+ ")")+``."""
         toks = self.toks
-        k = self.pos
         if toks[k] == "id":
-            self.pos = k + 1
-            return []
+            return [], k + 1
         if toks[k] != "(":
             self.expected("'id' or a cycle '(..)'", k)
         out = []
@@ -471,15 +464,14 @@ class _Parser:
             if toks[k] != ")":
                 self.expected("')'", k)
             k += 1
-        self.pos = k
-        return out
+        return out, k
 
     # cobordisms -----------------------------------------------------------
 
-    def cobdef(self) -> None:
+    def cobdef(self, k: int) -> int:
         """``"cobordism" NAME ":" NAME "->" NAME "{" component* "}"``."""
         toks = self.toks
-        at = self.pos + 1
+        at = k + 1
         name = toks[at]
         if name in _KEYWORDS or not _is_word(name):
             self.bad_name("a cobordism name", at)
@@ -501,18 +493,17 @@ class _Parser:
         k = at + 6
         comps = []
         while toks[k] == "component":
-            self.pos = k
-            comps.append(self.component())
-            k = self.pos
+            comp, k = self.component(k)
+            comps.append(comp)
         if toks[k] != "}":
             self.expected("'}'", k)
-        self.pos = k + 1
         self.build.add_cobordism(name, at, source, target, comps)
+        return k + 1
 
-    def component(self) -> Component:
+    def component(self, k: int) -> tuple[Component, int]:
         """``"component" "{" "genus" INT ";" bline* "}"``."""
         toks, arcs, single = self.toks, self.build.arc, self.single_brane
-        k = self.pos + 1
+        k += 1
         if toks[k] != "{":
             self.expected("'{'", k)
         if toks[k + 1] != "genus":
@@ -553,9 +544,7 @@ class _Parser:
             elif t == "mixed":
                 if toks[k + 1] != "[":
                     self.expected("'['", k + 1)
-                self.pos = k + 2
-                cycle = self.mentries()
-                k = self.pos
+                cycle, k = self.mentries(k + 2)
                 if toks[k] != "]":
                     self.expected("']'", k)
                 if toks[k + 1] != ";":
@@ -566,14 +555,12 @@ class _Parser:
                 self.fail(f"expected 'in', 'out', 'window', or 'mixed', got {t!r}", k)
             else:
                 self.expected("a boundary line", k)
-        self.pos = k + 1
-        return _component(genus, tuple(boundary), _tally(windows))
+        return _component(genus, tuple(boundary), _tally(windows)), k + 1
 
-    def mentries(self) -> list:
+    def mentries(self, k: int) -> tuple[list, int]:
         """``mentry ("," mentry)*``."""
         toks, arcs, single = self.toks, self.build.arc, self.single_brane
         out = []
-        k = self.pos
         while True:
             t = toks[k]
             if t == IN or t == OUT:
@@ -604,8 +591,7 @@ class _Parser:
             else:
                 self.expected("'in', 'out', or 'arc'", k)
             if toks[k] != ",":
-                self.pos = k
-                return out
+                return out, k
             k += 1
 
 
@@ -621,9 +607,9 @@ def parse_cycles(text: str) -> list[tuple[int, ...]]:
     if type(text) is not str:
         raise wrong_type(str, text)
     p = _Parser(text)
-    out = p.cycles()
-    if t := p.toks[p.pos]:
-        p.fail(f"unexpected trailing input {t!r}")
+    out, k = p.cycles(0)
+    if t := p.toks[k]:
+        p.fail(f"unexpected trailing input {t!r}", k)
     return out
 
 
@@ -631,8 +617,8 @@ def parse_cycles(text: str) -> list[tuple[int, ...]]:
 # serializer
 
 
-def _fmt_brane(brane: str, single: bool, prefix: str = " ") -> str:
-    return "" if single and brane == STAR else f"{prefix}{brane}"
+def _fmt_brane(brane: str, single: bool) -> str:
+    return "" if single and brane == STAR else f" {brane}"
 
 
 def _fmt_entry(e) -> str:

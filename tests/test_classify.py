@@ -90,6 +90,26 @@ class TestCanonicalize:
         )
         assert canonicalize(ann) != canonicalize(bumped)
 
+    def test_key_holds_the_source_and_target_objects(self, rng):
+        for _ in range(20):
+            c = sample_cobordism(rng, ("a", "b"))
+            assert canonicalize(c).key[:2] == (c.source, c.target)
+
+    def test_one_document_read_twice_gives_equal_keys(self):
+        """The objects of two reads are distinct instances, yet compare and
+        hash by value, so the two keys are equal and hash equal."""
+        checked = 0
+        for path in sorted((CORPUS / "roundtrip").glob("*.occ")):
+            text = path.read_text(encoding="utf-8")
+            first, second = parse(text), parse(text)
+            for name, d in first.cobordisms.items():
+                a = canonicalize(d.cobordism).key
+                b = canonicalize(second.cobordisms[name].cobordism).key
+                assert a[0] is not b[0] and a[1] is not b[1]
+                assert a == b and hash(a) == hash(b)
+                checked += 1
+        assert checked > 50
+
     def test_canonical_cobordism_still_validates(self, rng):
         for _ in range(20):
             c = sample_cobordism(rng, ("a",))

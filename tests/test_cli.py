@@ -7,12 +7,13 @@ import os
 import re
 import subprocess
 import sys
+import time
 from collections import Counter
 
 import pytest
 
 from conftest import CORPUS, REPO
-from occob import cli
+from occob import calculus, classify, cli
 from occob.cli import _build_parser, main
 from occob.dsl import parse
 
@@ -326,6 +327,23 @@ class TestStabilize:
         assert main(["stabilize", doc_path, "T", "-k", "0"]) == 0
         doc = parse(capsys.readouterr().out)
         assert doc.cobordisms["result"].cobordism.components[0].genus == 1
+
+    def test_a_huge_count_stops_where_the_writers_refuse(self, capsys, monkeypatch):
+        """Each step adds a window, so after one step past the keyed-window
+        cap the writers refuse the result, as they would after all k: the
+        command stops there, with the same error, instead of running k."""
+        monkeypatch.setattr(classify, "_MAX_KEYED_WINDOWS", 8)
+        deadline, step = time.monotonic() + 10, calculus.stabilize
+
+        def timed(cob):
+            assert time.monotonic() < deadline, "stabilize -k ran past its deadline"
+            return step(cob)
+
+        monkeypatch.setattr(calculus, "stabilize", timed)
+        path = str(CORPUS / "roundtrip" / "ref_stabilizer.occ")
+        assert main(["stabilize", path, "T", "-k", str(10**12)]) == 1
+        err = "error: cobordism has more than 8 windows in all\n"
+        assert capsys.readouterr() == ("", err)
 
     @pytest.mark.parametrize("k", ["-3", "two", "\u0663"])
     def test_bad_count_exits_2(self, doc_path, capsys, k):

@@ -31,12 +31,16 @@ So are ``serialize``, ``to_json``, ``canonicalize`` and ``validate`` on
 the ``windows`` document, as windows are stored as counts: they work per
 brane, not per window.
 Work inside a single C call, such as ``x in tuple`` or ``sorted``, runs
-no Python lines and so is not counted.
+no Python lines and so is not counted.  So ``canonicalize`` and
+``validate`` on the ``cycle`` document are also timed, the least of seven
+runs at n = 800 and at 4n = 3200: the time may grow by at most 9, between
+n log n (about 4.8) and quadratic (16).
 """
 
 from __future__ import annotations
 
 import sys
+import timeit
 
 import pytest
 
@@ -180,6 +184,19 @@ def test_each_doubling_of_n_at_most_doubles_the_lines_run(layer, shape):
     counts = [_lines_run(_call(layer, _document(shape, n))) for n in SIZES]
     ratios = [round(b / a, 3) for a, b in zip(counts, counts[1:])]
     assert max(ratios) <= MAX_RATIO, (counts, ratios)
+
+
+@pytest.mark.parametrize("layer", ["canonicalize", "validate"])
+def test_quadrupling_n_takes_less_than_quadratic_time(layer):
+    """A backstop for work done inside C calls, which the line count does
+    not see: a search over every rotation of a mixed cycle by slicing, or
+    a scan of an object's entries per reference.  The two sizes are run
+    in turn, so that other load slows both alike, and the least of seven
+    runs of each is kept."""
+    calls = [_call(layer, _document("cycle", n)) for n in (800, 3200)]
+    runs = [[timeit.timeit(call, number=1) for call in calls] for _ in range(7)]
+    small, large = map(min, zip(*runs))
+    assert large / small <= 9, (small, large)
 
 
 @pytest.mark.parametrize("shape", ["cycle", "perm", "circles"])
