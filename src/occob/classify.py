@@ -264,6 +264,20 @@ def _row(
     return row
 
 
+def _grid(obj: GeneralObject, max_genus: int, max_windows: int) -> tuple:
+    """``(c, in_b, vectors)`` for the table of ``obj`` to these bounds: its
+    c-number, whether its realizer lies in the b-subcategory, and the window
+    count vectors in grid order, one count per brane in sorted order.
+
+    Checks the bounds as ``enumerate_classes`` does, then realizes ``obj``,
+    which raises ``InfeasibleObjectError`` when it has no realizer.
+    """
+    _check_bounds(obj, max_genus, max_windows)
+    in_b = in_b_subcategory(realize(obj))
+    vectors = list(product(range(max_windows + 1), repeat=len(obj.branes)))
+    return obj.c_number, in_b, vectors
+
+
 def strata_table(
     obj: GeneralObject, max_genus: int, max_windows: int
 ) -> list[StrataRow]:
@@ -277,8 +291,7 @@ def strata_table(
     Each row is assembled from these checked values without the dataclass
     constructor.
     """
-    _check_bounds(obj, max_genus, max_windows)
-    in_b = in_b_subcategory(realize(obj))
-    c = obj.c_number
-    vectors = _window_grid(obj, max_windows)
-    return [_row(g, w, c, in_b) for g in range(max_genus + 1) for w in vectors]
+    c, in_b, vectors = _grid(obj, max_genus, max_windows)
+    branes = sorted(obj.branes)
+    windows = [tuple(zip(branes, counts)) for counts in vectors]
+    return [_row(g, w, c, in_b) for g in range(max_genus + 1) for w in windows]

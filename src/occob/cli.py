@@ -17,11 +17,11 @@ handler with the arguments, document and values.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from occob import calculus, classify
 from occob.dsl import (
@@ -36,7 +36,7 @@ from occob.dsl import (
 )
 from occob.errors import DslSyntaxError, DslValidationError, OcError
 from occob.objects import GeneralObject, Permutation
-from occob.surfaces import Cobordism, component_summary, invariant_summary
+from occob.surfaces import Cobordism, _summarize, component_summary
 
 __all__ = ["main", "run"]
 
@@ -85,6 +85,30 @@ def _fmt_windows(counts: dict[str, int]) -> str:
     return "{" + ", ".join(f"{b}:{n}" for b, n in sorted(counts.items())) + "}"
 
 
+def _dumps(v, indent: str = "\n") -> str:
+    """``v``, made of dicts with ``str`` keys, lists, strings, ints and
+    bools, as ``json.dumps(v, indent=2, sort_keys=True)`` writes it: json
+    takes its pure-Python encoder whenever ``indent`` is set.  ``indent``
+    is the line break and blanks that start ``v``'s own line."""
+    if type(v) is dict:
+        inner = indent + "  "
+        items = [f"{_quote(k)}: {_dumps(v[k], inner)}" for k in sorted(v)]
+        brackets = "{}"
+    elif type(v) is list:
+        inner = indent + "  "
+        items = [_dumps(x, inner) for x in v]
+        brackets = "[]"
+    elif type(v) is str:
+        return _quote(v)
+    elif type(v) is bool:
+        return "true" if v else "false"
+    else:
+        return int.__repr__(v)
+    if not items:
+        return brackets
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}{indent}{brackets[1]}"
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -115,10 +139,11 @@ def _cmd_stabilize(args, _doc, cob) -> int:
 
 
 def _cmd_invariants(args, _doc, cob) -> int:
-    summary = invariant_summary(cob)
+    comps = list(map(component_summary, cob.components))
+    summary = _summarize(cob, comps)
     # Both layouts print these numbers: one too long to write in decimal
     # raises the writers' InvalidValueError in either.
-    for comp in summary.components:
+    for comp in comps:
         _decimal(comp.euler)
         _decimal(comp.genus)
     _decimal(summary.euler)
@@ -145,21 +170,22 @@ def _cmd_invariants(args, _doc, cob) -> int:
             "c_number": cob.source.c_number,
             "b_subcategory": summary.b_subcategory,
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_dumps(payload))
         return 0
     zeros = dict.fromkeys(cob.source.branes, 0)
-    for i, comp in enumerate(map(component_summary, cob.components), 1):
-        print(
-            f"component {i}: genus={comp.genus} "
-            f"windows={_fmt_windows(zeros | dict(comp.windows))} euler={comp.euler}"
-        )
-    print(
+    lines = [
+        f"component {i}: genus={comp.genus} "
+        f"windows={_fmt_windows(zeros | dict(comp.windows))} euler={comp.euler}"
+        for i, comp in enumerate(comps, 1)
+    ]
+    lines.append(
         f"total: components={summary.component_count} "
         f"genus={summary.genus_total} "
         f"windows={_fmt_windows(dict(summary.window_vector))} euler={summary.euler}"
     )
-    print(f"c={cob.source.c_number}")
-    print(f"b={'true' if summary.b_subcategory else 'false'}")
+    lines.append(f"c={cob.source.c_number}")
+    lines.append(f"b={'true' if summary.b_subcategory else 'false'}")
+    print("\n".join(lines))
     return 0
 
 
@@ -172,7 +198,7 @@ def _emit_permutation(args, p: Permutation) -> int:
                 "text": p.cycle_string(),
             },
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_dumps(payload))
     else:
         print(p.cycle_string())
     return 0
@@ -196,44 +222,49 @@ def _cmd_iso(args, _doc, a, b) -> int:
     return 0 if same else 1
 
 
-def _cells(row: classify.StrataRow) -> list[str]:
-    """One row of the classify table as the text and CSV layouts write it."""
-    counts = [str(n) for _, n in row.windows]
-    return [str(row.genus), *counts, str(row.c_number), "true" if row.in_b else "false"]
+def _table(
+    header: list[str], g_max: int, vectors: list, consts: tuple, sep: str, end: str
+) -> str:
+    """The classify table as lines joined by ``end``, cells by ``sep``: the
+    ``header``, then for each genus up to ``g_max`` and each window count
+    vector, the genus, the counts and ``consts``.  Each vector's cells are
+    rendered once, and each genus's rows are joined in one C call."""
+    cells = [sep.join(map(str, v)) for v in vectors]
+    tail = sep + sep.join(consts)
+    lines = [sep.join(header)]
+    for g in range(g_max + 1):
+        lines.append(f"{g}{sep}" + f"{tail}{end}{g}{sep}".join(cells) + tail)
+    return end.join(lines)
 
 
 def _cmd_classify(args, _doc, obj) -> int:
-    rows = classify.strata_table(obj, args.G, args.W)
+    c, in_b, vectors = classify._grid(obj, args.G, args.W)
     branes = sorted(obj.branes)
     header = ["g"] + [f"w_{b}" for b in branes] + ["c", "b_flag"]
-    table = list(map(_cells, rows)) if args.csv or not args.json else None
+    consts = (str(c), "true" if in_b else "false")
+    # print writes the last line end as a write of its own: a long write
+    # that a closed pipe cuts short returns without an error, and only the
+    # write after it raises, so that ``run`` exits 1.
     if args.csv:
         if "\0" in args.csv:  # open() would raise a ValueError
             raise _Usage(f"cannot write {args.csv}: embedded null byte")
+        # A brane label is a word or "*", so no CSV cell needs quoting.
+        table = _table(header, args.G, vectors, consts, ",", "\r\n")
         try:
             with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(header)
-                writer.writerows(table)
+                print(table, end="\r\n", file=fh)
         except OSError as exc:
             raise _Usage(f"cannot write {args.csv}: {exc.strerror}") from exc
     if args.json:
-        payload = {
-            "format": 1,
-            "branes": branes,
-            "rows": [
-                {
-                    "g": row.genus,
-                    "w": dict(row.windows),
-                    "c": row.c_number,
-                    "b_flag": row.in_b,
-                }
-                for row in rows
-            ],
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        windows = [dict(zip(branes, v)) for v in vectors]
+        rows = [
+            {"g": g, "w": w, "c": c, "b_flag": in_b}
+            for g in range(args.G + 1)
+            for w in windows
+        ]
+        print(_dumps({"format": 1, "branes": branes, "rows": rows}))
     else:
-        print("\n".join([" ".join(header), *map(" ".join, table)]))
+        print(_table(header, args.G, vectors, consts, " ", "\n"))
     return 0
 
 

@@ -729,11 +729,16 @@ def _check_writable(doc: Document) -> tuple[list[str], list[str], list[str]]:
 def serialize(doc: Document) -> str:
     """Deterministic canonical text: sorted names, canonical cobordisms.
 
-    Serializing, parsing, and serializing again is byte-stable.  A
-    document that ``parse`` would not read back as itself raises
-    ``InvalidValueError``: a slot of the wrong type, a name outside the
-    grammar, no brane label or one twice, an object over other branes, or
-    an endpoint name that holds no object or not the cobordism's own.
+    Serializing, parsing, and serializing again is byte-stable.  Requires
+    each cobordism to be valid (``surfaces.validate`` returns no
+    violations), as ``canonicalize`` does: one that is not, such as
+    ``Cobordism(a, a, ())`` over an object ``a`` with entries, is written,
+    and ``parse`` refuses the text.  Nothing is validated here, so that no
+    write pays for it.  Raises ``InvalidValueError`` on a document
+    that ``parse`` would not read back as itself for another reason: a
+    slot of the wrong type, a name outside the grammar, no brane label or
+    one twice, an object over other branes, or an endpoint name that holds
+    no object or not the cobordism's own.
     """
     branes, object_names, cobordism_names = _check_writable(doc)
     single = doc.branes == frozenset({STAR})
@@ -863,9 +868,9 @@ def to_json(doc: Document) -> str:
     """Stable JSON encoding mirroring the text format.
 
     The text is exactly that of ``json.dumps(data, indent=2,
-    sort_keys=True)`` for the document's data.  A document that
-    ``from_json`` would not read back as itself raises as ``serialize``
-    does.
+    sort_keys=True)`` for the document's data.  Requires valid cobordisms
+    and raises on the other documents that ``from_json`` would not read
+    back as itself, as ``serialize`` does.
     """
     branes, object_names, cobordism_names = _check_writable(doc)
     # Canonicalize first: an invalid cobordism raises before anything of

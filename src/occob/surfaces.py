@@ -45,8 +45,8 @@ recovers genus from that identity after gluing.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Union
 
 from occob.errors import InvalidCobordismError, InvalidValueError
@@ -612,18 +612,41 @@ class InvariantSummary:
     b_subcategory: bool
 
 
+_summary_genus, _summary_windows, _summary_kinds, _summary_euler = _setters(
+    ComponentSummary
+)
+(
+    _totals_components,
+    _totals_windows,
+    _totals_genus,
+    _totals_count,
+    _totals_euler,
+    _totals_b,
+) = _setters(InvariantSummary)
+_summary_order = attrgetter("genus", "windows", "boundary_kinds", "euler")
+
+
 def component_summary(comp: Component) -> ComponentSummary:
     """Genus, windows per brane, boundary kinds and Euler characteristic of
     one component, invariant under boundary reordering and cycle rotation.
+    The result is assembled from ``comp``'s checked slots without the
+    dataclass constructor.
     """
     if type(comp) is not Component:
         raise wrong_type(Component, comp)
-    kinds = Counter(c.side if type(c) is Closed else "mixed" for c in comp.circles)
-    if comp.windows:
-        kinds["window"] = sum(n for _, n in comp.windows)
-    return ComponentSummary(
-        comp.genus, comp.windows, tuple(sorted(kinds.items())), euler_char(comp)
-    )
+    kinds: dict[str, int] = {}
+    for circ in comp.circles:
+        kind = circ.side if type(circ) is Closed else "mixed"
+        kinds[kind] = kinds.get(kind, 0) + 1
+    windows = sum(n for _, n in comp.windows)
+    if windows:
+        kinds["window"] = windows
+    s = _new(ComponentSummary)
+    _summary_genus(s, comp.genus)
+    _summary_windows(s, comp.windows)
+    _summary_kinds(s, tuple(sorted(kinds.items())))
+    _summary_euler(s, 2 - 2 * comp.genus - len(comp.circles) - windows)
+    return s
 
 
 def invariant_summary(c: Cobordism) -> InvariantSummary:
@@ -636,12 +659,17 @@ def invariant_summary(c: Cobordism) -> InvariantSummary:
     """
     if type(c) is not Cobordism:
         raise wrong_type(Cobordism, c)
-    summaries = sorted(map(component_summary, c.components))
-    return InvariantSummary(
-        components=tuple(summaries),
-        window_vector=tuple(window_vector(c).items()),
-        genus_total=sum(s.genus for s in summaries),
-        component_count=len(summaries),
-        euler=sum(s.euler for s in summaries),
-        b_subcategory=in_b_subcategory(c),
-    )
+    return _summarize(c, list(map(component_summary, c.components)))
+
+
+def _summarize(c: Cobordism, summaries: list[ComponentSummary]) -> InvariantSummary:
+    """``invariant_summary(c)`` from the summaries of ``c``'s components, in
+    any order, assembled without the dataclass constructor."""
+    s = _new(InvariantSummary)
+    _totals_components(s, tuple(sorted(summaries, key=_summary_order)))
+    _totals_windows(s, tuple(window_vector(c).items()))
+    _totals_genus(s, sum(cs.genus for cs in summaries))
+    _totals_count(s, len(summaries))
+    _totals_euler(s, sum(cs.euler for cs in summaries))
+    _totals_b(s, in_b_subcategory(c))
+    return s

@@ -3,8 +3,9 @@ rebuild through those constructors.
 
 The readers assemble the values the document builder has checked, and
 ``compose``, ``identity``, ``swap_cobordism``, ``tensor``, ``realize``,
-``stabilize``, ``canonicalize``, ``enumerate_classes`` and ``strata_table``
-assemble what they derive from checked values (see ``surfaces``).  So
+``stabilize``, ``canonicalize``, ``enumerate_classes``, ``strata_table``,
+``component_summary`` and ``invariant_summary`` assemble what they derive
+from checked values (see ``surfaces``).  So
 every part of each result is rebuilt through its checked constructor and
 must come out equal (``conftest.assert_checked``, which
 ``test_compose_reference`` applies to ``compose`` and ``tensor`` too).
@@ -41,7 +42,16 @@ from occob.sampling import (
     sample_object,
     shuffled,
 )
-from occob.surfaces import IN, OUT, Arc, Closed
+from occob.surfaces import (
+    IN,
+    OUT,
+    Arc,
+    Closed,
+    ComponentSummary,
+    InvariantSummary,
+    component_summary,
+    invariant_summary,
+)
 
 BRANE_SETS = [(STAR,), ("a", "b"), ("a", "b", "c")]
 ROUNDTRIP = sorted((CORPUS / "roundtrip").glob("*.occ"))
@@ -158,3 +168,62 @@ def test_strata_rows_of_sampled_objects_are_assembled_checked(rng, branes):
         obj = sample_object(rng, branes)
         for row in strata_table(obj, rng.randrange(3), rng.randrange(3)):
             assert_row_checked(row)
+
+
+def assert_pairs(pairs) -> None:
+    assert type(pairs) is tuple
+    for pair in pairs:
+        assert type(pair) is tuple and len(pair) == 2
+        assert type(pair[0]) is str and type(pair[1]) is int
+
+
+def assert_summary_checked(s: InvariantSummary) -> None:
+    """``s`` and each of its component summaries equal their rebuild
+    through the dataclass constructors, with each field of exactly its
+    declared type."""
+    assert type(s) is InvariantSummary
+    assert type(s.components) is tuple
+    rebuilt = []
+    for cs in s.components:
+        assert type(cs) is ComponentSummary
+        assert type(cs.genus) is int and type(cs.euler) is int
+        assert_pairs(cs.windows)
+        assert_pairs(cs.boundary_kinds)
+        fields = (cs.genus, cs.windows, cs.boundary_kinds, cs.euler)
+        rebuilt.append(ComponentSummary(*fields))
+    assert tuple(rebuilt) == s.components
+    assert_pairs(s.window_vector)
+    assert type(s.genus_total) is int and type(s.component_count) is int
+    assert type(s.euler) is int and type(s.b_subcategory) is bool
+    assert InvariantSummary(
+        tuple(rebuilt),
+        s.window_vector,
+        s.genus_total,
+        s.component_count,
+        s.euler,
+        s.b_subcategory,
+    ) == s
+
+
+def assert_summaries_checked(c) -> None:
+    s = invariant_summary(c)
+    assert_summary_checked(s)
+    per_component = [component_summary(comp) for comp in c.components]
+    assert sorted(per_component) == list(s.components)
+
+
+def test_summaries_of_corpus_cobordisms_are_assembled_checked():
+    summarized = 0
+    for path in ROUNDTRIP:
+        for d in parse(path.read_text(encoding="utf-8")).cobordisms.values():
+            assert_summaries_checked(d.cobordism)
+            summarized += 1
+    assert summarized > 50
+
+
+@pytest.mark.parametrize("branes", BRANE_SETS, ids=["*", "ab", "abc"])
+def test_summaries_of_sampled_cobordisms_are_assembled_checked(rng, branes):
+    for _ in range(60):
+        c = sample_cobordism(rng, branes)
+        assert_summaries_checked(c)
+        assert_summaries_checked(stabilize(realize(sample_object(rng, branes))))

@@ -11,6 +11,8 @@ import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CORPUS, REPO
 from occob import calculus, classify, cli
@@ -238,10 +240,10 @@ class TestClassify:
         assert main(argv) == 0
         expected = capsys.readouterr()
 
-        def refuse(row):
-            raise AssertionError("a table row was rendered")
+        def refuse(*table):
+            raise AssertionError("a text or CSV row was rendered")
 
-        monkeypatch.setattr(cli, "_cells", refuse)
+        monkeypatch.setattr(cli, "_table", refuse)
         assert main(argv) == 0
         assert capsys.readouterr() == expected
 
@@ -314,6 +316,25 @@ class TestClassify:
             out, err = capsys.readouterr()
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_LABELS = st.sampled_from(["*", "a", "w_*", "b_flag", "\u00e9", "\u03bb1"]) | st.text(
+    max_size=6
+)
+_JSON_VALUES = st.recursive(
+    st.booleans() | st.integers() | st.integers(-(2**200), 2**200) | _LABELS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_LABELS, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_dumps_writes_what_json_dumps_writes(value):
+    """The CLI's JSON writer, on nested dicts and lists of labels, ints
+    of any size and sign, and bools, empty containers included."""
+    assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 class TestStabilize:

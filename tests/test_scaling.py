@@ -31,10 +31,11 @@ So are ``serialize``, ``to_json``, ``canonicalize`` and ``validate`` on
 the ``windows`` document, as windows are stored as counts: they work per
 brane, not per window.
 Work inside a single C call, such as ``x in tuple`` or ``sorted``, runs
-no Python lines and so is not counted.  So ``canonicalize`` and
-``validate`` on the ``cycle`` document are also timed, the least of seven
-runs at n = 800 and at 4n = 3200: the time may grow by at most 9, between
-n log n (about 4.8) and quadratic (16).
+no Python lines and so is not counted.  So ``canonicalize``, ``validate``,
+``compose``, ``pullback``, ``serialize`` and ``to_json`` on the ``cycle``
+document are also timed, the least of seven runs at n = 800 and at
+4n = 3200: the time may grow by at most 9, between n log n (about 4.8) and
+quadratic (16).
 """
 
 from __future__ import annotations
@@ -186,7 +187,9 @@ def test_each_doubling_of_n_at_most_doubles_the_lines_run(layer, shape):
     assert max(ratios) <= MAX_RATIO, (counts, ratios)
 
 
-@pytest.mark.parametrize("layer", ["canonicalize", "validate"])
+@pytest.mark.parametrize(
+    "layer", ["canonicalize", "validate", "compose", "pullback", "serialize", "to_json"]
+)
 def test_quadrupling_n_takes_less_than_quadratic_time(layer):
     """A backstop for work done inside C calls, which the line count does
     not see: a search over every rotation of a mixed cycle by slicing, or
