@@ -77,7 +77,10 @@ def _emit_doc(args, cob: Cobordism) -> int:
     doc.objects[f"{name}_src"] = cob.source
     doc.objects[f"{name}_tgt"] = cob.target
     doc.cobordisms[name] = CobordismDef(f"{name}_src", f"{name}_tgt", cob)
-    sys.stdout.write(to_json(doc) if args.json else serialize(doc))
+    text = to_json(doc) if args.json else serialize(doc)
+    # Both writers end a nonempty document with a line end, which print
+    # writes as a write of its own, as in ``_cmd_classify``.
+    print(text[:-1])
     return 0
 
 

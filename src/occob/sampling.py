@@ -18,7 +18,16 @@ that is not a ``random.Random``, a bound that is not exactly an ``int``,
 is negative (``max_components`` and a chain's ``length`` below one) or
 is past ``sys.maxsize``, brane labels that are not an iterable of
 nonempty strings, or are empty, and a fixed side or a cobordism to
-shuffle of the wrong type.
+shuffle of the wrong type.  A ``str`` subclass label is taken as the
+``str`` it holds, as ``GeneralObject`` takes it, and draws as that
+``str`` would.
+
+Once the arguments pass, every value is derived from checked ones, so the
+samplers assemble their results unchecked (``objects._object`` and the
+``surfaces`` assemblers); the draws stay those that
+``tests/test_sampling_reference.py`` pins.  One ``Circle``, one ``Arc``
+per brane and one ``Interval`` per label pair are shared within each
+result, as the readers share them.
 """
 
 from __future__ import annotations
@@ -26,21 +35,21 @@ from __future__ import annotations
 import random
 import sys
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 
 from occob.dsl import CobordismDef, Document
 from occob.errors import InvalidValueError, not_iterable, wrong_type
-from occob.objects import STAR, Circle, GeneralObject, Interval, Permutation
+from occob.objects import STAR, Circle, GeneralObject, Interval, _object
 from occob.surfaces import (
     IN,
     OUT,
     Arc,
-    Closed,
     Cobordism,
-    Component,
-    IntervalRef,
     Mixed,
-    default_rev,
+    _closed,
+    _cobordism,
+    _component,
+    _mixed,
+    _ref,
 )
 
 __all__ = [
@@ -51,6 +60,8 @@ __all__ = [
     "sample_document",
     "shuffled",
 ]
+
+_CIRCLE = Circle()
 
 
 def sample_object(
@@ -75,14 +86,14 @@ def sample_object(
     positions = [i for i, kind in enumerate(kinds, start=1) if kind == "I"]
     images = positions[:]
     rng.shuffle(images)
-    sigma = Permutation(dict(zip(positions, images)))
     lefts = {i: rng.choice(branes) for i in positions}
     rights = {image: lefts[i] for i, image in zip(positions, images)}
-    entries = [
-        Circle() if kind == "O" else Interval(lefts[i], rights[i])
+    shared: dict = {}
+    entries = tuple(
+        _CIRCLE if kind == "O" else _interval(shared, lefts[i], rights[i])
         for i, kind in enumerate(kinds, start=1)
-    ]
-    return GeneralObject(branes, entries, sigma)
+    )
+    return _object(frozenset(branes), entries, tuple(zip(positions, images)))
 
 
 def _check_rng(rng: random.Random) -> None:
@@ -100,7 +111,9 @@ def _check_bound(name: str, n: int, least: int = 0) -> None:
 
 
 def _brane_labels(branes: Iterable[str]) -> tuple[str, ...]:
-    """The labels sorted, which is the order the draws choose from."""
+    """The labels as exact ``str`` and sorted, which is the order the draws
+    choose from; a ``str`` subclass is taken as the ``str`` it holds, as
+    ``GeneralObject`` takes it."""
     try:
         labels = tuple(branes)
     except TypeError as exc:
@@ -112,36 +125,13 @@ def _brane_labels(branes: Iterable[str]) -> tuple[str, ...]:
             raise wrong_type(str, b)
         if not b:
             raise InvalidValueError("brane labels must be nonempty strings")
-    return tuple(sorted(labels))
+    return tuple(sorted(map(str.__str__, labels)))
 
 
-@dataclass
-class _Ref:
-    """A circle or an interval being assembled, its labels in the order the
-    boundary meets them; a new entry's index is drawn with its side's order."""
-
-    side: str
-    index: int
-    circle: bool = False
-    first: str | None = None
-    second: str | None = None
-
-
-def _met(side: str, a: str | None, b: str | None) -> tuple:
-    """``(left, right)`` in met order, or back: incoming ones are reversed."""
-    return (b, a) if default_rev(side) else (a, b)
-
-
-@dataclass
-class _Part:
-    """One component being assembled.  Its boundary is ``circles``, then the
-    mixed ``cycles`` cut from ``slots``, then ``tail``."""
-
-    circles: list[_Ref] = field(default_factory=list)
-    slots: list[_Ref] = field(default_factory=list)
-    cycles: list[list[_Ref]] = field(default_factory=list)
-    windows: list[tuple[str, int]] = field(default_factory=list)
-    tail: list[_Ref] = field(default_factory=list)
+def _interval(shared: dict, left: str, right: str) -> Interval:
+    """``Interval(left, right)``, made once per label pair into ``shared``."""
+    key = (left, right)
+    return shared.get(key) or shared.setdefault(key, Interval(left, right))
 
 
 def sample_cobordism(
@@ -178,87 +168,108 @@ def sample_cobordism(
     _check_bound("max_new_intervals", max_new_intervals)
     _check_bound("max_new_circles", max_new_circles)
     _check_bound("max_genus", max_genus)
-    circles: list[_Ref] = []
-    slots: list[_Ref] = []
+    # Each entry under assembly is a list: ``[side, index]`` for a circle,
+    # ``[side, index, first, second]`` for an interval, its labels in the
+    # order the boundary meets them.  A new entry's index is drawn last.
+    circles: list[list] = []
+    slots: list[list] = []
     for side, obj in objects.items():
         if obj is not None:
             branes = obj.branes
-            circles += [_Ref(side, i, True) for i in obj.circle_indices]
-            for i in obj.interval_indices:
-                iv = obj.entries[i - 1]
-                slots.append(_Ref(side, i, False, *_met(side, iv.left, iv.right)))
+            for i, e in enumerate(obj.entries, start=1):
+                if isinstance(e, Circle):
+                    circles.append([side, i])
+                elif side is IN:
+                    slots.append([side, i, e.right, e.left])
+                else:
+                    slots.append([side, i, e.left, e.right])
     branes = _brane_labels(branes)
-    new: dict[str, list[_Ref]] = {IN: [], OUT: []}
-
-    def new_entry(side: str, circle: bool = False) -> _Ref:
-        new[side].append(_Ref(side, 0, circle))
-        return new[side][-1]
-
+    new: dict[str, list[list]] = {IN: [], OUT: []}
     for side in derivable:
         for _ in range(rng.randint(0, max_new_intervals)):
-            slots.append(new_entry(side))
+            slots.append([side, 0, None, None])
+            new[side].append(slots[-1])
         for _ in range(rng.randint(0, max_new_circles)):
-            circles.append(new_entry(side, True))
-    parts = [_Part() for _ in range(rng.randint(1, max_components))]
-    for ref in circles + slots:
-        part = parts[rng.randrange(len(parts))]
-        (part.circles if ref.circle else part.slots).append(ref)
+            circles.append([side, 0])
+            new[side].append(circles[-1])
+    # Each component: its circles, slots, the mixed cycles cut from the
+    # slots, the branes of its windows, and the circles that end it.
+    parts = [([], [], [], [], []) for _ in range(rng.randint(1, max_components))]
+    for circ in circles:
+        parts[rng.randrange(len(parts))][0].append(circ)
+    for slot in slots:
+        parts[rng.randrange(len(parts))][1].append(slot)
 
     # Cut each component's slots into cycles, then insert a derived interval
     # between fixed labels that clash, and a few more for variety.
-    for part in parts:
-        cut, rest = [], part.slots
+    for _, rest, cycles, _, _ in parts:
+        cut = []
         rng.shuffle(rest)
         while rest:
             size = rng.randint(1, len(rest))
             cut.append(rest[:size])
             rest = rest[size:]
         for cyc in cut:
-            part.cycles.append([])
+            cycles.append([])
             for slot, nxt in zip(cyc, cyc[1:] + cyc[:1]):
-                part.cycles[-1].append(slot)
-                a, b = slot.second, nxt.first
+                cycles[-1].append(slot)
+                a, b = slot[3], nxt[2]
                 if (a is not None and b is not None and a != b) or rng.random() < 0.15:
-                    part.cycles[-1].append(new_entry(rng.choice(derivable)))
+                    side = rng.choice(derivable)
+                    cycles[-1].append([side, 0, None, None])
+                    new[side].append(cycles[-1][-1])
     # Each arc takes the label one of its ends has, else a drawn one.
-    for part in parts:
-        for cyc in part.cycles:
+    for _, _, cycles, windows, _ in parts:
+        for cyc in cycles:
             for slot, nxt in zip(cyc, cyc[1:] + cyc[:1]):
-                arc = slot.second if slot.second is not None else nxt.first
-                slot.second = nxt.first = rng.choice(branes) if arc is None else arc
+                arc = slot[3] if slot[3] is not None else nxt[2]
+                slot[3] = nxt[2] = rng.choice(branes) if arc is None else arc
         for _ in range(2):
             if rng.random() < 0.2:
-                part.windows.append((rng.choice(branes), 1))
+                windows.append(rng.choice(branes))
     # Guards: no empty component, and no component whose whole boundary
     # could be consumed by a single closed-circle gluing pass.
-    for part in parts:
-        sides = {ref.side for ref in part.circles}
-        if not part.windows and not part.cycles and len(sides) < 2:
-            part.windows.append((rng.choice(branes), 1))
-        if ensure_b and OUT not in sides | {s.side for c in part.cycles for s in c}:
-            part.tail.append(new_entry(OUT, True))
+    for circs, _, cycles, windows, tail in parts:
+        sides = {circ[0] for circ in circs}
+        if not windows and not cycles and len(sides) < 2:
+            windows.append(rng.choice(branes))
+        if ensure_b and OUT not in sides | {s[0] for c in cycles for s in c}:
+            tail.append([OUT, 0])
+            new[OUT].append(tail[-1])
 
-    # Draw the order of each side's new entries; build the derived objects.
+    # Draw the order of each side's new entries; assemble the derived
+    # objects, sharing one entry per label pair.
+    brane_set = frozenset(branes)
+    shared: dict = {}
     for side in (IN, OUT):
         order = list(range(len(new[side])))
         rng.shuffle(order)
         entries: list = [None] * len(order)
-        for ref, k in zip(new[side], order):
-            ref.index = k + 1
-            labels = _met(side, ref.first, ref.second)
-            entries[k] = Circle() if ref.circle else Interval(*labels)
+        for entry, k in zip(new[side], order):
+            entry[1] = k + 1
+            if len(entry) == 2:
+                entries[k] = _CIRCLE
+            elif side is IN:
+                entries[k] = _interval(shared, entry[3], entry[2])
+            else:
+                entries[k] = _interval(shared, entry[2], entry[3])
         if objects[side] is None:
-            objects[side] = GeneralObject(branes, entries)
+            pairs = [(i, i) for i, e in enumerate(entries, 1) if e is not _CIRCLE]
+            objects[side] = _object(brane_set, tuple(entries), tuple(pairs))
+    arcs = {b: Arc(b) for b in brane_set}
     components = []
-    for part in parts:
-        boundary = [Closed(ref.side, ref.index) for ref in part.circles]
-        for cyc in part.cycles:
-            refs = [IntervalRef(s.side, s.index, default_rev(s.side)) for s in cyc]
-            arcs = [Arc(s.second) for s in cyc]
-            boundary.append(Mixed([e for pair in zip(refs, arcs) for e in pair]))
-        boundary += [Closed(ref.side, ref.index) for ref in part.tail]
-        components.append(Component(rng.randint(0, max_genus), boundary, part.windows))
-    return Cobordism(objects[IN], objects[OUT], components)
+    for circs, _, cycles, windows, tail in parts:
+        boundary = [_closed(side, i) for side, i in circs]
+        for cyc in cycles:
+            mixed: list = []
+            for side, i, _, second in cyc:
+                mixed += (_ref(side, i, side is IN), arcs[second])
+            boundary.append(_mixed(tuple(mixed)))
+        boundary += [_closed(side, i) for side, i in tail]
+        counts = tuple([(b, windows.count(b)) for b in sorted(set(windows))])
+        genus = rng.randint(0, max_genus)
+        components.append(_component(genus, tuple(boundary), counts))
+    return _cobordism(objects[IN], objects[OUT], tuple(components))
 
 
 def sample_composable_pair(
@@ -294,16 +305,17 @@ def shuffled(rng: random.Random, c: Cobordism) -> Cobordism:
     for comp in c.components:
         boundary = []
         for circ in comp.circles:
-            if isinstance(circ, Mixed):
+            if type(circ) is Mixed:
                 k = rng.randrange(len(circ.cycle))
-                circ = Mixed(circ.cycle[k:] + circ.cycle[:k])
+                circ = _mixed(circ.cycle[k:] + circ.cycle[:k])
             boundary.append(circ)
         # Windows hold places too, so the rng draws follow the whole boundary.
         boundary += [None] * sum(n for _, n in comp.windows)
         rng.shuffle(boundary)
-        comps.append(Component(comp.genus, filter(None, boundary), comp.windows))
+        circles = tuple(filter(None, boundary))
+        comps.append(_component(comp.genus, circles, comp.windows))
     rng.shuffle(comps)
-    return Cobordism(c.source, c.target, comps)
+    return _cobordism(c.source, c.target, tuple(comps))
 
 
 def sample_document(

@@ -4,8 +4,8 @@ rebuild through those constructors.
 The readers assemble the values the document builder has checked, and
 ``compose``, ``identity``, ``swap_cobordism``, ``tensor``, ``realize``,
 ``stabilize``, ``canonicalize``, ``enumerate_classes``, ``strata_table``,
-``component_summary`` and ``invariant_summary`` assemble what they derive
-from checked values (see ``surfaces``).  So
+``component_summary``, ``invariant_summary`` and the samplers assemble
+what they derive from checked values (see ``surfaces``).  So
 every part of each result is rebuilt through its checked constructor and
 must come out equal (``conftest.assert_checked``, which
 ``test_compose_reference`` applies to ``compose`` and ``tensor`` too).
@@ -39,6 +39,7 @@ from occob.objects import STAR
 from occob.sampling import (
     sample_cobordism,
     sample_composable_pair,
+    sample_document,
     sample_object,
     shuffled,
 )
@@ -51,6 +52,7 @@ from occob.surfaces import (
     InvariantSummary,
     component_summary,
     invariant_summary,
+    validate,
 )
 
 BRANE_SETS = [(STAR,), ("a", "b"), ("a", "b", "c")]
@@ -99,6 +101,43 @@ def test_the_corpus_holds_every_kind_of_boundary_line():
                                 seen.add("rev")
     kinds = {("closed", IN), ("closed", OUT), ("ref", IN), ("ref", OUT)}
     assert seen == kinds | {"rev", "arc", "window"}
+
+
+# The fixed side, if any, and ensure_b; a fixed target refuses ensure_b.
+SAMPLER_MODES = [
+    (None, False), (None, True), ("source", False), ("source", True), ("target", False)
+]
+
+
+def assert_sampled_checked(c) -> None:
+    assert_checked(c)
+    assert validate(c) == []
+
+
+@pytest.mark.parametrize("branes", BRANE_SETS, ids=["*", "ab", "abc"])
+@pytest.mark.parametrize("fixed, ensure_b", SAMPLER_MODES)
+def test_the_samplers_assemble_checked_cobordisms(rng, branes, fixed, ensure_b):
+    for _ in range(40):
+        kw = {
+            "ensure_b": ensure_b,
+            "max_components": rng.randrange(1, 5),
+            "max_new_intervals": rng.randrange(4),
+            "max_new_circles": rng.randrange(4),
+        }
+        if fixed is not None:
+            kw[fixed] = sample_object(rng, branes, 2, 4)
+            assert_object_checked(kw[fixed])
+        c = sample_cobordism(rng, branes, **kw)
+        assert_sampled_checked(c)
+        assert_sampled_checked(shuffled(rng, c))
+
+
+def test_sampled_documents_are_assembled_checked(rng):
+    for _ in range(30):
+        doc = sample_document(rng, n_cobordisms=3)
+        assert_document_checked(doc)
+        for d in doc.cobordisms.values():
+            assert validate(d.cobordism) == []
 
 
 @pytest.mark.parametrize("branes", BRANE_SETS, ids=["*", "ab", "abc"])

@@ -578,19 +578,15 @@ def test_fresh_process_check_exit_codes():
     assert re.search(r"line \d+, column \d+", bad.stderr)
 
 
-def test_fresh_process_exits_1_when_stdout_closes_early():
-    """The reader takes one line and closes the pipe, as ``head -1`` does.
-    The table's 40,401 rows are far beyond the pipe's 64 KiB buffer, so the
-    write fails while the command runs; ``run`` exits 1 without a
-    traceback."""
-    path = CORPUS / "roundtrip" / "ref_interfaces.occ"
-    argv = ["classify", str(path), "five", "-G", "200", "-W", "200"]
+def _assert_exits_1_when_closed_after(argv: list[str], first_line: bytes) -> None:
+    """The reader takes one line and closes the pipe, as ``head -1`` does;
+    ``run`` must exit 1 without a traceback."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "occob.cli", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_fresh_env(),
     )
     try:
-        assert proc.stdout.readline() == b"g w_* c b_flag\n"
+        assert proc.stdout.readline() == first_line
         proc.stdout.close()
         assert proc.wait(timeout=60) == 1
         assert b"Traceback" not in proc.stderr.read()
@@ -598,3 +594,28 @@ def test_fresh_process_exits_1_when_stdout_closes_early():
         proc.kill()
         proc.wait()
         proc.stderr.close()
+
+
+def test_fresh_process_exits_1_when_stdout_closes_early():
+    """The table's 40,401 rows are far beyond the pipe's 64 KiB buffer, so
+    the write fails while the command runs."""
+    path = CORPUS / "roundtrip" / "ref_interfaces.occ"
+    argv = ["classify", str(path), "five", "-G", "200", "-W", "200"]
+    _assert_exits_1_when_closed_after(argv, b"g w_* c b_flag\n")
+
+
+@pytest.mark.parametrize(
+    "options, first_line",
+    [
+        (["-k", "50000"], b"object result_src = [O];\n"),
+        (["-k", "20000", "--json"], b"{\n"),
+    ],
+    ids=["text", "json"],
+)
+def test_fresh_process_exits_1_when_an_emitted_document_is_cut(options, first_line):
+    """As above, for a document that ``stabilize`` prints: its windows line
+    runs far beyond the pipe's buffer, and one write of the whole document
+    would return a short count rather than fail."""
+    path = CORPUS / "roundtrip" / "ref_stabilizer.occ"
+    argv = ["stabilize", str(path), "T", *options]
+    _assert_exits_1_when_closed_after(argv, first_line)

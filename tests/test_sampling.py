@@ -2,7 +2,8 @@
 
 A bad argument raises ``InvalidValueError`` and leaves the generator in
 the state it was handed in.  A subclass of ``random.Random`` is a
-generator too, and makes the same draws.
+generator too, and makes the same draws; a ``str`` subclass brane label
+is a label too, and draws as the ``str`` it holds.
 """
 
 from __future__ import annotations
@@ -85,3 +86,20 @@ def test_a_bad_argument_is_refused_before_any_draw(sample, args):
 )
 def test_a_subclass_of_random_makes_the_same_draws(sample):
     assert repr(sample(_Generator(5))) == repr(sample(random.Random(5)))
+
+
+class _Label(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "sample",
+    [sample_object, sample_cobordism, sample_composable_chain, sample_document],
+)
+def test_str_subclass_labels_draw_as_the_str_they_hold(sample):
+    """As ``GeneralObject`` takes them: the same draws, the same values."""
+    labels = (_Label("b"), _Label("a"))
+    for seed in range(200):
+        rng, plain = random.Random(seed), random.Random(seed)
+        assert repr(sample(rng, labels)) == repr(sample(plain, ("b", "a")))
+        assert rng.getstate() == plain.getstate()

@@ -32,8 +32,8 @@ the ``windows`` document, as windows are stored as counts: they work per
 brane, not per window.
 Work inside a single C call, such as ``x in tuple`` or ``sorted``, runs
 no Python lines and so is not counted.  So ``canonicalize``, ``validate``,
-``compose``, ``pullback``, ``serialize`` and ``to_json`` on the ``cycle``
-document are also timed, the least of seven runs at n = 800 and at
+``compose``, ``pullback``, ``parse``, ``from_json``, ``serialize`` and
+``to_json`` on the ``cycle`` document are also timed, the least of seven runs at n = 800 and at
 4n = 3200: the time may grow by at most 9, between n log n (about 4.8) and
 quadratic (16).
 """
@@ -188,7 +188,17 @@ def test_each_doubling_of_n_at_most_doubles_the_lines_run(layer, shape):
 
 
 @pytest.mark.parametrize(
-    "layer", ["canonicalize", "validate", "compose", "pullback", "serialize", "to_json"]
+    "layer",
+    [
+        "canonicalize",
+        "validate",
+        "compose",
+        "pullback",
+        "parse",
+        "from_json",
+        "serialize",
+        "to_json",
+    ],
 )
 def test_quadrupling_n_takes_less_than_quadratic_time(layer):
     """A backstop for work done inside C calls, which the line count does
